@@ -26,7 +26,6 @@ from .effective import (
     eternal_bound,
     multiset_spectral_distance,
 )
-from .errors import ClusterAmbiguityError
 from .liouville import LindbladModel, Superoperator, build_superop, gkls_decompose
 from .models import (
     counterexample_model,
@@ -34,6 +33,7 @@ from .models import (
     lambda_model,
     qubit_nilpotent_model,
 )
+from .spectral import robust_decompose
 
 
 def default_time_grid() -> np.ndarray:
@@ -74,28 +74,6 @@ class PipelineResult:
             )
             out = out + series.truncated_sum(gamma)
         return out
-
-
-def robust_decompose(matrix, cluster_tol: float | None = None):
-    """Spectral decomposition with cluster-tolerance escalation.
-
-    When the clustering is ambiguous (degenerate eigenvalues of the strong
-    part split by rounding, e.g. around Jordan blocks) the tolerance is
-    escalated by factors of 100, at most twice; the tolerance actually used
-    is recorded on the returned decomposition.
-    """
-    tol_try = cluster_tol
-    last_exc = None
-    for _attempt in range(3):
-        try:
-            return spectral.decompose(matrix, tol_try)
-        except ClusterAmbiguityError as exc:
-            last_exc = exc
-            base = tol_try if tol_try is not None else 1e-8 * max(
-                matcore.op_norm(matrix, "spectral"), 1.0
-            )
-            tol_try = 100.0 * base
-    raise last_exc
 
 
 def compute_effective(

@@ -2,20 +2,26 @@
 
 For each eigenspace of the strong generator (projection P, nilpotent N of
 index n, reduced resolvent S) and weak perturbation C, the central objects
-are solutions of the quadratic matrix equations
+are the solutions of the quadratic matrix equation
 
     (1/g) S X^2 - (1 + (1/g) C S) X + S X N + C P = 0,    X (1 - P) = 0,
 
 for the generator amplitude ``omega`` (the block generator is D = P omega),
-its order-reversed conjugate, and the equivalent wave-operator equations
+and of the equivalent wave-operator equation
 
     U - S U N + (1/g) S (C U - U C U) - P = 0,            U (1 - P) = 0,
 
-related by U = P - S omega / g.  Solutions are found either by plain
-fixed-point iteration of the natural map or by Newton iteration, whose
-convergence is certified by computable Newton-Kantorovich constants
-(:func:`kantorovich_report`).  The same data feed the perturbative
-coefficient recursions and the symmetrized (Schrieffer-Wolff) series.
+related by U = P - S omega / g.  The order-reversed (conjugate) equations
+for ``omega_conj`` and ``wave_conj`` are these same equations for the
+transposed generator: B^T has spectral data P^T, N^T, S^T with the same
+eigenvalue, so omega_conj(B, C) = omega(B^T, C^T)^T.  They are solved, and
+expanded, as the primal equations on transposed block data.
+
+Solutions are found either by plain fixed-point iteration of the natural
+map or by Newton iteration, whose convergence is certified by computable
+Newton-Kantorovich constants (:func:`kantorovich_report`).  The same data
+feed the perturbative coefficient recursions and the symmetrized
+(Schrieffer-Wolff) series.
 """
 
 from __future__ import annotations
@@ -138,7 +144,7 @@ def kantorovich_report(
 
 
 # ---------------------------------------------------------------------------
-# the four quadratic equations: residuals, natural maps, Frechet derivatives
+# the two quadratic equations: residuals, natural maps, Frechet derivatives
 
 
 def omega_residual(blk, c, gamma, x):
@@ -146,19 +152,9 @@ def omega_residual(blk, c, gamma, x):
     return (s @ x @ x) / gamma - x - (c @ s @ x) / gamma + s @ x @ nil + c @ p
 
 
-def omega_conj_residual(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return (x @ x @ s) / gamma - x - (x @ s @ c) / gamma + nil @ x @ s + p @ c
-
-
 def wave_residual(blk, c, gamma, x):
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     return x - s @ x @ nil + (s @ (c @ x - x @ c @ x)) / gamma - p
-
-
-def wave_conj_residual(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return x - nil @ x @ s + ((x @ c - x @ c @ x) @ s) / gamma - p
 
 
 def _omega_map(blk, c, gamma, x):
@@ -166,19 +162,9 @@ def _omega_map(blk, c, gamma, x):
     return c @ p + s @ x @ nil - (c @ s @ x) / gamma + (s @ x @ x) / gamma
 
 
-def _omega_conj_map(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return p @ c + nil @ x @ s - (x @ s @ c) / gamma + (x @ x @ s) / gamma
-
-
 def _wave_map(blk, c, gamma, x):
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     return p + s @ x @ nil - (s @ (c @ x - x @ c @ x)) / gamma
-
-
-def _wave_conj_map(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return p + nil @ x @ s - ((x @ c - x @ c @ x) @ s) / gamma
 
 
 def _omega_jacobian(blk, c, gamma, x, eye2):
@@ -190,18 +176,6 @@ def _omega_jacobian(blk, c, gamma, x, eye2):
         - eye2
         - np.kron(eye, c @ s) / gamma
         + np.kron(nil.T, s)
-    )
-
-
-def _omega_conj_jacobian(blk, c, gamma, x, eye2):
-    s, nil = blk.resolvent, blk.nilpotent
-    n = s.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    return (
-        (np.kron((x @ s).T, eye) + np.kron(s.T, x)) / gamma
-        - eye2
-        - np.kron((s @ c).T, eye) / gamma
-        + np.kron(s.T, nil)
     )
 
 
@@ -217,35 +191,21 @@ def _wave_jacobian(blk, c, gamma, x, eye2):
     )
 
 
-def _wave_conj_jacobian(blk, c, gamma, x, eye2):
-    s, nil = blk.resolvent, blk.nilpotent
-    n = s.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    return (
-        eye2
-        - np.kron(s.T, nil)
-        + (np.kron((c @ s).T, eye) - np.kron((c @ x @ s).T, eye) - np.kron(s.T, x @ c))
-        / gamma
-    )
-
-
 _EQUATIONS = {
     "omega": (omega_residual, _omega_map, _omega_jacobian),
-    "omega_conj": (omega_conj_residual, _omega_conj_map, _omega_conj_jacobian),
     "wave": (wave_residual, _wave_map, _wave_jacobian),
-    "wave_conj": (wave_conj_residual, _wave_conj_map, _wave_conj_jacobian),
 }
+# order-reversed equation -> the primal equation it becomes on transposed data
+_CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
+_METHODS = ("newton", "fixed_point")
 
 
 def initial_guess(blk: EigenspaceData, c, which: str) -> np.ndarray:
     """Zeroth-order perturbative solution used to select the branch."""
-    p = blk.projection
     if which == "omega":
-        return bracket(blk, c @ p, "right")
-    if which == "omega_conj":
-        return bracket(blk, p @ c, "left")
-    if which in ("wave", "wave_conj"):
-        return p.copy()
+        return bracket(blk, c @ blk.projection, "right")
+    if which == "wave":
+        return blk.projection.copy()
     raise ValueError(f"unknown equation {which!r}")
 
 
@@ -253,8 +213,6 @@ def _ball_radius(blk, gamma, which, x, x0):
     """Distance of the iterate from the certified center, in wave variables."""
     if which == "omega":
         return matcore.op_norm(blk.resolvent @ (x - x0), "spectral") / gamma
-    if which == "omega_conj":
-        return matcore.op_norm((x - x0) @ blk.resolvent, "spectral") / gamma
     return matcore.op_norm(x - x0, "spectral")
 
 
@@ -270,21 +228,38 @@ def solve_equation(
     relaxation: float = 1.0,
     report: KantorovichReport | None = None,
 ):
-    """Solve one of the four block equations; returns (solution, info dict).
+    """Solve one of the block equations; returns (solution, info dict).
+
+    ``which`` is ``omega``, ``wave`` or one of their order-reversed
+    conjugates ``omega_conj``, ``wave_conj``.  An order-reversed equation
+    is the primal one for the transposed generator, so it is solved as the
+    primal equation on the transposed block data and C^T, and the solution
+    is transposed back.  The Kantorovich report and the uniqueness ball use
+    unitarily invariant norms, which transposition leaves unchanged.
 
     Newton steps solve the exact Frechet-derivative system; the iteration
     aborts with :class:`BranchEscapeError` if an iterate leaves the
     certified uniqueness ball (when one exists), so the returned solution
     is always the branch selected by the perturbative initial guess.
     """
+    if which not in _EQUATIONS and which not in _CONJUGATES:
+        raise ValueError(
+            f"unknown equation {which!r}; expected one of "
+            f"{sorted(_EQUATIONS) + sorted(_CONJUGATES)}"
+        )
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
     blk = dec.blocks[ell]
     cm = matcore.as_cmatrix(c)
-    residual_fn, map_fn, jac_fn = _EQUATIONS[which]
     if report is None:
         report = kantorovich_report(dec, cm, gamma, ell)
-    x0 = initial_guess(blk, cm, which)
+    primal = _CONJUGATES.get(which, which)
+    if primal != which:
+        blk, cm = blk.transposed(), cm.T
+    residual_fn, map_fn, jac_fn = _EQUATIONS[primal]
+    x0 = initial_guess(blk, cm, primal)
     # the certified ball is centered on the wave-equation initial guess
-    center = blk.projection if which.startswith("wave") else np.zeros_like(x0)
+    center = blk.projection if primal == "wave" else np.zeros_like(x0)
     xi = report.xi if report.solvable else math.inf
 
     x = x0.copy()
@@ -306,7 +281,7 @@ def solve_equation(
                 "method": method,
                 "certified": report.solvable,
             }
-            return x, info
+            return (x if primal == which else x.T), info
         if not np.isfinite(res) or res > 1e6 * (1.0 + res0):
             raise ConvergenceError(
                 f"{which} {method} iteration diverged on block {ell} "
@@ -318,11 +293,9 @@ def solve_equation(
             jac = jac_fn(blk, cm, gamma, x, eye2)
             step = matcore.solve_linear(jac, -r.reshape(-1, order="F"))
             x = x + step.reshape((n, n), order="F")
-        elif method == "fixed_point":
-            x = (1.0 - relaxation) * x + relaxation * map_fn(blk, cm, gamma, x)
         else:
-            raise ValueError(f"unknown method {method!r}")
-        if math.isfinite(xi) and _ball_radius(blk, gamma, which, x, center) >= xi:
+            x = (1.0 - relaxation) * x + relaxation * map_fn(blk, cm, gamma, x)
+        if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
             raise BranchEscapeError(
                 f"{which} iterate on block {ell} left the uniqueness ball "
                 f"(radius {xi:.3e}); target branch lost"
@@ -359,22 +332,11 @@ def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
     return blk.projection - (blk.resolvent @ omega) / gamma
 
 
-def wave_conj_from_omega_conj(blk: EigenspaceData, omega_conj, gamma: float) -> np.ndarray:
-    return blk.projection - (omega_conj @ blk.resolvent) / gamma
-
-
 def omega_from_wave(blk: EigenspaceData, wave, c, gamma: float) -> np.ndarray:
     p, nil = blk.projection, blk.nilpotent
     cm = matcore.as_cmatrix(c)
     comp = np.eye(p.shape[0], dtype=np.complex128) - p
     return cm @ wave - comp @ wave @ (cm @ wave + gamma * nil)
-
-
-def omega_conj_from_wave_conj(blk: EigenspaceData, wave_conj, c, gamma: float) -> np.ndarray:
-    p, nil = blk.projection, blk.nilpotent
-    cm = matcore.as_cmatrix(c)
-    comp = np.eye(p.shape[0], dtype=np.complex128) - p
-    return wave_conj @ cm - (wave_conj @ cm + gamma * nil) @ wave_conj @ comp
 
 
 @dataclass(frozen=True)
@@ -412,8 +374,10 @@ def solve_block(
     omega_conj, info_oc = solve_equation(
         dec, cm, gamma, ell, "omega_conj", method, tol, max_iter, report=report
     )
+    # the order-reversed quantities are the primal ones on transposed data
+    blk_t = blk.transposed()
     wave = wave_from_omega(blk, omega, gamma)
-    wave_conj = wave_conj_from_omega_conj(blk, omega_conj, gamma)
+    wave_conj = wave_from_omega(blk_t, omega_conj.T, gamma).T
 
     comp = np.eye(dec.dim, dtype=np.complex128) - blk.projection
     residuals = {
@@ -426,7 +390,7 @@ def solve_block(
         ),
         "wave_support": matcore.op_norm(wave @ comp, "spectral"),
         "wave_conj_eq": matcore.op_norm(
-            wave_conj_residual(blk, cm, gamma, wave_conj), "spectral"
+            wave_residual(blk_t, cm.T, gamma, wave_conj.T), "spectral"
         ),
         "wave_conj_support": matcore.op_norm(comp @ wave_conj, "spectral"),
         # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
@@ -490,40 +454,17 @@ class SeriesCoefficients:
         return out
 
 
-def _block_inverse_apply(blk: EigenspaceData, rhs: np.ndarray) -> np.ndarray:
-    """Inverse of X -> X - S X N applied to rhs (finite Neumann sum)."""
-    return bracket(blk, rhs, "right")
-
-
-def _block_inverse_apply_conj(blk: EigenspaceData, rhs: np.ndarray) -> np.ndarray:
-    return bracket(blk, rhs, "left")
-
-
 def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesCoefficients:
     """Coefficients of omega from the order-by-order recursion."""
     blk = dec.blocks[ell]
     cm = matcore.as_cmatrix(c)
     s = blk.resolvent
-    coeffs = [_block_inverse_apply(blk, cm @ blk.projection)]
+    coeffs = [bracket(blk, cm @ blk.projection, "right")]
     for j in range(1, order + 1):
         quad = sum(coeffs[j - 1 - i] @ coeffs[i] for i in range(j))
         rhs = -cm @ s @ coeffs[j - 1] + s @ quad
-        coeffs.append(_block_inverse_apply(blk, rhs))
+        coeffs.append(bracket(blk, rhs, "right"))
     return SeriesCoefficients(ell, "Omega_series", tuple(coeffs))
-
-
-def omega_conj_series(
-    dec: SpectralDecomposition, c, ell: int, order: int
-) -> SeriesCoefficients:
-    blk = dec.blocks[ell]
-    cm = matcore.as_cmatrix(c)
-    s = blk.resolvent
-    coeffs = [_block_inverse_apply_conj(blk, blk.projection @ cm)]
-    for j in range(1, order + 1):
-        quad = sum(coeffs[j - 1 - i] @ coeffs[i] for i in range(j))
-        rhs = -coeffs[j - 1] @ s @ cm + quad @ s
-        coeffs.append(_block_inverse_apply_conj(blk, rhs))
-    return SeriesCoefficients(ell, "Omega_conj_series", tuple(coeffs))
 
 
 def generator_series(
@@ -665,7 +606,8 @@ def schrieffer_wolff_series(
 
     work = order + 1  # one extra order: the nilpotent term carries a factor gamma
     om = omega_series(dec, c, ell, work).coeffs
-    omc = omega_conj_series(dec, c, ell, work).coeffs
+    # omega_conj's coefficients: the omega recursion on transposed data
+    omc = [o.T for o in omega_series(dec.transposed(), cm.T, ell, work).coeffs]
     s2 = blk.resolvent @ blk.resolvent
     n = dec.dim
     zero = np.zeros((n, n), dtype=np.complex128)

@@ -96,7 +96,7 @@ def decompose(model_path, cluster_tol, matrices, out):
         if cluster_tol is not None:
             dec = spectral.decompose(strong.matrix, cluster_tol)
         else:
-            dec = bench.robust_decompose(strong.matrix)
+            dec = spectral.robust_decompose(strong.matrix)
     except AdiablochError as exc:
         _fail(str(exc))
     payload = {
@@ -138,7 +138,7 @@ def solve(model_path, gamma, tol, method, matrices, out):
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     try:
-        dec = bench.robust_decompose(strong.matrix)
+        dec = spectral.robust_decompose(strong.matrix)
     except AdiablochError as exc:
         _fail(str(exc))
     reports = [
@@ -245,7 +245,7 @@ def bound(model_path, gamma, norm_kind, unitary, out):
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     try:
-        dec = bench.robust_decompose(strong.matrix)
+        dec = spectral.robust_decompose(strong.matrix)
         report = eternal_bound(dec, weak.matrix, model.gamma, norm_kind, unitary=unitary)
     except AdiablochError as exc:
         _fail(str(exc))

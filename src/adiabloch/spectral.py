@@ -17,7 +17,7 @@ Neumann series in the nilpotent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
@@ -43,6 +43,21 @@ class EigenspaceData:
     resolvent: np.ndarray
     rank: int
 
+    def transposed(self) -> EigenspaceData:
+        """The same eigenspace of the transposed matrix.
+
+        B^T = sum_l (b_l P_l^T + N_l^T) with S_l^T as reduced resolvents:
+        transposition reverses products and keeps ranks, so it preserves
+        idempotency, mutual annihilation, the nilpotency index and the rank,
+        and the eigenvalue is unchanged.
+        """
+        return replace(
+            self,
+            projection=self.projection.T,
+            nilpotent=self.nilpotent.T,
+            resolvent=self.resolvent.T,
+        )
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
@@ -60,6 +75,12 @@ class SpectralDecomposition:
 
     def identity_minus(self, ell: int) -> np.ndarray:
         return np.eye(self.dim, dtype=np.complex128) - self.blocks[ell].projection
+
+    def transposed(self) -> SpectralDecomposition:
+        """Decomposition of the transposed matrix, block by block."""
+        return replace(
+            self, blocks=tuple(blk.transposed() for blk in self.blocks)
+        )
 
 
 def _as_matrix(b) -> np.ndarray:
@@ -117,19 +138,24 @@ def _swap_adjacent(t: np.ndarray, z: np.ndarray, i: int) -> None:
     t[i + 1, i] = 0.0
 
 
+def _default_cluster_tol(norm_b: float) -> float:
+    """Cluster tolerance 1e-8 * max(||B||, 1) used when none is given."""
+    return 1e-8 * max(norm_b, 1.0)
+
+
 def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
     """Full spectral decomposition of a square matrix.
 
-    Eigenvalues closer than ``cluster_tol`` (default 1e-8 * ||B||) are
-    treated as one degenerate eigenvalue, represented by their mean; the
-    gap between distinct clusters must exceed 10 * cluster_tol, otherwise
-    a :class:`ClusterAmbiguityError` reports the offending gap.
+    Eigenvalues closer than ``cluster_tol`` (default 1e-8 * max(||B||, 1))
+    are treated as one degenerate eigenvalue, represented by their mean; the
+    gap between distinct clusters must exceed 10 * cluster_tol, otherwise a
+    :class:`ClusterAmbiguityError` reports the offending gap.
     """
     mat = _as_matrix(b)
     n = mat.shape[0]
     norm_b = matcore.op_norm(mat, "spectral")
     if cluster_tol is None:
-        cluster_tol = 1e-8 * max(norm_b, 1.0)
+        cluster_tol = _default_cluster_tol(norm_b)
 
     t, z = sla.schur(mat, output="complex")
     eigs = np.diag(t).copy()
@@ -202,6 +228,28 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
     )
     object.__setattr__(dec, "residuals", validate(dec, mat))
     return dec
+
+
+def robust_decompose(matrix, cluster_tol: float | None = None) -> SpectralDecomposition:
+    """Spectral decomposition with cluster-tolerance escalation.
+
+    When the clustering is ambiguous (degenerate eigenvalues of the strong
+    part split by rounding, e.g. around Jordan blocks) the tolerance is
+    escalated by factors of 100, at most twice; the tolerance actually used
+    is recorded on the returned decomposition.
+    """
+    tol_try = cluster_tol
+    last_exc = None
+    for _attempt in range(3):
+        try:
+            return decompose(matrix, tol_try)
+        except ClusterAmbiguityError as exc:
+            last_exc = exc
+            base = tol_try if tol_try is not None else _default_cluster_tol(
+                matcore.op_norm(_as_matrix(matrix), "spectral")
+            )
+            tol_try = 100.0 * base
+    raise last_exc
 
 
 def _assemble_blocks(mat, v, vinv, starts, reps, cluster_tol, norm_b):

@@ -21,7 +21,7 @@ from adiabloch.bloch import (
 )
 from adiabloch.errors import PreconditionError
 from adiabloch.liouville import Superoperator, build_superop, gkls_decompose
-from adiabloch.models import lambda_model, qubit_nilpotent_model, unitary_part
+from adiabloch.models import lambda_model, qubit_nilpotent_model, random_model, unitary_part
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +97,58 @@ class TestSolvers:
                 )
                 < 1e-10
             )
+
+    @pytest.mark.parametrize(
+        "which, method, allowed",
+        [
+            ("omega_bar", "newton", "omega_conj"),
+            ("omega", "secant", "fixed_point"),
+            ("wave_conj", "secant", "fixed_point"),
+        ],
+    )
+    def test_arguments_validated_before_iterating(self, lambda_pipe, which, method, allowed):
+        # with C = 0 the initial guess already meets tol, so nothing but the
+        # up-front check can reject the arguments
+        zero = np.zeros((25, 25))
+        with pytest.raises(ValueError, match=allowed):
+            solve_equation(lambda_pipe.decomposition, zero, 10.0, 0, which, method)
+
+    @pytest.mark.parametrize("case", ["lambda", "qubit", "random"])
+    def test_order_reversed_equations_oracle(self, case, lambda_pipe, qubit_dec, qubit_weak):
+        # the paper's order-reversed equations, written out independently of
+        # the transposed-primal route the solver takes
+        if case == "lambda":
+            dec, c, gamma = lambda_pipe.decomposition, lambda_pipe.weak.matrix, 10.0
+            sols = lambda_pipe.solutions
+            assert max(blk.rank for blk in dec.blocks) > 1
+        elif case == "qubit":
+            dec, c, gamma = qubit_dec, qubit_weak, 10.0
+            sols = solve_blocks(dec, c, gamma)
+            assert max(blk.index for blk in dec.blocks) == 2
+        else:
+            m = random_model(3, np.random.default_rng(7))
+            dec = spectral.decompose(build_superop(m, "strong").matrix)
+            c = build_superop(m, "weak").matrix
+            gamma = 4.0 * max(bloch.block_gamma_min(blk, c) for blk in dec.blocks)
+            sols = solve_blocks(dec, c, gamma)
+        eye = np.eye(dec.dim)
+        c_norm = matcore.op_norm(c, "spectral")
+        for sol in sols:
+            blk = dec.blocks[sol.ell]
+            p, nil, s = blk.projection, blk.nilpotent, blk.resolvent
+            x, u = sol.omega_conj, sol.wave_conj
+            omega_conj_eq = (
+                (x @ x @ s) / gamma - x - (x @ s @ c) / gamma + nil @ x @ s + p @ c
+            )
+            wave_conj_eq = u - nil @ u @ s + ((u @ c - u @ c @ u) @ s) / gamma - p
+            tol = 1e-12 * max(1.0, gamma * matcore.op_norm(s, "spectral") * c_norm)
+            for name, res in (
+                ("omega_conj_eq", omega_conj_eq),
+                ("wave_conj_eq", wave_conj_eq),
+                ("omega_conj_support", (eye - p) @ x),
+                ("wave_conj_support", (eye - p) @ u),
+            ):
+                assert matcore.op_norm(res, "spectral") < tol, (case, sol.ell, name)
 
     def test_fixed_point_agrees_with_newton(self, lambda_pipe_certified):
         dec = lambda_pipe_certified.decomposition

@@ -11,7 +11,12 @@ from adiabloch.models import (
     qubit_nilpotent_similarity,
 )
 from adiabloch.liouville import build_superop
-from adiabloch.spectral import decompose, decompose_from_user, validate
+from adiabloch.spectral import (
+    decompose,
+    decompose_from_user,
+    robust_decompose,
+    validate,
+)
 
 
 def find_block(dec, eigenvalue, tol=1e-6):
@@ -73,6 +78,16 @@ class TestQubitNilpotent:
         with pytest.raises(ClusterAmbiguityError) as err:
             decompose(strong.matrix)
         assert err.value.gap is not None
+
+    def test_robust_decompose_escalates_past_ambiguity(self):
+        # the default tolerance 1e-8 * max(||B||, 1) is refused (above); one
+        # escalation by 100 clusters the defective eigenvalue
+        strong = build_superop(qubit_nilpotent_model(10.0), "strong")
+        default = 1e-8 * max(matcore.op_norm(strong.matrix, "spectral"), 1.0)
+        dec = robust_decompose(strong.matrix)
+        assert_allclose(dec.cluster_tol, 100.0 * default, rtol=1e-14)
+        assert find_block(dec, -1.0).index == 2
+        assert dec.residuals["nilpotency_defect"] < 1e-12
 
     def test_user_similarity_route_agrees(self):
         strong = build_superop(qubit_nilpotent_model(10.0), "strong")
@@ -145,6 +160,25 @@ class TestValidate:
 
 
 class TestInvariants:
+    def test_transposed_decomposes_the_transpose(self, lambda_pipe):
+        # P^T, N^T, S^T with the same eigenvalue, index and rank are the
+        # spectral data of B^T, including an index-2 nilpotent
+        qubit = build_superop(qubit_nilpotent_model(10.0), "strong").matrix
+        for b, dec in (
+            (qubit, decompose(qubit, cluster_tol=1e-6)),
+            (lambda_pipe.strong.matrix, lambda_pipe.decomposition),
+        ):
+            dec_t = dec.transposed()
+            res = validate(dec_t, b.T)
+            for key, value in dec.residuals.items():
+                if isinstance(value, bool):
+                    assert res[key] == value, key
+                else:
+                    assert res[key] <= value + 1e-14, key
+            for blk, blk_t in zip(dec.blocks, dec_t.blocks):
+                assert blk_t.eigenvalue == blk.eigenvalue
+                assert (blk_t.index, blk_t.rank) == (blk.index, blk.rank)
+
     def test_rank_sum_and_resolvent_support(self, lambda_pipe):
         dec = lambda_pipe.decomposition
         n = dec.dim
