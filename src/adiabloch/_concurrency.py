@@ -1,9 +1,8 @@
 """Thread-pool helper honoring the ADIABLOCH_THREADS cap.
 
-The parallel sections (per-block solves, time-grid propagation, multi-model
-sweeps) are embarrassingly parallel over read-only inputs; BLAS-backed work
-releases the GIL, so a thread pool is enough.  Results always come back in
-input order, so parallel runs are bit-identical to serial ones.
+Time-grid propagation is embarrassingly parallel over read-only inputs;
+BLAS-backed work releases the GIL, so a thread pool is enough.  Results
+come back in input order, so parallel runs are bit-identical to serial.
 """
 
 from __future__ import annotations

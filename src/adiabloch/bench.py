@@ -59,20 +59,27 @@ class PipelineResult:
 
     def effective_total(self, order: int | None = None) -> np.ndarray:
         """g B + K (order None) or g B + K_eff^(order)."""
-        base = self.model.gamma * self.strong.matrix
-        if order is None:
-            return base + self.generators.schrieffer_wolff.matrix
-        return base + self.k_eff(order)
+        return self.model.gamma * self.strong.matrix + self._k_effs([order])[order]
 
     def k_eff(self, order: int) -> np.ndarray:
         """Truncated symmetrized generator sum_l sum_{j<=order} K_l^(j)/g^j."""
-        gamma = self.model.gamma
-        out = np.zeros_like(self.weak.matrix)
-        for ell in range(len(self.decomposition.blocks)):
+        return self._k_effs([order])[order]
+
+    def _k_effs(self, orders) -> dict:
+        """K (order None) and k_eff(order) for each finite order.
+
+        Each block's series is built once, to the largest finite order, and
+        the lower orders are its truncations.
+        """
+        finite = [order for order in orders if order is not None]
+        out = {order: np.zeros_like(self.weak.matrix) for order in finite}
+        for ell in range(len(self.decomposition.blocks) if finite else 0):
             series = schrieffer_wolff_series(
-                self.decomposition, self.weak.matrix, ell, order, method="series"
+                self.decomposition, self.weak.matrix, ell, max(finite), method="series"
             )
-            out = out + series.truncated_sum(gamma)
+            for order in finite:
+                out[order] = out[order] + series.truncated_sum(self.model.gamma, order)
+        out[None] = self.generators.schrieffer_wolff.matrix
         return out
 
 
@@ -180,7 +187,9 @@ def distance_curves(
 ) -> dict:
     """Curves for several truncation orders, reusing the true propagator."""
     times = default_time_grid() if times is None else np.asarray(times, dtype=float)
-    targets = {order: pipe.effective_total(order) for order in orders}
+    base = pipe.model.gamma * pipe.strong.matrix
+    k_effs = pipe._k_effs(orders)
+    targets = {order: base + k_effs[order] for order in orders}
     table = _distance_table(pipe.total_matrix, targets, times, norm_kind)
     return {
         order: DistanceCurve(
@@ -420,11 +429,7 @@ def _case_lambda_numeric() -> ReproductionReport:
         )
     )
 
-    total_k = Superoperator(
-        model.dim,
-        model.gamma * pipe.strong.matrix + pipe.generators.schrieffer_wolff.matrix,
-    )
-    form_total = gkls_decompose(total_k, tol=1e-8)
+    form_total = gkls_decompose(Superoperator(model.dim, pipe.effective_total()), tol=1e-8)
     rates_total = np.array(form_total.rates)
     idx_min = int(np.argmin(rates_total))
     items.append(
@@ -515,11 +520,7 @@ def _case_lambda_analytic() -> ReproductionReport:
     dev = float(np.abs(form.hamiltonian - ham_expected).max())
     items.append(_item("k_hamiltonian_max_dev", 0.0, dev, "analytic", 1e-9))
 
-    total_k = Superoperator(
-        model.dim,
-        model.gamma * pipe.strong.matrix + pipe.generators.schrieffer_wolff.matrix,
-    )
-    form_total = gkls_decompose(total_k, tol=1e-8)
+    form_total = gkls_decompose(Superoperator(model.dim, pipe.effective_total()), tol=1e-8)
     tp, tm = ana["tilde_rates"]
     expected_total = np.sort(np.array([g1r, g2r, g3r, tp, tm]))[::-1]
     got_total = _significant_rates(form_total, 5)
@@ -541,9 +542,7 @@ def _case_lambda_analytic() -> ReproductionReport:
     for gam in (50.0, 100.0):
         m2 = lambda_model(gam, omega=omega, delta=0.0, g1=g1, g2=g2, kappa=kappa, kappa0=kappa0)
         pipe2 = compute_effective(m2)
-        total2 = Superoperator(
-            5, gam * pipe2.strong.matrix + pipe2.generators.schrieffer_wolff.matrix
-        )
+        total2 = Superoperator(5, pipe2.effective_total())
         min_rate = min(gkls_decompose(total2, tol=1e-8).rates)
         asym = -abs(g1 * g2) ** 2 / (16 * gam**3 * kappa0)
         ok = abs(min_rate - asym) <= 0.05 * abs(asym)

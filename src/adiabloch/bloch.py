@@ -19,9 +19,10 @@ expanded, as the primal equations on transposed block data.
 
 Solutions are found either by plain fixed-point iteration of the natural
 map or by Newton iteration, whose convergence is certified by computable
-Newton-Kantorovich constants (:func:`kantorovich_report`).  The same data
-feed the perturbative coefficient recursions and the symmetrized
-(Schrieffer-Wolff) series.
+Newton-Kantorovich constants (:func:`kantorovich_report`); a Newton step
+is a linear solve in n rank(P) unknowns, not n^2 (:func:`solve_equation`).
+The same data feed the perturbative coefficient recursions and the
+symmetrized (Schrieffer-Wolff) series.
 """
 
 from __future__ import annotations
@@ -167,33 +168,20 @@ def _wave_map(blk, c, gamma, x):
     return p + s @ x @ nil - (s @ (c @ x - x @ c @ x)) / gamma
 
 
-def _omega_jacobian(blk, c, gamma, x, eye2):
+def _omega_derivative(blk, c, gamma, x):
+    """A, F of the Frechet derivative delta -> A delta + S delta F."""
     s, nil = blk.resolvent, blk.nilpotent
-    n = s.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    return (
-        (np.kron(x.T, s) + np.kron(eye, s @ x)) / gamma
-        - eye2
-        - np.kron(eye, c @ s) / gamma
-        + np.kron(nil.T, s)
-    )
+    return (s @ x - c @ s) / gamma - np.eye(len(s)), x / gamma + nil
 
 
-def _wave_jacobian(blk, c, gamma, x, eye2):
+def _wave_derivative(blk, c, gamma, x):
     s, nil = blk.resolvent, blk.nilpotent
-    n = s.shape[0]
-    eye = np.eye(n, dtype=np.complex128)
-    return (
-        eye2
-        - np.kron(nil.T, s)
-        + (np.kron(eye, s @ c) - np.kron((c @ x).T, s) - np.kron(eye, s @ x @ c))
-        / gamma
-    )
+    return np.eye(len(s)) + (s @ c - s @ x @ c) / gamma, -(nil + c @ x / gamma)
 
 
 _EQUATIONS = {
-    "omega": (omega_residual, _omega_map, _omega_jacobian),
-    "wave": (wave_residual, _wave_map, _wave_jacobian),
+    "omega": (omega_residual, _omega_map, _omega_derivative),
+    "wave": (wave_residual, _wave_map, _wave_derivative),
 }
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
@@ -237,8 +225,13 @@ def solve_equation(
     is transposed back.  The Kantorovich report and the uniqueness ball use
     unitarily invariant norms, which transposition leaves unchanged.
 
-    Newton steps solve the exact Frechet-derivative system; the iteration
-    aborts with :class:`BranchEscapeError` if an iterate leaves the
+    Newton steps solve the exact derivative system delta -> A delta +
+    S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for wave.
+    F and the residual R vanish on range(1 - P) as X and N do, so every
+    iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r)
+    the correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q:
+    kron(1_r, A) + kron(M^T, S) acting on vec(Y), an (n r) x (n r) system
+    in place of the n^2 x n^2 Jacobian.  The iteration aborts with :class:`BranchEscapeError` if an iterate leaves the
     certified uniqueness ball (when one exists), so the returned solution
     is always the branch selected by the perturbative initial guess.
     """
@@ -256,7 +249,7 @@ def solve_equation(
     primal = _CONJUGATES.get(which, which)
     if primal != which:
         blk, cm = blk.transposed(), cm.T
-    residual_fn, map_fn, jac_fn = _EQUATIONS[primal]
+    residual_fn, map_fn, derivative_fn = _EQUATIONS[primal]
     x0 = initial_guess(blk, cm, primal)
     # the certified ball is centered on the wave-equation initial guess
     center = blk.projection if primal == "wave" else np.zeros_like(x0)
@@ -264,8 +257,10 @@ def solve_equation(
 
     x = x0.copy()
     history = []
-    n = x.shape[0]
-    eye2 = np.eye(n * n, dtype=np.complex128) if method == "newton" else None
+    if method == "newton":
+        # P = Q W with orthonormal Q spanning range(P) and W = Q^H P: W Q = 1_r
+        q = np.linalg.svd(blk.projection)[0][:, : blk.rank]
+        w = q.conj().T @ blk.projection
     res0 = None
     for it in range(max_iter):
         r = residual_fn(blk, cm, gamma, x)
@@ -290,9 +285,7 @@ def solve_equation(
                 iterations=it,
             )
         if method == "newton":
-            jac = jac_fn(blk, cm, gamma, x, eye2)
-            step = matcore.solve_linear(jac, -r.reshape(-1, order="F"))
-            x = x + step.reshape((n, n), order="F")
+            x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r, q, w)
         else:
             x = (1.0 - relaxation) * x + relaxation * map_fn(blk, cm, gamma, x)
         if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
@@ -306,6 +299,15 @@ def solve_equation(
         residual=float(history[-1]),
         iterations=max_iter,
     )
+
+
+def _range_step(blk, a, f, r, q, w):
+    """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q."""
+    n, rank = q.shape
+    m = w @ f @ q
+    jac = np.kron(np.eye(rank, dtype=np.complex128), a) + np.kron(m.T, blk.resolvent)
+    y = matcore.solve_linear(jac, -(r @ q).reshape(-1, order="F"))
+    return y.reshape((n, rank), order="F") @ w
 
 
 def solve_omega(dec, c, gamma, ell, **kwargs):
@@ -422,12 +424,10 @@ def solve_blocks(
     max_iter: int = 200,
 ) -> list[BlochSolution]:
     """Independent per-block solves, in block order."""
-    from ._concurrency import parallel_map
-
-    return parallel_map(
-        lambda ell: solve_block(dec, c, gamma, ell, method, tol, max_iter),
-        range(len(dec.blocks)),
-    )
+    return [
+        solve_block(dec, c, gamma, ell, method, tol, max_iter)
+        for ell in range(len(dec.blocks))
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,7 @@ from .errors import (
     SpectralOverlapError,
 )
 
-# Residual tolerance for direct solves; rank cutoff is relative to the
-# largest singular value.
-TOL_SOLVE = 1e-12
+# Rank cutoff, relative to the largest singular value.
 TOL_RANK = 1e-9
 
 
@@ -104,8 +102,11 @@ def solve_linear(a, y) -> np.ndarray:
     """Solve A X = Y for X, rejecting A singular within tolerance.
 
     The reciprocal condition number is estimated from the LU factors
-    (LAPACK gecon); rcond below machine-epsilon scale raises
-    :class:`SingularMatrixError` carrying the condition estimate.
+    (LAPACK gecon); rcond < 10 eps^1.5 (about 3e-23, far below machine
+    epsilon) raises :class:`SingularMatrixError` with the estimate.  Newton
+    in :mod:`bloch` applies it to the (n r) x (n r) reduced Jacobian, which
+    is singular whenever the derivative on matrices vanishing on
+    range(1 - P) is.
     """
     m = as_cmatrix(a)
     _require_square(m, "solve_linear")

@@ -21,7 +21,13 @@ from adiabloch.bloch import (
 )
 from adiabloch.errors import PreconditionError
 from adiabloch.liouville import Superoperator, build_superop, gkls_decompose
-from adiabloch.models import lambda_model, qubit_nilpotent_model, random_model, unitary_part
+from adiabloch.models import (
+    counterexample_model,
+    lambda_model,
+    qubit_nilpotent_model,
+    random_model,
+    unitary_part,
+)
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +189,94 @@ class TestSolvers:
             assert matcore.op_norm(omega2 - sol.omega, "spectral") < 1e-11
             wave2 = wave_from_omega(blk, omega2, 10.0)
             assert matcore.op_norm(wave2 - sol.wave, "spectral") < 1e-11
+
+
+def _dense_omega_jacobian(blk, c, gamma, x):
+    s, nil = blk.resolvent, blk.nilpotent
+    eye = np.eye(len(s))
+    return (
+        (np.kron(x.T, s) + np.kron(eye, s @ x)) / gamma
+        - np.eye(len(s) ** 2)
+        - np.kron(eye, c @ s) / gamma
+        + np.kron(nil.T, s)
+    )
+
+
+def _dense_wave_jacobian(blk, c, gamma, x):
+    s, nil = blk.resolvent, blk.nilpotent
+    eye = np.eye(len(s))
+    return (
+        np.eye(len(s) ** 2)
+        - np.kron(nil.T, s)
+        + (np.kron(eye, s @ c) - np.kron((c @ x).T, s) - np.kron(eye, s @ x @ c)) / gamma
+    )
+
+
+def _dense_newton(blk, c, gamma, which, tol=1e-12, max_iter=50):
+    """Newton on the full n^2 x n^2 Kronecker Jacobian: (solution, iterations)."""
+    residual_fn, jacobian_fn = {
+        "omega": (bloch.omega_residual, _dense_omega_jacobian),
+        "wave": (wave_residual, _dense_wave_jacobian),
+    }[which]
+    x = bloch.initial_guess(blk, c, which)
+    n = len(x)
+    for it in range(max_iter):
+        r = residual_fn(blk, c, gamma, x)
+        if matcore.op_norm(r, "spectral") <= tol:
+            return x, it
+        step = np.linalg.solve(jacobian_fn(blk, c, gamma, x), -r.reshape(-1, order="F"))
+        x = x + step.reshape((n, n), order="F")
+    raise AssertionError(f"dense {which} Newton did not converge")
+
+
+class TestReducedNewton:
+    """Newton steps on range(P) against the dense Kronecker Newton oracle."""
+
+    @pytest.mark.parametrize("case", ["qubit", "counterexample", "random", "lambda"])
+    def test_matches_dense_kronecker_newton(
+        self, case, lambda_pipe, qubit_dec, qubit_weak, monkeypatch
+    ):
+        if case == "qubit":
+            dec, c, gamma = qubit_dec, qubit_weak, 10.0
+        elif case == "counterexample":
+            model = counterexample_model(5.0)
+            dec = spectral.robust_decompose(build_superop(model, "strong").matrix)
+            c, gamma = build_superop(model, "weak").matrix, model.gamma
+        elif case == "random":
+            m = random_model(3, np.random.default_rng(7))
+            dec = spectral.decompose(build_superop(m, "strong").matrix)
+            c = build_superop(m, "weak").matrix
+            gamma = 4.0 * max(bloch.block_gamma_min(blk, c) for blk in dec.blocks)
+        else:
+            dec, c, gamma = lambda_pipe.decomposition, lambda_pipe.weak.matrix, 10.0
+        expected_rank = {"qubit": 2, "counterexample": 3, "random": 1, "lambda": 10}[case]
+        assert max(blk.rank for blk in dec.blocks) == expected_rank
+
+        steps = []
+        reduced_step = bloch._range_step
+
+        def recording_step(blk, *args):
+            delta = reduced_step(blk, *args)
+            steps.append((blk.projection, delta))
+            return delta
+
+        monkeypatch.setattr(bloch, "_range_step", recording_step)
+        for ell, blk in enumerate(dec.blocks):
+            for which in ("omega", "omega_conj", "wave"):
+                x, info = solve_equation(dec, c, gamma, ell, which)
+                if which == "omega_conj":
+                    x_dense, it_dense = _dense_newton(blk.transposed(), c.T, gamma, "omega")
+                    x_dense = x_dense.T
+                else:
+                    x_dense, it_dense = _dense_newton(blk, c, gamma, which)
+                assert info["iterations"] == it_dense, (case, ell, which)
+                scale = max(1.0, matcore.op_norm(x_dense, "spectral"))
+                dev = matcore.op_norm(x - x_dense, "spectral")
+                assert dev <= 1e-12 * scale, (case, ell, which, dev)
+        assert steps
+        for p, delta in steps:
+            leak = matcore.op_norm(delta - delta @ p, "spectral")
+            assert leak <= 1e-13 * max(1.0, matcore.op_norm(delta, "spectral")), (case, leak)
 
 
 class TestKantorovich:
