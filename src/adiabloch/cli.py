@@ -270,6 +270,8 @@ def evolve(model_path, gamma, order, norm_kind, fmt, out):
             k = int(order)
         except ValueError as exc:
             raise click.UsageError(f"--order must be an integer or 'inf': {order}") from exc
+        if k < 0:
+            raise click.UsageError(f"--order must be >= 0: {order}")
     try:
         curve = bench.distance_curve(model, order=k, norm_kind=norm_kind)
     except AdiablochError as exc:
@@ -333,6 +335,10 @@ def scaling(model_path, gammas, orders, norm_kind, out):
         order_list = [int(k) for k in orders.split(",") if k]
     except ValueError as exc:
         raise click.UsageError(f"bad --gammas/--orders: {exc}") from exc
+    if not gamma_list:
+        raise click.UsageError("--gammas needs at least one coupling")
+    if any(k < 0 for k in order_list):
+        raise click.UsageError(f"--orders must be >= 0: {orders}")
     try:
         report = bench.scaling_check(model, gamma_list, order_list, norm_kind=norm_kind)
     except AdiablochError as exc:

@@ -5,7 +5,10 @@ unitarily invariant norms, the matrix exponential (scaling-and-squaring with
 order-13 Pade), the principal matrix square root (Schur method), linear and
 Sylvester solves.  All functions are pure: inputs are never mutated, outputs
 are freshly allocated ``complex128`` arrays, and every public operation
-guarantees finite entries on return.
+guarantees finite entries on return.  :func:`op_norm` and :func:`expm` also
+take stacks of shape ``(..., n, n)`` and act on each matrix of the stack, so
+many points of a time grid are propagated in one call; every slice gets the
+same arithmetic it would get on its own.
 """
 
 from __future__ import annotations
@@ -28,11 +31,18 @@ TOL_RANK = 1e-9
 
 def as_cmatrix(a) -> np.ndarray:
     """Return ``a`` as a 2-d complex128 array, rejecting non-finite input."""
-    m = np.asarray(a, dtype=np.complex128)
+    m = _as_cstack(a)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
-    _ensure_finite(m, "input")
     return m
+
+
+def _as_cstack(a) -> np.ndarray:
+    """Return ``a`` as a complex128 matrix or stack of matrices (ndim >= 2)."""
+    m = np.asarray(a, dtype=np.complex128)
+    if m.ndim < 2:
+        raise ValueError(f"expected a matrix or a stack, got shape {m.shape}")
+    return _ensure_finite(m, "input")
 
 
 def _ensure_finite(m: np.ndarray, what: str) -> np.ndarray:
@@ -42,32 +52,37 @@ def _ensure_finite(m: np.ndarray, what: str) -> np.ndarray:
 
 
 def _require_square(m: np.ndarray, op: str) -> None:
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"{op} requires a square matrix, got shape {m.shape}")
+    if m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"{op} requires square matrices, got shape {m.shape}")
 
 
-def op_norm(a, kind: str = "spectral") -> float:
-    """Unitarily invariant matrix norm.
+_NORM_KINDS = ("spectral", "trace", "frobenius")
+
+
+def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
+    """Unitarily invariant norm of a matrix, or of each matrix in a stack.
 
     ``spectral``: largest singular value; ``trace``: sum of singular values;
-    ``frobenius``: root-sum-square of moduli.
+    ``frobenius``: root-sum-square of moduli.  Returns a ``float`` for one
+    matrix and an array of shape ``a.shape[:-2]`` for a stack.
     """
-    m = as_cmatrix(a)
+    if kind not in _NORM_KINDS:
+        raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
+    m = _as_cstack(a)
     if kind == "frobenius":
-        return float(np.linalg.norm(m))
-    if m.size == 0:
-        return 0.0
-    s = sla.svdvals(m)
-    if kind == "spectral":
-        return float(s[0]) if s.size else 0.0
-    if kind == "trace":
-        return float(s.sum())
-    raise ValueError(f"unknown norm kind {kind!r}")
+        norms = np.linalg.norm(m, axis=(-2, -1))
+    else:
+        s = np.linalg.svd(m, compute_uv=False)
+        norms = s.max(axis=-1, initial=0.0) if kind == "spectral" else s.sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
 
 
 def expm(a) -> np.ndarray:
-    """Matrix exponential e^A (scaling-and-squaring, order-13 Pade)."""
-    m = as_cmatrix(a)
+    """Matrix exponential e^A of a matrix, or of each matrix in a stack.
+
+    Scaling-and-squaring with order-13 Pade (Al-Mohy & Higham 2009).
+    """
+    m = _as_cstack(a)
     _require_square(m, "expm")
     out = sla.expm(m)
     return _ensure_finite(np.asarray(out, dtype=np.complex128), "expm result")

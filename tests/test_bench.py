@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -125,15 +126,48 @@ def test_semigroup_norm_bound(lambda_pipe, short_times):
     assert 1.0 <= m < 10.0
 
 
-def test_thread_cap_is_bit_identical(lambda_pipe, short_times, monkeypatch):
-    curve_multi = bench.distance_curve(
-        lambda_pipe.model, order=1, times=short_times, pipeline=lambda_pipe
-    )
-    monkeypatch.setenv("ADIABLOCH_THREADS", "1")
-    curve_serial = bench.distance_curve(
-        lambda_pipe.model, order=1, times=short_times, pipeline=lambda_pipe
-    )
-    assert np.array_equal(curve_multi.distances, curve_serial.distances)
+def test_semigroup_norm_bound_matches_bound_check(short_times):
+    model = lambda_model(10.0)
+    report = bench.bound_check(model, times=short_times)
+    pipe = bench.compute_effective(dataclasses.replace(model, gamma=report["gamma"]))
+    assert bench.semigroup_norm_bound(pipe, short_times) == report["semigroup_bound"]
+
+
+def test_distance_table_matches_per_time_loop(lambda_pipe):
+    # 150 points: two full chunks and a partial one
+    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
+    assert len(times) % bench._TIME_CHUNK != 0
+    total = lambda_pipe.total_matrix
+    targets = {0: lambda_pipe.effective_total(0), None: lambda_pipe.effective_total()}
+    table = bench._distance_table(total, targets, times, "spectral")
+
+    expected = {key: [] for key in list(targets) + ["__norm__"]}
+    for t in times:
+        true_prop = matcore.expm(t * total)
+        for key, target in targets.items():
+            expected[key].append(
+                matcore.op_norm(true_prop - matcore.expm(t * target), "spectral")
+            )
+        expected["__norm__"].append(matcore.op_norm(true_prop, "spectral"))
+    assert set(table) == set(expected)
+    for key, values in expected.items():
+        assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
+
+
+def test_negative_order_rejected_before_any_series(lambda_pipe, monkeypatch):
+    def no_series(*args, **kwargs):
+        raise AssertionError("series built for a negative order")
+
+    monkeypatch.setattr(bench, "schrieffer_wolff_series", no_series)
+    with pytest.raises(ValueError, match="order"):
+        lambda_pipe.k_eff(-1)
+    with pytest.raises(ValueError, match="order"):
+        bench.distance_curves(lambda_pipe, [2, -1, None], np.array([0.0, 1.0]))
+
+
+def test_scaling_check_rejects_empty_gammas():
+    with pytest.raises(ValueError, match="coupling"):
+        bench.scaling_check(lambda_model(10.0), gammas=(), orders=(0,))
 
 
 def test_counterexample_grid_constraints():

@@ -98,6 +98,21 @@ def test_evolve_bad_order_exits_2(runner, qubit_file):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args", [["evolve", "--order", "-1"], ["scaling", "--orders", "0,-1"]]
+)
+def test_negative_order_exits_2(runner, qubit_file, args):
+    result = runner.invoke(main, [args[0], "--model", qubit_file] + args[1:])
+    assert result.exit_code == 2
+    assert ">= 0" in result.output
+
+
+def test_scaling_empty_gammas_exits_2(runner, qubit_file):
+    result = runner.invoke(main, ["scaling", "--model", qubit_file, "--gammas", ","])
+    assert result.exit_code == 2
+    assert "--gammas" in result.output
+
+
 def test_reproduce_writes_report(runner, tmp_path):
     out = tmp_path / "r.json"
     result = runner.invoke(main, ["reproduce", "table2", "--out", str(out)])

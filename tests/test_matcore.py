@@ -43,6 +43,50 @@ class TestOpNorm:
         with pytest.raises(NonFiniteError):
             matcore.op_norm(a)
 
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 3)])
+    def test_unknown_kind_rejected_for_every_shape(self, shape):
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            matcore.op_norm(np.zeros(shape), "bogus")
+
+
+class TestStacks:
+    """op_norm and expm on (..., n, n) stacks act slice by slice."""
+
+    @pytest.fixture
+    def stack(self, rng):
+        a = rng.normal(size=(2, 3, 5, 5)) + 1j * rng.normal(size=(2, 3, 5, 5))
+        return a * np.logspace(-2, 2, 6).reshape(2, 3, 1, 1)
+
+    @pytest.mark.parametrize("kind", ["spectral", "trace", "frobenius"])
+    def test_op_norm_matches_per_slice_loop(self, stack, kind):
+        norms = matcore.op_norm(stack, kind)
+        assert norms.shape == (2, 3)
+        loop = [[matcore.op_norm(stack[i, j], kind) for j in range(3)] for i in range(2)]
+        assert all(isinstance(v, float) for row in loop for v in row)
+        assert_allclose(norms, loop, rtol=1e-13, atol=0)
+
+    def test_expm_matches_per_slice_loop(self, stack):
+        out = matcore.expm(stack)
+        assert out.shape == stack.shape and out.dtype == np.complex128
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], matcore.expm(stack[idx]))
+
+    def test_nan_in_one_slice_rejected(self, stack):
+        stack[1, 2, 0, 4] = np.nan
+        with pytest.raises(NonFiniteError):
+            matcore.expm(stack)
+        with pytest.raises(NonFiniteError):
+            matcore.op_norm(stack)
+
+    def test_non_square_stack_rejected(self):
+        with pytest.raises(ValueError):
+            matcore.expm(np.ones((4, 2, 3)))
+
+    def test_one_dimensional_input_rejected(self):
+        for fn in (matcore.expm, matcore.op_norm):
+            with pytest.raises(ValueError):
+                fn(np.ones(3))
+
 
 class TestExpm:
     def test_zero(self):
