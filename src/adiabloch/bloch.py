@@ -145,7 +145,7 @@ def kantorovich_report(
 
 
 # ---------------------------------------------------------------------------
-# the two quadratic equations: residuals, natural maps, Frechet derivatives
+# the two quadratic equations: residuals and Frechet derivatives
 
 
 def omega_residual(blk, c, gamma, x):
@@ -156,16 +156,6 @@ def omega_residual(blk, c, gamma, x):
 def wave_residual(blk, c, gamma, x):
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     return x - s @ x @ nil + (s @ (c @ x - x @ c @ x)) / gamma - p
-
-
-def _omega_map(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return c @ p + s @ x @ nil - (c @ s @ x) / gamma + (s @ x @ x) / gamma
-
-
-def _wave_map(blk, c, gamma, x):
-    s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return p + s @ x @ nil - (s @ (c @ x - x @ c @ x)) / gamma
 
 
 def _omega_derivative(blk, c, gamma, x):
@@ -179,9 +169,11 @@ def _wave_derivative(blk, c, gamma, x):
     return np.eye(len(s)) + (s @ c - s @ x @ c) / gamma, -(nil + c @ x / gamma)
 
 
+# residual R, derivative, and the sign s that makes X + s R the natural
+# fixed-point map (omega: R = map - X; wave: R = X - map)
 _EQUATIONS = {
-    "omega": (omega_residual, _omega_map, _omega_derivative),
-    "wave": (wave_residual, _wave_map, _wave_derivative),
+    "omega": (omega_residual, _omega_derivative, 1.0),
+    "wave": (wave_residual, _wave_derivative, -1.0),
 }
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
@@ -249,7 +241,7 @@ def solve_equation(
     primal = _CONJUGATES.get(which, which)
     if primal != which:
         blk, cm = blk.transposed(), cm.T
-    residual_fn, map_fn, derivative_fn = _EQUATIONS[primal]
+    residual_fn, derivative_fn, map_sign = _EQUATIONS[primal]
     x0 = initial_guess(blk, cm, primal)
     # the certified ball is centered on the wave-equation initial guess
     center = blk.projection if primal == "wave" else np.zeros_like(x0)
@@ -287,7 +279,7 @@ def solve_equation(
         if method == "newton":
             x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r, q, w)
         else:
-            x = (1.0 - relaxation) * x + relaxation * map_fn(blk, cm, gamma, x)
+            x = x + (relaxation * map_sign) * r
         if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
             raise BranchEscapeError(
                 f"{which} iterate on block {ell} left the uniqueness ball "

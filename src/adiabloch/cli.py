@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -33,9 +34,19 @@ def _load_model(path: str) -> LindbladModel:
         raise click.UsageError(f"malformed model file {path}: {exc}") from exc
 
 
+def _check_couplings(gammas, option: str) -> None:
+    """Reject couplings a model cannot take as a usage error (exit 2)."""
+    bad = [g for g in gammas if not (math.isfinite(g) and g > 0)]
+    if bad:
+        raise click.BadParameter(
+            f"couplings must be positive and finite, got {bad[0]}", param_hint=option
+        )
+
+
 def _with_gamma(model: LindbladModel, gamma: float | None) -> LindbladModel:
     if gamma is None:
         return model
+    _check_couplings([gamma], "--gamma")
     return dataclasses.replace(model, gamma=float(gamma))
 
 
@@ -337,6 +348,7 @@ def scaling(model_path, gammas, orders, norm_kind, out):
         raise click.UsageError(f"bad --gammas/--orders: {exc}") from exc
     if not gamma_list:
         raise click.UsageError("--gammas needs at least one coupling")
+    _check_couplings(gamma_list, "--gammas")
     if any(k < 0 for k in order_list):
         raise click.UsageError(f"--orders must be >= 0: {orders}")
     try:

@@ -5,10 +5,11 @@ unitarily invariant norms, the matrix exponential (scaling-and-squaring with
 order-13 Pade), the principal matrix square root (Schur method), linear and
 Sylvester solves.  All functions are pure: inputs are never mutated, outputs
 are freshly allocated ``complex128`` arrays, and every public operation
-guarantees finite entries on return.  :func:`op_norm` and :func:`expm` also
-take stacks of shape ``(..., n, n)`` and act on each matrix of the stack, so
-many points of a time grid are propagated in one call; every slice gets the
-same arithmetic it would get on its own.
+guarantees finite entries on return.  :func:`op_norm`, :func:`expm` and
+:func:`numerical_rank` also take stacks of shape ``(..., n, n)`` and act on
+each matrix of the stack, so many points of a time grid are propagated, or
+many certificate residuals measured, in one call; every slice gets the same
+arithmetic it would get on its own.
 """
 
 from __future__ import annotations
@@ -185,13 +186,14 @@ def solve_sylvester(a, b, y, sep_tol: float = 1e-10) -> np.ndarray:
     return _ensure_finite(np.asarray(x, dtype=np.complex128), "sylvester result")
 
 
-def numerical_rank(a, tol: float | None = None) -> int:
-    """Rank from singular values above ``tol`` (default TOL_RANK * sigma_max)."""
-    m = as_cmatrix(a)
-    if m.size == 0:
-        return 0
-    s = sla.svdvals(m)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    cutoff = (TOL_RANK * s[0]) if tol is None else tol
-    return int(np.count_nonzero(s > cutoff))
+def numerical_rank(a, tol: float | None = None) -> int | np.ndarray:
+    """Rank from singular values above ``tol`` (default TOL_RANK * sigma_max).
+
+    Returns an ``int`` for one matrix and an array of shape ``a.shape[:-2]``
+    for a stack, each matrix ranked against its own sigma_max by default.
+    """
+    m = _as_cstack(a)
+    s = np.linalg.svd(m, compute_uv=False)
+    cutoff = TOL_RANK * s.max(axis=-1, initial=0.0)[..., None] if tol is None else tol
+    ranks = np.count_nonzero(s > cutoff, axis=-1)
+    return int(ranks) if m.ndim == 2 else ranks

@@ -113,6 +113,25 @@ def test_scaling_empty_gammas_exits_2(runner, qubit_file):
     assert "--gammas" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["evolve", "--gamma", "0"],
+        ["evolve", "--gamma", "-5"],
+        ["solve", "--gamma", "-5"],
+        ["effective", "--gamma", "nan"],
+        ["bound", "--gamma", "inf"],
+        ["scaling", "--gammas", "0"],
+        ["scaling", "--gammas", "10,-1"],
+    ],
+)
+def test_bad_coupling_exits_2(runner, qubit_file, args):
+    result = runner.invoke(main, [args[0], "--model", qubit_file] + args[1:])
+    assert result.exit_code == 2, result.output
+    assert args[1] in result.output
+    assert "positive and finite" in result.output
+
+
 def test_reproduce_writes_report(runner, tmp_path):
     out = tmp_path / "r.json"
     result = runner.invoke(main, ["reproduce", "table2", "--out", str(out)])

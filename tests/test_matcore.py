@@ -50,7 +50,7 @@ class TestOpNorm:
 
 
 class TestStacks:
-    """op_norm and expm on (..., n, n) stacks act slice by slice."""
+    """op_norm, expm and numerical_rank on (..., n, n) stacks act slice by slice."""
 
     @pytest.fixture
     def stack(self, rng):
@@ -70,6 +70,19 @@ class TestStacks:
         assert out.shape == stack.shape and out.dtype == np.complex128
         for idx in np.ndindex(2, 3):
             assert np.array_equal(out[idx], matcore.expm(stack[idx]))
+
+    @pytest.mark.parametrize("tol", [None, 1e-1])
+    def test_numerical_rank_matches_per_slice_loop(self, stack, tol):
+        # rank-deficient slices: zero the last k columns of slice k
+        for k, idx in enumerate(np.ndindex(2, 3)):
+            stack[idx][:, 5 - k :] = 0.0
+        ranks = matcore.numerical_rank(stack, tol)
+        assert ranks.shape == (2, 3)
+        loop = [[matcore.numerical_rank(stack[i, j], tol) for j in range(3)] for i in range(2)]
+        assert all(isinstance(v, int) for row in loop for v in row)
+        assert ranks.tolist() == loop
+        if tol is None:
+            assert loop == [[5, 4, 3], [2, 1, 0]]
 
     def test_nan_in_one_slice_rejected(self, stack):
         stack[1, 2, 0, 4] = np.nan

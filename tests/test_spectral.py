@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
+from scipy.sparse.csgraph import connected_components
 
 from adiabloch import matcore, spectral
 from adiabloch.errors import ClusterAmbiguityError, SingularMatrixError
@@ -9,6 +11,7 @@ from adiabloch.models import (
     counterexample_similarity,
     qubit_nilpotent_model,
     qubit_nilpotent_similarity,
+    random_model,
 )
 from adiabloch.liouville import build_superop
 from adiabloch.spectral import (
@@ -24,6 +27,79 @@ def find_block(dec, eigenvalue, tol=1e-6):
         if abs(blk.eigenvalue - eigenvalue) < tol:
             return blk
     raise AssertionError(f"no block with eigenvalue {eigenvalue}")
+
+
+def validate_per_pair(dec, b):
+    """Reference certificate: one op_norm per block and per block pair."""
+    mat = np.asarray(b, dtype=np.complex128)
+    n = mat.shape[0]
+    eye = np.eye(n, dtype=np.complex128)
+    norm_b = max(matcore.op_norm(mat, "spectral"), 1.0)
+
+    proj_sum = np.zeros_like(mat)
+    recon = np.zeros_like(mat)
+    idem = ortho = commut = resolvent_defect = nilpotency = annihilation = 0.0
+    rank_ok = True
+    total_rank = 0
+    for i, blk in enumerate(dec.blocks):
+        p, nil, s = blk.projection, blk.nilpotent, blk.resolvent
+        proj_sum += p
+        recon += blk.eigenvalue * p + nil
+        idem = max(idem, matcore.op_norm(p @ p - p, "spectral"))
+        commut = max(commut, matcore.op_norm(mat @ p - p @ mat, "spectral"))
+        for j, other in enumerate(dec.blocks):
+            if i != j:
+                ortho = max(ortho, matcore.op_norm(p @ other.projection, "spectral"))
+        resolvent_defect = max(
+            resolvent_defect,
+            matcore.op_norm((mat - blk.eigenvalue * eye) @ s - (eye - p), "spectral"),
+            matcore.op_norm(s @ (mat - blk.eigenvalue * eye) - (eye - p), "spectral"),
+        )
+        annihilation = max(
+            annihilation,
+            matcore.op_norm(p @ s, "spectral"),
+            matcore.op_norm(s @ p, "spectral"),
+        )
+        power = np.linalg.matrix_power(nil, blk.index) if blk.index > 0 else nil
+        nilpotency = max(nilpotency, matcore.op_norm(power, "spectral"))
+        if matcore.numerical_rank(power, tol=1e-7 * norm_b) != 0:
+            rank_ok = False
+        if blk.index > 1:
+            prev = np.linalg.matrix_power(nil, blk.index - 1)
+            if matcore.numerical_rank(prev, tol=1e-7 * norm_b) == 0:
+                rank_ok = False
+        total_rank += blk.rank
+
+    return {
+        "identity_defect": matcore.op_norm(proj_sum - eye, "spectral"),
+        "idempotency_defect": idem,
+        "orthogonality_defect": ortho,
+        "commutation_defect": commut,
+        "reconstruction_defect": matcore.op_norm(recon - mat, "spectral"),
+        "resolvent_defect": resolvent_defect,
+        "annihilation_defect": annihilation,
+        "nilpotency_defect": nilpotency,
+        "rank_consistent": rank_ok,
+        "rank_total": total_rank,
+    }
+
+
+def tampered_diagonal():
+    """diag(0, -2i) with the first projection perturbed by 1e-3."""
+    b = np.diag([0.0, -2.0j])
+    dec = decompose(b)
+    bad = spectral.EigenspaceData(
+        eigenvalue=dec.blocks[0].eigenvalue,
+        projection=dec.blocks[0].projection + 1e-3 * np.eye(2),
+        nilpotent=dec.blocks[0].nilpotent,
+        index=1,
+        resolvent=dec.blocks[0].resolvent,
+        rank=dec.blocks[0].rank,
+    )
+    tampered = spectral.SpectralDecomposition(
+        dim=2, blocks=(bad, dec.blocks[1]), cluster_tol=dec.cluster_tol
+    )
+    return tampered, b
 
 
 class TestDiagonalCase:
@@ -142,21 +218,88 @@ class TestValidate:
         assert res["rank_total"] == 25
 
     def test_perturbed_projection_detected(self):
-        b = np.diag([0.0, -2.0j])
-        dec = decompose(b)
-        bad = spectral.EigenspaceData(
-            eigenvalue=dec.blocks[0].eigenvalue,
-            projection=dec.blocks[0].projection + 1e-3 * np.eye(2),
-            nilpotent=dec.blocks[0].nilpotent,
-            index=1,
-            resolvent=dec.blocks[0].resolvent,
-            rank=dec.blocks[0].rank,
-        )
-        tampered = spectral.SpectralDecomposition(
-            dim=2, blocks=(bad, dec.blocks[1]), cluster_tol=dec.cluster_tol
-        )
-        res = validate(tampered, b)
+        res = validate(*tampered_diagonal())
         assert 1e-4 < res["identity_defect"] < 1e-2
+
+    @pytest.mark.parametrize("case", ["lambda", "qubit", "random3", "tampered"])
+    def test_stacked_matches_per_pair_reference(self, case, lambda_pipe):
+        if case == "lambda":
+            dec, b = lambda_pipe.decomposition, lambda_pipe.strong.matrix
+        elif case == "qubit":
+            b = build_superop(qubit_nilpotent_model(10.0), "strong").matrix
+            dec = decompose(b, cluster_tol=1e-6)
+            assert max(blk.index for blk in dec.blocks) == 2
+        elif case == "random3":
+            model = random_model(3, np.random.default_rng(5))
+            b = build_superop(model, "strong").matrix
+            dec = robust_decompose(b)
+        else:
+            dec, b = tampered_diagonal()
+        got, want = validate(dec, b), validate_per_pair(dec, b)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, (bool, int)):
+                assert got[key] == value, key
+            else:
+                assert abs(got[key] - value) <= 1e-14 * max(1.0, abs(value)), key
+
+
+class TestClusteringAndReordering:
+    def test_chain_of_close_eigenvalues_is_one_cluster(self):
+        # 0 and 1.2 tol are farther apart than tol but linked through 0.6 tol
+        tol = 1e-6
+        dec = decompose(np.diag([0.0, 1.0, 1.2 * tol, 0.6 * tol]), cluster_tol=tol)
+        assert [blk.rank for blk in dec.blocks] == [1, 3]
+        assert_allclose(dec.blocks[1].eigenvalue, 0.6 * tol, rtol=1e-12)
+        assert_allclose(dec.blocks[1].projection, np.diag([1.0, 0.0, 1.0, 1.0]), atol=1e-14)
+
+    def test_clusters_are_the_graph_components(self):
+        # shuffled chains of 1 to 5 eigenvalues, steps below tol, far apart
+        rng = np.random.default_rng(3)
+        tol = 1e-6
+        eigs = np.concatenate(
+            [
+                center + tol * np.cumsum(rng.uniform(0.1, 0.9, size=size))
+                for center, size in zip((0.0, 1.0, 2.0j, -1.0 + 1.0j, 3.0), range(1, 6))
+            ]
+        )
+        rng.shuffle(eigs)
+        dec = decompose(np.diag(eigs), cluster_tol=tol)
+        count, label = connected_components(
+            np.abs(eigs[:, None] - eigs[None, :]) <= tol, directed=False
+        )
+        assert len(dec.blocks) == count == 5
+        for k in range(count):
+            blk = find_block(dec, eigs[label == k].mean(), tol=1e-12)
+            assert blk.rank == np.count_nonzero(label == k)
+
+    def test_interleaved_jordan_blocks_are_gathered(self):
+        # upper triangular, so its Schur form keeps the diagonal 1, 2, 1, 2:
+        # each defective eigenvalue must be made contiguous before decoupling
+        b = np.array(
+            [
+                [1.0, 1.0, 0.5, 0.2],
+                [0.0, 2.0, 1.0, 0.3],
+                [0.0, 0.0, 1.0, 0.7],
+                [0.0, 0.0, 0.0, 2.0],
+            ]
+        )
+        assert_allclose(np.diag(sla.schur(b, output="complex")[0]), [1.0, 2.0, 1.0, 2.0])
+        dec = decompose(b)
+        assert [(blk.eigenvalue, blk.rank, blk.index) for blk in dec.blocks] == [
+            (2.0, 2, 2),
+            (1.0, 2, 2),
+        ]
+        # reference: generalized eigenspaces ker (B - b_l)^2 as the similarity
+        sim = np.hstack(
+            [sla.null_space(np.linalg.matrix_power(b - e * np.eye(4), 2)) for e in (2.0, 1.0)]
+        )
+        ref = decompose_from_user(b, sim, [(2.0, 2), (1.0, 2)])
+        for blk, blk_ref in zip(dec.blocks, ref.blocks):
+            assert_allclose(blk.projection, blk_ref.projection, atol=1e-12)
+            assert_allclose(blk.nilpotent, blk_ref.nilpotent, atol=1e-12)
+            assert_allclose(blk.resolvent, blk_ref.resolvent, atol=1e-12)
+        assert all(v < 1e-14 for v in dec.residuals.values() if isinstance(v, float))
 
 
 class TestInvariants:
@@ -197,6 +340,20 @@ class TestInvariants:
                 if k != ell:
                     expected += other.projection / (other.eigenvalue - blk.eigenvalue)
             assert matcore.op_norm(blk.resolvent - expected, "spectral") < 1e-10
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            [(0.0, 3), (1.0, -1)],
+            [(0.0, 2), (1.0, 0)],
+            [(0.0, 1.0), (1.0, 1)],
+            [(0.0, 1.5), (1.0, 0.5)],
+        ],
+    )
+    def test_layout_sizes_must_be_positive_integers(self, layout):
+        with pytest.raises(ValueError, match="layout entry") as err:
+            decompose_from_user(np.diag([0.0, 1.0]), np.eye(2), layout)
+        assert any(repr(entry) in str(err.value) for entry in layout)
 
     def test_singular_similarity_rejected(self):
         b = np.diag([0.0, 1.0])
