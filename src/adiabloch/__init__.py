@@ -20,10 +20,6 @@ from .bloch import (
     schrieffer_wolff_series,
     solve_block,
     solve_blocks,
-    solve_omega,
-    solve_omega_conjugate,
-    solve_wave,
-    solve_wave_conjugate,
     sum_correction_series,
     wave_from_omega,
 )
@@ -33,7 +29,6 @@ from .effective import (
     build_effective,
     eternal_bound,
     multiset_spectral_distance,
-    perturbed_projection,
     verify_similarity,
 )
 from .errors import AdiablochError
@@ -90,17 +85,12 @@ __all__ = [
     "multiset_spectral_distance",
     "omega_from_wave",
     "omega_series",
-    "perturbed_projection",
     "schrieffer_wolff_series",
     "solve_block",
     "solve_blocks",
-    "solve_omega",
-    "solve_omega_conjugate",
-    "solve_wave",
-    "solve_wave_conjugate",
     "sum_correction_series",
-    "wave_from_omega",
     "unvec",
     "validate",
     "vec",
+    "wave_from_omega",
 ]

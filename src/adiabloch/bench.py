@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville, matcore, spectral
-from .bloch import schrieffer_wolff_series, solve_blocks
+from .bloch import DEFAULT_TOL, schrieffer_wolff_series, solve_blocks
 from .effective import (
     EffectiveGenerators,
     build_effective,
@@ -84,17 +84,26 @@ class PipelineResult:
         return out
 
 
-def compute_effective(
-    model: LindbladModel,
-    cluster_tol: float | None = None,
-    method: str = "newton",
-    tol: float = 1e-12,
-) -> PipelineResult:
+def compute_effective(model: LindbladModel, tol: float = DEFAULT_TOL) -> PipelineResult:
     """Full pipeline: decompose, solve all blocks, assemble the generators."""
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
-    dec = robust_decompose(strong.matrix, cluster_tol)
-    sols = solve_blocks(dec, weak.matrix, model.gamma, method=method, tol=tol)
+    return _solve_and_assemble(model, strong, weak, robust_decompose(strong.matrix), tol)
+
+
+def _solve_and_assemble(
+    model: LindbladModel,
+    strong: Superoperator,
+    weak: Superoperator,
+    dec: spectral.SpectralDecomposition,
+    tol: float = DEFAULT_TOL,
+) -> PipelineResult:
+    """Solve every block at the model's coupling and assemble the generators.
+
+    The spectral data of B and the superoperators do not depend on the
+    coupling, so a sweep over gamma decomposes B once and repeats only this.
+    """
+    sols = solve_blocks(dec, weak.matrix, model.gamma, tol=tol)
     gen = build_effective(dec, weak.matrix, model.gamma, sols)
     return PipelineResult(
         model=model,
@@ -163,29 +172,6 @@ def _distance_table(
             )
         table["__norm__"][part] = matcore.op_norm(true_prop, norm_kind)
     return table
-
-
-def distance_curve(
-    model: LindbladModel,
-    order: int | None = None,
-    times: np.ndarray | None = None,
-    norm_kind: str = "spectral",
-    pipeline: PipelineResult | None = None,
-) -> DistanceCurve:
-    """Distance between the true and effective evolutions over a time grid."""
-    pipe = pipeline if pipeline is not None else compute_effective(model)
-    times = default_time_grid() if times is None else np.asarray(times, dtype=float)
-    table = _distance_table(
-        pipe.total_matrix, {"d": pipe.effective_total(order)}, times, norm_kind
-    )
-    distances = table["d"]
-    return DistanceCurve(
-        times=times,
-        distances=distances,
-        order=order,
-        norm_kind=norm_kind,
-        envelope=_trailing_decade_max(times, distances),
-    )
 
 
 def distance_curves(
@@ -270,11 +256,15 @@ def scaling_check(
     if len(gammas) == 0:
         raise ValueError("scaling_check needs at least one coupling")
     times = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    strong = build_superop(model, "strong")
+    weak = build_superop(model, "weak")
+    dec = robust_decompose(strong.matrix)
     plateau = {}
     level = None
     t_break: dict = {k: {} for k in orders}
     for gamma in gammas:
-        pipe = compute_effective(dataclasses.replace(model, gamma=float(gamma)))
+        coupled = dataclasses.replace(model, gamma=float(gamma))
+        pipe = _solve_and_assemble(coupled, strong, weak, dec)
         curves = distance_curves(pipe, list(orders) + [None], times, norm_kind)
         plateau[float(gamma)] = float(curves[None].envelope.max())
         if level is None:
@@ -922,15 +912,17 @@ def bound_check(
 
     The model's coupling is replaced by gamma_factor * max_l gamma_l; the
     returned dict carries the sampled semigroup bound, the per-generator
-    sup distances over the grid, and the corresponding tight bounds.
+    sup distances over the grid, and the corresponding tight bounds.  B is
+    decomposed once, at the default cluster tolerance and without
+    escalation, and that decomposition serves both the thresholds and the
+    solve.
     """
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     dec = spectral.decompose(strong.matrix)
     report0 = eternal_bound(dec, weak.matrix, 1.0, norm_kind)
     gamma = gamma_factor * max(report0.gamma_blocks)
-    model = dataclasses.replace(model, gamma=float(gamma))
-    pipe = compute_effective(model)
+    pipe = _solve_and_assemble(dataclasses.replace(model, gamma=float(gamma)), strong, weak, dec)
     times = default_time_grid() if times is None else np.asarray(times, dtype=float)
     table = _distance_table(
         pipe.total_matrix,

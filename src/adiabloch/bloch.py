@@ -17,12 +17,15 @@ transposed generator: B^T has spectral data P^T, N^T, S^T with the same
 eigenvalue, so omega_conj(B, C) = omega(B^T, C^T)^T.  They are solved, and
 expanded, as the primal equations on transposed block data.
 
-Solutions are found either by plain fixed-point iteration of the natural
-map or by Newton iteration, whose convergence is certified by computable
-Newton-Kantorovich constants (:func:`kantorovich_report`); a Newton step
-is a linear solve in n rank(P) unknowns, not n^2 (:func:`solve_equation`).
-The same data feed the perturbative coefficient recursions and the
-symmetrized (Schrieffer-Wolff) series.
+:func:`solve_equation` is the one entry point for all four equations
+(``which`` names the equation); :func:`solve_block` solves the two omega
+equations of a block against one shared certificate and derives both wave
+operators from them.  Solutions are found either by plain fixed-point
+iteration of the natural map or by Newton iteration, whose convergence is
+certified by computable Newton-Kantorovich constants
+(:func:`kantorovich_report`); a Newton step is a linear solve in n rank(P)
+unknowns, not n^2.  The same data feed the perturbative coefficient
+recursions and the symmetrized (Schrieffer-Wolff) series.
 """
 
 from __future__ import annotations
@@ -86,20 +89,25 @@ class KantorovichReport:
     norm_kind: str = "spectral"
 
 
+def _threshold_constants(block: EigenspaceData, c, norm_kind: str) -> tuple:
+    """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one eigenspace."""
+    s_norm = matcore.op_norm(block.resolvent, norm_kind)
+    sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind)
+    mu = float(block.index) if abs(1.0 - sn) < 1e-12 else (1.0 - sn**block.index) / (1.0 - sn)
+    scp = s_norm * matcore.op_norm(c, norm_kind) * matcore.op_norm(block.projection, norm_kind)
+    return mu, scp
+
+
 def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> float:
     """Coupling threshold 4 mu ||S|| ||C|| ||P|| of one eigenspace."""
-    s_norm = matcore.op_norm(block.resolvent, norm_kind)
-    n_norm = matcore.op_norm(block.nilpotent, norm_kind)
-    p_norm = matcore.op_norm(block.projection, norm_kind)
-    c_norm = matcore.op_norm(c, norm_kind)
-    mu = _geometric_factor(s_norm * n_norm, block.index)
-    return 4.0 * mu * s_norm * c_norm * p_norm
+    mu, scp = _threshold_constants(block, c, norm_kind)
+    return 4.0 * mu * scp
 
 
-def _geometric_factor(sn: float, index: int) -> float:
-    if abs(1.0 - sn) < 1e-12:
-        return float(index)
-    return (1.0 - sn**index) / (1.0 - sn)
+def _require_positive(**values) -> None:
+    for name, value in values.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
 def kantorovich_report(
@@ -109,13 +117,8 @@ def kantorovich_report(
     ell: int,
     norm_kind: str = "spectral",
 ) -> KantorovichReport:
-    blk = dec.blocks[ell]
-    s_norm = matcore.op_norm(blk.resolvent, norm_kind)
-    n_norm = matcore.op_norm(blk.nilpotent, norm_kind)
-    p_norm = matcore.op_norm(blk.projection, norm_kind)
-    c_norm = matcore.op_norm(c, norm_kind)
-    mu = _geometric_factor(s_norm * n_norm, blk.index)
-    scp = s_norm * c_norm * p_norm
+    _require_positive(gamma=gamma)
+    mu, scp = _threshold_constants(dec.blocks[ell], c, norm_kind)
     gamma_min = 4.0 * mu * scp
     lipschitz = 2.0 * scp / gamma
 
@@ -205,7 +208,6 @@ def solve_equation(
     method: str = "newton",
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
-    relaxation: float = 1.0,
     report: KantorovichReport | None = None,
 ):
     """Solve one of the block equations; returns (solution, info dict).
@@ -223,9 +225,14 @@ def solve_equation(
     iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r)
     the correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q:
     kron(1_r, A) + kron(M^T, S) acting on vec(Y), an (n r) x (n r) system
-    in place of the n^2 x n^2 Jacobian.  The iteration aborts with :class:`BranchEscapeError` if an iterate leaves the
-    certified uniqueness ball (when one exists), so the returned solution
-    is always the branch selected by the perturbative initial guess.
+    in place of the n^2 x n^2 Jacobian.  The iteration aborts with
+    :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
+    ball (when one exists), so the returned solution is always the branch
+    selected by the perturbative initial guess.  Fixed-point iteration takes
+    unrelaxed steps of the natural map.
+
+    ``gamma`` and ``tol`` must be positive and finite; like an unknown
+    ``which`` or ``method`` they raise ``ValueError`` before any iteration.
     """
     if which not in _EQUATIONS and which not in _CONJUGATES:
         raise ValueError(
@@ -234,6 +241,7 @@ def solve_equation(
         )
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
+    _require_positive(gamma=gamma, tol=tol)
     blk = dec.blocks[ell]
     cm = matcore.as_cmatrix(c)
     if report is None:
@@ -279,7 +287,7 @@ def solve_equation(
         if method == "newton":
             x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r, q, w)
         else:
-            x = x + (relaxation * map_sign) * r
+            x = x + map_sign * r
         if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
             raise BranchEscapeError(
                 f"{which} iterate on block {ell} left the uniqueness ball "
@@ -300,26 +308,6 @@ def _range_step(blk, a, f, r, q, w):
     jac = np.kron(np.eye(rank, dtype=np.complex128), a) + np.kron(m.T, blk.resolvent)
     y = matcore.solve_linear(jac, -(r @ q).reshape(-1, order="F"))
     return y.reshape((n, rank), order="F") @ w
-
-
-def solve_omega(dec, c, gamma, ell, **kwargs):
-    """Solve the adiabatic Bloch equation for the generator amplitude."""
-    return solve_equation(dec, c, gamma, ell, "omega", **kwargs)
-
-
-def solve_omega_conjugate(dec, c, gamma, ell, **kwargs):
-    """Solve the order-reversed adiabatic Bloch equation."""
-    return solve_equation(dec, c, gamma, ell, "omega_conj", **kwargs)
-
-
-def solve_wave(dec, c, gamma, ell, **kwargs):
-    """Solve the wave-operator equation directly (X0 = P)."""
-    return solve_equation(dec, c, gamma, ell, "wave", **kwargs)
-
-
-def solve_wave_conjugate(dec, c, gamma, ell, **kwargs):
-    """Solve the order-reversed wave-operator equation directly."""
-    return solve_equation(dec, c, gamma, ell, "wave_conj", **kwargs)
 
 
 def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
@@ -356,17 +344,14 @@ def solve_block(
     ell: int,
     method: str = "newton",
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> BlochSolution:
     """Solve both adiabatic Bloch equations on one block and certify."""
     blk = dec.blocks[ell]
     cm = matcore.as_cmatrix(c)
     report = kantorovich_report(dec, cm, gamma, ell)
-    omega, info_o = solve_equation(
-        dec, cm, gamma, ell, "omega", method, tol, max_iter, report=report
-    )
+    omega, info_o = solve_equation(dec, cm, gamma, ell, "omega", method, tol, report=report)
     omega_conj, info_oc = solve_equation(
-        dec, cm, gamma, ell, "omega_conj", method, tol, max_iter, report=report
+        dec, cm, gamma, ell, "omega_conj", method, tol, report=report
     )
     # the order-reversed quantities are the primal ones on transposed data
     blk_t = blk.transposed()
@@ -413,13 +398,9 @@ def solve_blocks(
     gamma: float,
     method: str = "newton",
     tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
 ) -> list[BlochSolution]:
     """Independent per-block solves, in block order."""
-    return [
-        solve_block(dec, c, gamma, ell, method, tol, max_iter)
-        for ell in range(len(dec.blocks))
-    ]
+    return [solve_block(dec, c, gamma, ell, method, tol) for ell in range(len(dec.blocks))]
 
 
 # ---------------------------------------------------------------------------

@@ -34,19 +34,20 @@ def _load_model(path: str) -> LindbladModel:
         raise click.UsageError(f"malformed model file {path}: {exc}") from exc
 
 
-def _check_couplings(gammas, option: str) -> None:
-    """Reject couplings a model cannot take as a usage error (exit 2)."""
-    bad = [g for g in gammas if not (math.isfinite(g) and g > 0)]
+def _check_finite(values, option: str, what: str = "couplings", zero_ok: bool = False) -> None:
+    """Reject non-finite, negative and (unless ``zero_ok``) zero values: exit 2."""
+    bad = [v for v in values if not (math.isfinite(v) and (v > 0 or (zero_ok and v == 0)))]
     if bad:
+        sign = "non-negative" if zero_ok else "positive"
         raise click.BadParameter(
-            f"couplings must be positive and finite, got {bad[0]}", param_hint=option
+            f"{what} must be {sign} and finite, got {bad[0]}", param_hint=option
         )
 
 
 def _with_gamma(model: LindbladModel, gamma: float | None) -> LindbladModel:
     if gamma is None:
         return model
-    _check_couplings([gamma], "--gamma")
+    _check_finite([gamma], "--gamma")
     return dataclasses.replace(model, gamma=float(gamma))
 
 
@@ -101,6 +102,8 @@ def main():
 @out_option
 def decompose(model_path, cluster_tol, matrices, out):
     """Spectral decomposition of the strong generator."""
+    if cluster_tol is not None:
+        _check_finite([cluster_tol], "--cluster-tol", "the cluster tolerance", zero_ok=True)
     model = _load_model(model_path)
     strong = build_superop(model, "strong")
     try:
@@ -145,6 +148,7 @@ def decompose(model_path, cluster_tol, matrices, out):
 @out_option
 def solve(model_path, gamma, tol, method, matrices, out):
     """Solve the adiabatic Bloch equations on every block."""
+    _check_finite([tol], "--tol", "the tolerance")
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
@@ -219,6 +223,7 @@ def solve(model_path, gamma, tol, method, matrices, out):
 @out_option
 def effective(model_path, gamma, tol, out):
     """GKLS data of the symmetrized effective generator."""
+    _check_finite([tol], "--tol", "the tolerance")
     model = _with_gamma(_load_model(model_path), gamma)
     try:
         pipe = bench.compute_effective(model, tol=tol)
@@ -284,7 +289,8 @@ def evolve(model_path, gamma, order, norm_kind, fmt, out):
         if k < 0:
             raise click.UsageError(f"--order must be >= 0: {order}")
     try:
-        curve = bench.distance_curve(model, order=k, norm_kind=norm_kind)
+        pipe = bench.compute_effective(model)
+        curve = bench.distance_curves(pipe, [k], norm_kind=norm_kind)[k]
     except AdiablochError as exc:
         _fail(str(exc))
     if fmt == "csv":
@@ -348,7 +354,7 @@ def scaling(model_path, gammas, orders, norm_kind, out):
         raise click.UsageError(f"bad --gammas/--orders: {exc}") from exc
     if not gamma_list:
         raise click.UsageError("--gammas needs at least one coupling")
-    _check_couplings(gamma_list, "--gammas")
+    _check_finite(gamma_list, "--gammas")
     if any(k < 0 for k in order_list):
         raise click.UsageError(f"--orders must be >= 0: {orders}")
     try:

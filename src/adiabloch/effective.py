@@ -55,18 +55,6 @@ class EffectiveGenerators:
     blocks: tuple = ()
 
 
-def _pseudo_core(blk, sol: BlochSolution, gamma: float):
-    """1 + (1/g^2) omega_conj S^2 omega and its principal square root."""
-    s = blk.resolvent
-    n = s.shape[0]
-    core = np.eye(n, dtype=np.complex128) + (
-        sol.omega_conj @ s @ s @ sol.omega
-    ) / gamma**2
-    root = matcore.principal_sqrt(core)
-    root_inv = matcore.solve_linear(root, np.eye(n, dtype=np.complex128))
-    return core, root, root_inv
-
-
 def build_effective(
     dec: SpectralDecomposition,
     c,
@@ -107,12 +95,15 @@ def build_effective(
     uc_total = np.zeros((n, n), dtype=np.complex128)
     w_total = np.zeros((n, n), dtype=np.complex128)
     winv_total = np.zeros((n, n), dtype=np.complex128)
+    eye = np.eye(n, dtype=np.complex128)
     blocks = []
     for ell, (blk, sol) in enumerate(zip(dec.blocks, solutions)):
-        p, nil = blk.projection, blk.nilpotent
+        p, nil, s = blk.projection, blk.nilpotent, blk.resolvent
         d_block = p @ sol.omega @ p
         dc_block = p @ sol.omega_conj @ p
-        core, root, root_inv = _pseudo_core(blk, sol, gamma)
+        core = eye + (sol.omega_conj @ s @ s @ sol.omega) / gamma**2
+        root = matcore.principal_sqrt(core)
+        root_inv = matcore.solve_linear(root, eye)
         rotation = sol.wave @ root_inv @ p
         rotation_inv = root_inv @ sol.wave_conj
         proj_pert = sol.wave @ matcore.solve_linear(core, sol.wave_conj)
@@ -152,15 +143,6 @@ def build_effective(
         rotation_inv=winv_total,
         blocks=tuple(blocks),
     )
-
-
-def perturbed_projection(
-    dec: SpectralDecomposition, sol: BlochSolution, gamma: float
-) -> np.ndarray:
-    """Spectral projection of the full generator deformed from block ell."""
-    blk = dec.blocks[sol.ell]
-    core, _root, _root_inv = _pseudo_core(blk, sol, gamma)
-    return sol.wave @ matcore.solve_linear(core, sol.wave_conj)
 
 
 def verify_similarity(

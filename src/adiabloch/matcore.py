@@ -28,6 +28,10 @@ from .errors import (
 
 # Rank cutoff, relative to the largest singular value.
 TOL_RANK = 1e-9
+# Relative tolerances of principal_sqrt (distance of an eigenvalue from the
+# closed negative real axis) and solve_sylvester (separation of the spectra).
+_SQRT_AXIS_TOL = 1e-13
+_SYLVESTER_SEP_TOL = 1e-10
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -89,12 +93,12 @@ def expm(a) -> np.ndarray:
     return _ensure_finite(np.asarray(out, dtype=np.complex128), "expm result")
 
 
-def principal_sqrt(a, axis_tol: float = 1e-13) -> np.ndarray:
+def principal_sqrt(a) -> np.ndarray:
     """Principal matrix square root: X with X^2 = A, spectrum(X) in Re > 0.
 
     Raises :class:`BranchCutError` when an eigenvalue of ``A`` lies within
-    ``axis_tol`` (relative) of the closed negative real axis, where the
-    principal branch is ambiguous.
+    ``_SQRT_AXIS_TOL`` = 1e-13 (relative) of the closed negative real axis,
+    where the principal branch is ambiguous.
     """
     m = as_cmatrix(a)
     _require_square(m, "principal_sqrt")
@@ -103,8 +107,8 @@ def principal_sqrt(a, axis_tol: float = 1e-13) -> np.ndarray:
     scale = max(op_norm(m, "spectral"), 1.0)
     eigs = np.linalg.eigvals(m)
     for lam in eigs:
-        if abs(lam) <= axis_tol * scale or (
-            lam.real < 0.0 and abs(lam.imag) <= axis_tol * scale
+        if abs(lam) <= _SQRT_AXIS_TOL * scale or (
+            lam.real < 0.0 and abs(lam.imag) <= _SQRT_AXIS_TOL * scale
         ):
             raise BranchCutError(
                 f"eigenvalue {lam} lies on or near the closed negative real "
@@ -151,19 +155,12 @@ def solve_linear(a, y) -> np.ndarray:
     return _ensure_finite(np.asarray(x, dtype=np.complex128), "solve result")
 
 
-def inv(a) -> np.ndarray:
-    """Matrix inverse via :func:`solve_linear` against the identity."""
-    m = as_cmatrix(a)
-    _require_square(m, "inv")
-    return solve_linear(m, np.eye(m.shape[0], dtype=np.complex128))
-
-
-def solve_sylvester(a, b, y, sep_tol: float = 1e-10) -> np.ndarray:
+def solve_sylvester(a, b, y) -> np.ndarray:
     """Solve A X - X B = Y, requiring spectra of A and B to be disjoint.
 
     The measured spectral separation min |eig(A) - eig(B)| is checked
-    against ``sep_tol`` times the problem scale and reported in the
-    :class:`SpectralOverlapError` when too small.
+    against ``_SYLVESTER_SEP_TOL`` = 1e-10 times the problem scale and
+    reported in the :class:`SpectralOverlapError` when too small.
     """
     ma = as_cmatrix(a)
     mb = as_cmatrix(b)
@@ -175,7 +172,7 @@ def solve_sylvester(a, b, y, sep_tol: float = 1e-10) -> np.ndarray:
     eb = np.linalg.eigvals(mb)
     sep = np.abs(ea[:, None] - eb[None, :]).min()
     scale = max(op_norm(ma, "spectral"), op_norm(mb, "spectral"), 1.0)
-    if sep <= sep_tol * scale:
+    if sep <= _SYLVESTER_SEP_TOL * scale:
         raise SpectralOverlapError(
             f"spectra of the Sylvester operands overlap (separation "
             f"{sep:.3e}, scale {scale:.3e})",

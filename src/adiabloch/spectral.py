@@ -21,6 +21,7 @@ and S_l of all blocks and measures each defect with one batched norm call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -74,12 +75,6 @@ class SpectralDecomposition:
     def eigenvalues(self) -> np.ndarray:
         return np.array([b.eigenvalue for b in self.blocks])
 
-    def block(self, ell: int) -> EigenspaceData:
-        return self.blocks[ell]
-
-    def identity_minus(self, ell: int) -> np.ndarray:
-        return np.eye(self.dim, dtype=np.complex128) - self.blocks[ell].projection
-
     def transposed(self) -> SpectralDecomposition:
         """Decomposition of the transposed matrix, block by block."""
         return replace(
@@ -105,8 +100,12 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
     Eigenvalues closer than ``cluster_tol`` (default 1e-8 * max(||B||, 1))
     are treated as one degenerate eigenvalue, represented by their mean; the
     gap between distinct clusters must exceed 10 * cluster_tol, otherwise a
-    :class:`ClusterAmbiguityError` reports the offending gap.
+    :class:`ClusterAmbiguityError` reports the offending gap.  A given
+    ``cluster_tol`` must be finite and non-negative (0 clusters only exactly
+    equal eigenvalues); anything else raises ``ValueError`` up front.
     """
+    if cluster_tol is not None and not (math.isfinite(cluster_tol) and cluster_tol >= 0):
+        raise ValueError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
     mat = _as_matrix(b)
     n = mat.shape[0]
     norm_b = matcore.op_norm(mat, "spectral")
@@ -297,16 +296,16 @@ def validate(dec: SpectralDecomposition, b) -> dict:
     }
 
 
-def decompose_from_user(
-    b, similarity, layout, cluster_tol: float = 1e-10
-) -> SpectralDecomposition:
+def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     """Decomposition from a user-supplied similarity and eigenvalue layout.
 
     ``layout`` is a sequence of (eigenvalue, size) pairs, sizes positive
     integers, matching contiguous column groups of ``similarity``;
     projections are built exactly as R E_l R^{-1}, nilpotents as
     (B - b_l) P_l, so the validation residuals are limited only by the
-    accuracy of the linear solves.
+    accuracy of the linear solves.  Nothing is clustered; the recorded
+    ``cluster_tol`` is 1e-10, and the nilpotent index counts the powers
+    above 10 * cluster_tol.
     """
     mat = _as_matrix(b)
     n = mat.shape[0]
@@ -328,4 +327,4 @@ def decompose_from_user(
     starts = np.concatenate(([0], np.cumsum(sizes)))
     reps = [complex(e) for e, _size in layout]
     norm_b = matcore.op_norm(mat, "spectral")
-    return _assemble(mat, r, rinv, starts, reps, cluster_tol, norm_b)
+    return _assemble(mat, r, rinv, starts, reps, 1e-10, norm_b)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from adiabloch import bench, matcore
+from adiabloch import bench, matcore, spectral
 from adiabloch.liouville import LindbladModel
 from adiabloch.models import lambda_model
 
@@ -22,13 +22,12 @@ class TestDistanceCurve:
             gamma=5.0,
             strong_hamiltonian=np.diag([0.0, 1.0]),
         )
-        curve = bench.distance_curve(model, order=None, times=short_times)
+        pipe = bench.compute_effective(model)
+        curve = bench.distance_curves(pipe, [None], short_times)[None]
         assert np.abs(curve.distances).max() < 1e-12
 
     def test_starts_at_zero(self, lambda_pipe, short_times):
-        curve = bench.distance_curve(
-            lambda_pipe.model, order=0, times=short_times, pipeline=lambda_pipe
-        )
+        curve = bench.distance_curves(lambda_pipe, [0], short_times)[0]
         assert curve.times[0] == 0.0
         assert curve.distances[0] == 0.0
 
@@ -36,18 +35,14 @@ class TestDistanceCurve:
         # distance(t) ~ t * ||C - K_eff|| for small t
         t = 1e-7
         k = 1
-        curve = bench.distance_curve(
-            lambda_pipe.model, order=k, times=np.array([t]), pipeline=lambda_pipe
-        )
+        curve = bench.distance_curves(lambda_pipe, [k], np.array([t]))[k]
         generator_gap = matcore.op_norm(
             lambda_pipe.total_matrix - lambda_pipe.effective_total(k), "spectral"
         )
         assert_allclose(curve.distances[0], t * generator_gap, rtol=2e-2)
 
     def test_envelope_dominates_curve(self, lambda_pipe, short_times):
-        curve = bench.distance_curve(
-            lambda_pipe.model, order=0, times=short_times, pipeline=lambda_pipe
-        )
+        curve = bench.distance_curves(lambda_pipe, [0], short_times)[0]
         assert np.all(curve.envelope >= curve.distances - 1e-15)
         # trailing-decade maximum: spot-check a few windows directly
         for i in (10, 20, 39):
@@ -65,9 +60,7 @@ class TestDistanceCurve:
         assert gap8 < gap3 * 1e-3
 
     def test_csv_schema(self, lambda_pipe, short_times):
-        curve = bench.distance_curve(
-            lambda_pipe.model, order=2, times=short_times, pipeline=lambda_pipe
-        )
+        curve = bench.distance_curves(lambda_pipe, [2], short_times)[2]
         lines = curve.to_csv().strip().splitlines()
         assert lines[0] == "t,distance,order,norm"
         first = lines[1].split(",")
@@ -131,6 +124,30 @@ def test_semigroup_norm_bound_matches_bound_check(short_times):
     report = bench.bound_check(model, times=short_times)
     pipe = bench.compute_effective(dataclasses.replace(model, gamma=report["gamma"]))
     assert bench.semigroup_norm_bound(pipe, short_times) == report["semigroup_bound"]
+
+
+def _count_decompose(monkeypatch) -> list:
+    calls = []
+    real = spectral.decompose
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(spectral, "decompose", counting)
+    return calls
+
+
+def test_bound_check_decomposes_once(monkeypatch, short_times):
+    calls = _count_decompose(monkeypatch)
+    bench.bound_check(lambda_model(10.0), times=short_times)
+    assert len(calls) == 1
+
+
+def test_scaling_check_decomposes_once(monkeypatch, short_times):
+    calls = _count_decompose(monkeypatch)
+    bench.scaling_check(lambda_model(10.0), (10.0, 20.0, 40.0), (0,), times=short_times)
+    assert len(calls) == 1
 
 
 def test_distance_table_matches_per_time_loop(lambda_pipe):

@@ -91,12 +91,12 @@ class TestSolvers:
         dec = lambda_pipe.decomposition
         c = lambda_pipe.weak.matrix
         for ell in (0, 1, 7):
-            u_direct, _ = bloch.solve_wave(dec, c, 10.0, ell)
+            u_direct, _ = solve_equation(dec, c, 10.0, ell, "wave")
             assert (
                 matcore.op_norm(u_direct - lambda_pipe.solutions[ell].wave, "spectral")
                 < 1e-10
             )
-            ut_direct, _ = bloch.solve_wave_conjugate(dec, c, 10.0, ell)
+            ut_direct, _ = solve_equation(dec, c, 10.0, ell, "wave_conj")
             assert (
                 matcore.op_norm(
                     ut_direct - lambda_pipe.solutions[ell].wave_conj, "spectral"
@@ -105,19 +105,37 @@ class TestSolvers:
             )
 
     @pytest.mark.parametrize(
-        "which, method, allowed",
+        "which, method, gamma, tol, allowed",
         [
-            ("omega_bar", "newton", "omega_conj"),
-            ("omega", "secant", "fixed_point"),
-            ("wave_conj", "secant", "fixed_point"),
+            pytest.param("omega_bar", "newton", 10.0, 1e-12, "omega_conj",
+                         id="omega_bar-newton-omega_conj"),
+            pytest.param("omega", "secant", 10.0, 1e-12, "fixed_point",
+                         id="omega-secant-fixed_point"),
+            pytest.param("wave_conj", "secant", 10.0, 1e-12, "fixed_point",
+                         id="wave_conj-secant-fixed_point"),
+            pytest.param("omega", "newton", 0.0, 1e-12, "gamma", id="gamma-zero"),
+            pytest.param("omega", "newton", -5.0, 1e-12, "gamma", id="gamma-negative"),
+            pytest.param("wave", "newton", math.nan, 1e-12, "gamma", id="gamma-nan"),
+            pytest.param("omega", "newton", math.inf, 1e-12, "gamma", id="gamma-inf"),
+            pytest.param("omega", "newton", 10.0, math.nan, "tol", id="tol-nan"),
+            pytest.param("omega_conj", "newton", 10.0, 0.0, "tol", id="tol-zero"),
+            pytest.param("wave", "fixed_point", 10.0, -1.0, "tol", id="tol-negative"),
         ],
     )
-    def test_arguments_validated_before_iterating(self, lambda_pipe, which, method, allowed):
+    def test_arguments_validated_before_iterating(
+        self, lambda_pipe, which, method, gamma, tol, allowed
+    ):
         # with C = 0 the initial guess already meets tol, so nothing but the
         # up-front check can reject the arguments
         zero = np.zeros((25, 25))
         with pytest.raises(ValueError, match=allowed):
-            solve_equation(lambda_pipe.decomposition, zero, 10.0, 0, which, method)
+            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, method, tol)
+
+    @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
+    def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
+        # solve_blocks builds each block's Kantorovich report first
+        with pytest.raises(ValueError, match="gamma"):
+            solve_blocks(lambda_pipe.decomposition, lambda_pipe.weak.matrix, gamma)
 
     @pytest.mark.parametrize("case", ["lambda", "qubit", "random"])
     def test_order_reversed_equations_oracle(self, case, lambda_pipe, qubit_dec, qubit_weak):

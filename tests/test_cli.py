@@ -145,3 +145,35 @@ def test_reproduce_writes_report(runner, tmp_path):
 def test_reproduce_unknown_case_exits_2(runner):
     result = runner.invoke(main, ["reproduce", "nonsense"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--tol", "nan"],
+        ["solve", "--tol", "0"],
+        ["solve", "--tol", "-1"],
+        ["effective", "--tol", "nan"],
+        ["effective", "--tol", "0"],
+        ["effective", "--tol", "-1"],
+    ],
+)
+def test_bad_tolerance_exits_2(runner, lambda_file, args):
+    result = runner.invoke(main, [args[0], "--model", lambda_file] + args[1:])
+    assert result.exit_code == 2, result.output
+    assert "--tol" in result.output
+    assert "positive and finite" in result.output
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_bad_cluster_tol_exits_2(runner, lambda_file, value):
+    result = runner.invoke(main, ["decompose", "--model", lambda_file, "--cluster-tol", value])
+    assert result.exit_code == 2, result.output
+    assert "--cluster-tol" in result.output
+    assert "non-negative and finite" in result.output
+
+
+def test_zero_cluster_tol_is_legal(runner, lambda_file):
+    result = runner.invoke(main, ["decompose", "--model", lambda_file, "--cluster-tol", "0"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["cluster_tol"] == 0.0

@@ -9,7 +9,6 @@ from adiabloch.effective import (
     build_effective,
     eternal_bound,
     multiset_spectral_distance,
-    perturbed_projection,
     verify_similarity,
 )
 from adiabloch.liouville import build_superop, check_hp, check_tp
@@ -113,20 +112,21 @@ class TestPerturbedProjection:
         dec = lambda_pipe.decomposition
         zero = np.zeros((25, 25))
         sols = bloch.solve_blocks(dec, zero, 10.0)
+        gen = build_effective(dec, zero, 10.0, sols)
         for sol in sols:
-            pt = perturbed_projection(dec, sol, 10.0)
+            pt = gen.blocks[sol.ell].projection_perturbed
             assert np.abs(pt - dec.blocks[sol.ell].projection).max() < 1e-13
 
     def test_idempotent_and_commuting(self, lambda_pipe):
         total = 10.0 * lambda_pipe.strong.matrix + lambda_pipe.weak.matrix
         for sol in lambda_pipe.solutions:
-            pt = perturbed_projection(lambda_pipe.decomposition, sol, 10.0)
+            pt = lambda_pipe.generators.blocks[sol.ell].projection_perturbed
             assert matcore.op_norm(pt @ pt - pt, "spectral") < 1e-10
             assert matcore.op_norm(total @ pt - pt @ total, "spectral") < 1e-9
 
     def test_ranks_preserved(self, lambda_pipe):
         for sol, blk in zip(lambda_pipe.solutions, lambda_pipe.decomposition.blocks):
-            pt = perturbed_projection(lambda_pipe.decomposition, sol, 10.0)
+            pt = lambda_pipe.generators.blocks[sol.ell].projection_perturbed
             assert round(np.trace(pt).real) == blk.rank
 
 

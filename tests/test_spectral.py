@@ -245,6 +245,21 @@ class TestValidate:
 
 
 class TestClusteringAndReordering:
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    def test_bad_cluster_tol_rejected(self, tol):
+        # at the parent a negative or NaN tolerance made every eigenvalue its
+        # own cluster and failed later with a misleading SpectralOverlapError
+        b = np.diag([0.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match="cluster_tol"):
+            decompose(b, tol)
+        with pytest.raises(ValueError, match="cluster_tol"):
+            robust_decompose(b, tol)
+
+    def test_zero_cluster_tol_groups_only_equal_eigenvalues(self):
+        dec = decompose(np.diag([0.0, 1.0, 0.0, 1e-9]), 0.0)
+        assert dec.cluster_tol == 0.0
+        assert sorted(blk.rank for blk in dec.blocks) == [1, 1, 2]
+
     def test_chain_of_close_eigenvalues_is_one_cluster(self):
         # 0 and 1.2 tol are farther apart than tol but linked through 0.6 tol
         tol = 1e-6
