@@ -21,6 +21,7 @@ from . import liouville, matcore, spectral
 from .bloch import DEFAULT_TOL, schrieffer_wolff_series, solve_blocks
 from .effective import (
     EffectiveGenerators,
+    _bounds_at,
     build_effective,
     eternal_bound,
     multiset_spectral_distance,
@@ -935,9 +936,8 @@ def bound_check(
         norm_kind,
     )
     m_bound = float(table["__norm__"].max())
-    report = eternal_bound(
-        pipe.decomposition, pipe.weak.matrix, gamma, norm_kind, semigroup_bound=m_bound
-    )
+    # the thresholds do not depend on the coupling: reuse those taken at 1
+    report = _bounds_at(dec, report0.gamma_blocks, gamma, norm_kind, m_bound)
     return {
         "gamma": float(gamma),
         "semigroup_bound": m_bound,

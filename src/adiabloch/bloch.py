@@ -89,25 +89,46 @@ class KantorovichReport:
     norm_kind: str = "spectral"
 
 
-def _threshold_constants(block: EigenspaceData, c, norm_kind: str) -> tuple:
-    """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one eigenspace."""
+def _threshold_constants(block: EigenspaceData, c_norm: float, norm_kind: str) -> tuple:
+    """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one eigenspace.
+
+    ||C|| is passed in, so a caller looping over blocks takes it once, and
+    ||P|| comes from the singular values stored with the block.
+    """
     s_norm = matcore.op_norm(block.resolvent, norm_kind)
     sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind)
     mu = float(block.index) if abs(1.0 - sn) < 1e-12 else (1.0 - sn**block.index) / (1.0 - sn)
-    scp = s_norm * matcore.op_norm(c, norm_kind) * matcore.op_norm(block.projection, norm_kind)
+    scp = s_norm * c_norm * block.factors.norm(norm_kind)
     return mu, scp
+
+
+def _gamma_min(block: EigenspaceData, c_norm: float, norm_kind: str) -> float:
+    mu, scp = _threshold_constants(block, c_norm, norm_kind)
+    return 4.0 * mu * scp
 
 
 def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> float:
     """Coupling threshold 4 mu ||S|| ||C|| ||P|| of one eigenspace."""
-    mu, scp = _threshold_constants(block, c, norm_kind)
-    return 4.0 * mu * scp
+    return _gamma_min(block, matcore.op_norm(c, norm_kind), norm_kind)
 
 
 def _require_positive(**values) -> None:
     for name, value in values.items():
         if not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be positive and finite, got {value}")
+
+
+def _weak_matrix(dec: SpectralDecomposition, c) -> np.ndarray:
+    """C as a complex matrix, rejected unless it is n x n like B."""
+    cm = matcore.as_cmatrix(c)
+    if cm.shape != (dec.dim, dec.dim):
+        raise ValueError(f"c must be {dec.dim}x{dec.dim} like the decomposition, got {cm.shape}")
+    return cm
+
+
+def _require_block(dec: SpectralDecomposition, ell) -> None:
+    if not (isinstance(ell, (int, np.integer)) and 0 <= ell < len(dec.blocks)):
+        raise ValueError(f"ell must be in range({len(dec.blocks)}), got {ell!r}")
 
 
 def kantorovich_report(
@@ -117,8 +138,21 @@ def kantorovich_report(
     ell: int,
     norm_kind: str = "spectral",
 ) -> KantorovichReport:
+    """Newton-Kantorovich constants of block ``ell`` at coupling ``gamma``.
+
+    ``gamma`` must be positive and finite, ``ell`` a block index and C an
+    n x n matrix; anything else raises ``ValueError`` before any work.
+    """
     _require_positive(gamma=gamma)
-    mu, scp = _threshold_constants(dec.blocks[ell], c, norm_kind)
+    _require_block(dec, ell)
+    cm = _weak_matrix(dec, c)
+    return _kantorovich(dec.blocks[ell], matcore.op_norm(cm, norm_kind), gamma, ell, norm_kind)
+
+
+def _kantorovich(
+    block: EigenspaceData, c_norm: float, gamma: float, ell: int, norm_kind: str
+) -> KantorovichReport:
+    mu, scp = _threshold_constants(block, c_norm, norm_kind)
     gamma_min = 4.0 * mu * scp
     lipschitz = 2.0 * scp / gamma
 
@@ -193,10 +227,14 @@ def initial_guess(blk: EigenspaceData, c, which: str) -> np.ndarray:
 
 
 def _ball_radius(blk, gamma, which, x, x0):
-    """Distance of the iterate from the certified center, in wave variables."""
+    """Distance of the iterate from the certified center, in wave variables.
+
+    Iterate and center vanish on range(1 - P), so the norm is taken from
+    the n x r factor on range(P^H) (:func:`matcore.supported_norm`).
+    """
     if which == "omega":
-        return matcore.op_norm(blk.resolvent @ (x - x0), "spectral") / gamma
-    return matcore.op_norm(x - x0, "spectral")
+        return matcore.supported_norm(blk.resolvent @ (x - x0), blk.factors.z) / gamma
+    return matcore.supported_norm(x - x0, blk.factors.z)
 
 
 def solve_equation(
@@ -222,17 +260,22 @@ def solve_equation(
     Newton steps solve the exact derivative system delta -> A delta +
     S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for wave.
     F and the residual R vanish on range(1 - P) as X and N do, so every
-    iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r)
-    the correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q:
+    iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r;
+    Q and W are the factors stored on the block, ``blk.factors``) the
+    correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q:
     kron(1_r, A) + kron(M^T, S) acting on vec(Y), an (n r) x (n r) system
-    in place of the n^2 x n^2 Jacobian.  The iteration aborts with
+    in place of the n^2 x n^2 Jacobian.  Residual and ball-radius norms are
+    taken from the n x r factor on range(P^H) (:func:`matcore.supported_norm`),
+    an upper bound of the spectral norm equal to it on such matrices.  The
+    iteration aborts with
     :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
     ball (when one exists), so the returned solution is always the branch
     selected by the perturbative initial guess.  Fixed-point iteration takes
     unrelaxed steps of the natural map.
 
-    ``gamma`` and ``tol`` must be positive and finite; like an unknown
-    ``which`` or ``method`` they raise ``ValueError`` before any iteration.
+    ``gamma`` and ``tol`` must be positive and finite, ``ell`` a block
+    index and C an n x n matrix; like an unknown ``which`` or ``method``
+    anything else raises ``ValueError`` before any iteration.
     """
     if which not in _EQUATIONS and which not in _CONJUGATES:
         raise ValueError(
@@ -242,8 +285,9 @@ def solve_equation(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
     _require_positive(gamma=gamma, tol=tol)
+    _require_block(dec, ell)
+    cm = _weak_matrix(dec, c)
     blk = dec.blocks[ell]
-    cm = matcore.as_cmatrix(c)
     if report is None:
         report = kantorovich_report(dec, cm, gamma, ell)
     primal = _CONJUGATES.get(which, which)
@@ -257,14 +301,10 @@ def solve_equation(
 
     x = x0.copy()
     history = []
-    if method == "newton":
-        # P = Q W with orthonormal Q spanning range(P) and W = Q^H P: W Q = 1_r
-        q = np.linalg.svd(blk.projection)[0][:, : blk.rank]
-        w = q.conj().T @ blk.projection
     res0 = None
     for it in range(max_iter):
         r = residual_fn(blk, cm, gamma, x)
-        res = matcore.op_norm(r, "spectral")
+        res = matcore.supported_norm(r, blk.factors.z)
         history.append(res)
         if res0 is None:
             res0 = res
@@ -285,7 +325,7 @@ def solve_equation(
                 iterations=it,
             )
         if method == "newton":
-            x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r, q, w)
+            x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r)
         else:
             x = x + map_sign * r
         if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
@@ -301,8 +341,9 @@ def solve_equation(
     )
 
 
-def _range_step(blk, a, f, r, q, w):
+def _range_step(blk, a, f, r):
     """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q."""
+    q, w = blk.factors.q, blk.factors.w
     n, rank = q.shape
     m = w @ f @ q
     jac = np.kron(np.eye(rank, dtype=np.complex128), a) + np.kron(m.T, blk.resolvent)
@@ -345,10 +386,20 @@ def solve_block(
     method: str = "newton",
     tol: float = DEFAULT_TOL,
 ) -> BlochSolution:
-    """Solve both adiabatic Bloch equations on one block and certify."""
+    """Solve both adiabatic Bloch equations on one block and certify.
+
+    ``ell`` must be a block index and C an n x n matrix (``ValueError``).
+    The equation residuals and the deformations ||U - P|| vanish on
+    range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
+    taken from the block's factors (:func:`matcore.supported_norm`); the
+    support checks ||X (1 - P)|| keep their n x n norms.
+    """
+    report = kantorovich_report(dec, c, gamma, ell)
+    return _solve_block(dec, _weak_matrix(dec, c), gamma, ell, method, tol, report)
+
+
+def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     blk = dec.blocks[ell]
-    cm = matcore.as_cmatrix(c)
-    report = kantorovich_report(dec, cm, gamma, ell)
     omega, info_o = solve_equation(dec, cm, gamma, ell, "omega", method, tol, report=report)
     omega_conj, info_oc = solve_equation(
         dec, cm, gamma, ell, "omega_conj", method, tol, report=report
@@ -364,18 +415,18 @@ def solve_block(
         "omega_support": matcore.op_norm(omega @ comp, "spectral"),
         "omega_conj_eq": info_oc["residual"],
         "omega_conj_support": matcore.op_norm(comp @ omega_conj, "spectral"),
-        "wave_eq": matcore.op_norm(
-            wave_residual(blk, cm, gamma, wave), "spectral"
+        "wave_eq": matcore.supported_norm(
+            wave_residual(blk, cm, gamma, wave), blk.factors.z
         ),
         "wave_support": matcore.op_norm(wave @ comp, "spectral"),
-        "wave_conj_eq": matcore.op_norm(
-            wave_residual(blk_t, cm.T, gamma, wave_conj.T), "spectral"
+        "wave_conj_eq": matcore.supported_norm(
+            wave_residual(blk_t, cm.T, gamma, wave_conj.T), blk_t.factors.z
         ),
         "wave_conj_support": matcore.op_norm(comp @ wave_conj, "spectral"),
         # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
-        "wave_deformation": matcore.op_norm(wave - blk.projection, "spectral"),
-        "wave_conj_deformation": matcore.op_norm(
-            wave_conj - blk.projection, "spectral"
+        "wave_deformation": matcore.supported_norm(wave - blk.projection, blk.factors.z),
+        "wave_conj_deformation": matcore.supported_norm(
+            (wave_conj - blk.projection).T, blk_t.factors.z
         ),
     }
     return BlochSolution(
@@ -399,8 +450,16 @@ def solve_blocks(
     method: str = "newton",
     tol: float = DEFAULT_TOL,
 ) -> list[BlochSolution]:
-    """Independent per-block solves, in block order."""
-    return [solve_block(dec, c, gamma, ell, method, tol) for ell in range(len(dec.blocks))]
+    """Independent per-block solves, in block order; ||C|| is taken once."""
+    _require_positive(gamma=gamma)
+    cm = _weak_matrix(dec, c)
+    c_norm = matcore.op_norm(cm, "spectral")
+    return [
+        _solve_block(
+            dec, cm, gamma, ell, method, tol, _kantorovich(blk, c_norm, gamma, ell, "spectral")
+        )
+        for ell, blk in enumerate(dec.blocks)
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -13,12 +13,12 @@ similarity/intertwining relations and evaluates the uniform-in-time
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import matcore
-from .bloch import BlochSolution, block_gamma_min
+from .bloch import BlochSolution, _gamma_min, _require_positive
 from .errors import ConvergenceError
 from .liouville import Superoperator
 from .spectral import SpectralDecomposition
@@ -252,13 +252,47 @@ def eternal_bound(
     (``applicable``); the tight bounds hold in any unitarily invariant
     norm once multiplied by the semigroup bound M >= sup_t ||e^(t(gB+C))||
     measured in that same norm.  The optional unitary-case bound uses the
-    spectral gap of the strong generator.
+    spectral gap of the strong generator.  ``gamma`` must be positive and
+    finite (``ValueError``).  ||C|| is taken once per call and ||P_l|| is
+    read from the singular values stored with each block.
     """
+    _require_positive(gamma=gamma)
     cm = c.matrix if isinstance(c, Superoperator) else matcore.as_cmatrix(c)
-    gamma_blocks = tuple(
-        block_gamma_min(blk, cm, norm_kind) for blk in dec.blocks
-    )
-    p_norms = [matcore.op_norm(blk.projection, norm_kind) for blk in dec.blocks]
+    c_norm = matcore.op_norm(cm, norm_kind)
+    gamma_blocks = tuple(_gamma_min(blk, c_norm, norm_kind) for blk in dec.blocks)
+    report = _bounds_at(dec, gamma_blocks, gamma, norm_kind, semigroup_bound)
+    if not unitary:
+        return report
+    eigs = dec.eigenvalues
+    gaps = [
+        abs(eigs[i] - eigs[j])
+        for i in range(len(eigs))
+        for j in range(i + 1, len(eigs))
+    ]
+    eta = min(gaps) if gaps else math.inf
+    x = 4.0 * c_norm / (gamma * eta)
+    if x < 1.0:
+        unitary_bound = 2.0 * math.sqrt(len(dec.blocks)) * ((1.0 - x) ** -0.25 - 1.0)
+    else:
+        unitary_bound = math.inf
+    return replace(report, unitary_bound=unitary_bound)
+
+
+def _bounds_at(
+    dec: SpectralDecomposition,
+    gamma_blocks: tuple,
+    gamma: float,
+    norm_kind: str,
+    semigroup_bound: float,
+) -> BoundReport:
+    """The eternal bounds at a positive ``gamma`` from thresholds already taken.
+
+    The thresholds gamma_l do not depend on the coupling, so a caller that
+    holds them (``eternal_bound(...).gamma_blocks`` at any coupling) gets the
+    bounds at another coupling without a norm of S_l, N_l or C.  No
+    unitary-case bound is formed.
+    """
+    p_norms = [blk.factors.norm(norm_kind) for blk in dec.blocks]
     loose = sum(gl * pn for gl, pn in zip(gamma_blocks, p_norms)) / gamma
     applicable = gamma >= 2.0 * max(gamma_blocks) if gamma_blocks else True
 
@@ -275,25 +309,6 @@ def eternal_bound(
         tight_k += (1.0 / root + 1.0) * (1.0 / quarter - 1.0) * pn
     tight_d *= semigroup_bound
     tight_k *= semigroup_bound
-
-    unitary_bound = None
-    if unitary:
-        eigs = dec.eigenvalues
-        gaps = [
-            abs(eigs[i] - eigs[j])
-            for i in range(len(eigs))
-            for j in range(i + 1, len(eigs))
-        ]
-        eta = min(gaps) if gaps else math.inf
-        c_norm = matcore.op_norm(cm, norm_kind)
-        x = 4.0 * c_norm / (gamma * eta)
-        if x < 1.0:
-            unitary_bound = 2.0 * math.sqrt(len(dec.blocks)) * (
-                (1.0 - x) ** -0.25 - 1.0
-            )
-        else:
-            unitary_bound = math.inf
-
     return BoundReport(
         gamma=float(gamma),
         gamma_blocks=gamma_blocks,
@@ -303,5 +318,4 @@ def eternal_bound(
         applicable=bool(applicable),
         norm_kind=norm_kind,
         semigroup_bound=float(semigroup_bound),
-        unitary_bound=unitary_bound,
     )

@@ -9,7 +9,9 @@ guarantees finite entries on return.  :func:`op_norm`, :func:`expm` and
 :func:`numerical_rank` also take stacks of shape ``(..., n, n)`` and act on
 each matrix of the stack, so many points of a time grid are propagated, or
 many certificate residuals measured, in one call; every slice gets the same
-arithmetic it would get on its own.
+arithmetic it would get on its own.  :func:`supported_norm` bounds the
+spectral norm of a matrix that vanishes off a known r-dimensional row space
+from an n x r factor.
 """
 
 from __future__ import annotations
@@ -79,6 +81,28 @@ def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
     else:
         s = np.linalg.svd(m, compute_uv=False)
         norms = s.max(axis=-1, initial=0.0) if kind == "spectral" else s.sum(axis=-1)
+    return float(norms) if m.ndim == 2 else norms
+
+
+def supported_norm(x, basis) -> float | np.ndarray:
+    """Spectral norm of X from its part on the orthonormal columns of ``basis``.
+
+    With V = ``basis`` (n x r) returns sqrt(||X V||_2^2 + ||X - X V V^H||_F^2).
+    The two terms of X = X V V^H + X (1 - V V^H) have orthogonal row spaces,
+    so this is an upper bound of ||X||_2, equal to it when X = X V V^H.  For
+    X = X P, with V spanning range(P^H), it costs an SVD of the n x r matrix
+    X V in place of one of X; the left-sided twin, for X = P X, is the same
+    bound on X^T with the conjugate of a basis of range(P).  Like
+    :func:`op_norm` it takes a stack of X with a stack of bases, and zero
+    columns in a basis change nothing, so bases of different ranks stack
+    once padded with zeros.
+    """
+    m = _as_cstack(x)
+    v = np.asarray(basis, dtype=np.complex128)
+    xv = m @ v
+    on = np.linalg.svd(xv, compute_uv=False).max(axis=-1, initial=0.0)
+    off = np.linalg.norm(m - xv @ np.swapaxes(v, -1, -2).conj(), axis=(-2, -1))
+    norms = np.hypot(on, off)
     return float(norms) if m.ndim == 2 else norms
 
 

@@ -137,6 +137,81 @@ class TestSolvers:
         with pytest.raises(ValueError, match="gamma"):
             solve_blocks(lambda_pipe.decomposition, lambda_pipe.weak.matrix, gamma)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda dec, c, ell: solve_equation(dec, c, 10.0, ell, "omega"),
+            lambda dec, c, ell: solve_block(dec, c, 10.0, ell),
+            lambda dec, c, ell: kantorovich_report(dec, c, 10.0, ell),
+        ],
+        ids=["solve_equation", "solve_block", "kantorovich_report"],
+    )
+    @pytest.mark.parametrize(
+        "ell, size, match",
+        [(-1, 2, "got -1"), (2, 2, "got 2"), (0, 3, r"got \(3, 3\)")],
+        ids=["ell-negative", "ell-past-end", "c-3x3"],
+    )
+    def test_block_index_and_weak_shape_validated(self, call, ell, size, match):
+        # a negative ell must not wrap around to the last block, and a past-end
+        # ell or a mis-sized C must fail up front with a message naming it
+        dec = spectral.decompose(np.diag([0.0, -2.0j]))
+        with pytest.raises(ValueError, match=match):
+            call(dec, np.ones((size, size)), ell)
+
+    def test_no_square_svd_per_equation(self, lambda_pipe, monkeypatch):
+        # Q and W come from the block, residual and ball norms from n x r
+        # factors: with the report given, no n x n matrix is factorized
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        report = kantorovich_report(dec, c, 10.0, 0)
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(np.shape(a)[-2:])
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        for which in ("omega", "omega_conj", "wave", "wave_conj"):
+            solve_equation(dec, c, 10.0, 0, which, report=report)
+        assert shapes
+        assert (dec.dim, dec.dim) not in shapes
+
+    def test_weak_norm_taken_once_per_solve(self, lambda_pipe, monkeypatch):
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        calls = []
+        op_norm = matcore.op_norm
+
+        def counting_norm(a, kind="spectral"):
+            if np.shape(a) == c.shape and np.array_equal(a, c):
+                calls.append(kind)
+            return op_norm(a, kind)
+
+        monkeypatch.setattr(matcore, "op_norm", counting_norm)
+        sols = solve_blocks(dec, c, 10.0)
+        assert len(sols) == len(dec.blocks) > 1
+        assert calls == ["spectral"]
+
+    def test_factored_residuals_bound_the_dense_norms(self, lambda_pipe, qubit_pipe):
+        # every residual taken from n x r factors is >= its n x n spectral
+        # norm and equal to it to rounding, since it vanishes on range(1 - P)
+        for pipe in (lambda_pipe, qubit_pipe):
+            dec, c, gamma = pipe.decomposition, pipe.weak.matrix, pipe.model.gamma
+            for blk, sol in zip(dec.blocks, pipe.solutions):
+                blk_t = blk.transposed()
+                dense = {
+                    "omega_eq": bloch.omega_residual(blk, c, gamma, sol.omega),
+                    "omega_conj_eq": bloch.omega_residual(blk_t, c.T, gamma, sol.omega_conj.T),
+                    "wave_eq": wave_residual(blk, c, gamma, sol.wave),
+                    "wave_conj_eq": wave_residual(blk_t, c.T, gamma, sol.wave_conj.T),
+                    "wave_deformation": sol.wave - blk.projection,
+                    "wave_conj_deformation": sol.wave_conj - blk.projection,
+                }
+                for key, x in dense.items():
+                    want = matcore.op_norm(x, "spectral")
+                    got = sol.residuals[key]
+                    assert got >= want * (1.0 - 1e-14), key
+                    assert got - want <= 1e-14 * max(1.0, want), (key, got, want)
+
     @pytest.mark.parametrize("case", ["lambda", "qubit", "random"])
     def test_order_reversed_equations_oracle(self, case, lambda_pipe, qubit_dec, qubit_weak):
         # the paper's order-reversed equations, written out independently of

@@ -213,3 +213,52 @@ class TestEternalBound:
         # distance
         assert result["sup_distance_k"] <= result["loose_bound"]
         assert result["sup_distance_d"] <= result["loose_bound"]
+
+
+class TestBoundArguments:
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, math.inf])
+    def test_bad_coupling_rejected(self, gamma):
+        # a zero coupling divides by zero and a negative one gives negative
+        # "bounds": both must be rejected as arguments
+        dec = spectral.decompose(np.diag([0.0, -1.0]))
+        with pytest.raises(ValueError, match="gamma"):
+            eternal_bound(dec, np.ones((2, 2)), gamma)
+
+    @pytest.mark.parametrize("unitary", [False, True])
+    def test_weak_norm_taken_once(self, lambda_pipe, monkeypatch, unitary):
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        calls = []
+        op_norm = matcore.op_norm
+
+        def counting_norm(a, kind="spectral"):
+            if np.shape(a) == c.shape and np.array_equal(a, c):
+                calls.append(kind)
+            return op_norm(a, kind)
+
+        monkeypatch.setattr(matcore, "op_norm", counting_norm)
+        eternal_bound(dec, c, 40.0, unitary=unitary)
+        assert calls == ["spectral"]
+
+    def test_bound_check_reuses_the_thresholds(self, monkeypatch):
+        # the thresholds at gamma = 1 serve the bounds at the chosen gamma:
+        # ||C|| is taken there and once in solve_blocks, not a third time
+        model = lambda_model(10.0)
+        c = build_superop(model, "weak").matrix
+        calls = []
+        op_norm = matcore.op_norm
+
+        def counting_norm(a, kind="spectral"):
+            if np.shape(a) == c.shape and np.array_equal(a, c):
+                calls.append(kind)
+            return op_norm(a, kind)
+
+        monkeypatch.setattr(matcore, "op_norm", counting_norm)
+        times = np.array([0.0, 1.0, 10.0])
+        result = bench.bound_check(model, times=times)
+        assert calls == ["spectral", "spectral"]
+        dec = spectral.decompose(build_superop(model, "strong").matrix)
+        fresh = eternal_bound(
+            dec, c, result["gamma"], semigroup_bound=result["semigroup_bound"]
+        )
+        for key in ("tight_bound_k", "tight_bound_d", "loose_bound", "applicable"):
+            assert result[key] == getattr(fresh, key), key

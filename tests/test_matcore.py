@@ -215,3 +215,50 @@ def test_numerical_rank():
     a = np.diag([1.0, 1e-3, 1e-12])
     assert matcore.numerical_rank(a) == 2
     assert matcore.numerical_rank(np.zeros((3, 3))) == 0
+
+
+class TestSupportedNorm:
+    """The factored norm bounds the spectral norm and meets it on X = X P."""
+
+    @pytest.fixture
+    def oblique(self, rng):
+        # rank-2 oblique projection V E V^-1 and orthonormal bases of its
+        # range (Q) and of the range of its adjoint (Z)
+        v = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        p = v[:, :2] @ np.linalg.inv(v)[:2, :]
+        u, _s, vh = np.linalg.svd(p)
+        return p, u[:, :2], vh[:2].conj().T
+
+    def test_upper_bound_on_any_matrix(self, oblique, rng):
+        _p, _q, z = oblique
+        for _ in range(20):
+            x = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            assert matcore.supported_norm(x, z) >= matcore.op_norm(x, "spectral")
+
+    def test_equal_on_matrices_vanishing_off_the_range(self, oblique, rng):
+        p, q, z = oblique
+        for _ in range(20):
+            y = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+            right, left = y @ p, p @ y
+            for got, x in (
+                (matcore.supported_norm(right, z), right),
+                (matcore.supported_norm(left.T, q.conj()), left),
+            ):
+                want = matcore.op_norm(x, "spectral")
+                assert abs(got - want) <= 1e-14 * want
+
+    def test_stack_matches_per_slice_loop(self, oblique, rng):
+        # bases of ranks 2 and 1 stacked with a zero column for the second
+        _p, q, z = oblique
+        x = rng.normal(size=(2, 6, 6)) + 1j * rng.normal(size=(2, 6, 6))
+        bases = np.stack([z, np.hstack([q[:, :1], np.zeros((6, 1))])])
+        got = matcore.supported_norm(x, bases)
+        assert got.shape == (2,)
+        assert_allclose(got[0], matcore.supported_norm(x[0], z), rtol=1e-15)
+        assert_allclose(got[1], matcore.supported_norm(x[1], q[:, :1]), rtol=1e-15)
+
+    def test_rejects_nan(self, oblique):
+        x = np.eye(6, dtype=complex)
+        x[0, 0] = np.nan
+        with pytest.raises(NonFiniteError):
+            matcore.supported_norm(x, oblique[2])

@@ -244,6 +244,76 @@ class TestValidate:
                 assert abs(got[key] - value) <= 1e-14 * max(1.0, abs(value)), key
 
 
+    def test_orthogonality_takes_order_b_square_svds(self, monkeypatch):
+        # ||P_i P_j|| comes from r_i x n factors: the n x n SVDs grow like the
+        # number of blocks b, where measuring every P_i P_j took b^2 of them
+        b = build_superop(random_model(4, np.random.default_rng(3)), "strong").matrix
+        dec = robust_decompose(b)
+        n, blocks = dec.dim, len(dec.blocks)
+        assert blocks == n == 16
+        square = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            if a.shape[-2:] == (n, n):
+                square.append(int(np.prod(a.shape[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        validate(dec, b)
+        # identity, reconstruction and ||B||; per block idempotency,
+        # commutation, two resolvent defects, the nilpotent power and its rank
+        assert sum(square) <= 6 * blocks + 3 < blocks * blocks
+
+
+class TestProjectionFactors:
+    @pytest.fixture(scope="class")
+    def decompositions(self, lambda_pipe):
+        qubit = build_superop(qubit_nilpotent_model(10.0), "strong").matrix
+        model = random_model(3, np.random.default_rng(5))
+        return (
+            lambda_pipe.decomposition,
+            decompose(qubit, cluster_tol=1e-6),
+            robust_decompose(build_superop(model, "strong").matrix),
+        )
+
+    def test_factors_of_computed_projections(self, decompositions):
+        for dec in decompositions:
+            for blk in dec.blocks:
+                f, p = blk.factors, blk.projection
+                scale = max(1.0, f.norm())
+                assert f.q.shape == f.z.shape == (dec.dim, blk.rank)
+                assert f.tail <= 1e-13 * scale
+                assert_allclose(f.q @ f.w, p, atol=1e-13 * scale)
+                assert_allclose(f.w @ f.q, np.eye(blk.rank), atol=1e-13 * scale)
+                assert_allclose(f.w, f.w @ f.z @ f.z.conj().T, atol=1e-13 * scale)
+                for kind in ("spectral", "trace", "frobenius"):
+                    assert_allclose(f.norm(kind), matcore.op_norm(p, kind), rtol=1e-13)
+
+    def test_transposed_factors_match_a_fresh_svd(self, decompositions):
+        # column phases (and rotations within repeated singular values) are
+        # arbitrary, so compare the phase-free products Q Q^H, Z Z^H and Q W
+        for dec in decompositions:
+            for blk in dec.blocks:
+                got = blk.transposed().factors
+                fresh = spectral.ProjectionFactors.of(blk.projection.T, blk.rank)
+                scale = max(1.0, fresh.norm())
+                assert_allclose(got.singular_values, fresh.singular_values, atol=1e-14 * scale)
+                for a, b in ((got.q, fresh.q), (got.z, fresh.z)):
+                    assert_allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-12)
+                assert_allclose(got.q @ got.w, fresh.q @ fresh.w, atol=1e-13 * scale)
+
+    def test_hand_built_block_derives_its_factors(self):
+        # P = diag(1.001, 0.001) up to order: rank 1 with a 1e-3 tail
+        dec, _b = tampered_diagonal()
+        p = dec.blocks[0].projection
+        f = dec.blocks[0].factors
+        assert_allclose(f.singular_values, [1.001, 0.001])
+        assert f.tail == pytest.approx(1e-3)
+        assert_allclose(np.abs(f.q.ravel()), np.abs(np.diag(p)) > 0.5)
+
+
 class TestClusteringAndReordering:
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
     def test_bad_cluster_tol_rejected(self, tol):
@@ -369,6 +439,10 @@ class TestInvariants:
         with pytest.raises(ValueError, match="layout entry") as err:
             decompose_from_user(np.diag([0.0, 1.0]), np.eye(2), layout)
         assert any(repr(entry) in str(err.value) for entry in layout)
+
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match="non-empty"):
+            decompose(np.zeros((0, 0)))
 
     def test_singular_similarity_rejected(self):
         b = np.diag([0.0, 1.0])
