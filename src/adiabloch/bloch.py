@@ -93,10 +93,11 @@ def _threshold_constants(block: EigenspaceData, c_norm: float, norm_kind: str) -
     """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one eigenspace.
 
     ||C|| is passed in, so a caller looping over blocks takes it once, and
-    ||P|| comes from the singular values stored with the block.
+    ||P|| comes from the singular values stored with the block.  At index 1
+    mu = 1 whatever ||N|| is, so ||N|| is taken only above it.
     """
     s_norm = matcore.op_norm(block.resolvent, norm_kind)
-    sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind)
+    sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind) if block.index > 1 else 0.0
     mu = float(block.index) if abs(1.0 - sn) < 1e-12 else (1.0 - sn**block.index) / (1.0 - sn)
     scp = s_norm * c_norm * block.factors.norm(norm_kind)
     return mu, scp
@@ -488,8 +489,10 @@ class SeriesCoefficients:
 
 def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesCoefficients:
     """Coefficients of omega from the order-by-order recursion."""
-    blk = dec.blocks[ell]
-    cm = matcore.as_cmatrix(c)
+    return _omega_series(dec.blocks[ell], matcore.as_cmatrix(c), ell, order)
+
+
+def _omega_series(blk: EigenspaceData, cm: np.ndarray, ell: int, order: int) -> SeriesCoefficients:
     s = blk.resolvent
     coeffs = [bracket(blk, cm @ blk.projection, "right")]
     for j in range(1, order + 1):
@@ -639,7 +642,7 @@ def schrieffer_wolff_series(
     work = order + 1  # one extra order: the nilpotent term carries a factor gamma
     om = omega_series(dec, c, ell, work).coeffs
     # omega_conj's coefficients: the omega recursion on transposed data
-    omc = [o.T for o in omega_series(dec.transposed(), cm.T, ell, work).coeffs]
+    omc = [o.T for o in _omega_series(blk.transposed(), cm.T, ell, work).coeffs]
     s2 = blk.resolvent @ blk.resolvent
     n = dec.dim
     zero = np.zeros((n, n), dtype=np.complex128)
