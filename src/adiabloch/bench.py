@@ -133,22 +133,56 @@ class DistanceCurve:
         return "\n".join(lines) + "\n"
 
 
+def _time_grid(times) -> np.ndarray:
+    """The default grid, or ``times`` checked to be a non-empty 1-d grid of
+    finite, non-negative, non-decreasing times."""
+    if times is None:
+        return default_time_grid()
+    grid = np.asarray(times, dtype=float)
+    if (
+        grid.ndim != 1
+        or grid.size == 0
+        or not np.all(np.isfinite(grid))
+        or grid[0] < 0.0
+        or np.any(np.diff(grid) < 0.0)
+    ):
+        raise ValueError(
+            "times must be a non-empty 1-d grid of finite, non-negative, "
+            f"non-decreasing values; got shape {grid.shape}"
+        )
+    return grid
+
+
 def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
-    env = np.empty_like(values)
-    lo = 0
-    for i, t in enumerate(times):
-        while times[lo] <= t / 10.0 and lo < i:
-            lo += 1
-        env[i] = values[lo : i + 1].max()
-    return env
+    """Maximum of ``values`` over (t/10, t] at each t of a sorted grid, always
+    including the point itself."""
+    ends = np.arange(1, len(times) + 1)
+    starts = np.minimum(np.searchsorted(times, times / 10.0, side="right"), ends - 1)
+    # reduceat reduces between consecutive bounds: interleave each window's
+    # start with its end and keep the even slots
+    bounds = np.stack([starts, ends], axis=1).ravel()[:-1]
+    return np.maximum.reduceat(values, bounds)[::2]
 
 
-# Time points per stacked expm/SVD call.  Stacking the whole 401-point
-# default grid raised peak RSS by 9.6 MB at n = 25 (Lambda, orders 0, 1, 2
-# and inf; about 14% of the process), while chunks of 16 or 64 points raised
-# it by under 0.1 MB.  Chunks of 8 to 401 points ran within 10% of each
-# other (2-vCPU VM, BLAS on one thread).
-_TIME_CHUNK = 64
+# Working-set budget of the propagation kernels, in bytes of one stacked
+# (points, n, n) complex array.  A distance-table chunk holds about nine such
+# stacks at once (the propagators, B's powers and the Pade temporaries of
+# matcore.expm), so a fixed point count makes its working set grow like n^2.
+# On the `paper` workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread)
+# chunks of 64 points raised peak RSS from 71.7 to 77.2 MB, 256 KiB per stack
+# (26 points) by under 1.2 MB, and 16 KiB (one point) doubled curves_s.  At
+# n = 64 one 401-point stack ran 1.5 times as long as 4-point chunks (cache).
+# Small n gains from long stacks: at n = 4, 64-point chunks took 1.2-1.6
+# times as long as one call for the whole grid.  _TIME_CHUNK caps the count
+# for tiny generators (n <= 6 still take the 401-point default grid in one
+# call).
+_CHUNK_BYTES = 256 * 1024
+_TIME_CHUNK = 512
+
+
+def _chunk_points(n: int) -> int:
+    """Time points per stacked expm/SVD call for n x n generators."""
+    return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (16 * n * n)))
 
 
 def _distance_table(
@@ -163,8 +197,9 @@ def _distance_table(
     depends on ``total`` alone.
     """
     table = {key: np.empty(len(times)) for key in list(targets) + ["__norm__"]}
-    for start in range(0, len(times), _TIME_CHUNK):
-        part = slice(start, start + _TIME_CHUNK)
+    step = _chunk_points(total.shape[0])
+    for start in range(0, len(times), step):
+        part = slice(start, start + step)
         t = times[part, None, None]
         true_prop = matcore.expm(t * total)
         for key, target in targets.items():
@@ -182,7 +217,7 @@ def distance_curves(
     norm_kind: str = "spectral",
 ) -> dict:
     """Curves for several truncation orders, reusing the true propagator."""
-    times = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    times = _time_grid(times)
     base = pipe.model.gamma * pipe.strong.matrix
     k_effs = pipe._k_effs(orders)
     targets = {order: base + k_effs[order] for order in orders}
@@ -203,7 +238,7 @@ def semigroup_norm_bound(
     pipe: PipelineResult, times: np.ndarray | None = None, norm_kind: str = "spectral"
 ) -> float:
     """Sampled sup of ||exp(t (g B + C))|| over the grid."""
-    times = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    times = _time_grid(times)
     table = _distance_table(pipe.total_matrix, {}, times, norm_kind)
     return float(table["__norm__"].max())
 
@@ -256,7 +291,7 @@ def scaling_check(
     """
     if len(gammas) == 0:
         raise ValueError("scaling_check needs at least one coupling")
-    times = default_time_grid() if times is None else np.asarray(times, dtype=float)
+    times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     dec = robust_decompose(strong.matrix)
@@ -918,13 +953,13 @@ def bound_check(
     escalation, and that decomposition serves both the thresholds and the
     solve.
     """
+    times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     dec = spectral.decompose(strong.matrix)
     report0 = eternal_bound(dec, weak.matrix, 1.0, norm_kind)
     gamma = gamma_factor * max(report0.gamma_blocks)
     pipe = _solve_and_assemble(dataclasses.replace(model, gamma=float(gamma)), strong, weak, dec)
-    times = default_time_grid() if times is None else np.asarray(times, dtype=float)
     table = _distance_table(
         pipe.total_matrix,
         {

@@ -273,10 +273,15 @@ def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomp
         nil = (mat - b_k * np.eye(n)) @ proj
         nil[np.abs(nil) < cut] = 0.0
         # capped at the rank: a power still above idx_tol there shows up as
-        # the nilpotency defect of the validation residuals
+        # the nilpotency defect of the validation residuals.  An exactly
+        # zero power (every index-1 block) stops the loop without an SVD.
         idx = 1
         power = nil.copy()
-        while matcore.op_norm(power, "spectral") > idx_tol and idx < i1 - i0:
+        while (
+            idx < i1 - i0
+            and power.any()
+            and matcore.op_norm(power, "spectral") > idx_tol
+        ):
             power = power @ nil
             idx += 1
         raw.append((complex(b_k), proj, nil, idx, int(i1 - i0)))

@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from adiabloch import bench, matcore, spectral
@@ -169,6 +170,87 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
     assert set(table) == set(expected)
     for key, values in expected.items():
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
+
+
+def _loop_envelope(times, values):
+    """Trailing-decade maximum as a scan over the sorted grid."""
+    env = np.empty_like(values)
+    lo = 0
+    for i, t in enumerate(times):
+        while times[lo] <= t / 10.0 and lo < i:
+            lo += 1
+        env[i] = values[lo : i + 1].max()
+    return env
+
+
+@pytest.mark.parametrize(
+    "times",
+    [
+        bench.default_time_grid(),
+        np.sort(np.concatenate([np.logspace(-2, 3, 30), np.logspace(-2, 3, 10), [10.0] * 4])),
+        np.concatenate(([0.0, 0.0, 0.0], np.linspace(0.05, 50.0, 40))),
+    ],
+    ids=["default", "repeated", "zeros"],
+)
+def test_trailing_decade_max_matches_the_scan(times):
+    values = np.random.default_rng(3).lognormal(size=len(times))
+    assert np.array_equal(bench._trailing_decade_max(times, values), _loop_envelope(times, values))
+
+
+BAD_GRIDS = {
+    "2d": np.zeros((2, 3)),
+    "empty": np.zeros(0),
+    "nan": np.array([0.0, np.nan, 1.0]),
+    "inf": np.array([0.0, 1.0, np.inf]),
+    "negative": np.array([-1.0, 0.0, 1.0]),
+    # the envelope at t = 0.01 would include the value at t = 1
+    "unsorted": np.array([1.0, 0.01, 100.0]),
+}
+
+
+@pytest.mark.parametrize("grid", BAD_GRIDS.values(), ids=BAD_GRIDS.keys())
+def test_bad_time_grid_rejected_before_any_work(grid, lambda_pipe, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the grid was checked")
+
+    monkeypatch.setattr(bench, "robust_decompose", no_work)
+    monkeypatch.setattr(bench.spectral, "decompose", no_work)
+    monkeypatch.setattr(bench, "_distance_table", no_work)
+    model = lambda_model(10.0)
+    with pytest.raises(ValueError, match="times"):
+        bench.distance_curves(lambda_pipe, [0], grid)
+    with pytest.raises(ValueError, match="times"):
+        bench.semigroup_norm_bound(lambda_pipe, grid)
+    with pytest.raises(ValueError, match="times"):
+        bench.scaling_check(model, (10.0,), (0,), grid)
+    with pytest.raises(ValueError, match="times"):
+        bench.bound_check(model, times=grid)
+
+
+def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):
+    # one Pade solve per chunk and generator, none per time point, and no
+    # per-slice scipy exponential
+    orders = [0, 1, 2, None]
+    scipy_calls = []
+    solves = []
+    scipy_expm, solve = sla.expm, np.linalg.solve
+
+    def counting_expm(*args, **kwargs):
+        scipy_calls.append(1)
+        return scipy_expm(*args, **kwargs)
+
+    def counting_solve(a, b):
+        solves.append(np.shape(a))
+        return solve(a, b)
+
+    monkeypatch.setattr(sla, "expm", counting_expm)
+    monkeypatch.setattr(np.linalg, "solve", counting_solve)
+    bench.distance_curves(qubit_pipe, orders)
+    times = len(bench.default_time_grid())
+    chunks = -(-times // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    assert scipy_calls == []
+    assert len(solves) == chunks * (len(orders) + 1)
+    assert sum(shape[0] for shape in solves) == times * (len(orders) + 1)
 
 
 def test_negative_order_rejected_before_any_series(lambda_pipe, monkeypatch):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from adiabloch import matcore
@@ -71,6 +72,15 @@ class TestStacks:
         for idx in np.ndindex(2, 3):
             assert np.array_equal(out[idx], matcore.expm(stack[idx]))
 
+    def test_expm_unsorted_squarings_match_per_slice_loop(self, rng):
+        # a reversed time grid: the number of squarings falls along the stack
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(4)
+        stack = np.logspace(-2, 4, 6)[::-1].reshape(2, 3, 1, 1) * a
+        out = matcore.expm(stack)
+        for idx in np.ndindex(2, 3):
+            assert np.array_equal(out[idx], matcore.expm(stack[idx]))
+
     @pytest.mark.parametrize("tol", [None, 1e-1])
     def test_numerical_rank_matches_per_slice_loop(self, stack, tol):
         # rank-deficient slices: zero the last k columns of slice k
@@ -122,6 +132,20 @@ class TestExpm:
         a *= 10.0 / matcore.op_norm(a, "spectral")
         prod = matcore.expm(a) @ matcore.expm(-a)
         assert matcore.op_norm(prod - np.eye(6), "spectral") < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 25])
+    def test_matches_scipy(self, n, rng):
+        # ||dE||_2 <= 8 eps max(1, ||A||_1) max(1, ||e^A||_2) for ||A||_1 from
+        # 1e-3 to 1e6; large norms are shifted to Re spec(A) <= -1
+        eps = np.finfo(float).eps
+        base = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        for norm in np.logspace(-3, 6, 10):
+            a = base * (norm / np.linalg.norm(base, 1))
+            if norm > 1.0:
+                a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(n)
+            ref = sla.expm(a)
+            scale = max(1.0, np.linalg.norm(a, 1)) * max(1.0, np.linalg.norm(ref, 2))
+            assert np.linalg.norm(matcore.expm(a) - ref, 2) <= 8 * eps * scale
 
     def test_semigroup_property(self, rng):
         a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))

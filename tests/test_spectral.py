@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -265,6 +267,45 @@ class TestValidate:
         # identity, reconstruction and ||B||; per block idempotency,
         # commutation, two resolvent defects, the nilpotent power and its rank
         assert sum(square) <= 6 * blocks + 3 < blocks * blocks
+
+
+class TestNilpotentIndex:
+    @pytest.fixture(scope="class")
+    def strong_matrices(self, lambda_pipe):
+        qubit = build_superop(qubit_nilpotent_model(10.0), "strong").matrix
+        model = random_model(3, np.random.default_rng(5))
+        return {
+            "lambda": (lambda_pipe.strong.matrix, lambda_pipe.decomposition.cluster_tol, 1),
+            "qubit": (qubit, 1e-6, 2),
+            "random": (build_superop(model, "strong").matrix, None, 1),
+        }
+
+    @pytest.mark.parametrize("case", ["lambda", "qubit", "random"])
+    def test_index_loop_measures_no_zero_power(self, case, strong_matrices, monkeypatch):
+        matrix, tol, max_index = strong_matrices[case]
+        op_norm = matcore.op_norm
+        zero_args = []
+
+        def counting_op_norm(a, kind="spectral"):
+            a = np.asarray(a)
+            caller = sys._getframe(1).f_code.co_name
+            if caller == "_assemble" and not a.any():
+                zero_args.append(a.shape)
+            return op_norm(a, kind)
+
+        monkeypatch.setattr(matcore, "op_norm", counting_op_norm)
+        dec = decompose(matrix, tol)
+        monkeypatch.undo()
+        assert zero_args == []
+        # the index of every block is the one the power loop finds when it
+        # takes the norm of each power, zero or not
+        for blk in dec.blocks:
+            idx, power = 1, blk.nilpotent
+            while op_norm(power, "spectral") > 10.0 * dec.cluster_tol and idx < blk.rank:
+                power = power @ blk.nilpotent
+                idx += 1
+            assert blk.index == idx
+        assert max(blk.index for blk in dec.blocks) == max_index
 
 
 class TestProjectionFactors:
