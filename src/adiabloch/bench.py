@@ -165,23 +165,22 @@ def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 # Working-set budget of the propagation kernels, in bytes of one stacked
-# (points, n, n) complex array.  A distance-table chunk holds about nine such
-# stacks at once (the propagators, B's powers and the Pade temporaries of
-# matcore.expm), so a fixed point count makes its working set grow like n^2.
-# On the `paper` workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread)
-# chunks of 64 points raised peak RSS from 71.7 to 77.2 MB, 256 KiB per stack
-# (26 points) by under 1.2 MB, and 16 KiB (one point) doubled curves_s.  At
-# n = 64 one 401-point stack ran 1.5 times as long as 4-point chunks (cache).
-# Small n gains from long stacks: at n = 4, 64-point chunks took 1.2-1.6
-# times as long as one call for the whole grid.  _TIME_CHUNK caps the count
-# for tiny generators (n <= 6 still take the 401-point default grid in one
-# call).
+# (points, n, n) complex array.  A distance-table chunk holds about four such
+# stacks at once (two propagators, V + U and V - U of matcore.expm), so a
+# fixed point count makes its working set grow like n^2.  On the `paper`
+# workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread) chunks of 64
+# points raised peak RSS from 71.7 to 77.2 MB, 256 KiB per stack (26 points)
+# by under 1.2 MB, and 16 KiB (one point) doubled curves_s.  At n = 64 one
+# 401-point stack ran 1.5 times as long as 4-point chunks (cache).  Small n
+# gains from long stacks: at n = 4, 64-point chunks took 1.2-1.6 times as
+# long as one call for the whole grid.  _TIME_CHUNK caps the count for tiny
+# generators (n <= 6 still take the 401-point default grid in one call).
 _CHUNK_BYTES = 256 * 1024
 _TIME_CHUNK = 512
 
 
 def _chunk_points(n: int) -> int:
-    """Time points per stacked expm/SVD call for n x n generators."""
+    """Time points per expm/SVD call for n x n generators."""
     return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (16 * n * n)))
 
 
@@ -190,23 +189,25 @@ def _distance_table(
     targets: dict,
     times: np.ndarray,
     norm_kind: str,
+    with_norm: bool = True,
 ) -> dict:
     """Distances to several targets, sharing the true propagator per time.
 
-    ``__norm__`` holds the norm of the true propagator exp(t total), which
-    depends on ``total`` alone.
+    With ``with_norm``, ``__norm__`` holds the norm of the true propagator
+    exp(t total), which depends on ``total`` alone.
     """
-    table = {key: np.empty(len(times)) for key in list(targets) + ["__norm__"]}
+    keys = list(targets) + (["__norm__"] if with_norm else [])
+    table = {key: np.empty(len(times)) for key in keys}
     step = _chunk_points(total.shape[0])
     for start in range(0, len(times), step):
         part = slice(start, start + step)
-        t = times[part, None, None]
-        true_prop = matcore.expm(t * total)
+        true_prop = matcore.expm(total, times[part])
         for key, target in targets.items():
             table[key][part] = matcore.op_norm(
-                true_prop - matcore.expm(t * target), norm_kind
+                true_prop - matcore.expm(target, times[part]), norm_kind
             )
-        table["__norm__"][part] = matcore.op_norm(true_prop, norm_kind)
+        if with_norm:
+            table["__norm__"][part] = matcore.op_norm(true_prop, norm_kind)
     return table
 
 
@@ -221,7 +222,7 @@ def distance_curves(
     base = pipe.model.gamma * pipe.strong.matrix
     k_effs = pipe._k_effs(orders)
     targets = {order: base + k_effs[order] for order in orders}
-    table = _distance_table(pipe.total_matrix, targets, times, norm_kind)
+    table = _distance_table(pipe.total_matrix, targets, times, norm_kind, with_norm=False)
     return {
         order: DistanceCurve(
             times=times,

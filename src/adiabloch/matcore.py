@@ -5,18 +5,18 @@ unitarily invariant norms, the principal matrix square root (Schur method),
 linear and Sylvester solves, and the matrix exponential.  All functions are
 pure: inputs are never mutated, outputs are freshly allocated ``complex128``
 arrays, and every public operation guarantees finite entries on return.
-:func:`op_norm`, :func:`expm` and :func:`numerical_rank` also take stacks of
-shape ``(..., n, n)`` and act on each matrix of the stack, so many points of
-a time grid are propagated, or many certificate residuals measured, in one
-call; every slice gets the same arithmetic it would get on its own.
-:func:`expm` is its own batched scaling-and-squaring kernel (degree-13 Pade,
-theta_13 = 4.25, with Al-Mohy & Higham's ell correction against
-overscaling; SIAM J. Matrix Anal. Appl. 31, 2009): every step, from the
-choice of the number of squarings to the squarings themselves, is one
-batched matmul, solve or elementwise operation over the whole stack, where
-a per-slice loop would pay the interpreter once per matrix.
-:func:`supported_norm` bounds the spectral norm of a matrix that vanishes
-off a known r-dimensional row space from an n x r factor.
+:func:`op_norm` and :func:`numerical_rank` also take stacks of shape
+``(..., n, n)`` and act on each matrix of the stack, so many certificate
+residuals, or the points of a time grid, are measured in one call.
+:func:`expm` takes one matrix A and a grid of times, and is its own
+scaling-and-squaring kernel (degree-13 Pade, Al-Mohy & Higham, SIAM J.
+Matrix Anal. Appl. 31, 2009).  Since (tA)^j = t^j A^j and the norms that
+choose the number of squarings scale with |t|, A's powers are taken once
+per call and each time point adds only 14 scalar coefficients, one solve
+and its squarings.  Given A's powers, every time point gets the arithmetic
+it would get on its own.  :func:`supported_norm` bounds the spectral norm
+of a matrix that vanishes off a known r-dimensional row space from an
+n x r factor.
 """
 
 from __future__ import annotations
@@ -111,44 +111,58 @@ def supported_norm(x, basis) -> float | np.ndarray:
     return float(norms) if m.ndim == 2 else norms
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential e^A of a matrix, or of each matrix in a stack.
+def expm(a, times=None) -> np.ndarray:
+    """Matrix exponential e^A, or the stack of e^{tA} over a grid of times.
 
-    Scaling and squaring with the degree-13 Pade approximant (Al-Mohy &
-    Higham, SIAM J. Matrix Anal. Appl. 31, 970-989, 2009), evaluated on the
-    whole stack at once.  Each slice B is scaled by 2^-s with
-
-        s = max(0, ceil(log2(min(max(d_6, d_8), max(d_8, d_10)) / theta_13)))
-
-    where d_k = ||B^k||_1^(1/k) are exact 1-norms of the powers and
-    theta_13 = 4.25 (scipy's value), plus the correction
-    ell = max(0, ceil(log2(alpha / u) / 26)), alpha = |c_27| || |2^-s B|^27 ||_1
-    / ||2^-s B||_1, that guards against overscaling a nonnormal slice
-    (u = 2^-53; c_27 is the leading coefficient of the Pade error series).
-    The approximant r_13 = (V - U)^-1 (V + U) is then squared s + ell
-    times.  Scaling by a power of two is exact, so the scaled powers are the
-    unscaled ones times 2^-ks.  Every step is a batched matmul, solve or
-    elementwise operation over the slices, and every slice gets the same
-    arithmetic it would get on its own.
+    With ``times`` None returns e^A, bit for bit ``expm(a, [1.0])[0]``; with
+    a 1-d grid of k finite times, the (k, n, n) stack of e^{tA}.  Scaling and
+    squaring with the degree-13 Pade approximant (Al-Mohy & Higham, SIAM J.
+    Matrix Anal. Appl. 31, 970-989, 2009), by homogeneity in t: with
+    A = 2^e B exactly, ||B||_1 in [1/2, 1), B^0..B^13 take 12 matmuls once.
+    Time t gets s = max(0, ceil(log2(|2^e t| eta / 4.25))), as d_j(tA) =
+    |t| d_j(A) for eta = min(max(d_6, d_8), max(d_8, d_10)), d_j the exact
+    ||B^j||_1^(1/j), and theta_13 = 4.25 (scipy's value); plus the
+    correction against overscaling, ell = max(0, ceil(log2(alpha / 2^-53)
+    / 26)), alpha = |c_27| || |x B|^27 ||_1 / ||x B||_1 at x = 2^(e-s) t,
+    where || |x B|^27 ||_1 = |x|^27 || |B|^27 ||_1 takes 27 vector-matrix
+    products once and log2 alpha is summed in log space.  At x =
+    2^(e-s-ell) t, V + U and V - U are sum_j (+-1)^j b_j x^j B^j, one
+    product of the 14 coefficients with the powers per time; each power is
+    scaled exactly to unit norm and its coefficient built from exponents,
+    so no x^j overflows on a small power, and a zero power gets
+    coefficient 0.  One batched solve gives the approximant, squared
+    s + ell times.  Overflow raises :class:`NonFiniteError`, without numpy
+    warnings.
     """
-    m = _as_cstack(a)
+    m = as_cmatrix(a)
     _require_square(m, "expm")
-    n = m.shape[-1]
-    if m.size == 0:
-        return m.copy()
-    out = _expm_stack(m.reshape(-1, n, n)).reshape(m.shape)
-    return _ensure_finite(out, "expm result")
+    grid = np.ones(1) if times is None else np.asarray(times, dtype=np.float64)
+    if grid.ndim != 1:
+        raise ValueError(f"expm takes a 1-d grid of times, got shape {grid.shape}")
+    _ensure_finite(grid, "times")
+    if m.size == 0 or grid.size == 0:
+        out = np.zeros((grid.size,) + m.shape, dtype=np.complex128)
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out = _ensure_finite(_expm_grid(m, grid), "expm result")
+    return out[0] if times is None else out
 
 
-# Coefficients b_0..b_13 of the degree-13 Pade approximant of e^x.
-_PADE13 = (
+# Coefficients b_0..b_13 of the degree-13 Pade approximant of e^x, over b_0:
+# at t = 0 both V + U and V - U are then exactly the identity, and so is the solve.
+_PADE13 = np.array((
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
+)) / 64764752532480000.0
+_DEGREES = np.arange(14)
+_SIGNS = np.array([np.ones(14), (-1.0) ** _DEGREES])  # rows: V + U, V - U
 _THETA13 = 4.25
-# 1 / |c_27|, where c_27 leads the error series of the degree-13 Pade approximant.
-_PADE13_ERR_RECIP = 113250775606021113483283660800000000.0
+# log2(1 / |c_27|), where c_27 leads the error series of the degree-13 Pade approximant.
+_LOG2_PADE13_ERR_RECIP = np.log2(113250775606021113483283660800000000.0)
+# Factors (i, j) of B^(i+j) from B^2 on, with B^8 = B^4 B^4 and B^10 = B^4 B^6.
+_POWER_FACTORS = ((1, 1), (2, 1), (2, 2), (4, 1), (4, 2), (6, 1), (4, 4), (8, 1), (4, 6),
+                  (10, 1), (6, 6), (12, 1))
 
 
 def _norm1(x: np.ndarray) -> np.ndarray:
@@ -156,55 +170,41 @@ def _norm1(x: np.ndarray) -> np.ndarray:
     return np.abs(x).sum(axis=-2).max(axis=-1)
 
 
-def _squarings(b: np.ndarray, b2: np.ndarray, b4: np.ndarray, b6: np.ndarray) -> np.ndarray:
-    """Number of squarings s + ell of each slice of the (k, n, n) stack b."""
-    d6 = _norm1(b6) ** (1 / 6)
-    d8 = _norm1(b4 @ b4) ** (1 / 8)
-    d10 = _norm1(b4 @ b6) ** (1 / 10)
-    eta = np.minimum(np.maximum(d6, d8), np.maximum(d8, d10))
-    if not np.all(np.isfinite(eta)):
-        raise NonFiniteError("expm: powers of the input overflow")
-    with np.errstate(divide="ignore"):  # eta = 0 (nilpotent) gives s = 0
-        s = np.maximum(np.ceil(np.log2(eta / _THETA13)), 0.0).astype(np.int64)
-    scaled = np.ldexp(np.abs(b), -s[:, None, None])
-    v = np.ones((len(b), 1, b.shape[-1]))
+def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """e^{tA} of a finite nonempty complex A at each time of a finite 1-d grid."""
+    n = a.shape[0]
+    a_norm, e = np.frexp(_norm1(a))
+    powers = np.empty((14, n, n), dtype=np.complex128)
+    powers[0] = np.eye(n)
+    # ldexp, as 2^-e overflows for a subnormal A
+    powers[1].real, powers[1].imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    for k, (i, j) in enumerate(_POWER_FACTORS, start=2):
+        np.matmul(powers[i], powers[j], out=powers[k])
+    power_norms = _norm1(powers)
+    d6, d8, d10 = power_norms[[6, 8, 10]] ** (1 / np.array([6, 8, 10]))
+    log2_t = np.log2(np.abs(t)) + e
+    s = np.fmax(np.ceil(log2_t + np.log2(min(max(d6, d8), max(d8, d10)) / _THETA13)), 0.0)
+    v, abs_a = np.ones(n), np.abs(powers[1])
     for _ in range(27):
-        v = v @ scaled
-    power_norm = v.max(axis=(-2, -1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = power_norm / (_norm1(scaled) * _PADE13_ERR_RECIP)
-        ell = np.ceil(np.log2(alpha / 2.0**-53) / 26)
-    ell = np.where(power_norm > 0, np.maximum(ell, 0.0), 0.0).astype(np.int64)
-    return s + ell
-
-
-def _pade13(b: np.ndarray):
-    """U and V of the degree-13 Pade approximant of each scaled slice 2^-s B
-    of a (k, n, n) stack, and the numbers of squarings s."""
-    b2 = b @ b
-    b4 = b2 @ b2
-    b6 = b4 @ b2
-    s = _squarings(b, b2, b4, b6)
-    col = s[:, None, None]
-    for power, x in ((2, b2), (4, b4), (6, b6)):
-        x *= np.ldexp(1.0, -power * col)
-    c = _PADE13
-    ident = np.eye(b.shape[-1])
-    u = b6 @ (c[13] * b6 + c[11] * b4 + c[9] * b2) + c[7] * b6 + c[5] * b4 + c[3] * b2
-    u = (b * np.ldexp(1.0, -col)) @ (u + c[1] * ident)
-    v = b6 @ (c[12] * b6 + c[10] * b4 + c[8] * b2) + c[6] * b6 + c[4] * b4 + c[2] * b2
-    return u, v + c[0] * ident, s
-
-
-def _expm_stack(b: np.ndarray) -> np.ndarray:
-    """e^B of each slice of a finite (k, n, n) complex stack."""
-    # the powers are freed on return from _pade13, before the solve
-    u, v, s = _pade13(b)
-    r = np.linalg.solve(v - u, v + u)
-    del u, v
-    # square the slices in order of s, so squaring j acts on the suffix with s > j
-    order = np.argsort(s, kind="stable")
-    r, steps = r[order], s[order]
+        v = v @ abs_a
+    log2_alpha = 26 * (log2_t - s) + np.log2(v.max()) - np.log2(a_norm) - _LOG2_PADE13_ERR_RECIP
+    steps = (s + np.fmax(np.ceil((log2_alpha + 53) / 26), 0.0)).astype(np.int64)
+    # b_j x^j B^j = (b_j m^j 2^(j q + f_j)) (2^-f_j B^j), x = m 2^q, ||2^-f_j B^j||_1 in [1/2, 1)
+    m, q = np.frexp(np.ldexp(t, e - steps))
+    f = np.frexp(power_norms)[1]
+    coef = np.ldexp(_PADE13 * m[:, None] ** _DEGREES, q[:, None] * _DEGREES + f)
+    coef = np.where(power_norms > 0, coef, 0.0)
+    if not np.isfinite(np.abs(coef).sum()):
+        raise NonFiniteError("expm: the Pade terms overflow")
+    unit = np.ldexp(powers.reshape(14, -1).view(np.float64), -f[:, None])
+    # a (2 x 14) product per time, not one gemm over all times, whose rows
+    # BLAS rounds unlike a lone row: no time may depend on the others
+    sums = ((coef[:, None, :] * _SIGNS) @ unit).view(np.complex128).reshape(len(t), 2, n, n)
+    r = np.linalg.solve(sums[:, 1], sums[:, 0])
+    del sums
+    # square the times in order of steps, so squaring j acts on the suffix with steps > j
+    order = np.argsort(steps, kind="stable")
+    r, steps = r[order], steps[order]
     for j in range(int(steps[-1])):
         tail = r[np.searchsorted(steps, j, side="right"):]
         tail[...] = tail @ tail

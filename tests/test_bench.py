@@ -125,6 +125,27 @@ def test_semigroup_norm_bound_matches_bound_check(short_times):
     report = bench.bound_check(model, times=short_times)
     pipe = bench.compute_effective(dataclasses.replace(model, gamma=report["gamma"]))
     assert bench.semigroup_norm_bound(pipe, short_times) == report["semigroup_bound"]
+    # the value before the grid kernel, which took each e^{tA} from tA's own
+    # powers, within the accuracy class 8 eps t ||A||_1 of either kernel
+    tol = 8 * np.finfo(float).eps * short_times.max() * np.linalg.norm(pipe.total_matrix, 1)
+    assert abs(report["semigroup_bound"] - 1.519447605000835) <= tol
+
+
+def test_distance_curves_takes_no_propagator_norm(qubit_pipe, monkeypatch):
+    # one stacked norm per chunk and order: none of the true propagator
+    orders = [0, 1, 2, None]
+    op_norm, stacked = matcore.op_norm, []
+
+    def counting_op_norm(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacked.append(np.shape(a))
+        return op_norm(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "op_norm", counting_op_norm)
+    bench.distance_curves(qubit_pipe, orders)
+    times = len(bench.default_time_grid())
+    chunks = -(-times // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    assert len(stacked) == chunks * len(orders)
 
 
 def _count_decompose(monkeypatch) -> list:
@@ -161,10 +182,10 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
 
     expected = {key: [] for key in list(targets) + ["__norm__"]}
     for t in times:
-        true_prop = matcore.expm(t * total)
+        true_prop = matcore.expm(total, [t])[0]
         for key, target in targets.items():
             expected[key].append(
-                matcore.op_norm(true_prop - matcore.expm(t * target), "spectral")
+                matcore.op_norm(true_prop - matcore.expm(target, [t])[0], "spectral")
             )
         expected["__norm__"].append(matcore.op_norm(true_prop, "spectral"))
     assert set(table) == set(expected)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -51,7 +53,8 @@ class TestOpNorm:
 
 
 class TestStacks:
-    """op_norm, expm and numerical_rank on (..., n, n) stacks act slice by slice."""
+    """op_norm and numerical_rank on (..., n, n) stacks act slice by slice, and
+    every slice of expm over a time grid equals expm at that time alone."""
 
     @pytest.fixture
     def stack(self, rng):
@@ -67,19 +70,23 @@ class TestStacks:
         assert_allclose(norms, loop, rtol=1e-13, atol=0)
 
     def test_expm_matches_per_slice_loop(self, stack):
-        out = matcore.expm(stack)
-        assert out.shape == stack.shape and out.dtype == np.complex128
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], matcore.expm(stack[idx]))
+        # a grid with repeated points, over the range of the stack's scales
+        a = stack[1, 2] - (np.linalg.eigvals(stack[1, 2]).real.max() + 1.0) * np.eye(5)
+        times = np.array([0.0, 0.01, 3.0, 0.01, 100.0, 3.0, 1.0])
+        out = matcore.expm(a, times)
+        assert out.shape == (7, 5, 5) and out.dtype == np.complex128
+        for t, slice_ in zip(times, out):
+            assert np.array_equal(slice_, matcore.expm(a, [t])[0])
+        assert np.array_equal(out[-1], matcore.expm(a))
 
     def test_expm_unsorted_squarings_match_per_slice_loop(self, rng):
         # a reversed time grid: the number of squarings falls along the stack
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(4)
-        stack = np.logspace(-2, 4, 6)[::-1].reshape(2, 3, 1, 1) * a
-        out = matcore.expm(stack)
-        for idx in np.ndindex(2, 3):
-            assert np.array_equal(out[idx], matcore.expm(stack[idx]))
+        times = np.logspace(-2, 4, 6)[::-1]
+        out = matcore.expm(a, times)
+        for t, slice_ in zip(times, out):
+            assert np.array_equal(slice_, matcore.expm(a, [t])[0])
 
     @pytest.mark.parametrize("tol", [None, 1e-1])
     def test_numerical_rank_matches_per_slice_loop(self, stack, tol):
@@ -153,6 +160,68 @@ class TestExpm:
         lhs = matcore.expm((s + t) * a)
         rhs = matcore.expm(s * a) @ matcore.expm(t * a)
         assert matcore.op_norm(lhs - rhs, "spectral") < 1e-10
+
+
+
+class TestExpmGrid:
+    """expm(a, times): A's powers once, the time in the scalar coefficients."""
+
+    def test_zero_time_and_zero_matrix_give_the_identity(self, rng):
+        a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(5)
+        times = np.array([0.0, 0.5, 1e6, 0.0])
+        out = matcore.expm(a * 1e3, times)
+        assert np.array_equal(out[0], np.eye(5)) and np.array_equal(out[3], np.eye(5))
+        assert np.array_equal(matcore.expm(np.zeros((3, 3)), times), np.broadcast_to(np.eye(3), (4, 3, 3)))
+
+    def test_nilpotent_at_large_times(self):
+        # x^j of an exactly zero power overflows; it must never meet inf * 0
+        n = np.array([[0.0, 1.0], [0.0, 0.0]])
+        times = np.array([1.0, 1e6, 1e30])
+        out = matcore.expm(n, times)
+        for t, slice_ in zip(times, out):
+            assert np.array_equal(slice_, np.array([[1.0, t], [0.0, 1.0]]))
+
+    def test_negative_time_inverts(self, rng):
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a *= 10.0 / matcore.op_norm(a, "spectral")
+        for t in (0.37, 1.0):
+            prod = matcore.expm(a, [t])[0] @ matcore.expm(a, [-t])[0]
+            assert matcore.op_norm(prod - np.eye(6), "spectral") < 1e-10
+
+    def test_bad_times_rejected(self):
+        a = np.eye(2)
+        with pytest.raises(ValueError):
+            matcore.expm(a, np.ones((2, 2)))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteError):
+                matcore.expm(a, [0.0, bad])
+
+    def test_overflow_raises_without_warnings(self, rng):
+        # e^A overflows: the typed error only, no raw numpy RuntimeWarning
+        a = rng.normal(size=(9, 9))
+        a *= 1e6 / np.linalg.norm(a, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError):
+                matcore.expm(a)
+            with pytest.raises(NonFiniteError):
+                matcore.expm(a, [0.0, 1.0, 1e-3])
+
+    @pytest.mark.parametrize("n", [2, 4, 9, 25])
+    def test_grid_matches_scipy(self, n, rng):
+        # ||dE||_2 <= 8 eps max(1, |t| ||A||_1) max(1, ||e^{tA}||_2) for
+        # ||A||_1 in {1e-2, 1, 1e2}, shifted to Re spec(A) <= -1
+        eps = np.finfo(float).eps
+        base = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        times = np.logspace(-3, 6, 19)
+        for norm in (1e-2, 1.0, 1e2):
+            a = base * (norm / np.linalg.norm(base, 1))
+            a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(n)
+            for t, slice_ in zip(times, matcore.expm(a, times)):
+                ref = sla.expm(t * a)
+                scale = max(1.0, t * np.linalg.norm(a, 1)) * max(1.0, np.linalg.norm(ref, 2))
+                assert np.linalg.norm(slice_ - ref, 2) <= 8 * eps * scale
 
 
 class TestPrincipalSqrt:
