@@ -23,8 +23,8 @@ equations of a block against one shared certificate and derives both wave
 operators from them.  Solutions are found either by plain fixed-point
 iteration of the natural map or by Newton iteration, whose convergence is
 certified by computable Newton-Kantorovich constants
-(:func:`kantorovich_report`); a Newton step is a linear solve in n rank(P)
-unknowns, not n^2.  The same data feed the perturbative coefficient
+(:func:`kantorovich_report`); a Newton step is rank(P) linear solves of
+size n (a Sylvester sweep).  The same data feed the perturbative coefficient
 recursions and the symmetrized (Schrieffer-Wolff) series.
 """
 
@@ -34,6 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
 from . import matcore
 from .errors import BranchEscapeError, ConvergenceError, PreconditionError
@@ -263,12 +264,13 @@ def solve_equation(
     F and the residual R vanish on range(1 - P) as X and N do, so every
     iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r;
     Q and W are the factors stored on the block, ``blk.factors``) the
-    correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q:
-    kron(1_r, A) + kron(M^T, S) acting on vec(Y), an (n r) x (n r) system
-    in place of the n^2 x n^2 Jacobian.  Residual and ball-radius norms are
-    taken from the n x r factor on range(P^H) (:func:`matcore.supported_norm`),
-    an upper bound of the spectral norm equal to it on such matrices.  The
-    iteration aborts with
+    correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q.  In
+    the Schur basis of M = Z T Z^H this Sylvester equation is r n x n column
+    solves with A + T_jj S (Bartels-Stewart), in place of the (n r) x (n r)
+    Kronecker system and the n^2 x n^2 Jacobian.  Residual and ball-radius
+    norms are taken from the n x r factor on range(P^H)
+    (:func:`matcore.supported_norm`), an upper bound of the spectral norm
+    equal to it on such matrices.  The iteration aborts with
     :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
     ball (when one exists), so the returned solution is always the branch
     selected by the perturbative initial guess.  Fixed-point iteration takes
@@ -343,13 +345,20 @@ def solve_equation(
 
 
 def _range_step(blk, a, f, r):
-    """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q."""
-    q, w = blk.factors.q, blk.factors.w
-    n, rank = q.shape
+    """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q.
+
+    With M = Z T Z^H (complex Schur; at rank 1, T = M and Z = 1), Y' = Y Z
+    solves A Y' + S Y' T = -R Q Z, whose column j is the n x n system
+    (A + T_jj S) y'_j = g'_j - S sum_{k<j} y'_k T_kj, swept for j = 1..r.
+    """
+    q, w, s = blk.factors.q, blk.factors.w, blk.resolvent
     m = w @ f @ q
-    jac = np.kron(np.eye(rank, dtype=np.complex128), a) + np.kron(m.T, blk.resolvent)
-    y = matcore.solve_linear(jac, -(r @ q).reshape(-1, order="F"))
-    return y.reshape((n, rank), order="F") @ w
+    t, z = sla.schur(m, output="complex") if len(m) > 1 else (m, np.ones((1, 1)))
+    g = -(r @ q @ z)
+    y = np.empty_like(g)
+    for j in range(len(t)):
+        y[:, j] = matcore.solve_linear(a + t[j, j] * s, g[:, j] - s @ (y[:, :j] @ t[:j, j]))
+    return y @ (z.conj().T @ w)
 
 
 def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
@@ -393,7 +402,7 @@ def solve_block(
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
     taken from the block's factors (:func:`matcore.supported_norm`); the
-    support checks ||X (1 - P)|| keep their n x n norms.
+    four support checks ||X (1 - P)|| are n x n norms of one stack.
     """
     report = kantorovich_report(dec, c, gamma, ell)
     return _solve_block(dec, _weak_matrix(dec, c), gamma, ell, method, tol, report)
@@ -411,19 +420,22 @@ def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     wave_conj = wave_from_omega(blk_t, omega_conj.T, gamma).T
 
     comp = np.eye(dec.dim, dtype=np.complex128) - blk.projection
+    support = matcore.op_norm(
+        np.stack([omega @ comp, comp @ omega_conj, wave @ comp, comp @ wave_conj])
+    ).tolist()
     residuals = {
         "omega_eq": info_o["residual"],
-        "omega_support": matcore.op_norm(omega @ comp, "spectral"),
+        "omega_support": support[0],
         "omega_conj_eq": info_oc["residual"],
-        "omega_conj_support": matcore.op_norm(comp @ omega_conj, "spectral"),
+        "omega_conj_support": support[1],
         "wave_eq": matcore.supported_norm(
             wave_residual(blk, cm, gamma, wave), blk.factors.z
         ),
-        "wave_support": matcore.op_norm(wave @ comp, "spectral"),
+        "wave_support": support[2],
         "wave_conj_eq": matcore.supported_norm(
             wave_residual(blk_t, cm.T, gamma, wave_conj.T), blk_t.factors.z
         ),
-        "wave_conj_support": matcore.op_norm(comp @ wave_conj, "spectral"),
+        "wave_conj_support": support[3],
         # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
         "wave_deformation": matcore.supported_norm(wave - blk.projection, blk.factors.z),
         "wave_conj_deformation": matcore.supported_norm(

@@ -21,8 +21,6 @@ n x r factor.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 import scipy.linalg as sla
 
@@ -39,6 +37,7 @@ TOL_RANK = 1e-9
 # closed negative real axis) and solve_sylvester (separation of the spectra).
 _SQRT_AXIS_TOL = 1e-13
 _SYLVESTER_SEP_TOL = 1e-10
+_GETRF, _GECON, _GETRS = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=np.complex128)
 
 
 def as_cmatrix(a) -> np.ndarray:
@@ -58,7 +57,7 @@ def _as_cstack(a) -> np.ndarray:
 
 
 def _ensure_finite(m: np.ndarray, what: str) -> np.ndarray:
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise NonFiniteError(f"{what} contains NaN or Inf entries")
     return m
 
@@ -241,38 +240,30 @@ def principal_sqrt(a) -> np.ndarray:
 def solve_linear(a, y) -> np.ndarray:
     """Solve A X = Y for X, rejecting A singular within tolerance.
 
-    The reciprocal condition number is estimated from the LU factors
-    (LAPACK gecon); rcond < 10 eps^1.5 (about 3e-23, far below machine
-    epsilon) raises :class:`SingularMatrixError` with the estimate.  Newton
-    in :mod:`bloch` applies it to the (n r) x (n r) reduced Jacobian, which
-    is singular whenever the derivative on matrices vanishing on
-    range(1 - P) is.
+    LAPACK getrf/getrs, with the reciprocal condition number estimated from
+    the LU factors (gecon) and an exactly singular U taken as rcond 0;
+    rcond < 10 eps^1.5 (about 3e-23, far below machine epsilon) raises
+    :class:`SingularMatrixError` with the estimate.  Newton in :mod:`bloch`
+    applies it per column of its Sylvester sweep, to each A + T_jj S: in the
+    Schur basis of M the (n r) x (n r) Kronecker system is block-triangular
+    with these diagonal blocks, so it is singular exactly when one of them is.
     """
     m = as_cmatrix(a)
     _require_square(m, "solve_linear")
-    rhs = np.asarray(y, dtype=np.complex128)
-    _ensure_finite(rhs, "right-hand side")
+    rhs = _ensure_finite(np.asarray(y, dtype=np.complex128), "right-hand side")
     if rhs.shape[0] != m.shape[0]:
         raise ValueError(
             f"incompatible shapes {m.shape} and {rhs.shape} in solve_linear"
         )
-    try:
-        with warnings.catch_warnings():
-            # exactly singular input is detected via rcond below
-            warnings.simplefilter("ignore", sla.LinAlgWarning)
-            lu, piv = sla.lu_factor(m)
-    except (ValueError, np.linalg.LinAlgError) as exc:  # pragma: no cover
-        raise SingularMatrixError(f"LU factorization failed: {exc}") from exc
-    anorm = np.linalg.norm(m, 1)
-    rcond, info = sla.lapack.zgecon(lu, anorm)
+    lu, piv, info = _GETRF(m)
+    rcond, info = _GECON(lu, np.linalg.norm(m, 1)) if info == 0 else (0.0, 0)
     if info != 0 or not np.isfinite(rcond) or rcond < 10 * np.finfo(float).eps**1.5:
         cond = np.inf if rcond == 0 else 1.0 / max(rcond, np.finfo(float).tiny)
         raise SingularMatrixError(
             f"matrix singular to working precision (cond ~ {cond:.3e})",
             cond=cond,
         )
-    x = sla.lu_solve((lu, piv), rhs)
-    return _ensure_finite(np.asarray(x, dtype=np.complex128), "solve result")
+    return _ensure_finite(_GETRS(lu, piv, rhs)[0], "solve result")
 
 
 def solve_sylvester(a, b, y) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Built-in example models: the dissipative Lambda system, a qubit whose
 strong generator carries a nilpotent, the three-level system used to show
-that no fully physical effective generator exists, and random GKLS models
-for the invariant suites."""
+that no fully physical effective generator exists, random GKLS models for
+the invariant suites, and a strong Hamiltonian with two degenerate levels,
+whose eigenspaces have large rank."""
 
 from __future__ import annotations
 
@@ -131,6 +132,30 @@ def random_model(
         strong_dissipators=strong_d,
         weak_hamiltonian=_random_hermitian(dim, rng) * 0.5,
         weak_dissipators=weak_d,
+    )
+
+
+def degenerate_model(gamma: float, dim: int = 8, fold: int = 4, seed: int = 0) -> LindbladModel:
+    """Strong Hamiltonian with two ``fold``-fold levels, random weak GKLS part.
+
+    The strong part is -i[H0, .] with H0 = diag(0 (``fold`` times), 1
+    (``fold`` times), 2, 3, ...) on ``dim`` levels.  At dim = 2 fold its
+    eigenvalues 0, -i and i have ranks 2 fold^2, fold^2 and fold^2 (32, 16,
+    16 at dim = 8): the adiabatic-elimination regime, where the eigenspace
+    projections have large rank.  The weak Hamiltonian and dissipator are
+    those of ``random_model(dim, default_rng(seed))``.
+    """
+    if not 1 <= fold <= dim // 2:
+        raise ValueError(f"fold must be in 1..dim/2 = {dim // 2}, got {fold}")
+    levels = np.concatenate((np.zeros(fold), np.ones(fold), np.arange(2.0, dim - 2 * fold + 2)))
+    weak = random_model(dim, np.random.default_rng(seed))
+    return LindbladModel(
+        dim=dim,
+        gamma=gamma,
+        strong_hamiltonian=np.diag(levels).astype(np.complex128),
+        strong_dissipators=(),
+        weak_hamiltonian=weak.weak_hamiltonian,
+        weak_dissipators=weak.weak_dissipators,
     )
 
 

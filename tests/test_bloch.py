@@ -1,7 +1,9 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from adiabloch import bloch, liouville, matcore, spectral
@@ -19,10 +21,11 @@ from adiabloch.bloch import (
     wave_from_omega,
     wave_residual,
 )
-from adiabloch.errors import PreconditionError
+from adiabloch.errors import PreconditionError, SingularMatrixError
 from adiabloch.liouville import Superoperator, build_superop, gkls_decompose
 from adiabloch.models import (
     counterexample_model,
+    degenerate_model,
     lambda_model,
     qubit_nilpotent_model,
     random_model,
@@ -325,7 +328,9 @@ def _dense_newton(blk, c, gamma, which, tol=1e-12, max_iter=50):
 class TestReducedNewton:
     """Newton steps on range(P) against the dense Kronecker Newton oracle."""
 
-    @pytest.mark.parametrize("case", ["qubit", "counterexample", "random", "lambda"])
+    @pytest.mark.parametrize(
+        "case", ["qubit", "counterexample", "random", "lambda", "degenerate"]
+    )
     def test_matches_dense_kronecker_newton(
         self, case, lambda_pipe, qubit_dec, qubit_weak, monkeypatch
     ):
@@ -335,14 +340,19 @@ class TestReducedNewton:
             model = counterexample_model(5.0)
             dec = spectral.robust_decompose(build_superop(model, "strong").matrix)
             c, gamma = build_superop(model, "weak").matrix, model.gamma
-        elif case == "random":
-            m = random_model(3, np.random.default_rng(7))
+        elif case in ("random", "degenerate"):
+            if case == "random":
+                m = random_model(3, np.random.default_rng(7))
+            else:
+                m = degenerate_model(1.0, dim=4, fold=2)
             dec = spectral.decompose(build_superop(m, "strong").matrix)
             c = build_superop(m, "weak").matrix
             gamma = 4.0 * max(bloch.block_gamma_min(blk, c) for blk in dec.blocks)
         else:
             dec, c, gamma = lambda_pipe.decomposition, lambda_pipe.weak.matrix, 10.0
-        expected_rank = {"qubit": 2, "counterexample": 3, "random": 1, "lambda": 10}[case]
+        expected_rank = {
+            "qubit": 2, "counterexample": 3, "random": 1, "lambda": 10, "degenerate": 8
+        }[case]
         assert max(blk.rank for blk in dec.blocks) == expected_rank
 
         steps = []
@@ -370,6 +380,52 @@ class TestReducedNewton:
         for p, delta in steps:
             leak = matcore.op_norm(delta - delta @ p, "spectral")
             assert leak <= 1e-13 * max(1.0, matcore.op_norm(delta, "spectral")), (case, leak)
+
+    def test_large_rank_blocks_solve_only_n_by_n_systems(self, monkeypatch):
+        # two 4-fold levels at d = 8: ranks 32, 16, 16 of n = 64, where one
+        # Kronecker step would factor a 2048 x 2048 matrix
+        m = degenerate_model(1.0)
+        dec = spectral.decompose(build_superop(m, "strong").matrix)
+        c = build_superop(m, "weak").matrix
+        assert sorted(blk.rank for blk in dec.blocks) == [16, 16, 32]
+        gamma = 2.0 * max(bloch.block_gamma_min(blk, c) for blk in dec.blocks)
+        shapes = []
+        solve_linear = matcore.solve_linear
+
+        def recording_solve(a, y):
+            shapes.append(np.shape(a))
+            return solve_linear(a, y)
+
+        monkeypatch.setattr(matcore, "solve_linear", recording_solve)
+        sols = solve_blocks(dec, c, gamma)
+        assert all(sol.certified for sol in sols)
+        assert shapes and set(shapes) == {(dec.dim, dec.dim)}
+
+    def test_singular_column_system_is_typed(self, monkeypatch):
+        # M is non-normal with Schur form T; A = -T_11 S makes the second
+        # column matrix A + T_11 S exactly zero while the first stays regular
+        m = np.array([[1.0, 3.0], [0.5, 2.0]], dtype=complex)
+        t = sla.schur(m, output="complex")[0]
+        s = np.diag([1.0, 2.0, 3.0]).astype(complex)
+        eye = np.eye(3, 2, dtype=complex)
+        blk = SimpleNamespace(factors=SimpleNamespace(q=eye, w=eye.T), resolvent=s)
+        calls = []
+        solve_linear = matcore.solve_linear
+
+        def counting_solve(a, y):
+            calls.append(a)
+            return solve_linear(a, y)
+
+        monkeypatch.setattr(matcore, "solve_linear", counting_solve)
+        with pytest.raises(SingularMatrixError):
+            bloch._range_step(blk, -t[1, 1] * s, eye @ m @ eye.T, np.ones((3, 3)))
+        assert len(calls) == 2 and not np.any(calls[1])
+
+
+@pytest.mark.parametrize("dim, fold", [(3, 2), (4, 0)])
+def test_degenerate_model_rejects_impossible_fold(dim, fold):
+    with pytest.raises(ValueError, match="fold"):
+        degenerate_model(1.0, dim=dim, fold=fold)
 
 
 class TestKantorovich:

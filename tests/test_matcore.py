@@ -277,6 +277,39 @@ class TestSolveLinear:
             matcore.solve_linear(a, np.eye(2))
         assert err.value.cond is None or err.value.cond > 1e12
 
+    def test_bit_identical_to_scipy_lu(self, rng):
+        a = rng.normal(size=(25, 25)) + 1j * rng.normal(size=(25, 25))
+        lu_piv = sla.lu_factor(a)
+        for y in (rng.normal(size=25) + 1j * rng.normal(size=25),
+                  rng.normal(size=(25, 3)) + 1j * rng.normal(size=(25, 3))):
+            x = matcore.solve_linear(a, y)
+            assert x.shape == y.shape
+            assert np.array_equal(x, sla.lu_solve(lu_piv, y))
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])],
+                             ids=["zeros", "rank-deficient"])
+    def test_exactly_singular_is_typed_without_warnings(self, a):
+        # getrf reports a zero pivot: rcond 0, cond inf, and no LinAlgWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularMatrixError) as err:
+                matcore.solve_linear(a, np.ones(len(a)))
+        assert err.value.cond == np.inf
+
+    @pytest.mark.parametrize(
+        "bad",
+        [complex(np.inf, 1.0), complex(np.nan, 1.0), complex(1.0, np.inf), complex(1.0, np.nan)],
+        ids=["inf-real", "nan-real", "inf-imag", "nan-imag"],
+    )
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_non_finite_part_rejected(self, bad, where, rng):
+        # only one of the real and imaginary parts of one entry is non-finite
+        a = np.eye(4, dtype=complex) + 0.1 * rng.normal(size=(4, 4))
+        y = np.ones((4, 2), dtype=complex)
+        (a if where == "matrix" else y)[1, 1] = bad
+        with pytest.raises(NonFiniteError):
+            matcore.solve_linear(a, y)
+
 
 class TestSolveSylvester:
     def test_scalar_case(self):
