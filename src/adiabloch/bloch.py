@@ -347,13 +347,13 @@ def solve_equation(
 def _range_step(blk, a, f, r):
     """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q.
 
-    With M = Z T Z^H (complex Schur; at rank 1, T = M and Z = 1), Y' = Y Z
-    solves A Y' + S Y' T = -R Q Z, whose column j is the n x n system
-    (A + T_jj S) y'_j = g'_j - S sum_{k<j} y'_k T_kj, swept for j = 1..r.
+    With M = Z T Z^H (complex Schur), Y' = Y Z solves A Y' + S Y' T =
+    -R Q Z, whose column j is the n x n system (A + T_jj S) y'_j = g'_j -
+    S sum_{k<j} y'_k T_kj, swept for j = 1..r.
     """
     q, w, s = blk.factors.q, blk.factors.w, blk.resolvent
     m = w @ f @ q
-    t, z = sla.schur(m, output="complex") if len(m) > 1 else (m, np.ones((1, 1)))
+    t, z = sla.schur(m, output="complex")
     g = -(r @ q @ z)
     y = np.empty_like(g)
     for j in range(len(t)):

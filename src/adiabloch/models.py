@@ -135,7 +135,7 @@ def random_model(
     )
 
 
-def degenerate_model(gamma: float, dim: int = 8, fold: int = 4, seed: int = 0) -> LindbladModel:
+def degenerate_model(gamma: float, dim: int = 8, fold: int = 4) -> LindbladModel:
     """Strong Hamiltonian with two ``fold``-fold levels, random weak GKLS part.
 
     The strong part is -i[H0, .] with H0 = diag(0 (``fold`` times), 1
@@ -143,12 +143,12 @@ def degenerate_model(gamma: float, dim: int = 8, fold: int = 4, seed: int = 0) -
     eigenvalues 0, -i and i have ranks 2 fold^2, fold^2 and fold^2 (32, 16,
     16 at dim = 8): the adiabatic-elimination regime, where the eigenspace
     projections have large rank.  The weak Hamiltonian and dissipator are
-    those of ``random_model(dim, default_rng(seed))``.
+    those of ``random_model(dim, default_rng(0))``.
     """
     if not 1 <= fold <= dim // 2:
         raise ValueError(f"fold must be in 1..dim/2 = {dim // 2}, got {fold}")
     levels = np.concatenate((np.zeros(fold), np.ones(fold), np.arange(2.0, dim - 2 * fold + 2)))
-    weak = random_model(dim, np.random.default_rng(seed))
+    weak = random_model(dim, np.random.default_rng(0))
     return LindbladModel(
         dim=dim,
         gamma=gamma,
