@@ -391,32 +391,6 @@ def _jsonable(x):
     return x
 
 
-CASES = (
-    "lambda_numeric",
-    "lambda_analytic",
-    "table1",
-    "qubit_nilpotent",
-    "table2",
-    "counterexample",
-)
-
-
-def reproduce(case: str) -> ReproductionReport:
-    if case == "lambda_numeric":
-        return _case_lambda_numeric()
-    if case == "lambda_analytic":
-        return _case_lambda_analytic()
-    if case == "table1":
-        return _case_table1()
-    if case == "qubit_nilpotent":
-        return _case_qubit_nilpotent()
-    if case == "table2":
-        return _case_table2()
-    if case == "counterexample":
-        return _case_counterexample()
-    raise ValueError(f"unknown case {case!r}; known cases: {', '.join(CASES)}")
-
-
 def _significant_rates(form: liouville.GKLSForm, count: int) -> np.ndarray:
     rates = np.sort(np.array(form.rates))[::-1]
     return np.concatenate((rates[: count - 1], rates[-1:]))
@@ -937,6 +911,24 @@ def _case_counterexample() -> ReproductionReport:
             )
         )
     return ReproductionReport("counterexample", tuple(items))
+
+
+_SUITES = {
+    "lambda_numeric": _case_lambda_numeric,
+    "lambda_analytic": _case_lambda_analytic,
+    "table1": _case_table1,
+    "qubit_nilpotent": _case_qubit_nilpotent,
+    "table2": _case_table2,
+    "counterexample": _case_counterexample,
+}
+CASES = tuple(_SUITES)
+
+
+def reproduce(case: str) -> ReproductionReport:
+    """Run the reproduction suite ``case``, one of :data:`CASES`."""
+    if case not in CASES:
+        raise ValueError(f"unknown case {case!r}; known cases: {', '.join(CASES)}")
+    return _SUITES[case]()
 
 
 def bound_check(

@@ -47,22 +47,20 @@ def bracket(block: EigenspaceData, a, orientation: str = "right") -> np.ndarray:
     """Nilpotent-weighted bracket of an operator on one eigenspace.
 
     ``right``: sum_{m < n} S^m A N^m;  ``left``: sum_{m < n} N^m A S^m.
-    With no nilpotent (n = 1) this is the identity map.
+    With no nilpotent (n = 1) this is the identity map.  Any other
+    ``orientation`` raises ``ValueError``.
     """
+    if orientation not in ("right", "left"):
+        raise ValueError(f"unknown orientation {orientation!r}")
     mat = matcore.as_cmatrix(a)
     s, nil = block.resolvent, block.nilpotent
+    left, right = (s, nil) if orientation == "right" else (nil, s)
     out = mat.copy()
     left_fac = np.eye(mat.shape[0], dtype=np.complex128)
     right_fac = np.eye(mat.shape[0], dtype=np.complex128)
     for _m in range(1, block.index):
-        if orientation == "right":
-            left_fac = left_fac @ s
-            right_fac = right_fac @ nil
-        elif orientation == "left":
-            left_fac = left_fac @ nil
-            right_fac = right_fac @ s
-        else:
-            raise ValueError(f"unknown orientation {orientation!r}")
+        left_fac = left_fac @ left
+        right_fac = right_fac @ right
         out = out + left_fac @ mat @ right_fac
     return out
 
@@ -131,6 +129,14 @@ def _weak_matrix(dec: SpectralDecomposition, c) -> np.ndarray:
 def _require_block(dec: SpectralDecomposition, ell) -> None:
     if not (isinstance(ell, (int, np.integer)) and 0 <= ell < len(dec.blocks)):
         raise ValueError(f"ell must be in range({len(dec.blocks)}), got {ell!r}")
+
+
+def _series_block(dec: SpectralDecomposition, ell, order) -> EigenspaceData:
+    """Block ``ell`` of a series request, once ``ell`` and ``order`` are checked."""
+    _require_block(dec, ell)
+    if not (isinstance(order, (int, np.integer)) and order >= 0):
+        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    return dec.blocks[ell]
 
 
 def kantorovich_report(
@@ -500,8 +506,11 @@ class SeriesCoefficients:
 
 
 def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesCoefficients:
-    """Coefficients of omega from the order-by-order recursion."""
-    return _omega_series(dec.blocks[ell], matcore.as_cmatrix(c), ell, order)
+    """Coefficients of omega from the order-by-order recursion.
+
+    A bad ``ell`` or a negative ``order`` raises ``ValueError``.
+    """
+    return _omega_series(_series_block(dec, ell, order), matcore.as_cmatrix(c), ell, order)
 
 
 def _omega_series(blk: EigenspaceData, cm: np.ndarray, ell: int, order: int) -> SeriesCoefficients:
@@ -525,9 +534,10 @@ def generator_series(
 
     ``recursion`` builds them from the omega recursion for any order;
     ``closed`` evaluates the explicit bracket formulas (order <= 3), which
-    the recursion must reproduce.
+    the recursion must reproduce.  A bad ``ell`` or a negative ``order``
+    raises ``ValueError``.
     """
-    blk = dec.blocks[ell]
+    blk = _series_block(dec, ell, order)
     cm = matcore.as_cmatrix(c)
     if method == "recursion":
         om = omega_series(dec, c, ell, order)
@@ -635,10 +645,13 @@ def schrieffer_wolff_series(
     """Coefficients of the symmetrized block generator.
 
     ``closed`` evaluates the explicit formulas (order <= 3).  ``series``
-    composes the omega expansions through the symmetric similarity with the
-    square root handled by a truncated binomial series, valid at any order.
+    expands K = g (Y^(1/2) N Y^(-1/2) - N) + Y^(1/2) D Y^(-1/2), Y = 1 +
+    omega_conj S^2 omega / g^2, from the omega series with binomial series
+    for the roots, at any order.  Every term lives on range(P), so with
+    P = Q W it is carried as the r x r matrix W (.) Q, and coefficient j is
+    Q k_j W.  A bad ``ell`` or a negative ``order`` raises ``ValueError``.
     """
-    blk = dec.blocks[ell]
+    blk = _series_block(dec, ell, order)
     cm = matcore.as_cmatrix(c)
     if method == "closed":
         if order > 3:
@@ -652,32 +665,23 @@ def schrieffer_wolff_series(
         raise ValueError(f"unknown method {method!r}")
 
     work = order + 1  # one extra order: the nilpotent term carries a factor gamma
-    om = omega_series(dec, c, ell, work).coeffs
+    q, w = blk.factors.q, blk.factors.w
+    om_q = [o @ q for o in omega_series(dec, c, ell, work).coeffs]
     # omega_conj's coefficients: the omega recursion on transposed data
-    omc = [o.T for o in _omega_series(blk.transposed(), cm.T, ell, work).coeffs]
-    s2 = blk.resolvent @ blk.resolvent
-    n = dec.dim
-    zero = np.zeros((n, n), dtype=np.complex128)
-    q = [zero.copy() for _ in range(work + 1)]
-    for j in range(2, work + 1):
-        acc = zero.copy()
-        for a in range(j - 1):
-            acc = acc + omc[a] @ s2 @ om[j - 2 - a]
-        q[j] = acc
-    plus = _binomial_sqrt_series(q, 0.5, work)
-    minus = _binomial_sqrt_series(q, -0.5, work)
+    w_omc = [w @ o.T for o in _omega_series(blk.transposed(), cm.T, ell, work).coeffs]
+    s2_om_q = [blk.resolvent @ (blk.resolvent @ o) for o in om_q]
+    zero = np.zeros((blk.rank, blk.rank), dtype=np.complex128)
+    y = [zero] * 2 + [
+        sum(w_omc[a] @ s2_om_q[j - 2 - a] for a in range(j - 1)) for j in range(2, work + 1)
+    ]
+    plus = _binomial_sqrt_series(y, 0.5, work)
+    minus = _binomial_sqrt_series(y, -0.5, work)
 
-    d_series = [blk.projection @ o for o in om]
-    sym_d = _series_mul(_series_mul(plus, d_series, work), minus, work)
-    nil_series = [blk.nilpotent] + [zero.copy() for _ in range(work)]
+    sym_d = _series_mul(_series_mul(plus, [w @ o for o in om_q], work), minus, work)
+    nil_series = [w @ blk.nilpotent @ q] + [zero] * work
     sym_n = _series_mul(_series_mul(plus, nil_series, work), minus, work)
-
-    p = blk.projection
-    coeffs = []
-    for j in range(order + 1):
-        # gamma * (Y^1/2 N Y^-1/2 - N) shifts the series down one order
-        k_j = sym_n[j + 1] + sym_d[j]
-        coeffs.append(p @ k_j @ p)
+    # gamma * (Y^1/2 N Y^-1/2 - N) shifts the series down one order
+    coeffs = [q @ (sym_n[j + 1] + sym_d[j]) @ w for j in range(order + 1)]
     return SeriesCoefficients(ell, "K_series", tuple(coeffs))
 
 

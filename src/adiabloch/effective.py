@@ -5,9 +5,9 @@ builds the three effective generators sharing the block structure of the
 strong part: the one-sided generators D = sum_l P_l omega_l and its
 conjugate, and the symmetrized generator K obtained from the direct
 rotation W_l = (Ptilde_l P_l)^(1/2), where Ptilde_l is the perturbed
-spectral projection of the full generator.  It also verifies the
-similarity/intertwining relations and evaluates the uniform-in-time
-(eternal) error bounds.
+spectral projection of the full generator; K_l, W_l and Ptilde_l are built
+on the r x r factors of P_l.  It also verifies the similarity/intertwining
+relations and evaluates the uniform-in-time (eternal) error bounds.
 """
 
 from __future__ import annotations
@@ -22,8 +22,6 @@ from .bloch import BlochSolution, _gamma_min, _require_positive
 from .errors import ConvergenceError
 from .liouville import Superoperator
 from .spectral import SpectralDecomposition
-
-LEAKAGE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,23 @@ def build_effective(
 ) -> EffectiveGenerators:
     """Assemble D, its conjugate, K, and the transforms U, Utilde, W.
 
-    Requires one converged solution per spectral block.  The symmetrized
-    block generator is computed in the cancellation-free form
+    Requires one converged solution per spectral block.  With Y = 1 +
+    omega_conj S^2 omega / g^2, W_l = U Y^(-1/2) P, W_l^-1 = Y^(-1/2) Utilde,
+    Ptilde_l = U Y^-1 Utilde, and K_l takes the cancellation-free form
+    g (Y^(1/2) N Y^(-1/2) - N) P + Y^(1/2) D_l Y^(-1/2) P, identical to
+    W_l^-1 (g B + C) W_l - g B_l (cross-checked by :func:`verify_similarity`)
+    without the large-g subtraction.  omega = omega P and omega_conj =
+    P omega_conj, so Y - 1 = P (Y - 1) P, and with P = Q W (W Q = 1_r)
+    Y^(1/2) = (1 - P) + Q M W for the r x r root M = (1_r + W (Y - 1) Q)^(1/2).
+    With d = W omega Q, so that D_l = Q d W, and n = W N Q:
 
-        K_l = g (Y^(1/2) N Y^(-1/2) - N) P + Y^(1/2) D_l Y^(-1/2) P,
+        K_l = Q [g (M n M^-1 - n) + M d M^-1] W,
+        W_l = (U Q) M^-1 W,    W_l^-1 = Q M^-1 (W Utilde),
+        Ptilde_l = (U Q) M^-2 (W Utilde).
 
-    with Y = 1 + (1/g^2) omega_conj S^2 omega, which is algebraically
-    identical to W_l^{-1} (g B + C) W_l - g B_l but avoids the large-g
-    subtraction; the direct form is cross-checked by
-    :func:`verify_similarity`.
+    The root and the solves are r x r, and K_l = Q k W keeps the block
+    structure by construction, so no rounding leaks off the block and no
+    entrywise cut is needed.
     """
     if len(solutions) != len(dec.blocks):
         raise ValueError(
@@ -88,59 +94,39 @@ def build_effective(
             f"effective generators act on vectorized density operators; "
             f"matrix size {n} is not a squared Hilbert-space dimension"
         )
-    d_total = np.zeros((n, n), dtype=np.complex128)
-    dc_total = np.zeros((n, n), dtype=np.complex128)
-    k_total = np.zeros((n, n), dtype=np.complex128)
-    u_total = np.zeros((n, n), dtype=np.complex128)
-    uc_total = np.zeros((n, n), dtype=np.complex128)
-    w_total = np.zeros((n, n), dtype=np.complex128)
-    winv_total = np.zeros((n, n), dtype=np.complex128)
-    eye = np.eye(n, dtype=np.complex128)
     blocks = []
     for ell, (blk, sol) in enumerate(zip(dec.blocks, solutions)):
-        p, nil, s = blk.projection, blk.nilpotent, blk.resolvent
-        d_block = p @ sol.omega @ p
-        dc_block = p @ sol.omega_conj @ p
-        core = eye + (sol.omega_conj @ s @ s @ sol.omega) / gamma**2
+        s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
+        om_q, w_omc = sol.omega @ q, w @ sol.omega_conj
+        d_core = w @ om_q
+        eye = np.eye(blk.rank, dtype=np.complex128)
+        core = eye + w_omc @ (s @ (s @ om_q)) / gamma**2
         root = matcore.principal_sqrt(core)
         root_inv = matcore.solve_linear(root, eye)
-        rotation = sol.wave @ root_inv @ p
-        rotation_inv = root_inv @ sol.wave_conj
-        proj_pert = sol.wave @ matcore.solve_linear(core, sol.wave_conj)
-        k_block = gamma * (root @ nil @ root_inv @ p - nil) + root @ d_block @ root_inv @ p
-        k_block = p @ k_block @ p
-        # roundoff leakage scales with the cancelling gamma * nilpotent term
-        cut = LEAKAGE_TOL * max(1.0, gamma * float(np.abs(nil).max()))
-        k_block[np.abs(k_block) < cut] = 0.0
-
-        d_total += d_block
-        dc_total += dc_block
-        k_total += k_block
-        u_total += sol.wave
-        uc_total += sol.wave_conj
-        w_total += rotation
-        winv_total += rotation_inv
+        nil = w @ blk.nilpotent @ q
+        k_core = gamma * (root @ nil @ root_inv - nil) + root @ d_core @ root_inv
+        u_q, w_uc = sol.wave @ q, w @ sol.wave_conj
         blocks.append(
             BlockEffective(
                 ell=ell,
-                d_block=d_block,
-                d_conj_block=dc_block,
-                k_block=k_block,
-                rotation=rotation,
-                rotation_inv=rotation_inv,
-                projection_perturbed=proj_pert,
+                d_block=q @ d_core @ w,
+                d_conj_block=q @ (w_omc @ q) @ w,
+                k_block=q @ k_core @ w,
+                rotation=u_q @ root_inv @ w,
+                rotation_inv=q @ root_inv @ w_uc,
+                projection_perturbed=u_q @ matcore.solve_linear(core, w_uc),
             )
         )
     return EffectiveGenerators(
         dim=dim,
         gamma=gamma,
-        adiabatic=Superoperator(dim, d_total, "effective_D"),
-        adiabatic_conj=Superoperator(dim, dc_total, "effective_Dt"),
-        schrieffer_wolff=Superoperator(dim, k_total, "effective_K"),
-        transform=u_total,
-        transform_conj=uc_total,
-        rotation=w_total,
-        rotation_inv=winv_total,
+        adiabatic=Superoperator(dim, sum(b.d_block for b in blocks), "effective_D"),
+        adiabatic_conj=Superoperator(dim, sum(b.d_conj_block for b in blocks), "effective_Dt"),
+        schrieffer_wolff=Superoperator(dim, sum(b.k_block for b in blocks), "effective_K"),
+        transform=sum(sol.wave for sol in solutions),
+        transform_conj=sum(sol.wave_conj for sol in solutions),
+        rotation=sum(b.rotation for b in blocks),
+        rotation_inv=sum(b.rotation_inv for b in blocks),
         blocks=tuple(blocks),
     )
 

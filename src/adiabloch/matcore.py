@@ -247,6 +247,7 @@ def solve_linear(a, y) -> np.ndarray:
     applies it per column of its Sylvester sweep, to each A + T_jj S: in the
     Schur basis of M the (n r) x (n r) Kronecker system is block-triangular
     with these diagonal blocks, so it is singular exactly when one of them is.
+    A 0 x 0 system has the empty solution, returned without calling LAPACK.
     """
     m = as_cmatrix(a)
     _require_square(m, "solve_linear")
@@ -255,6 +256,8 @@ def solve_linear(a, y) -> np.ndarray:
         raise ValueError(
             f"incompatible shapes {m.shape} and {rhs.shape} in solve_linear"
         )
+    if m.size == 0:
+        return rhs.copy()
     lu, piv, info = _GETRF(m)
     rcond, info = _GECON(lu, np.linalg.norm(m, 1)) if info == 0 else (0.0, 0)
     if info != 0 or not np.isfinite(rcond) or rcond < 10 * np.finfo(float).eps**1.5:

@@ -591,6 +591,36 @@ class TestSeries:
             assert d_norm <= bound + 1e-12
 
 
+_BAD_SERIES_CALLS = {
+    "bracket-orientation-index-1": lambda dec, c: bracket(
+        next(b for b in dec.blocks if b.index == 1), c, "sideways"
+    ),
+    "omega-ell-too-large": lambda dec, c: omega_series(dec, c, len(dec.blocks), 1),
+    "omega-ell-negative": lambda dec, c: omega_series(dec, c, -1, 1),
+    "omega-order-negative": lambda dec, c: omega_series(dec, c, 0, -1),
+    "generator-ell-too-large": lambda dec, c: generator_series(dec, c, len(dec.blocks), 1),
+    "generator-order-negative": lambda dec, c: generator_series(dec, c, 0, -1),
+    "generator-closed-order-negative": lambda dec, c: generator_series(
+        dec, c, 0, -2, method="closed"
+    ),
+    "sw-ell-too-large": lambda dec, c: schrieffer_wolff_series(dec, c, len(dec.blocks), 1),
+    "sw-closed-order-negative": lambda dec, c: schrieffer_wolff_series(dec, c, 0, -1),
+    "sw-series-order-negative": lambda dec, c: schrieffer_wolff_series(
+        dec, c, 0, -1, method="series"
+    ),
+    "sw-order-not-integer": lambda dec, c: schrieffer_wolff_series(
+        dec, c, 0, 1.5, method="series"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(_BAD_SERIES_CALLS.values()), ids=list(_BAD_SERIES_CALLS))
+def test_bad_series_arguments_rejected(qubit_dec, qubit_weak, call):
+    # rejected up front, not as a raw IndexError or a short or empty result
+    with pytest.raises(ValueError, match="ell|order|orientation"):
+        call(qubit_dec, qubit_weak)
+
+
 class TestCorrectionSeries:
     def test_zero_case(self, lambda_pipe):
         dec = lambda_pipe.decomposition

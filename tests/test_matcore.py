@@ -286,6 +286,14 @@ class TestSolveLinear:
             assert x.shape == y.shape
             assert np.array_equal(x, sla.lu_solve(lu_piv, y))
 
+    @pytest.mark.parametrize("rhs_shape", [(0,), (0, 2)])
+    def test_empty_system_has_empty_solution(self, capfd, rhs_shape):
+        # LAPACK is not called: getrf on a 0 x 0 matrix prints an
+        # "illegal value" message to the terminal
+        x = matcore.solve_linear(np.zeros((0, 0)), np.zeros(rhs_shape))
+        assert x.shape == rhs_shape and x.dtype == np.complex128
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("a", [np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])],
                              ids=["zeros", "rank-deficient"])
     def test_exactly_singular_is_typed_without_warnings(self, a):
