@@ -1,7 +1,9 @@
 """Exact-propagation comparison engine and reproduction suites.
 
 Compares the true evolution exp(t(g B + C)) against the adiabatic
-approximations exp(t(g B + K_eff)) over a log-spaced time grid, extracts
+approximations exp(t(g B + K_eff)) over a log-spaced time grid, propagating
+each generator as a real matrix in the unit Hermitian (Gell-Mann) frame,
+where it preserves Hermiticity and trace by construction, and extracts
 upper envelopes and breakaway times, fits the breakaway-time scaling with
 the coupling, and re-derives the printed reference data of the built-in
 example models (dissipative Lambda system, qubit with nilpotent, and the
@@ -26,6 +28,7 @@ from .effective import (
     eternal_bound,
     multiset_spectral_distance,
 )
+from .errors import PhysicalityError
 from .liouville import LindbladModel, Superoperator, build_superop, gkls_decompose
 from .models import (
     counterexample_model,
@@ -165,23 +168,60 @@ def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 # Working-set budget of the propagation kernels, in bytes of one stacked
-# (points, n, n) complex array.  A distance-table chunk holds about four such
-# stacks at once (two propagators, V + U and V - U of matcore.expm), so a
-# fixed point count makes its working set grow like n^2.  On the `paper`
-# workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread) chunks of 64
-# points raised peak RSS from 71.7 to 77.2 MB, 256 KiB per stack (26 points)
-# by under 1.2 MB, and 16 KiB (one point) doubled curves_s.  At n = 64 one
+# (points, n, n) float64 array of the real frame.  A distance-table chunk
+# holds about four such stacks at once (two propagators, V + U and V - U of
+# matcore.expm), so a fixed point count makes its working set grow like n^2.
+# On the `paper` workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread)
+# complex chunks of 64 points raised peak RSS from 71.7 to 77.2 MB, 256 KiB
+# per stack (26 complex points) by under 1.2 MB, and 16 KiB (one point)
+# doubled curves_s.  The same 256 KiB holds 52 real points: peak RSS 70.94 MB
+# against 71.12 MB with 26 complex ones (medians of ten runs).  At n = 64 one
 # 401-point stack ran 1.5 times as long as 4-point chunks (cache).  Small n
 # gains from long stacks: at n = 4, 64-point chunks took 1.2-1.6 times as
 # long as one call for the whole grid.  _TIME_CHUNK caps the count for tiny
-# generators (n <= 6 still take the 401-point default grid in one call).
+# generators (n <= 9 take the 401-point default grid in one call).
 _CHUNK_BYTES = 256 * 1024
 _TIME_CHUNK = 512
 
 
-def _chunk_points(n: int) -> int:
-    """Time points per expm/SVD call for n x n generators."""
-    return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (16 * n * n)))
+def _chunk_points(n: int, itemsize: int = np.dtype(np.float64).itemsize) -> int:
+    """Time points per expm/SVD call for n x n generators of ``itemsize`` bytes."""
+    return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (itemsize * n * n)))
+
+
+# Bound on the Hermiticity and trace defects of a propagated generator G in
+# the unit frame, as a multiple c of eps ||G||_1 (largest entry of each).
+# Rounding in the superoperators and in U^H G U gave at most 0.24 eps ||G||_1
+# over the benchmark models (orders 0, 1, 2 and infinity, K and D) and
+# random d = 8 and 10 at their certified couplings.  c = 64 leaves more than
+# 250 times that, and what is dropped below it moves e^{tG} by at most
+# 64 eps t ||G||_1, a small multiple of the kernel's own accuracy class
+# (8 eps t ||G||_1); a generator that is not HP and TP to this level has no
+# real propagation and is rejected.
+_FRAME_DEFECT_TOL = 64
+
+
+def _real_frame(g: np.ndarray) -> np.ndarray:
+    """A generator as the real matrix U^H G U of the unit Hermitian frame U.
+
+    U is unitary, so the spectral, trace and Frobenius norms of e^{tG} and
+    of differences of such propagators are those of the real ones.  The
+    imaginary part (Hermiticity defect) and row 0 (trace defect) are
+    checked against ``_FRAME_DEFECT_TOL`` eps ||G||_1 and raise
+    :class:`PhysicalityError` above it; below it the real part is kept and
+    row 0 set to exactly zero, so the zero eigenvalue of a trace-preserving
+    generator stays at zero.
+    """
+    _, re, im = liouville._unit_frame_rep(g, math.isqrt(g.shape[0]))
+    tol = _FRAME_DEFECT_TOL * np.finfo(float).eps * np.linalg.norm(g, 1)
+    hp, tp = np.abs(im).max(), np.abs(re[0]).max()
+    if hp > tol or tp > tol:
+        raise PhysicalityError(
+            f"generator is not Hermiticity and trace preserving within {tol:.3e} "
+            f"(hp defect {hp:.3e}, tp defect {tp:.3e}); it has no real propagation"
+        )
+    re[0] = 0.0
+    return re
 
 
 def _distance_table(
@@ -193,12 +233,17 @@ def _distance_table(
 ) -> dict:
     """Distances to several targets, sharing the true propagator per time.
 
-    With ``with_norm``, ``__norm__`` holds the norm of the true propagator
+    Every generator is first mapped to the real Hermitian frame
+    (:func:`_real_frame`), all of them before any propagation, and the
+    propagators and their norms are taken there, in float64.  With
+    ``with_norm``, ``__norm__`` holds the norm of the true propagator
     exp(t total), which depends on ``total`` alone.
     """
+    total = _real_frame(total)
+    targets = {key: _real_frame(target) for key, target in targets.items()}
     keys = list(targets) + (["__norm__"] if with_norm else [])
     table = {key: np.empty(len(times)) for key in keys}
-    step = _chunk_points(total.shape[0])
+    step = _chunk_points(total.shape[0], total.itemsize)
     for start in range(0, len(times), step):
         part = slice(start, start + step)
         true_prop = matcore.expm(total, times[part])

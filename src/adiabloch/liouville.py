@@ -280,16 +280,38 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return basis + sym + asym + diag
 
 
-def _basis_frame(d: int) -> np.ndarray:
-    """Columns vec(tau_a) of the Hermitian basis; cached per dimension."""
-    cached = _basis_frame._cache.get(d)
+def _unit_frame(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unitary U with columns vec(tau_a) / |tau_a|, and the norms |tau_a|.
+
+    |tau_a| is the Hilbert-Schmidt norm: sqrt(d) for the identity, sqrt(2)
+    for the rest, so column 0 of U is vec(1)/sqrt(d).  Cached per dimension,
+    read-only.
+    """
+    cached = _unit_frame._cache.get(d)
     if cached is None:
-        cached = np.column_stack([vec(t) for t in hermitian_basis(d)])
-        _basis_frame._cache[d] = cached
+        norms = np.sqrt(np.r_[float(d), np.full(d * d - 1, 2.0)])
+        frame = np.column_stack([vec(t) for t in hermitian_basis(d)]) / norms
+        frame.flags.writeable = norms.flags.writeable = False
+        cached = _unit_frame._cache[d] = (frame, norms)
     return cached
 
 
-_basis_frame._cache = {}
+_unit_frame._cache = {}
+
+
+def _unit_frame_rep(matrix: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A generator G in the unit frame U of :func:`_unit_frame`.
+
+    Returns (|tau_a|, Re G_u, Im G_u) for G_u = U^H G U.  G preserves
+    Hermiticity exactly when G_u is real, so Im G_u is its Hermiticity
+    defect; row 0 of G_u holds tr G(u_b) / sqrt(d), which vanishes exactly
+    when G preserves the trace, so that row is its trace defect.  In the
+    unnormalized frame the same generator is the diagonal similarity
+    diag(1/|tau|) G_u diag(|tau|).
+    """
+    frame, norms = _unit_frame(d)
+    g = frame.conj().T @ matrix @ frame
+    return norms, g.real.copy(), g.imag
 
 
 def coherence_rep(sop: Superoperator) -> tuple[np.ndarray, float]:
@@ -299,13 +321,10 @@ def coherence_rep(sop: Superoperator) -> tuple[np.ndarray, float]:
     Hermiticity-preserving exactly when all elements are real, so the
     maximum imaginary modulus is returned as the HP defect.
     """
-    d = sop.dim
-    frame = _basis_frame(d)
-    norms = np.real(np.sum(frame.conj() * frame, axis=0))  # (tau_i | tau_i)
-    g = frame.conj().T @ sop.matrix @ frame
-    m = g / norms[:, None]
-    defect = float(np.abs(m.imag).max()) if m.size else 0.0
-    return np.real(m).copy(), defect
+    norms, re, im = _unit_frame_rep(sop.matrix, sop.dim)
+    scale = norms / norms[:, None]
+    defect = float(np.abs(im * scale).max()) if im.size else 0.0
+    return re * scale, defect
 
 
 @dataclass(frozen=True)
@@ -372,13 +391,12 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
         )
     d = sop.dim
     n = d * d
-    taus = hermitian_basis(d)
-    frame = [taus[0] / np.sqrt(d)] + [t / np.sqrt(2.0) for t in taus[1:]]
+    g = _unit_frame(d)[0]
+    frame = [unvec(g[:, a], d) for a in range(n)]
     # L = sum_ab x_ab (F_b^T kron F_a); the reshuffle R[(i,k),(l,j)] =
     # L[(i,j),(k,l)] turns this into R = G x G^T with G = [vec(F_a)] unitary.
     tens = sop.matrix.reshape(d, d, d, d, order="F")
     reshuffled = np.transpose(tens, (0, 2, 3, 1)).reshape(n, n, order="F")
-    g = np.column_stack([vec(f) for f in frame])
     x = g.conj().T @ reshuffled @ g.conj()
     x = 0.5 * (x + x.conj().T)  # HP makes x Hermitian; symmetrize rounding
 

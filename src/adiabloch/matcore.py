@@ -1,10 +1,15 @@
-"""Dense complex-matrix kernel used by every other module.
+"""Dense matrix kernel used by every other module.
 
 Thin, contract-enforcing fronts over LAPACK-backed numpy/scipy routines:
 unitarily invariant norms, the principal matrix square root (Schur method),
 linear and Sylvester solves, and the matrix exponential.  All functions are
-pure: inputs are never mutated, outputs are freshly allocated ``complex128``
-arrays, and every public operation guarantees finite entries on return.
+pure: inputs are never mutated, outputs are freshly allocated, and every
+public operation rejects non-finite input and guarantees finite entries on
+return.  :func:`expm` and :func:`op_norm` (and :func:`numerical_rank` and
+:func:`supported_norm`) keep the input's kind: real input is taken as
+``float64``, never cast up to complex, and gives a ``float64`` exponential;
+complex input is taken as ``complex128``.  Either way the arithmetic is the
+same.  The square root and the solves compute in ``complex128``.
 :func:`op_norm` and :func:`numerical_rank` also take stacks of shape
 ``(..., n, n)`` and act on each matrix of the stack, so many certificate
 residuals, or the points of a time grid, are measured in one call.
@@ -42,15 +47,22 @@ _GETRF, _GECON, _GETRS = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype
 
 def as_cmatrix(a) -> np.ndarray:
     """Return ``a`` as a 2-d complex128 array, rejecting non-finite input."""
-    m = _as_cstack(a)
+    return _as_matrix(np.asarray(a, dtype=np.complex128))
+
+
+def _as_matrix(a) -> np.ndarray:
+    """Return ``a`` as a 2-d float64 (real input) or complex128 array."""
+    m = _as_stack(a)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
     return m
 
 
-def _as_cstack(a) -> np.ndarray:
-    """Return ``a`` as a complex128 matrix or stack of matrices (ndim >= 2)."""
-    m = np.asarray(a, dtype=np.complex128)
+def _as_stack(a) -> np.ndarray:
+    """Return ``a`` as a matrix or stack of matrices (ndim >= 2): float64 for
+    real input, complex128 otherwise."""
+    m = np.asarray(a)
+    m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack, got shape {m.shape}")
     return _ensure_finite(m, "input")
@@ -75,11 +87,12 @@ def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
 
     ``spectral``: largest singular value; ``trace``: sum of singular values;
     ``frobenius``: root-sum-square of moduli.  Returns a ``float`` for one
-    matrix and an array of shape ``a.shape[:-2]`` for a stack.
+    matrix and an array of shape ``a.shape[:-2]`` for a stack.  A real
+    stack is decomposed as it is, not cast up to complex.
     """
     if kind not in _NORM_KINDS:
         raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
-    m = _as_cstack(a)
+    m = _as_stack(a)
     if kind == "frobenius":
         norms = np.linalg.norm(m, axis=(-2, -1))
     else:
@@ -101,7 +114,7 @@ def supported_norm(x, basis) -> float | np.ndarray:
     columns in a basis change nothing, so bases of different ranks stack
     once padded with zeros.
     """
-    m = _as_cstack(x)
+    m = _as_stack(x)
     v = np.asarray(basis, dtype=np.complex128)
     xv = m @ v
     on = np.linalg.svd(xv, compute_uv=False).max(axis=-1, initial=0.0)
@@ -114,9 +127,10 @@ def expm(a, times=None) -> np.ndarray:
     """Matrix exponential e^A, or the stack of e^{tA} over a grid of times.
 
     With ``times`` None returns e^A, bit for bit ``expm(a, [1.0])[0]``; with
-    a 1-d grid of k finite times, the (k, n, n) stack of e^{tA}.  Scaling and
-    squaring with the degree-13 Pade approximant (Al-Mohy & Higham, SIAM J.
-    Matrix Anal. Appl. 31, 970-989, 2009), by homogeneity in t: with
+    a 1-d grid of k finite times, the (k, n, n) stack of e^{tA}; ``float64``
+    for real A and ``complex128`` otherwise.  Scaling and squaring with the
+    degree-13 Pade approximant (Al-Mohy & Higham, SIAM J. Matrix Anal.
+    Appl. 31, 970-989, 2009), by homogeneity in t: with
     A = 2^e B exactly, ||B||_1 in [1/2, 1), B^0..B^13 take 12 matmuls once.
     Time t gets s = max(0, ceil(log2(|2^e t| eta / 4.25))), as d_j(tA) =
     |t| d_j(A) for eta = min(max(d_6, d_8), max(d_8, d_10)), d_j the exact
@@ -133,14 +147,14 @@ def expm(a, times=None) -> np.ndarray:
     s + ell times.  Overflow raises :class:`NonFiniteError`, without numpy
     warnings.
     """
-    m = as_cmatrix(a)
+    m = _as_matrix(a)
     _require_square(m, "expm")
     grid = np.ones(1) if times is None else np.asarray(times, dtype=np.float64)
     if grid.ndim != 1:
         raise ValueError(f"expm takes a 1-d grid of times, got shape {grid.shape}")
     _ensure_finite(grid, "times")
     if m.size == 0 or grid.size == 0:
-        out = np.zeros((grid.size,) + m.shape, dtype=np.complex128)
+        out = np.zeros((grid.size,) + m.shape, dtype=m.dtype)
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             out = _ensure_finite(_expm_grid(m, grid), "expm result")
@@ -170,13 +184,17 @@ def _norm1(x: np.ndarray) -> np.ndarray:
 
 
 def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """e^{tA} of a finite nonempty complex A at each time of a finite 1-d grid."""
+    """e^{tA} of a finite nonempty float64 or complex128 A at each time of a
+    finite 1-d grid, in A's dtype."""
     n = a.shape[0]
     a_norm, e = np.frexp(_norm1(a))
-    powers = np.empty((14, n, n), dtype=np.complex128)
+    powers = np.empty((14, n, n), dtype=a.dtype)
     powers[0] = np.eye(n)
-    # ldexp, as 2^-e overflows for a subnormal A
-    powers[1].real, powers[1].imag = np.ldexp(a.real, -e), np.ldexp(a.imag, -e)
+    # ldexp on the float64 view (both parts of a complex A), as 2^-e
+    # overflows for a subnormal A
+    powers[1] = a
+    scaled = powers[1].view(np.float64)
+    np.ldexp(scaled, -e, out=scaled)
     for k, (i, j) in enumerate(_POWER_FACTORS, start=2):
         np.matmul(powers[i], powers[j], out=powers[k])
     power_norms = _norm1(powers)
@@ -198,7 +216,7 @@ def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     unit = np.ldexp(powers.reshape(14, -1).view(np.float64), -f[:, None])
     # a (2 x 14) product per time, not one gemm over all times, whose rows
     # BLAS rounds unlike a lone row: no time may depend on the others
-    sums = ((coef[:, None, :] * _SIGNS) @ unit).view(np.complex128).reshape(len(t), 2, n, n)
+    sums = ((coef[:, None, :] * _SIGNS) @ unit).view(a.dtype).reshape(len(t), 2, n, n)
     r = np.linalg.solve(sums[:, 1], sums[:, 0])
     del sums
     # square the times in order of steps, so squaring j acts on the suffix with steps > j
@@ -303,7 +321,7 @@ def numerical_rank(a, tol: float | None = None) -> int | np.ndarray:
     Returns an ``int`` for one matrix and an array of shape ``a.shape[:-2]``
     for a stack, each matrix ranked against its own sigma_max by default.
     """
-    m = _as_cstack(a)
+    m = _as_stack(a)
     s = np.linalg.svd(m, compute_uv=False)
     cutoff = TOL_RANK * s.max(axis=-1, initial=0.0)[..., None] if tol is None else tol
     ranks = np.count_nonzero(s > cutoff, axis=-1)

@@ -6,9 +6,13 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from adiabloch import bench, matcore, spectral
-from adiabloch.liouville import LindbladModel
+from adiabloch import bench, liouville, matcore, models, spectral
+from adiabloch.effective import eternal_bound
+from adiabloch.errors import PhysicalityError
+from adiabloch.liouville import LindbladModel, build_superop
 from adiabloch.models import lambda_model
+
+EPS = np.finfo(float).eps
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +184,9 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
     targets = {0: lambda_pipe.effective_total(0), None: lambda_pipe.effective_total()}
     table = bench._distance_table(total, targets, times, "spectral")
 
+    # the same real-frame generators, one time point per kernel call
+    total = bench._real_frame(total)
+    targets = {key: bench._real_frame(target) for key, target in targets.items()}
     expected = {key: [] for key in list(targets) + ["__norm__"]}
     for t in times:
         true_prop = matcore.expm(total, [t])[0]
@@ -191,6 +198,85 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
     assert set(table) == set(expected)
     for key, values in expected.items():
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
+
+
+def test_real_frame_distances_match_complex_propagation(lambda_pipe):
+    # the complex kernel on the raw superoperators, within its accuracy class
+    # 8 eps t ||A||_1; a grid call gives each time its single-point arithmetic
+    times = bench.default_time_grid()
+    total = lambda_pipe.total_matrix
+    targets = {k: lambda_pipe.effective_total(k) for k in (0, 2, None)}
+    table = bench._distance_table(total, targets, times, "spectral")
+    true_prop = matcore.expm(total, times)
+    assert true_prop.dtype == np.complex128
+    for key, target in targets.items():
+        ref = matcore.op_norm(true_prop - matcore.expm(target, times), "spectral")
+        a_norm = max(np.linalg.norm(total, 1), np.linalg.norm(target, 1))
+        assert np.all(np.abs(table[key] - ref) <= 8 * EPS * times * a_norm)
+    # the norm of a propagator near 1 rounds like 1, also at small t
+    ref = matcore.op_norm(true_prop, "spectral")
+    a_norm = np.linalg.norm(total, 1)
+    assert np.all(np.abs(table["__norm__"] - ref) <= 8 * EPS * np.maximum(1.0, times * a_norm) * ref)
+
+
+def _with_frame_defect(g: np.ndarray, kind: str, size: float) -> np.ndarray:
+    """g plus ``size`` in one entry of U^H g U: imaginary (Hermiticity) or in row 0 (trace)."""
+    frame, _ = liouville._unit_frame(int(np.sqrt(g.shape[0])))
+    bump = np.zeros(g.shape, dtype=np.complex128)
+    if kind == "hermiticity":
+        bump[3, 7] = 1j * size
+    else:
+        bump[0, 7] = size
+    return g + frame @ bump @ frame.conj().T
+
+
+@pytest.mark.parametrize("kind", ["hermiticity", "trace"])
+def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, monkeypatch, kind):
+    times = np.array([0.0, 1.0, 1e3])
+    total, target = lambda_pipe.total_matrix, lambda_pipe.effective_total(0)
+    tol = bench._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
+    expected = bench._distance_table(total, {0: target}, times, "spectral")
+    below = bench._distance_table(
+        total, {0: _with_frame_defect(target, kind, 0.9 * tol)}, times, "spectral"
+    )
+    assert_allclose(below[0], expected[0], rtol=1e-10, atol=1e-14)
+
+    def no_propagation(*args, **kwargs):
+        raise AssertionError("propagated before the generators were checked")
+
+    monkeypatch.setattr(matcore, "expm", no_propagation)
+    above = _with_frame_defect(target, kind, 1.1 * tol)
+    with pytest.raises(PhysicalityError, match="hp defect"):
+        bench._distance_table(total, {0: above}, times, "spectral")
+
+
+# ||e^{tG} - e^{tK}||_2 for random d = 8 (seed 11) at its certified coupling,
+# G = gamma B + C and K the nonperturbative generator, both as stored by the
+# pipeline and mapped to the real frame.  mpmath expm at 40 digits gives
+# these 25 digits at t = 1, 1e2, 1e4, 1e5 and 1e6, and at 60 digits the same
+# at t = 1e6.
+RANDOM_D8_PLATEAU = 2.273435624922637884593339e-4
+
+
+@pytest.fixture(scope="module")
+def random_d8_certified():
+    model = models.random_model(8, np.random.default_rng(11))
+    strong, weak = build_superop(model, "strong"), build_superop(model, "weak")
+    dec = spectral.decompose(strong.matrix)
+    gamma = 2.0 * max(eternal_bound(dec, weak.matrix, 1.0).gamma_blocks)
+    return bench._solve_and_assemble(dataclasses.replace(model, gamma=gamma), strong, weak, dec)
+
+
+def test_random_d8_distance_at_large_time(random_d8_certified):
+    assert random_d8_certified.model.gamma == pytest.approx(1.709e4, rel=1e-3)
+    curve = bench.distance_curves(random_d8_certified, [None], np.array([1e6]))[None]
+    assert_allclose(curve.distances, RANDOM_D8_PLATEAU, rtol=1e-6)
+
+
+def test_random_d8_distance_is_a_plateau(random_d8_certified):
+    times = np.array([1.0, 1e2, 1e4, 1e5])
+    curve = bench.distance_curves(random_d8_certified, [None], times)[None]
+    assert_allclose(curve.distances, RANDOM_D8_PLATEAU, rtol=1e-6)
 
 
 def _loop_envelope(times, values):

@@ -117,6 +117,21 @@ class TestCoherenceRep:
         _, defect = coherence_rep(total)
         assert defect < 1e-12
 
+    def test_is_a_diagonal_similarity_of_the_unit_frame(self, lambda_pipe, rng):
+        # the normalised Gell-Mann frame of coherence_rep: (tau_i|L tau_j)/(tau_i|tau_i)
+        sops = [lambda_pipe.strong, lambda_pipe.weak, Superoperator(5, lambda_pipe.total_matrix)]
+        sops += [build_superop(random_model(d, rng), "total") for d in (2, 3, 4)]
+        mat = lambda_pipe.strong.matrix.copy()
+        mat[2, 3] += 3e-4j
+        for sop in sops + [Superoperator(5, mat)]:
+            frame = np.column_stack([vec(t) for t in hermitian_basis(sop.dim)])
+            norms = np.real(np.sum(frame.conj() * frame, axis=0))
+            ref = frame.conj().T @ sop.matrix @ frame / norms[:, None]
+            rep, defect = coherence_rep(sop)
+            scale = max(1.0, np.abs(ref).max())
+            assert np.abs(rep - ref.real).max() <= 1e-15 * scale
+            assert abs(defect - np.abs(ref.imag).max()) <= 1e-15 * scale
+
     def test_homomorphism(self, rng):
         m1 = random_model(3, rng)
         m2 = random_model(3, rng)

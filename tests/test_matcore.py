@@ -43,8 +43,29 @@ class TestOpNorm:
     def test_rejects_nan(self):
         a = np.eye(2, dtype=complex)
         a[0, 1] = np.nan
-        with pytest.raises(NonFiniteError):
-            matcore.op_norm(a)
+        for a in (a, a.real):
+            with pytest.raises(NonFiniteError):
+                matcore.op_norm(a)
+            with pytest.raises(NonFiniteError):
+                matcore.expm(a)
+
+    @pytest.mark.parametrize("kind", ["spectral", "trace", "frobenius"])
+    def test_real_stack_is_not_cast_to_complex(self, rng, monkeypatch, kind):
+        stack = rng.normal(size=(3, 6, 6))
+        expected = matcore.op_norm(stack.astype(np.complex128), kind)
+        seen = []
+
+        def recording(fn):
+            def wrapper(a, *args, **kwargs):
+                seen.append(np.asarray(a).dtype)
+                return fn(a, *args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(np.linalg, "svd", recording(np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "norm", recording(np.linalg.norm))
+        norms = matcore.op_norm(stack, kind)
+        assert seen == [np.float64]
+        assert_allclose(norms, expected, rtol=1e-15, atol=0)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 3)])
     def test_unknown_kind_rejected_for_every_shape(self, shape):
@@ -70,23 +91,26 @@ class TestStacks:
         assert_allclose(norms, loop, rtol=1e-13, atol=0)
 
     def test_expm_matches_per_slice_loop(self, stack):
-        # a grid with repeated points, over the range of the stack's scales
-        a = stack[1, 2] - (np.linalg.eigvals(stack[1, 2]).real.max() + 1.0) * np.eye(5)
-        times = np.array([0.0, 0.01, 3.0, 0.01, 100.0, 3.0, 1.0])
-        out = matcore.expm(a, times)
-        assert out.shape == (7, 5, 5) and out.dtype == np.complex128
-        for t, slice_ in zip(times, out):
-            assert np.array_equal(slice_, matcore.expm(a, [t])[0])
-        assert np.array_equal(out[-1], matcore.expm(a))
+        # a grid with repeated points, over the range of the stack's scales;
+        # a real matrix stays real, with the same arithmetic
+        for a in (stack[1, 2], stack[1, 2].real):
+            a = a - (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(5)
+            times = np.array([0.0, 0.01, 3.0, 0.01, 100.0, 3.0, 1.0])
+            out = matcore.expm(a, times)
+            assert out.shape == (7, 5, 5) and out.dtype == a.dtype
+            for t, slice_ in zip(times, out):
+                assert np.array_equal(slice_, matcore.expm(a, [t])[0])
+            assert np.array_equal(out[-1], matcore.expm(a))
 
     def test_expm_unsorted_squarings_match_per_slice_loop(self, rng):
         # a reversed time grid: the number of squarings falls along the stack
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(4)
-        times = np.logspace(-2, 4, 6)[::-1]
-        out = matcore.expm(a, times)
-        for t, slice_ in zip(times, out):
-            assert np.array_equal(slice_, matcore.expm(a, [t])[0])
+        for a in (a, a.real):
+            a = a - (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(4)
+            times = np.logspace(-2, 4, 6)[::-1]
+            out = matcore.expm(a, times)
+            for t, slice_ in zip(times, out):
+                assert np.array_equal(slice_, matcore.expm(a, [t])[0])
 
     @pytest.mark.parametrize("tol", [None, 1e-1])
     def test_numerical_rank_matches_per_slice_loop(self, stack, tol):
@@ -123,12 +147,17 @@ class TestExpm:
         assert_allclose(matcore.expm(np.zeros((3, 3))), np.eye(3), atol=1e-15)
 
     def test_diagonal(self):
-        d = np.diag([0.3, -1.2 + 0.5j, 2.0j])
-        assert_allclose(matcore.expm(d), np.diag(np.exp(np.diag(d))), rtol=1e-14)
+        for d in (np.diag([0.3, -1.2 + 0.5j, 2.0j]), np.diag([0.3, -1.2, 2.0])):
+            out = matcore.expm(d)
+            assert out.dtype == d.dtype
+            assert_allclose(out, np.diag(np.exp(np.diag(d))), rtol=1e-14)
 
     def test_nilpotent_truncates(self):
-        n = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert_allclose(matcore.expm(n), np.array([[1, 1], [0, 1]]), atol=1e-15)
+        for dtype in (np.complex128, np.float64):
+            n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype)
+            out = matcore.expm(n)
+            assert out.dtype == dtype
+            assert_allclose(out, np.array([[1, 1], [0, 1]]), atol=1e-15)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
@@ -136,9 +165,10 @@ class TestExpm:
 
     def test_inverse_identity(self, rng):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-        a *= 10.0 / matcore.op_norm(a, "spectral")
-        prod = matcore.expm(a) @ matcore.expm(-a)
-        assert matcore.op_norm(prod - np.eye(6), "spectral") < 1e-10
+        for a in (a, a.real):
+            a = a * (10.0 / matcore.op_norm(a, "spectral"))
+            prod = matcore.expm(a) @ matcore.expm(-a)
+            assert matcore.op_norm(prod - np.eye(6), "spectral") < 1e-10
 
     @pytest.mark.parametrize("n", [2, 4, 9, 25])
     def test_matches_scipy(self, n, rng):
@@ -176,11 +206,13 @@ class TestExpmGrid:
 
     def test_nilpotent_at_large_times(self):
         # x^j of an exactly zero power overflows; it must never meet inf * 0
-        n = np.array([[0.0, 1.0], [0.0, 0.0]])
-        times = np.array([1.0, 1e6, 1e30])
-        out = matcore.expm(n, times)
-        for t, slice_ in zip(times, out):
-            assert np.array_equal(slice_, np.array([[1.0, t], [0.0, 1.0]]))
+        for dtype in (np.complex128, np.float64):
+            n = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=dtype)
+            times = np.array([1.0, 1e6, 1e30])
+            out = matcore.expm(n, times)
+            assert out.dtype == dtype
+            for t, slice_ in zip(times, out):
+                assert np.array_equal(slice_, np.array([[1.0, t], [0.0, 1.0]]))
 
     def test_negative_time_inverts(self, rng):
         a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
@@ -203,10 +235,11 @@ class TestExpmGrid:
         a *= 1e6 / np.linalg.norm(a, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NonFiniteError):
-                matcore.expm(a)
-            with pytest.raises(NonFiniteError):
-                matcore.expm(a, [0.0, 1.0, 1e-3])
+            for a in (a.astype(np.complex128), a):
+                with pytest.raises(NonFiniteError):
+                    matcore.expm(a)
+                with pytest.raises(NonFiniteError):
+                    matcore.expm(a, [0.0, 1.0, 1e-3])
 
     @pytest.mark.parametrize("n", [2, 4, 9, 25])
     def test_grid_matches_scipy(self, n, rng):
