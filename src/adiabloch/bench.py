@@ -72,18 +72,25 @@ class PipelineResult:
         """K (order None) and k_eff(order) for each finite order.
 
         Each block's series is built once, to the largest finite order, and
-        the lower orders are its truncations.
+        the lower orders are its truncations.  A block whose solution was
+        mapped from another (``mapped_from``) takes the image of its sums.
         """
         finite = [order for order in orders if order is not None]
         if finite and min(finite) < 0:
             raise ValueError(f"truncation order must be >= 0, got {min(finite)}")
         out = {order: np.zeros_like(self.weak.matrix) for order in finite}
-        for ell in range(len(self.decomposition.blocks) if finite else 0):
-            series = schrieffer_wolff_series(
-                self.decomposition, self.weak.matrix, ell, max(finite), method="series"
-            )
+        sums = []
+        for ell, sol in enumerate(self.solutions if finite else ()):
+            if sol.mapped_from is None:
+                series = schrieffer_wolff_series(
+                    self.decomposition, self.weak.matrix, ell, max(finite), method="series"
+                )
+                part = {order: series.truncated_sum(self.model.gamma, order) for order in finite}
+            else:
+                part = {order: liouville._hp_image(x) for order, x in sums[sol.mapped_from].items()}
+            sums.append(part)
             for order in finite:
-                out[order] = out[order] + series.truncated_sum(self.model.gamma, order)
+                out[order] = out[order] + part[order]
         out[None] = self.generators.schrieffer_wolff.matrix
         return out
 
@@ -189,31 +196,19 @@ def _chunk_points(n: int, itemsize: int = np.dtype(np.float64).itemsize) -> int:
     return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (itemsize * n * n)))
 
 
-# Bound on the Hermiticity and trace defects of a propagated generator G in
-# the unit frame, as a multiple c of eps ||G||_1 (largest entry of each).
-# Rounding in the superoperators and in U^H G U gave at most 0.24 eps ||G||_1
-# over the benchmark models (orders 0, 1, 2 and infinity, K and D) and
-# random d = 8 and 10 at their certified couplings.  c = 64 leaves more than
-# 250 times that, and what is dropped below it moves e^{tG} by at most
-# 64 eps t ||G||_1, a small multiple of the kernel's own accuracy class
-# (8 eps t ||G||_1); a generator that is not HP and TP to this level has no
-# real propagation and is rejected.
-_FRAME_DEFECT_TOL = 64
-
-
 def _real_frame(g: np.ndarray) -> np.ndarray:
     """A generator as the real matrix U^H G U of the unit Hermitian frame U.
 
     U is unitary, so the spectral, trace and Frobenius norms of e^{tG} and
     of differences of such propagators are those of the real ones.  The
     imaginary part (Hermiticity defect) and row 0 (trace defect) are
-    checked against ``_FRAME_DEFECT_TOL`` eps ||G||_1 and raise
+    checked against ``liouville._defect_tol(G)`` and raise
     :class:`PhysicalityError` above it; below it the real part is kept and
     row 0 set to exactly zero, so the zero eigenvalue of a trace-preserving
     generator stays at zero.
     """
     _, re, im = liouville._unit_frame_rep(g, math.isqrt(g.shape[0]))
-    tol = _FRAME_DEFECT_TOL * np.finfo(float).eps * np.linalg.norm(g, 1)
+    tol = liouville._defect_tol(g)
     hp, tp = np.abs(im).max(), np.abs(re[0]).max()
     if hp > tol or tp > tol:
         raise PhysicalityError(

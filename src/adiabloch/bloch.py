@@ -26,21 +26,40 @@ certified by computable Newton-Kantorovich constants
 (:func:`kantorovich_report`); a Newton step is rank(P) linear solves of
 size n (a Sylvester sweep).  The same data feed the perturbative coefficient
 recursions and the symmetrized (Schrieffer-Wolff) series.
+
+A block of conj(b) that the decomposition stores as the F conj(.) F image
+of the block of b (``SpectralDecomposition.images``, see :mod:`spectral`)
+has the image equations when C preserves Hermiticity too, and the certified
+solution is unique.  :func:`solve_blocks` then solves only the first member
+of each such orbit and maps omega, omega_conj, both wave operators and the
+Kantorovich report to the second (:meth:`BlochSolution.image`), which
+records ``mapped_from`` and zero iterations.  For a C that fails the test,
+every block is solved.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import matcore
 from .errors import BranchEscapeError, ConvergenceError, PreconditionError
+from .liouville import _hp_image, _preserves_hermiticity
 from .spectral import EigenspaceData, SpectralDecomposition
 
 DEFAULT_TOL = 1e-12
+# Iterations in a row that may pass without a new smallest residual before
+# the iteration is declared stalled.  Inside a certified ball Newton lowers
+# the residual at every step: no benchmark solve and no certified test solve
+# went one step without a new minimum.  A residual at its rounding floor
+# (below a too small ``tol``) only repeats its minimum, and Newton far below
+# the coupling threshold wanders (Lambda at gamma = 0.1, threshold 20: up to
+# 16 steps, landing on a branch the CLI rejects).  Four leaves room for brief
+# transient growth and stops such runs within a few iterations of their best.
+_STALL_STEPS = 4
 
 
 def bracket(block: EigenspaceData, a, orientation: str = "right") -> np.ndarray:
@@ -310,13 +329,10 @@ def solve_equation(
 
     x = x0.copy()
     history = []
-    res0 = None
     for it in range(max_iter):
         r = residual_fn(blk, cm, gamma, x)
         res = matcore.supported_norm(r, blk.factors.z)
         history.append(res)
-        if res0 is None:
-            res0 = res
         if res <= tol:
             info = {
                 "iterations": it,
@@ -326,12 +342,22 @@ def solve_equation(
                 "certified": report.solvable,
             }
             return (x if primal == which else x.T), info
-        if not np.isfinite(res) or res > 1e6 * (1.0 + res0):
+        if not np.isfinite(res) or res > 1e6 * (1.0 + history[0]):
             raise ConvergenceError(
                 f"{which} {method} iteration diverged on block {ell} "
                 f"(residual {res:.3e})",
                 residual=float(res),
                 iterations=it,
+                history=history,
+            )
+        if it - int(np.argmin(history)) >= _STALL_STEPS:
+            raise ConvergenceError(
+                f"{which} {method} iteration stalled on block {ell}: no residual "
+                f"below {min(history):.3e} in the last {_STALL_STEPS} iterations "
+                f"(tol {tol:.1e})",
+                residual=float(res),
+                iterations=it,
+                history=history,
             )
         if method == "newton":
             x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r)
@@ -347,6 +373,7 @@ def solve_equation(
         f"{ell} after {max_iter} iterations (residual {history[-1]:.3e})",
         residual=float(history[-1]),
         iterations=max_iter,
+        history=history,
     )
 
 
@@ -380,7 +407,11 @@ def omega_from_wave(blk: EigenspaceData, wave, c, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BlochSolution:
-    """Converged per-block solutions and their certification data."""
+    """Converged per-block solutions and their certification data.
+
+    ``mapped_from`` is the block this solution is the image of (see
+    :func:`solve_blocks`), or None for a solved block.
+    """
 
     ell: int
     omega: np.ndarray
@@ -392,6 +423,26 @@ class BlochSolution:
     method: str
     report: KantorovichReport
     certified: bool
+    mapped_from: int | None = None
+
+    def image(self, ell: int) -> BlochSolution:
+        """This solution carried to block ``ell`` by X -> F conj(X) F.
+
+        Residuals and Kantorovich constants are unitarily invariant norms,
+        which the map keeps, so they are copied.
+        """
+        return replace(
+            self,
+            ell=ell,
+            omega=_hp_image(self.omega),
+            omega_conj=_hp_image(self.omega_conj),
+            wave=_hp_image(self.wave),
+            wave_conj=_hp_image(self.wave_conj),
+            residuals=dict(self.residuals),
+            iterations=dict.fromkeys(self.iterations, 0),
+            report=replace(self.report, ell=ell),
+            mapped_from=self.ell,
+        )
 
 
 def solve_block(
@@ -469,16 +520,24 @@ def solve_blocks(
     method: str = "newton",
     tol: float = DEFAULT_TOL,
 ) -> list[BlochSolution]:
-    """Independent per-block solves, in block order; ||C|| is taken once."""
+    """Per-block solves, in block order; ||C|| is taken once.
+
+    When C preserves Hermiticity, the second block of each conjugate orbit
+    (``dec.images``) gets the image of the first one's solution (module
+    docstring); otherwise every block is solved.
+    """
     _require_positive(gamma=gamma)
     cm = _weak_matrix(dec, c)
     c_norm = matcore.op_norm(cm, "spectral")
-    return [
-        _solve_block(
-            dec, cm, gamma, ell, method, tol, _kantorovich(blk, c_norm, gamma, ell, "spectral")
-        )
-        for ell, blk in enumerate(dec.blocks)
-    ]
+    images = dec.images if dec.images and _preserves_hermiticity(cm) else {}
+    sols = []
+    for ell, blk in enumerate(dec.blocks):
+        if ell in images:
+            sols.append(sols[images[ell]].image(ell))
+        else:
+            report = _kantorovich(blk, c_norm, gamma, ell, "spectral")
+            sols.append(_solve_block(dec, cm, gamma, ell, method, tol, report))
+    return sols
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ rotation W_l = (Ptilde_l P_l)^(1/2), where Ptilde_l is the perturbed
 spectral projection of the full generator; K_l, W_l and Ptilde_l are built
 on the r x r factors of P_l.  It also verifies the similarity/intertwining
 relations and evaluates the uniform-in-time (eternal) error bounds.
+
+The block data of a solution mapped from another block (the second member
+of a conjugate orbit, see :mod:`bloch`) are the images X -> F conj(X) F of
+that block's D_l, its conjugate, K_l, W_l, W_l^-1 and Ptilde_l, and the
+threshold gamma_l is taken once per orbit.  :func:`verify_similarity`
+checks every block, mapped or not.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import numpy as np
 from . import matcore
 from .bloch import BlochSolution, _gamma_min, _require_positive
 from .errors import ConvergenceError
-from .liouville import Superoperator
+from .liouville import Superoperator, _hp_image
 from .spectral import SpectralDecomposition
 
 
@@ -35,6 +41,12 @@ class BlockEffective:
     rotation: np.ndarray
     rotation_inv: np.ndarray
     projection_perturbed: np.ndarray
+
+    def image(self, ell: int) -> BlockEffective:
+        """This block's data carried to block ``ell`` by X -> F conj(X) F."""
+        fields = ("d_block", "d_conj_block", "k_block", "rotation", "rotation_inv",
+                  "projection_perturbed")
+        return replace(self, ell=ell, **{f: _hp_image(getattr(self, f)) for f in fields})
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ def build_effective(
 
     The root and the solves are r x r, and K_l = Q k W keeps the block
     structure by construction, so no rounding leaks off the block and no
-    entrywise cut is needed.
+    entrywise cut is needed.  A mapped solution gets its block's data mapped.
     """
     if len(solutions) != len(dec.blocks):
         raise ValueError(
@@ -96,6 +108,9 @@ def build_effective(
         )
     blocks = []
     for ell, (blk, sol) in enumerate(zip(dec.blocks, solutions)):
+        if sol.mapped_from is not None:
+            blocks.append(blocks[sol.mapped_from].image(ell))
+            continue
         s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
         om_q, w_omc = sol.omega @ q, w @ sol.omega_conj
         d_core = w @ om_q
@@ -240,12 +255,19 @@ def eternal_bound(
     measured in that same norm.  The optional unitary-case bound uses the
     spectral gap of the strong generator.  ``gamma`` must be positive and
     finite (``ValueError``).  ||C|| is taken once per call and ||P_l|| is
-    read from the singular values stored with each block.
+    read from the singular values stored with each block.  gamma_l is taken
+    once per conjugate orbit: its norms are unchanged by the map.
     """
     _require_positive(gamma=gamma)
     cm = c.matrix if isinstance(c, Superoperator) else matcore.as_cmatrix(c)
     c_norm = matcore.op_norm(cm, norm_kind)
-    gamma_blocks = tuple(_gamma_min(blk, c_norm, norm_kind) for blk in dec.blocks)
+    gamma_blocks = []
+    for ell, blk in enumerate(dec.blocks):
+        first = dec.images.get(ell)
+        gamma_blocks.append(
+            _gamma_min(blk, c_norm, norm_kind) if first is None else gamma_blocks[first]
+        )
+    gamma_blocks = tuple(gamma_blocks)
     report = _bounds_at(dec, gamma_blocks, gamma, norm_kind, semigroup_bound)
     if not unitary:
         return report

@@ -40,10 +40,11 @@ class ClusterAmbiguityError(AdiablochError):
 class ConvergenceError(AdiablochError):
     """An iterative solver did not reach the requested residual."""
 
-    def __init__(self, message, residual=None, iterations=None):
+    def __init__(self, message, residual=None, iterations=None, history=None):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+        self.history = history
 
 
 class BranchEscapeError(AdiablochError):

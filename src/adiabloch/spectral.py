@@ -28,6 +28,18 @@ matrix vanishes on range(1 - P_l), so no certificate gets weaker:
 orthogonality is measured as ||P_i P_j|| <= hypot(||W_i P_j||,
 sigma_{r_i + 1}(P_i) ||P_j||), and matrices X = X P_l (Bloch residuals,
 S_l P_l) through :func:`matcore.supported_norm` with Z_l.
+
+Conjugate orbits.  A matrix B of size d^2 that preserves Hermiticity
+satisfies F conj(B) F = B, F the vec-transpose permutation (F vec(rho) =
+vec(rho^T)), to within 64 eps ||B||_1 (:func:`liouville._preserves_hermiticity`).
+Then X -> F conj(X) F maps the spectral data of b onto those of conj(b).
+The blocks form orbits {b, conj(b)}.  The partner of a block is the block
+nearest the conjugate of its eigenvalue.  A pair is accepted when the two
+blocks are each other's partners within ``cluster_tol`` and have the same
+rank and index.  Every other block, each one with real b among them, is its
+own orbit.  The second member of a pair is stored as the exact image of the
+first, with no SVD and no resolvent of its own, and ``images`` records the
+pairs; :func:`validate` still checks every block.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ import scipy.linalg as sla
 
 from . import matcore
 from .errors import ClusterAmbiguityError, SingularMatrixError
-from .liouville import Superoperator
+from .liouville import Superoperator, _hp_image, _preserves_hermiticity, _vec_transpose
 
 # Entries of computed nilpotents below this (times max(1, ||B||)) are zeroed:
 # strict enough to keep reconstruction residuals at rounding level, loose
@@ -92,6 +104,14 @@ class ProjectionFactors:
         q = self.z.conj()
         return replace(self, q=q, z=self.q.conj(), w=self.z.T @ projection_t)
 
+    def image(self) -> ProjectionFactors:
+        """Factors of F conj(P) F (F the vec-transpose permutation):
+        Q -> F conj(Q), Z -> F conj(Z), W -> conj(W) F, same singular values."""
+        flip = _vec_transpose(len(self.q))
+        return replace(
+            self, q=self.q[flip].conj(), z=self.z[flip].conj(), w=self.w[:, flip].conj()
+        )
+
 
 @dataclass(frozen=True)
 class EigenspaceData:
@@ -134,13 +154,32 @@ class EigenspaceData:
             factors=self.factors.transposed(projection),
         )
 
+    def image(self) -> EigenspaceData:
+        """The eigenspace of conj(b) of a Hermiticity-preserving matrix
+        (module docstring), mapped exactly, without an SVD."""
+        return replace(
+            self,
+            eigenvalue=self.eigenvalue.conjugate(),
+            projection=_hp_image(self.projection),
+            nilpotent=_hp_image(self.nilpotent),
+            resolvent=_hp_image(self.resolvent),
+            factors=self.factors.image(),
+        )
+
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
+    """Blocks in a fixed order, with their residual report.
+
+    ``images`` maps the second block of each conjugate orbit to the first,
+    whose :meth:`EigenspaceData.image` it is (see the module docstring).
+    """
+
     dim: int
     blocks: tuple
     residuals: dict = field(default_factory=dict)
     cluster_tol: float = 0.0
+    images: dict = field(default_factory=dict)
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -260,12 +299,12 @@ def robust_decompose(matrix, cluster_tol: float | None = None) -> SpectralDecomp
 def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomposition:
     """Certified decomposition from a block-diagonalizing V: block k has
     eigenvalue ``reps[k]`` and projection V E_k V^{-1}, where E_k selects
-    columns ``starts[k]:starts[k + 1]``.
+    columns ``starts[k]:starts[k + 1]``; the second block of a conjugate
+    orbit is the image of the first, with no resolvent of its own.
     """
     n = mat.shape[0]
     cut = NILPOTENT_CUT * max(norm_b, 1.0)
     idx_tol = 10.0 * cluster_tol
-    blocks = []
     raw = []
     for k, b_k in enumerate(reps):
         i0, i1 = starts[k], starts[k + 1]
@@ -286,7 +325,12 @@ def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomp
             idx += 1
         raw.append((complex(b_k), proj, nil, idx, int(i1 - i0)))
 
+    images = _conjugate_pairs(raw, cluster_tol) if _preserves_hermiticity(mat) else {}
+    blocks = []
     for ell, (b_l, proj_l, nil_l, idx_l, rank_l) in enumerate(raw):
+        if ell in images:
+            blocks.append(blocks[images[ell]].image())
+            continue
         resolvent = np.zeros((n, n), dtype=np.complex128)
         for k, (b_k, proj_k, nil_k, idx_k, _rank) in enumerate(raw):
             if k == ell:
@@ -309,9 +353,25 @@ def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomp
             )
         )
     dec = SpectralDecomposition(
-        dim=n, blocks=tuple(blocks), cluster_tol=float(cluster_tol)
+        dim=n, blocks=tuple(blocks), cluster_tol=float(cluster_tol), images=images
     )
     return replace(dec, residuals=validate(dec, mat))
+
+
+def _conjugate_pairs(raw, cluster_tol: float) -> dict:
+    """Conjugate orbits {b_i, b_j}, i < j, as {j: i} (rule in the module
+    docstring); entries 3 and 4 of ``raw`` are index and rank."""
+    eigs = np.array([entry[0] for entry in raw])
+    dist = np.abs(eigs[:, None] - eigs.conj()[None, :])
+    nearest = dist.argmin(axis=1)
+    return {
+        int(j): i
+        for i, j in enumerate(nearest)
+        if i < j
+        and nearest[j] == i
+        and dist[i, j] <= cluster_tol
+        and raw[i][3:] == raw[j][3:]
+    }
 
 
 def validate(dec: SpectralDecomposition, b) -> dict:

@@ -6,10 +6,9 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from adiabloch import bench, liouville, matcore, models, spectral
-from adiabloch.effective import eternal_bound
+from adiabloch import bench, liouville, matcore, spectral
 from adiabloch.errors import PhysicalityError
-from adiabloch.liouville import LindbladModel, build_superop
+from adiabloch.liouville import LindbladModel
 from adiabloch.models import lambda_model
 
 EPS = np.finfo(float).eps
@@ -234,7 +233,7 @@ def _with_frame_defect(g: np.ndarray, kind: str, size: float) -> np.ndarray:
 def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, monkeypatch, kind):
     times = np.array([0.0, 1.0, 1e3])
     total, target = lambda_pipe.total_matrix, lambda_pipe.effective_total(0)
-    tol = bench._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
+    tol = liouville._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
     expected = bench._distance_table(total, {0: target}, times, "spectral")
     below = bench._distance_table(
         total, {0: _with_frame_defect(target, kind, 0.9 * tol)}, times, "spectral"
@@ -256,15 +255,6 @@ def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, mon
 # these 25 digits at t = 1, 1e2, 1e4, 1e5 and 1e6, and at 60 digits the same
 # at t = 1e6.
 RANDOM_D8_PLATEAU = 2.273435624922637884593339e-4
-
-
-@pytest.fixture(scope="module")
-def random_d8_certified():
-    model = models.random_model(8, np.random.default_rng(11))
-    strong, weak = build_superop(model, "strong"), build_superop(model, "weak")
-    dec = spectral.decompose(strong.matrix)
-    gamma = 2.0 * max(eternal_bound(dec, weak.matrix, 1.0).gamma_blocks)
-    return bench._solve_and_assemble(dataclasses.replace(model, gamma=gamma), strong, weak, dec)
 
 
 def test_random_d8_distance_at_large_time(random_d8_certified):

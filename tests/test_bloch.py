@@ -21,7 +21,7 @@ from adiabloch.bloch import (
     wave_from_omega,
     wave_residual,
 )
-from adiabloch.errors import PreconditionError, SingularMatrixError
+from adiabloch.errors import ConvergenceError, PreconditionError, SingularMatrixError
 from adiabloch.liouville import Superoperator, build_superop, gkls_decompose
 from adiabloch.models import (
     counterexample_model,
@@ -251,6 +251,17 @@ class TestSolvers:
                 ("wave_conj_support", (eye - p) @ u),
             ):
                 assert matcore.op_norm(res, "spectral") < tol, (case, sol.ell, name)
+
+    def test_stalled_newton_fails_fast(self, lambda_pipe):
+        # block 1 reaches its rounding floor (about 1.5e-16) in 3 steps and
+        # then only repeats it; without the stall rule it ran all 200
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            solve_equation(dec, c, 10.0, 1, "omega", tol=1e-20)
+        err = info.value
+        assert err.iterations < 20
+        assert len(err.history) == err.iterations + 1
+        assert min(err.history) < 1e-15
 
     def test_fixed_point_agrees_with_newton(self, lambda_pipe_certified):
         dec = lambda_pipe_certified.decomposition
