@@ -24,7 +24,11 @@ operators from them.  Solutions are found either by plain fixed-point
 iteration of the natural map or by Newton iteration, whose convergence is
 certified by computable Newton-Kantorovich constants
 (:func:`kantorovich_report`); a Newton step is rank(P) linear solves of
-size n (a Sylvester sweep).  The same data feed the perturbative coefficient
+size n (a Sylvester sweep).  Every iterate X vanishes on range(1 - P), so
+with P = Q W (r = rank P) the iteration carries the n x r factor Y = X Q,
+with X = Y W formed once at the end: residuals, corrections, ball radii and
+residual norms are n x r matrices and their norms, and no step multiplies
+two n x n matrices.  The same data feed the perturbative coefficient
 recursions and the symmetrized (Schrieffer-Wolff) series.
 
 A block of conj(b) that the decomposition stores as the F conj(.) F image
@@ -33,8 +37,9 @@ has the image equations when C preserves Hermiticity too, and the certified
 solution is unique.  :func:`solve_blocks` then solves only the first member
 of each such orbit and maps omega, omega_conj, both wave operators and the
 Kantorovich report to the second (:meth:`BlochSolution.image`), which
-records ``mapped_from`` and zero iterations.  For a C that fails the test,
-every block is solved.
+records ``mapped_from`` and zero iterations; its four equation residuals are
+evaluated anew, as C preserves Hermiticity only to rounding.  For a C that
+fails the test, every block is solved.
 """
 
 from __future__ import annotations
@@ -112,10 +117,16 @@ def _threshold_constants(block: EigenspaceData, c_norm: float, norm_kind: str) -
 
     ||C|| is passed in, so a caller looping over blocks takes it once, and
     ||P|| comes from the singular values stored with the block.  At index 1
-    mu = 1 whatever ||N|| is, so ||N|| is taken only above it.
+    mu = 1 whatever ||N|| is, so ||N|| is taken only above it; N = N P, so
+    its spectral norm is the supported norm on Z.
     """
     s_norm = matcore.op_norm(block.resolvent, norm_kind)
-    sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind) if block.index > 1 else 0.0
+    if block.index <= 1:
+        sn = 0.0
+    elif norm_kind == "spectral":
+        sn = s_norm * matcore.supported_norm(block.nilpotent, block.factors.z)
+    else:
+        sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind)
     mu = float(block.index) if abs(1.0 - sn) < 1e-12 else (1.0 - sn**block.index) / (1.0 - sn)
     scp = s_norm * c_norm * block.factors.norm(norm_kind)
     return mu, scp
@@ -214,30 +225,71 @@ def _kantorovich(
 
 def omega_residual(blk, c, gamma, x):
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return (s @ x @ x) / gamma - x - (c @ s @ x) / gamma + s @ x @ nil + c @ p
+    sx = s @ x
+    r = (sx @ x - c @ sx) / gamma - x + c @ p
+    return r + sx @ nil if nil.any() else r
 
 
 def wave_residual(blk, c, gamma, x):
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
-    return x - s @ x @ nil + (s @ (c @ x - x @ c @ x)) / gamma - p
+    cx = c @ x
+    r = x + (s @ (cx - x @ cx)) / gamma - p
+    return r - s @ x @ nil if nil.any() else r
 
 
-def _omega_derivative(blk, c, gamma, x):
-    """A, F of the Frechet derivative delta -> A delta + S delta F."""
-    s, nil = blk.resolvent, blk.nilpotent
-    return (s @ x - c @ s) / gamma - np.eye(len(s)), x / gamma + nil
+def _omega_factored(blk, c, gamma):
+    """The omega equation on Y = X Q: residual R Q, derivative (A, M), start
+    X_0 Q and the n x r factor of U - P (the ball's deformation).
+
+    With n = W N Q, R Q = S Y (W Y)/g - Y - (C S) Y/g + S Y n + C Q; the
+    derivative delta -> A delta + S delta F has A = (S Y W - C S)/g - 1 and
+    M = W F Q = (W Y)/g + n.  C S, C Q and n are formed once per solve.
+    """
+    s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
+    cs, cq, nil = c @ s, c @ q, w @ blk.nilpotent @ q
+    eye = np.eye(len(s))
+
+    def residual(y):
+        sy = s @ y
+        return (sy @ (w @ y) - cs @ y) / gamma - y + sy @ nil + cq
+
+    def derivative(y):
+        return ((s @ y) @ w - cs) / gamma - eye, (w @ y) / gamma + nil
+
+    # X_0 Q = sum_{m < index} S^m C Q n^m, the bracket of C P times Q
+    start, term = cq, cq
+    for _m in range(1, blk.index):
+        term = s @ term @ nil
+        start = start + term
+    return residual, derivative, start, lambda y: (s @ y) / gamma
 
 
-def _wave_derivative(blk, c, gamma, x):
-    s, nil = blk.resolvent, blk.nilpotent
-    return np.eye(len(s)) + (s @ c - s @ x @ c) / gamma, -(nil + c @ x / gamma)
+def _wave_factored(blk, c, gamma):
+    """The wave equation on Y = U Q, as :func:`_omega_factored`.
+
+    R Q = Y - S Y n + ((S C) Y - S Y (W C Y))/g - Q, A = 1 + (S C - S Y (W C))/g
+    and M = -(n + (W C) Y/g); the iteration starts at U_0 Q = Q.
+    """
+    s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
+    sc, wc, nil = s @ c, w @ c, w @ blk.nilpotent @ q
+    eye = np.eye(len(s))
+
+    def residual(y):
+        sy = s @ y
+        return y - sy @ nil + (sc @ y - sy @ (wc @ y)) / gamma - q
+
+    def derivative(y):
+        return eye + (sc - (s @ y) @ wc) / gamma, -(nil + (wc @ y) / gamma)
+
+    return residual, derivative, q, lambda y: y - q
 
 
-# residual R, derivative, and the sign s that makes X + s R the natural
+# dense residual R (for the reported residual of the returned X), the
+# factored system on Y = X Q, and the sign s that makes X + s R the natural
 # fixed-point map (omega: R = map - X; wave: R = X - map)
 _EQUATIONS = {
-    "omega": (omega_residual, _omega_derivative, 1.0),
-    "wave": (wave_residual, _wave_derivative, -1.0),
+    "omega": (omega_residual, _omega_factored, 1.0),
+    "wave": (wave_residual, _wave_factored, -1.0),
 }
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
@@ -253,15 +305,14 @@ def initial_guess(blk: EigenspaceData, c, which: str) -> np.ndarray:
     raise ValueError(f"unknown equation {which!r}")
 
 
-def _ball_radius(blk, gamma, which, x, x0):
-    """Distance of the iterate from the certified center, in wave variables.
+def _factor_norm(y, wz, w_off) -> float:
+    """``matcore.supported_norm(Y W, Z)`` from the n x r factor Y.
 
-    Iterate and center vanish on range(1 - P), so the norm is taken from
-    the n x r factor on range(P^H) (:func:`matcore.supported_norm`).
+    With W Z and W - W Z Z^H given, this is hypot(||Y (W Z)||_2,
+    ||Y (W - W Z Z^H)||_F): products of Y with r x r and r x n matrices,
+    and no n x n SVD.
     """
-    if which == "omega":
-        return matcore.supported_norm(blk.resolvent @ (x - x0), blk.factors.z) / gamma
-    return matcore.supported_norm(x - x0, blk.factors.z)
+    return math.hypot(matcore._tall_norm(y @ wz), np.linalg.norm(y @ w_off))
 
 
 def solve_equation(
@@ -284,22 +335,29 @@ def solve_equation(
     is transposed back.  The Kantorovich report and the uniqueness ball use
     unitarily invariant norms, which transposition leaves unchanged.
 
-    Newton steps solve the exact derivative system delta -> A delta +
-    S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for wave.
-    F and the residual R vanish on range(1 - P) as X and N do, so every
-    iterate and correction does too.  With P = Q W (r = rank P, W Q = 1_r;
-    Q and W are the factors stored on the block, ``blk.factors``) the
-    correction is delta = Y W with A Y + S Y M = -R Q and M = W F Q.  In
-    the Schur basis of M = Z T Z^H this Sylvester equation is r n x n column
+    Every iterate X, its residual R and every correction vanish on
+    range(1 - P), as P and N do.  With P = Q W (r = rank P, W Q = 1_r; Q, W
+    and the basis Z of range(P^H) are the factors stored on the block,
+    ``blk.factors``) the iteration carries the n x r factor Y = X Q, with
+    X = Y W, and the residual G = R Q; each term of G is an n x n by n x r
+    product.  Newton steps solve the exact derivative system delta -> A delta
+    + S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for
+    wave, as A dY + S dY M = -G with M = W F Q and delta = dY W.  In the
+    Schur basis of M = V T V^H this Sylvester equation is r n x n column
     solves with A + T_jj S (Bartels-Stewart), in place of the (n r) x (n r)
-    Kronecker system and the n^2 x n^2 Jacobian.  Residual and ball-radius
-    norms are taken from the n x r factor on range(P^H)
-    (:func:`matcore.supported_norm`), an upper bound of the spectral norm
-    equal to it on such matrices.  The iteration aborts with
-    :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
-    ball (when one exists), so the returned solution is always the branch
-    selected by the perturbative initial guess.  Fixed-point iteration takes
-    unrelaxed steps of the natural map.
+    Kronecker system and the n^2 x n^2 Jacobian.  Fixed-point iteration
+    takes unrelaxed steps of the natural map, Y + G or Y - G.  The residual
+    norm and the ball radius ||U - P|| are :func:`matcore.supported_norm`
+    values of G W and of an n x r factor times W, taken from the factors
+    alone: upper bounds of the spectral norms, equal to them on such
+    matrices.  X = Y W is formed once, at the end, and the reported
+    ``residual`` is the supported norm of the dense residual of that
+    returned matrix; when that one is above ``tol`` (a ``tol`` below its
+    rounding floor) a stalled :class:`ConvergenceError` is raised instead.
+    The iteration aborts with :class:`BranchEscapeError`
+    if an iterate leaves the certified uniqueness ball (when one exists), so
+    the returned solution is always the branch selected by the perturbative
+    initial guess.
 
     ``gamma`` and ``tol`` must be positive and finite, ``ell`` a block
     index and C an n x n matrix; like an unknown ``which`` or ``method``
@@ -321,22 +379,33 @@ def solve_equation(
     primal = _CONJUGATES.get(which, which)
     if primal != which:
         blk, cm = blk.transposed(), cm.T
-    residual_fn, derivative_fn, map_sign = _EQUATIONS[primal]
-    x0 = initial_guess(blk, cm, primal)
-    # the certified ball is centered on the wave-equation initial guess
-    center = blk.projection if primal == "wave" else np.zeros_like(x0)
+    residual_fn, factored, map_sign = _EQUATIONS[primal]
+    residual, derivative, y, deformation = factored(blk, cm, gamma)
+    w, z = blk.factors.w, blk.factors.z
+    wz = w @ z
+    w_off = w - wz @ z.conj().T
     xi = report.xi if report.solvable else math.inf
 
-    x = x0.copy()
     history = []
     for it in range(max_iter):
-        r = residual_fn(blk, cm, gamma, x)
-        res = matcore.supported_norm(r, blk.factors.z)
+        g = residual(y)
+        res = _factor_norm(g, wz, w_off)
         history.append(res)
         if res <= tol:
+            x = y @ w
+            final = matcore.supported_norm(residual_fn(blk, cm, gamma, x), z)
+            if final > tol:
+                raise ConvergenceError(
+                    f"{which} {method} iteration stalled on block {ell}: the "
+                    f"factored residual {res:.3e} is below tol {tol:.1e}, but the "
+                    f"returned matrix's is at its rounding floor {final:.3e}",
+                    residual=float(final),
+                    iterations=it,
+                    history=history,
+                )
             info = {
                 "iterations": it,
-                "residual": res,
+                "residual": final,
                 "history": history,
                 "method": method,
                 "certified": report.solvable,
@@ -360,10 +429,10 @@ def solve_equation(
                 history=history,
             )
         if method == "newton":
-            x = x + _range_step(blk, *derivative_fn(blk, cm, gamma, x), r)
+            y = y + _range_step(blk, *derivative(y), g)
         else:
-            x = x + map_sign * r
-        if math.isfinite(xi) and _ball_radius(blk, gamma, primal, x, center) >= xi:
+            y = y + map_sign * g
+        if math.isfinite(xi) and _factor_norm(deformation(y), wz, w_off) >= xi:
             raise BranchEscapeError(
                 f"{which} iterate on block {ell} left the uniqueness ball "
                 f"(radius {xi:.3e}); target branch lost"
@@ -377,21 +446,21 @@ def solve_equation(
     )
 
 
-def _range_step(blk, a, f, r):
-    """Newton correction Y W, where A Y + S Y M = -R Q with M = W F Q.
+def _range_step(blk, a, m, g):
+    """Newton correction dY of the factor Y = X Q: A dY + S dY M = -G.
 
-    With M = Z T Z^H (complex Schur), Y' = Y Z solves A Y' + S Y' T =
-    -R Q Z, whose column j is the n x n system (A + T_jj S) y'_j = g'_j -
+    With M = V T V^H (complex Schur), dY' = dY V solves A dY' + S dY' T =
+    -G V, whose column j is the n x n system (A + T_jj S) y'_j = g'_j -
     S sum_{k<j} y'_k T_kj, swept for j = 1..r.
     """
-    q, w, s = blk.factors.q, blk.factors.w, blk.resolvent
-    m = w @ f @ q
-    t, z = sla.schur(m, output="complex")
-    g = -(r @ q @ z)
-    y = np.empty_like(g)
+    s = blk.resolvent
+    # a 1 x 1 M is its own Schur form (the frequent rank-1 case, without LAPACK)
+    t, v = (m, np.ones((1, 1))) if len(m) == 1 else sla.schur(m, output="complex")
+    rhs = -(g @ v)
+    y = np.empty_like(rhs)
     for j in range(len(t)):
-        y[:, j] = matcore.solve_linear(a + t[j, j] * s, g[:, j] - s @ (y[:, :j] @ t[:j, j]))
-    return y @ (z.conj().T @ w)
+        y[:, j] = matcore.solve_linear(a + t[j, j] * s, rhs[:, j] - s @ (y[:, :j] @ t[:j, j]))
+    return y @ v.conj().T
 
 
 def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
@@ -429,7 +498,8 @@ class BlochSolution:
         """This solution carried to block ``ell`` by X -> F conj(X) F.
 
         Residuals and Kantorovich constants are unitarily invariant norms,
-        which the map keeps, so they are copied.
+        which the map keeps, so they are copied (:func:`solve_blocks`
+        evaluates the equation residuals anew).
         """
         return replace(
             self,
@@ -458,8 +528,9 @@ def solve_block(
     ``ell`` must be a block index and C an n x n matrix (``ValueError``).
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
-    taken from the block's factors (:func:`matcore.supported_norm`); the
-    four support checks ||X (1 - P)|| are n x n norms of one stack.
+    taken from the block's factors (:func:`matcore.supported_norm`), and so
+    are the four support checks ||X (1 - P)|| and ||(1 - P) X||: with the
+    norm of S in the Kantorovich report, no n x n matrix is factorized.
     """
     report = kantorovich_report(dec, c, gamma, ell)
     return _solve_block(dec, _weak_matrix(dec, c), gamma, ell, method, tol, report)
@@ -475,29 +546,35 @@ def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     blk_t = blk.transposed()
     wave = wave_from_omega(blk, omega, gamma)
     wave_conj = wave_from_omega(blk_t, omega_conj.T, gamma).T
-
     comp = np.eye(dec.dim, dtype=np.complex128) - blk.projection
-    support = matcore.op_norm(
-        np.stack([omega @ comp, comp @ omega_conj, wave @ comp, comp @ wave_conj])
+    # each check vanishes off range(P^H), spanned by Z, or is taken transposed,
+    # vanishing off range(conj(P)), spanned by conj(Q) = Z of the transposed
+    # block: one stack of supported norms, as in spectral.validate
+    norms = matcore.supported_norm(
+        np.stack([
+            omega @ comp,
+            (comp @ omega_conj).T,
+            wave_residual(blk, cm, gamma, wave),
+            wave_residual(blk_t, cm.T, gamma, wave_conj.T),
+            wave @ comp,
+            (comp @ wave_conj).T,
+            # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
+            wave - blk.projection,
+            (wave_conj - blk.projection).T,
+        ]),
+        np.stack([blk.factors.z, blk_t.factors.z] * 4),
     ).tolist()
     residuals = {
         "omega_eq": info_o["residual"],
-        "omega_support": support[0],
+        "omega_support": norms[0],
         "omega_conj_eq": info_oc["residual"],
-        "omega_conj_support": support[1],
-        "wave_eq": matcore.supported_norm(
-            wave_residual(blk, cm, gamma, wave), blk.factors.z
-        ),
-        "wave_support": support[2],
-        "wave_conj_eq": matcore.supported_norm(
-            wave_residual(blk_t, cm.T, gamma, wave_conj.T), blk_t.factors.z
-        ),
-        "wave_conj_support": support[3],
-        # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
-        "wave_deformation": matcore.supported_norm(wave - blk.projection, blk.factors.z),
-        "wave_conj_deformation": matcore.supported_norm(
-            (wave_conj - blk.projection).T, blk_t.factors.z
-        ),
+        "omega_conj_support": norms[1],
+        "wave_eq": norms[2],
+        "wave_support": norms[4],
+        "wave_conj_eq": norms[3],
+        "wave_conj_support": norms[5],
+        "wave_deformation": norms[6],
+        "wave_conj_deformation": norms[7],
     }
     return BlochSolution(
         ell=ell,
@@ -513,6 +590,28 @@ def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     )
 
 
+def _mapped_residuals(blk, cm, gamma, sol) -> dict:
+    """The four equation residuals of a mapped solution, evaluated anew.
+
+    C preserves Hermiticity only to rounding, so the image of a solution
+    solves the image equations, not quite the block's own: copied residuals
+    could fall below the block's by rounding.  The other entries are norms
+    of the mapped matrices and block data alone, which the map carries
+    exactly, and stay copied.
+    """
+    blk_t = blk.transposed()
+    norms = matcore.supported_norm(
+        np.stack([
+            omega_residual(blk, cm, gamma, sol.omega),
+            omega_residual(blk_t, cm.T, gamma, sol.omega_conj.T),
+            wave_residual(blk, cm, gamma, sol.wave),
+            wave_residual(blk_t, cm.T, gamma, sol.wave_conj.T),
+        ]),
+        np.stack([blk.factors.z, blk_t.factors.z] * 2),
+    ).tolist()
+    return dict(zip(("omega_eq", "omega_conj_eq", "wave_eq", "wave_conj_eq"), norms))
+
+
 def solve_blocks(
     dec: SpectralDecomposition,
     c,
@@ -523,8 +622,9 @@ def solve_blocks(
     """Per-block solves, in block order; ||C|| is taken once.
 
     When C preserves Hermiticity, the second block of each conjugate orbit
-    (``dec.images``) gets the image of the first one's solution (module
-    docstring); otherwise every block is solved.
+    (``dec.images``) gets the image of the first one's solution, with its
+    equation residuals evaluated on its own block (module docstring);
+    otherwise every block is solved.
     """
     _require_positive(gamma=gamma)
     cm = _weak_matrix(dec, c)
@@ -533,7 +633,9 @@ def solve_blocks(
     sols = []
     for ell, blk in enumerate(dec.blocks):
         if ell in images:
-            sols.append(sols[images[ell]].image(ell))
+            sol = sols[images[ell]].image(ell)
+            residuals = {**sol.residuals, **_mapped_residuals(blk, cm, gamma, sol)}
+            sols.append(replace(sol, residuals=residuals))
         else:
             report = _kantorovich(blk, c_norm, gamma, ell, "spectral")
             sols.append(_solve_block(dec, cm, gamma, ell, method, tol, report))

@@ -156,22 +156,15 @@ def solve(model_path, gamma, tol, method, matrices, out):
         dec = spectral.robust_decompose(strong.matrix)
     except AdiablochError as exc:
         _fail(str(exc))
-    reports = [
-        kantorovich_report(dec, weak.matrix, model.gamma, ell)
-        for ell in range(len(dec.blocks))
-    ]
-    uncertified = [r for r in reports if not r.solvable]
-    note = (
-        " Newton-Kantorovich certificate inapplicable on "
-        f"{len(uncertified)} of {len(reports)} blocks (gamma below the "
-        f"certified threshold max gamma_l = {max(r.gamma_min for r in reports):.6g})."
-        if uncertified
-        else ""
-    )
     try:
         sols = solve_blocks(dec, weak.matrix, model.gamma, method=method, tol=tol)
     except AdiablochError as exc:
-        _fail(f"{exc}{note}")
+        # the solutions carry their reports; only a failed solve builds them
+        reports = [
+            kantorovich_report(dec, weak.matrix, model.gamma, ell)
+            for ell in range(len(dec.blocks))
+        ]
+        _fail(f"{exc}{_certificate_note(reports)}")
     # an uncertified run must at least land on the adiabatic branch, i.e.
     # a small deformation of the unperturbed projections
     implausible = [
@@ -183,7 +176,8 @@ def solve(model_path, gamma, tol, method, matrices, out):
         _fail(
             f"solution on blocks {implausible} is not a small deformation of "
             f"the unperturbed projections (||U - P|| >= 1); the adiabatic "
-            f"branch is not reachable at gamma = {model.gamma:.6g}.{note}"
+            f"branch is not reachable at gamma = {model.gamma:.6g}."
+            f"{_certificate_note([s.report for s in sols])}"
         )
     payload = {
         "gamma": model.gamma,
@@ -214,6 +208,18 @@ def solve(model_path, gamma, tol, method, matrices, out):
         ],
     }
     _emit(json.dumps(payload, indent=2), out)
+
+
+def _certificate_note(reports) -> str:
+    """The failure note on blocks whose Kantorovich certificate does not apply."""
+    uncertified = [r for r in reports if not r.solvable]
+    if not uncertified:
+        return ""
+    return (
+        " Newton-Kantorovich certificate inapplicable on "
+        f"{len(uncertified)} of {len(reports)} blocks (gamma below the "
+        f"certified threshold max gamma_l = {max(r.gamma_min for r in reports):.6g})."
+    )
 
 
 @main.command()

@@ -117,10 +117,16 @@ def supported_norm(x, basis) -> float | np.ndarray:
     m = _as_stack(x)
     v = np.asarray(basis, dtype=np.complex128)
     xv = m @ v
-    on = np.linalg.svd(xv, compute_uv=False).max(axis=-1, initial=0.0)
     off = np.linalg.norm(m - xv @ np.swapaxes(v, -1, -2).conj(), axis=(-2, -1))
-    norms = np.hypot(on, off)
+    norms = np.hypot(_tall_norm(xv), off)
     return float(norms) if m.ndim == 2 else norms
+
+
+def _tall_norm(a: np.ndarray) -> np.ndarray:
+    """Spectral norm of each n x k matrix of a stack: a vector norm at k = 1."""
+    if a.shape[-1] == 1:
+        return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
 def expm(a, times=None) -> np.ndarray:

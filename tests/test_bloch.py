@@ -371,7 +371,7 @@ class TestReducedNewton:
 
         def recording_step(blk, *args):
             delta = reduced_step(blk, *args)
-            steps.append((blk.projection, delta))
+            steps.append((blk.projection, delta @ blk.factors.w))
             return delta
 
         monkeypatch.setattr(bloch, "_range_step", recording_step)
@@ -429,7 +429,7 @@ class TestReducedNewton:
 
         monkeypatch.setattr(matcore, "solve_linear", counting_solve)
         with pytest.raises(SingularMatrixError):
-            bloch._range_step(blk, -t[1, 1] * s, eye @ m @ eye.T, np.ones((3, 3)))
+            bloch._range_step(blk, -t[1, 1] * s, m, np.ones((3, 3)) @ eye)
         assert len(calls) == 2 and not np.any(calls[1])
 
 

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
 
+from adiabloch import bloch, spectral
 from adiabloch.cli import main
+from adiabloch.liouville import build_superop
 from adiabloch.models import lambda_model, qubit_nilpotent_model
 
 
@@ -52,6 +56,39 @@ def test_solve_success(runner, lambda_file):
     data = json.loads(result.output)
     assert len(data["blocks"]) == 8
     assert all(b["residuals"]["omega_eq"] < 1e-11 for b in data["blocks"])
+
+
+def test_solve_builds_one_report_per_solved_block(runner, lambda_file, monkeypatch):
+    # the reports come off the solutions: one per solved block, none for the
+    # mapped member of a conjugate orbit, and none built twice
+    calls = []
+    kantorovich = bloch._kantorovich
+
+    def counting(block, c_norm, gamma, ell, norm_kind):
+        calls.append(ell)
+        return kantorovich(block, c_norm, gamma, ell, norm_kind)
+
+    monkeypatch.setattr(bloch, "_kantorovich", counting)
+    result = runner.invoke(main, ["solve", "--model", lambda_file])
+    assert result.exit_code == 0
+    blocks = json.loads(result.output)["blocks"]
+    model = lambda_model(10.0)
+    dec = spectral.robust_decompose(build_superop(model, "strong").matrix)
+    assert dec.images
+    assert calls == [ell for ell in range(len(dec.blocks)) if ell not in dec.images]
+    # each printed report is the block's own, as a direct call gives it
+    c = build_superop(model, "weak").matrix
+    for block in blocks:
+        want = dataclasses.asdict(bloch.kantorovich_report(dec, c, model.gamma, block["ell"]))
+        got = block["kantorovich"]
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, float):
+                assert math.isclose(got[key], value, rel_tol=1e-12) or (
+                    math.isnan(got[key]) and math.isnan(value)
+                ), key
+            else:
+                assert got[key] == value, key
 
 
 def test_solve_below_threshold_exits_1(runner, lambda_file):
