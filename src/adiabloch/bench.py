@@ -935,9 +935,7 @@ def _case_counterexample() -> ReproductionReport:
         for r in grid[:: max(1, len(grid) // 5)][:5]:
             mid = _counterexample_constrained_block(r, gamma)
             candidate = sim @ mid @ sim_inv
-            total_form = gkls_decompose(
-                Superoperator(3, candidate, "custom"), tol=1e-7
-            )
+            total_form = gkls_decompose(Superoperator(3, candidate), tol=1e-7)
             got = np.sort(np.array(total_form.rates)) / 2.0
             expected_spec = np.sort(_choi_spectrum_closed_form(r, gamma))
             worst_dev = max(worst_dev, float(np.abs(got - expected_spec).max()))

@@ -148,11 +148,13 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
-def _weak_matrix(dec: SpectralDecomposition, c) -> np.ndarray:
-    """C as a complex matrix, rejected unless it is n x n like B."""
+def _weak_matrix(dec: SpectralDecomposition, c, name: str = "c") -> np.ndarray:
+    """C (or the operand ``name``) as a complex matrix, rejected unless it is n x n like B."""
     cm = matcore.as_cmatrix(c)
     if cm.shape != (dec.dim, dec.dim):
-        raise ValueError(f"c must be {dec.dim}x{dec.dim} like the decomposition, got {cm.shape}")
+        raise ValueError(
+            f"{name} must be {dec.dim}x{dec.dim} like the decomposition, got {cm.shape}"
+        )
     return cm
 
 
@@ -376,10 +378,17 @@ def solve_equation(
     blk = dec.blocks[ell]
     if report is None:
         report = kantorovich_report(dec, cm, gamma, ell)
-    primal = _CONJUGATES.get(which, which)
-    if primal != which:
-        blk, cm = blk.transposed(), cm.T
-    residual_fn, factored, map_sign = _EQUATIONS[primal]
+    if which in _CONJUGATES:
+        x, info = _solve(blk.transposed(), cm.T, gamma, ell, which, method, tol, report, max_iter)
+        return x.T, info
+    return _solve(blk, cm, gamma, ell, which, method, tol, report, max_iter)
+
+
+def _solve(blk, cm, gamma, ell, which, method, tol, report, max_iter=200):
+    """:func:`solve_equation` on checked arguments and the data of the primal
+    equation: for an order-reversed ``which``, ``blk`` is the transposed
+    block, ``cm`` is C^T, and the returned X is not yet transposed back."""
+    residual_fn, factored, map_sign = _EQUATIONS[_CONJUGATES.get(which, which)]
     residual, derivative, y, deformation = factored(blk, cm, gamma)
     w, z = blk.factors.w, blk.factors.z
     wz = w @ z
@@ -410,7 +419,7 @@ def solve_equation(
                 "method": method,
                 "certified": report.solvable,
             }
-            return (x if primal == which else x.T), info
+            return x, info
         if not np.isfinite(res) or res > 1e6 * (1.0 + history[0]):
             raise ConvergenceError(
                 f"{which} {method} iteration diverged on block {ell} "
@@ -538,14 +547,13 @@ def solve_block(
 
 def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     blk = dec.blocks[ell]
-    omega, info_o = solve_equation(dec, cm, gamma, ell, "omega", method, tol, report=report)
-    omega_conj, info_oc = solve_equation(
-        dec, cm, gamma, ell, "omega_conj", method, tol, report=report
-    )
     # the order-reversed quantities are the primal ones on transposed data
     blk_t = blk.transposed()
+    omega, info_o = _solve(blk, cm, gamma, ell, "omega", method, tol, report)
+    omega_conj_t, info_oc = _solve(blk_t, cm.T, gamma, ell, "omega_conj", method, tol, report)
+    omega_conj = omega_conj_t.T
     wave = wave_from_omega(blk, omega, gamma)
-    wave_conj = wave_from_omega(blk_t, omega_conj.T, gamma).T
+    wave_conj = wave_from_omega(blk_t, omega_conj_t, gamma).T
     comp = np.eye(dec.dim, dtype=np.complex128) - blk.projection
     # each check vanishes off range(P^H), spanned by Z, or is taken transposed,
     # vanishing off range(conj(P)), spanned by conj(Q) = Z of the transposed
@@ -877,11 +885,15 @@ def sum_correction_series(
     max(1, [||S|| (||C|| + ||D|| + ||N||)]^n); below it a
     :class:`PreconditionError` is raised.  When D solves the adiabatic
     Bloch equation, the summed correction has no P ... P component, which
-    is reported as ``leakage_free_defect``.
+    is reported as ``leakage_free_defect``.  ``gamma`` and ``tol`` must be
+    positive and finite, ``ell`` a block index, and C and ``d_block`` n x n
+    matrices; anything else raises ``ValueError`` before any work.
     """
+    _require_positive(gamma=gamma, tol=tol)
+    _require_block(dec, ell)
+    cm = _weak_matrix(dec, c)
+    dm = _weak_matrix(dec, d_block, "d_block")
     blk = dec.blocks[ell]
-    cm = matcore.as_cmatrix(c)
-    dm = matcore.as_cmatrix(d_block)
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     s_norm = matcore.op_norm(s, "spectral")
     threshold = max(

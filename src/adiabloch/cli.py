@@ -30,7 +30,8 @@ def _load_model(path: str) -> LindbladModel:
         raise click.UsageError(f"cannot read model file {path}: {exc}") from exc
     try:
         return LindbladModel.from_json(text)
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, AdiablochError) as exc:
+        # AdiablochError: a non-finite entry, which Python's json accepts
         raise click.UsageError(f"malformed model file {path}: {exc}") from exc
 
 

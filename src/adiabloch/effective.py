@@ -135,9 +135,9 @@ def build_effective(
     return EffectiveGenerators(
         dim=dim,
         gamma=gamma,
-        adiabatic=Superoperator(dim, sum(b.d_block for b in blocks), "effective_D"),
-        adiabatic_conj=Superoperator(dim, sum(b.d_conj_block for b in blocks), "effective_Dt"),
-        schrieffer_wolff=Superoperator(dim, sum(b.k_block for b in blocks), "effective_K"),
+        adiabatic=Superoperator(dim, sum(b.d_block for b in blocks)),
+        adiabatic_conj=Superoperator(dim, sum(b.d_conj_block for b in blocks)),
+        schrieffer_wolff=Superoperator(dim, sum(b.k_block for b in blocks)),
         transform=sum(sol.wave for sol in solutions),
         transform_conj=sum(sol.wave_conj for sol in solutions),
         rotation=sum(b.rotation for b in blocks),

@@ -18,7 +18,7 @@ class SingularMatrixError(AdiablochError):
 
 
 class SpectralOverlapError(AdiablochError):
-    """Sylvester operands share spectrum within tolerance."""
+    """Eigenvalues of different clusters overlap within tolerance."""
 
     def __init__(self, message, separation=None):
         super().__init__(message)

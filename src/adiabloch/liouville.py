@@ -63,7 +63,6 @@ class Superoperator:
 
     dim: int
     matrix: np.ndarray
-    tag: str = "custom"
 
     def __post_init__(self):
         m = matcore.as_cmatrix(self.matrix)
@@ -78,11 +77,6 @@ class Superoperator:
     def apply(self, rho) -> np.ndarray:
         """Action on a d x d operator."""
         return unvec(self.matrix @ vec(rho), self.dim)
-
-    def __add__(self, other: "Superoperator") -> "Superoperator":
-        if self.dim != other.dim:
-            raise ValueError("dimension mismatch")
-        return Superoperator(self.dim, self.matrix + other.matrix)
 
 
 @dataclass(frozen=True)
@@ -185,8 +179,10 @@ def _check_dissipators(dissipators, d, which) -> tuple:
     out = []
     for i, (rate, jump) in enumerate(dissipators):
         rate = float(rate)
-        if rate < 0:
-            raise ValueError(f"{which} dissipator {i} has negative rate {rate}")
+        if not (math.isfinite(rate) and rate >= 0):
+            raise ValueError(
+                f"{which} dissipator {i} rate must be non-negative and finite, got {rate}"
+            )
         jm = matcore.as_cmatrix(jump)
         if jm.shape != (d, d):
             raise ValueError(
@@ -238,18 +234,14 @@ def build_superop(model: LindbladModel, part: str = "total") -> Superoperator:
         return mat
 
     if part == "strong":
-        return Superoperator(
-            d, assemble(model.strong_hamiltonian, model.strong_dissipators), "strong_B"
-        )
+        return Superoperator(d, assemble(model.strong_hamiltonian, model.strong_dissipators))
     if part == "weak":
-        return Superoperator(
-            d, assemble(model.weak_hamiltonian, model.weak_dissipators), "weak_C"
-        )
+        return Superoperator(d, assemble(model.weak_hamiltonian, model.weak_dissipators))
     if part == "total":
         mat = model.gamma * assemble(
             model.strong_hamiltonian, model.strong_dissipators
         ) + assemble(model.weak_hamiltonian, model.weak_dissipators)
-        return Superoperator(d, mat, "total")
+        return Superoperator(d, mat)
     raise ValueError(f"unknown part {part!r}")
 
 
@@ -414,7 +406,7 @@ class GKLSForm:
         mat = hamiltonian_superop(self.hamiltonian)
         for rate, jump in zip(self.rates, self.jumps):
             mat = mat + rate * dissipator_superop(jump)
-        return Superoperator(self.dim, mat, "custom")
+        return Superoperator(self.dim, mat)
 
 
 def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:

@@ -2,7 +2,7 @@
 
 Thin, contract-enforcing fronts over LAPACK-backed numpy/scipy routines:
 unitarily invariant norms, the principal matrix square root (Schur method),
-linear and Sylvester solves, and the matrix exponential.  All functions are
+linear solves, and the matrix exponential.  All functions are
 pure: inputs are never mutated, outputs are freshly allocated, and every
 public operation rejects non-finite input and guarantees finite entries on
 return.  :func:`expm` and :func:`op_norm` (and :func:`numerical_rank` and
@@ -29,19 +29,13 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import (
-    BranchCutError,
-    NonFiniteError,
-    SingularMatrixError,
-    SpectralOverlapError,
-)
+from .errors import BranchCutError, NonFiniteError, SingularMatrixError
 
 # Rank cutoff, relative to the largest singular value.
 TOL_RANK = 1e-9
-# Relative tolerances of principal_sqrt (distance of an eigenvalue from the
-# closed negative real axis) and solve_sylvester (separation of the spectra).
+# Relative tolerance of principal_sqrt: distance of an eigenvalue from the
+# closed negative real axis.
 _SQRT_AXIS_TOL = 1e-13
-_SYLVESTER_SEP_TOL = 1e-10
 _GETRF, _GECON, _GETRS = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=np.complex128)
 
 
@@ -291,34 +285,6 @@ def solve_linear(a, y) -> np.ndarray:
             cond=cond,
         )
     return _ensure_finite(_GETRS(lu, piv, rhs)[0], "solve result")
-
-
-def solve_sylvester(a, b, y) -> np.ndarray:
-    """Solve A X - X B = Y, requiring spectra of A and B to be disjoint.
-
-    The measured spectral separation min |eig(A) - eig(B)| is checked
-    against ``_SYLVESTER_SEP_TOL`` = 1e-10 times the problem scale and
-    reported in the :class:`SpectralOverlapError` when too small.
-    """
-    ma = as_cmatrix(a)
-    mb = as_cmatrix(b)
-    my = np.asarray(y, dtype=np.complex128)
-    _require_square(ma, "solve_sylvester")
-    _require_square(mb, "solve_sylvester")
-    _ensure_finite(my, "right-hand side")
-    ea = np.linalg.eigvals(ma)
-    eb = np.linalg.eigvals(mb)
-    sep = np.abs(ea[:, None] - eb[None, :]).min()
-    scale = max(op_norm(ma, "spectral"), op_norm(mb, "spectral"), 1.0)
-    if sep <= _SYLVESTER_SEP_TOL * scale:
-        raise SpectralOverlapError(
-            f"spectra of the Sylvester operands overlap (separation "
-            f"{sep:.3e}, scale {scale:.3e})",
-            separation=float(sep),
-        )
-    # scipy solves A X + X B = Q
-    x = sla.solve_sylvester(ma, -mb, my)
-    return _ensure_finite(np.asarray(x, dtype=np.complex128), "sylvester result")
 
 
 def numerical_rank(a, tol: float | None = None) -> int | np.ndarray:

@@ -12,8 +12,9 @@ The numerical route avoids explicit Jordan forms.  The eigenvalues on the
 diagonal of a complex Schur form are clustered by single linkage, as the
 connected components of the graph joining eigenvalues at most
 ``cluster_tol`` apart.  LAPACK ZTRSEN reorders the Schur form so that each
-cluster is contiguous, then the coupling between clusters is removed with
-Sylvester solves, giving a well-conditioned block-diagonalizing similarity.
+cluster is contiguous, then the coupling between clusters is removed by
+LAPACK ZTRSYL on its triangular diagonal blocks (Bartels-Stewart), giving
+a well-conditioned block-diagonalizing similarity.
 The inverse in S_l is evaluated as a finite Neumann series in the
 nilpotent.  :func:`validate` certifies the result; it stacks the P_l, N_l
 and S_l of all blocks and measures each defect with one batched norm call.
@@ -51,13 +52,15 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import matcore
-from .errors import ClusterAmbiguityError, SingularMatrixError
+from .errors import ClusterAmbiguityError, SingularMatrixError, SpectralOverlapError
 from .liouville import Superoperator, _hp_image, _preserves_hermiticity, _vec_transpose
 
 # Entries of computed nilpotents below this (times max(1, ||B||)) are zeroed:
 # strict enough to keep reconstruction residuals at rounding level, loose
 # enough to remove Schur/Sylvester noise on diagonalizable blocks.
 NILPOTENT_CUT = 1e-12
+# Least distance (times max(1, ||B||)) between eigenvalues of different clusters.
+_OVERLAP_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -212,10 +215,31 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
     Eigenvalues closer than ``cluster_tol`` (default 1e-8 * max(||B||, 1))
     are treated as one degenerate eigenvalue, represented by their mean; the
     gap between distinct clusters must exceed 10 * cluster_tol, otherwise a
-    :class:`ClusterAmbiguityError` reports the offending gap.  A given
-    ``cluster_tol`` must be finite and non-negative (0 clusters only exactly
-    equal eigenvalues); anything else raises ``ValueError`` up front.
+    :class:`ClusterAmbiguityError` reports the offending gap.  Eigenvalues
+    of different clusters at most 1e-10 * max(||B||_2, 1) apart (only for a
+    smaller ``cluster_tol``) raise :class:`SpectralOverlapError` with their
+    distance as ``separation``.  A given ``cluster_tol`` must be finite and
+    non-negative (0 clusters only exactly equal eigenvalues); anything else
+    raises ``ValueError`` up front.
     """
+    return _decompose(b, cluster_tol, escalations=0)
+
+
+def robust_decompose(matrix, cluster_tol: float | None = None) -> SpectralDecomposition:
+    """Spectral decomposition with cluster-tolerance escalation.
+
+    When the clustering is ambiguous (degenerate eigenvalues of the strong
+    part split by rounding, e.g. around Jordan blocks) the tolerance is
+    escalated by factors of 100, at most twice, and the diagonal of the one
+    Schur form is clustered again; the tolerance actually used is recorded
+    on the returned decomposition.  The overlap check of :func:`decompose`
+    applies to the final clustering.
+    """
+    return _decompose(matrix, cluster_tol, escalations=2)
+
+
+def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
+    """:func:`decompose`, escalating ``cluster_tol`` up to ``escalations`` times."""
     if cluster_tol is not None and not (math.isfinite(cluster_tol) and cluster_tol >= 0):
         raise ValueError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
     mat = _as_matrix(b)
@@ -226,26 +250,38 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
 
     t, v = sla.schur(mat, output="complex")
     eigs = np.diag(t).copy()
-    # single linkage: the clusters are the connected components of the graph
-    # joining eigenvalues at most cluster_tol apart, read off the transitive
-    # closure of its reflexive adjacency (boolean squaring until it is stable)
-    reach = np.abs(eigs[:, None] - eigs[None, :]) <= cluster_tol
-    np.fill_diagonal(reach, True)
-    while not np.array_equal(reach, closure := reach @ reach):
-        reach = closure
-    firsts, label = np.unique(reach.argmax(axis=1), return_inverse=True)
-    count = len(firsts)
-    reps = np.array([eigs[label == k].mean() for k in range(count)])
-
-    if count > 1:
-        min_gap = np.abs(reps[:, None] - reps[None, :])[np.triu_indices(count, 1)].min()
-        if min_gap <= 10 * cluster_tol:
+    dist = np.abs(eigs[:, None] - eigs[None, :])
+    for attempt in range(escalations + 1):
+        # single linkage: the clusters are the connected components of the graph
+        # joining eigenvalues at most cluster_tol apart, read off the transitive
+        # closure of its reflexive adjacency (boolean squaring until it is stable)
+        reach = dist <= cluster_tol
+        np.fill_diagonal(reach, True)
+        while not np.array_equal(reach, closure := reach @ reach):
+            reach = closure
+        firsts, label = np.unique(reach.argmax(axis=1), return_inverse=True)
+        count = len(firsts)
+        reps = np.array([eigs[label == k].mean() for k in range(count)])
+        gaps = np.abs(reps[:, None] - reps[None, :])[np.triu_indices(count, 1)]
+        min_gap = gaps.min(initial=np.inf)
+        if min_gap > 10 * cluster_tol:
+            break
+        if attempt == escalations:
             raise ClusterAmbiguityError(
                 f"eigenvalue clusters separated by {min_gap:.3e} <= "
                 f"10 * cluster_tol = {10 * cluster_tol:.3e}; decomposition "
                 "is ambiguous at this tolerance",
                 gap=float(min_gap),
             )
+        cluster_tol *= 100.0
+
+    separation = dist[label[:, None] != label[None, :]].min(initial=np.inf)
+    if separation <= _OVERLAP_TOL * max(norm_b, 1.0):
+        raise SpectralOverlapError(
+            f"eigenvalues of different clusters lie {separation:.3e} apart, "
+            f"at most {_OVERLAP_TOL:.0e} * max(||B||, 1)",
+            separation=float(separation),
+        )
 
     # deterministic cluster order: decreasing real part, then imaginary part
     order = np.lexsort((reps.imag, -reps.real))
@@ -261,10 +297,17 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
         position = np.concatenate((position[selected], position[~selected]))
     starts = np.concatenate(([0], np.cumsum(np.bincount(position, minlength=count))))
 
-    # remove coupling of each leading block to everything after it
+    # remove coupling of each leading block to everything after it:
+    # T_kk X - X T_rest = -T_k,rest, solved as scaled by ZTRSYL
     for k in range(count - 1):
         i0, i1 = starts[k], starts[k + 1]
-        x = matcore.solve_sylvester(t[i0:i1, i0:i1], t[i1:, i1:], -t[i0:i1, i1:])
+        x, scale, info = sla.lapack.ztrsyl(t[i0:i1, i0:i1], t[i1:, i1:], -t[i0:i1, i1:], isgn=-1)
+        if info != 0:
+            raise SpectralOverlapError(
+                f"ztrsyl found cluster {k} near the ones after it (info {info})",
+                separation=float(separation),
+            )
+        x /= scale
         # similarity by Y = [[I, X], [0, I]] on the trailing subspace
         t[i0:i1, i1:] = 0.0
         t[:i0, i1:] += t[:i0, i0:i1] @ x
@@ -272,28 +315,6 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
 
     vinv = matcore.solve_linear(v, np.eye(n, dtype=np.complex128))
     return _assemble(mat, v, vinv, starts, reps[order], cluster_tol, norm_b)
-
-
-def robust_decompose(matrix, cluster_tol: float | None = None) -> SpectralDecomposition:
-    """Spectral decomposition with cluster-tolerance escalation.
-
-    When the clustering is ambiguous (degenerate eigenvalues of the strong
-    part split by rounding, e.g. around Jordan blocks) the tolerance is
-    escalated by factors of 100, at most twice; the tolerance actually used
-    is recorded on the returned decomposition.
-    """
-    tol_try = cluster_tol
-    last_exc = None
-    for _attempt in range(3):
-        try:
-            return decompose(matrix, tol_try)
-        except ClusterAmbiguityError as exc:
-            last_exc = exc
-            base = tol_try if tol_try is not None else _default_cluster_tol(
-                matcore.op_norm(_as_matrix(matrix), "spectral")
-            )
-            tol_try = 100.0 * base
-    raise last_exc
 
 
 def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomposition:

@@ -152,14 +152,15 @@ def test_distance_curves_takes_no_propagator_norm(qubit_pipe, monkeypatch):
 
 
 def _count_decompose(monkeypatch) -> list:
+    # decompose and robust_decompose share this routine
     calls = []
-    real = spectral.decompose
+    real = spectral._decompose
 
     def counting(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(spectral, "decompose", counting)
+    monkeypatch.setattr(spectral, "_decompose", counting)
     return calls
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -21,7 +22,12 @@ from adiabloch.bloch import (
     wave_from_omega,
     wave_residual,
 )
-from adiabloch.errors import ConvergenceError, PreconditionError, SingularMatrixError
+from adiabloch.errors import (
+    BranchEscapeError,
+    ConvergenceError,
+    PreconditionError,
+    SingularMatrixError,
+)
 from adiabloch.liouville import Superoperator, build_superop, gkls_decompose
 from adiabloch.models import (
     counterexample_model,
@@ -193,6 +199,30 @@ class TestSolvers:
         sols = solve_blocks(dec, c, 10.0)
         assert len(sols) == len(dec.blocks) > 1
         assert calls == ["spectral"]
+
+    def test_one_transposed_block_per_block(self, lambda_pipe, monkeypatch):
+        # a solved block transposes its data once for both order-reversed
+        # equations and their checks, a mapped block once for its residuals
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        calls = []
+        transposed = spectral.ProjectionFactors.transposed
+
+        def counting(self, projection_t):
+            calls.append(projection_t.shape)
+            return transposed(self, projection_t)
+
+        monkeypatch.setattr(spectral.ProjectionFactors, "transposed", counting)
+        sols = solve_blocks(dec, c, 10.0)
+        assert len(dec.images) == 3
+        assert len(sols) == len(dec.blocks) == len(calls) == 8
+
+    def test_iterate_leaving_the_ball_is_typed(self, lambda_pipe):
+        # a uniqueness ball of radius 1e-20 is left at the first Newton step
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        rep = kantorovich_report(dec, c, 10.0, 0)
+        tiny = dataclasses.replace(rep, xi=1e-20, solvable=True)
+        with pytest.raises(BranchEscapeError, match="uniqueness ball"):
+            solve_equation(dec, c, 10.0, 0, "omega", report=tiny)
 
     def test_factored_residuals_bound_the_dense_norms(self, lambda_pipe, qubit_pipe):
         # every residual taken from n x r factors is >= its n x n spectral
@@ -633,6 +663,24 @@ def test_bad_series_arguments_rejected(qubit_dec, qubit_weak, call):
 
 
 class TestCorrectionSeries:
+    @pytest.mark.parametrize(
+        "ell, gamma, d_size, match",
+        [
+            (-1, 10.0, 4, "got -1"),
+            (99, 10.0, 4, "got 99"),
+            (1.5, 10.0, 4, "got 1.5"),
+            (0, math.nan, 4, "gamma"),
+            (0, 10.0, 3, r"d_block must be 4x4"),
+        ],
+        ids=["ell-negative", "ell-past-end", "ell-not-integer", "gamma-nan", "d-3x3"],
+    )
+    def test_arguments_validated_up_front(self, qubit_dec, ell, gamma, d_size, match):
+        # the parent took ell = -1 as the last block and let the others fail
+        # as a raw IndexError, TypeError or a NonFiniteError inside the loop
+        zero = np.zeros((4, 4))
+        with pytest.raises(ValueError, match=match):
+            sum_correction_series(qubit_dec, zero, np.zeros((d_size, d_size)), gamma, ell)
+
     def test_zero_case(self, lambda_pipe):
         dec = lambda_pipe.decomposition
         zero = np.zeros((25, 25))

@@ -214,3 +214,26 @@ def test_zero_cluster_tol_is_legal(runner, lambda_file):
     result = runner.invoke(main, ["decompose", "--model", lambda_file, "--cluster-tol", "0"])
     assert result.exit_code == 0, result.output
     assert json.loads(result.output)["cluster_tol"] == 0.0
+
+
+_MODEL_COMMANDS = ["decompose", "solve", "effective", "bound", "evolve", "scaling"]
+
+
+@pytest.mark.parametrize("command", _MODEL_COMMANDS)
+@pytest.mark.parametrize("entry", ["H-nan", "L-inf", "rate-nan", "rate-inf"])
+def test_non_finite_model_entry_exits_2(runner, tmp_path, command, entry):
+    # Python's json reads NaN and Infinity: such a model file is malformed
+    data = qubit_nilpotent_model(10.0).to_dict()
+    strong = data["strong"]
+    if entry == "H-nan":
+        strong["H"][0][0][0] = math.nan
+    elif entry == "L-inf":
+        strong["dissipators"][0]["L"][0][1][1] = math.inf
+    else:
+        strong["dissipators"][0]["rate"] = math.nan if entry == "rate-nan" else math.inf
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, [command, "--model", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "malformed model file" in result.output
+    assert "Traceback" not in result.output

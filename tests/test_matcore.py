@@ -6,12 +6,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from adiabloch import matcore
-from adiabloch.errors import (
-    BranchCutError,
-    NonFiniteError,
-    SingularMatrixError,
-    SpectralOverlapError,
-)
+from adiabloch.errors import BranchCutError, NonFiniteError, SingularMatrixError
 from conftest import random_unitary
 
 
@@ -350,32 +345,6 @@ class TestSolveLinear:
         (a if where == "matrix" else y)[1, 1] = bad
         with pytest.raises(NonFiniteError):
             matcore.solve_linear(a, y)
-
-
-class TestSolveSylvester:
-    def test_scalar_case(self):
-        x = matcore.solve_sylvester(np.array([[1.0]]), np.array([[0.0]]), np.array([[1.0]]))
-        assert_allclose(x, np.array([[1.0]]))
-
-    def test_zero_rhs(self, rng):
-        a = np.diag([1.0, 2.0])
-        b = np.diag([-1.0, -2.0])
-        assert_allclose(matcore.solve_sylvester(a, b, np.zeros((2, 2))), np.zeros((2, 2)))
-
-    def test_residual(self, rng):
-        a = np.diag([1.0, 2.0, 3.0]) + 0.1 * rng.normal(size=(3, 3))
-        b = np.diag([-1.0, -2.0]) + 0.1 * rng.normal(size=(2, 2))
-        y = rng.normal(size=(3, 2)) + 1j * rng.normal(size=(3, 2))
-        x = matcore.solve_sylvester(a, b, y)
-        res = matcore.op_norm(a @ x - x @ b - y, "spectral")
-        assert res < 1e-12 * matcore.op_norm(y, "spectral")
-
-    def test_overlap_rejected(self):
-        a = np.diag([1.0, 2.0])
-        b = np.diag([2.0, 5.0])
-        with pytest.raises(SpectralOverlapError) as err:
-            matcore.solve_sylvester(a, b, np.ones((2, 2)))
-        assert err.value.separation < 1e-10
 
 
 def test_numerical_rank():

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
 from adiabloch import matcore, spectral
-from adiabloch.errors import ClusterAmbiguityError, SingularMatrixError
+from adiabloch.errors import ClusterAmbiguityError, SingularMatrixError, SpectralOverlapError
 from adiabloch.models import (
     counterexample_model,
     counterexample_similarity,
@@ -166,6 +166,36 @@ class TestQubitNilpotent:
         assert_allclose(dec.cluster_tol, 100.0 * default, rtol=1e-14)
         assert find_block(dec, -1.0).index == 2
         assert dec.residuals["nilpotency_defect"] < 1e-12
+
+    def test_escalation_clusters_one_schur_form_again(self, monkeypatch):
+        # one Schur factorization of B whatever the escalations; up to the
+        # assembly the only SVD is ||B||, and no eigenvalues are recomputed
+        strong = build_superop(qubit_nilpotent_model(10.0), "strong")
+        default = 1e-8 * max(matcore.op_norm(strong.matrix, "spectral"), 1.0)
+        calls = {"schur": 0, "svd": 0, "eigvals": 0}
+
+        def counting(name, real):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(spectral.sla, "schur", counting("schur", sla.schur))
+        monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+        monkeypatch.setattr(np.linalg, "eigvals", counting("eigvals", np.linalg.eigvals))
+        at_assembly = []
+        assemble = spectral._assemble
+
+        def recording_assemble(*args):
+            at_assembly.append(dict(calls))
+            return assemble(*args)
+
+        monkeypatch.setattr(spectral, "_assemble", recording_assemble)
+        dec = robust_decompose(strong.matrix)
+        assert_allclose(dec.cluster_tol, 100.0 * default, rtol=1e-14)
+        assert len(dec.blocks) == 3
+        assert at_assembly == [{"schur": 1, "svd": 1, "eigvals": 0}]
+        assert calls["schur"] == 1
 
     def test_user_similarity_route_agrees(self):
         strong = build_superop(qubit_nilpotent_model(10.0), "strong")
@@ -365,6 +395,20 @@ class TestClusteringAndReordering:
             decompose(b, tol)
         with pytest.raises(ValueError, match="cluster_tol"):
             robust_decompose(b, tol)
+
+    @pytest.mark.parametrize(
+        "b",
+        [np.diag([0.0, 1e-12, 1.0]), np.array([[0.0, 1.0, 0.0], [0.0, 1e-12, 1.0], [0.0, 0.0, 1.0]])],
+        ids=["diagonal", "jordan"],
+    )
+    def test_overlapping_clusters_rejected(self, b):
+        # clusters 1e-12 apart, below 1e-10 * max(||B||, 1): the decoupling
+        # Sylvester equation is singular, and ZTRSYL alone would perturb it
+        # and return a decomposition (diagonal) or a singular V (jordan)
+        for decomposer in (decompose, robust_decompose):
+            with pytest.raises(SpectralOverlapError) as err:
+                decomposer(b, 0.0)
+            assert err.value.separation == 1e-12
 
     def test_zero_cluster_tol_groups_only_equal_eigenvalues(self):
         dec = decompose(np.diag([0.0, 1.0, 0.0, 1e-9]), 0.0)
