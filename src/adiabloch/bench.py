@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville, matcore, spectral
-from .bloch import DEFAULT_TOL, schrieffer_wolff_series, solve_blocks
+from .bloch import DEFAULT_TOL, _require_positive, schrieffer_wolff_series, solve_blocks
 from .effective import (
     EffectiveGenerators,
     _bounds_at,
@@ -982,8 +982,10 @@ def bound_check(
     sup distances over the grid, and the corresponding tight bounds.  B is
     decomposed once, at the default cluster tolerance and without
     escalation, and that decomposition serves both the thresholds and the
-    solve.
+    solve.  ``gamma_factor`` must be positive and finite and the grid
+    valid; anything else raises ``ValueError`` before any work.
     """
+    _require_positive(gamma_factor=gamma_factor)
     times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")

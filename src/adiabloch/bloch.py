@@ -172,13 +172,10 @@ def _series_block(dec: SpectralDecomposition, ell, order) -> EigenspaceData:
 
 
 def kantorovich_report(
-    dec: SpectralDecomposition,
-    c,
-    gamma: float,
-    ell: int,
-    norm_kind: str = "spectral",
+    dec: SpectralDecomposition, c, gamma: float, ell: int
 ) -> KantorovichReport:
-    """Newton-Kantorovich constants of block ``ell`` at coupling ``gamma``.
+    """Newton-Kantorovich constants of block ``ell`` at coupling ``gamma``,
+    in the spectral norm that measures the Newton ball.
 
     ``gamma`` must be positive and finite, ``ell`` a block index and C an
     n x n matrix; anything else raises ``ValueError`` before any work.
@@ -186,13 +183,13 @@ def kantorovich_report(
     _require_positive(gamma=gamma)
     _require_block(dec, ell)
     cm = _weak_matrix(dec, c)
-    return _kantorovich(dec.blocks[ell], matcore.op_norm(cm, norm_kind), gamma, ell, norm_kind)
+    return _kantorovich(dec.blocks[ell], matcore.op_norm(cm, "spectral"), gamma, ell)
 
 
 def _kantorovich(
-    block: EigenspaceData, c_norm: float, gamma: float, ell: int, norm_kind: str
+    block: EigenspaceData, c_norm: float, gamma: float, ell: int
 ) -> KantorovichReport:
-    mu, scp = _threshold_constants(block, c_norm, norm_kind)
+    mu, scp = _threshold_constants(block, c_norm, "spectral")
     gamma_min = 4.0 * mu * scp
     lipschitz = 2.0 * scp / gamma
 
@@ -201,7 +198,7 @@ def _kantorovich(
         # beta undefined: derivative-inverse bound diverges
         return KantorovichReport(
             ell, mu, math.inf, math.inf, lipschitz, math.inf,
-            math.nan, math.nan, gamma_min, False, False, norm_kind,
+            math.nan, math.nan, gamma_min, False, False,
         )
     beta = mu / (1.0 - a)
     nu = (mu * scp / gamma) / (1.0 - a)
@@ -217,7 +214,7 @@ def _kantorovich(
         xi = math.nan
     return KantorovichReport(
         ell, mu, beta, nu, lipschitz, h, theta, xi,
-        gamma_min, solvable, quadratic, norm_kind,
+        gamma_min, solvable, quadratic,
     )
 
 
@@ -296,15 +293,6 @@ _EQUATIONS = {
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
 _METHODS = ("newton", "fixed_point")
-
-
-def initial_guess(blk: EigenspaceData, c, which: str) -> np.ndarray:
-    """Zeroth-order perturbative solution used to select the branch."""
-    if which == "omega":
-        return bracket(blk, c @ blk.projection, "right")
-    if which == "wave":
-        return blk.projection.copy()
-    raise ValueError(f"unknown equation {which!r}")
 
 
 def _factor_norm(y, wz, w_off) -> float:
@@ -645,7 +633,7 @@ def solve_blocks(
             residuals = {**sol.residuals, **_mapped_residuals(blk, cm, gamma, sol)}
             sols.append(replace(sol, residuals=residuals))
         else:
-            report = _kantorovich(blk, c_norm, gamma, ell, "spectral")
+            report = _kantorovich(blk, c_norm, gamma, ell)
             sols.append(_solve_block(dec, cm, gamma, ell, method, tol, report))
     return sols
 

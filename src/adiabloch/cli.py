@@ -2,7 +2,9 @@
 
 Subcommands: decompose | solve | effective | bound | evolve | reproduce |
 scaling.  Exit codes: 0 on success, 1 on numerical failure, 2 on usage
-errors (including unreadable or malformed model files).
+errors (including unreadable or malformed model files).  The command group
+enforces them: an :class:`AdiablochError` escaping any subcommand becomes
+one ``error: <message>`` line on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -91,7 +93,17 @@ format_option = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Command group that reports a numerical failure with exit 1."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except AdiablochError as exc:
+            _fail(str(exc))
+
+
+@click.group(cls=_Group)
 def main():
     """Effective adiabatic generators for strongly driven open systems."""
 
@@ -107,13 +119,10 @@ def decompose(model_path, cluster_tol, matrices, out):
         _check_finite([cluster_tol], "--cluster-tol", "the cluster tolerance", zero_ok=True)
     model = _load_model(model_path)
     strong = build_superop(model, "strong")
-    try:
-        if cluster_tol is not None:
-            dec = spectral.decompose(strong.matrix, cluster_tol)
-        else:
-            dec = spectral.robust_decompose(strong.matrix)
-    except AdiablochError as exc:
-        _fail(str(exc))
+    if cluster_tol is not None:
+        dec = spectral.decompose(strong.matrix, cluster_tol)
+    else:
+        dec = spectral.robust_decompose(strong.matrix)
     payload = {
         "dim": model.dim,
         "cluster_tol": dec.cluster_tol,
@@ -153,10 +162,7 @@ def solve(model_path, gamma, tol, method, matrices, out):
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
-    try:
-        dec = spectral.robust_decompose(strong.matrix)
-    except AdiablochError as exc:
-        _fail(str(exc))
+    dec = spectral.robust_decompose(strong.matrix)
     try:
         sols = solve_blocks(dec, weak.matrix, model.gamma, method=method, tol=tol)
     except AdiablochError as exc:
@@ -232,25 +238,22 @@ def effective(model_path, gamma, tol, out):
     """GKLS data of the symmetrized effective generator."""
     _check_finite([tol], "--tol", "the tolerance")
     model = _with_gamma(_load_model(model_path), gamma)
-    try:
-        pipe = bench.compute_effective(model, tol=tol)
-        form = gkls_decompose(pipe.generators.schrieffer_wolff, tol=1e-8)
-        sim = verify_similarity(
-            pipe.generators,
-            pipe.decomposition,
-            pipe.strong.matrix,
-            pipe.weak.matrix,
-            model.gamma,
-            list(pipe.solutions),
-        )
-    except AdiablochError as exc:
-        _fail(str(exc))
+    pipe = bench.compute_effective(model, tol=tol)
+    form = gkls_decompose(pipe.generators.schrieffer_wolff, tol=1e-8)
+    sim = verify_similarity(
+        pipe.generators,
+        pipe.decomposition,
+        pipe.strong.matrix,
+        pipe.weak.matrix,
+        model.gamma,
+        list(pipe.solutions),
+    )
     payload = {
         "gamma": model.gamma,
         "rates": list(form.rates),
         "hamiltonian": _matrix_json(form.hamiltonian),
         "verdicts": form.verdicts,
-        "min_rate": min(form.rates),
+        "min_rate": min(form.rates, default=0.0),
         "similarity_residuals": sim,
     }
     _emit(json.dumps(payload, indent=2), out)
@@ -267,11 +270,8 @@ def bound(model_path, gamma, norm_kind, unitary, out):
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
-    try:
-        dec = spectral.robust_decompose(strong.matrix)
-        report = eternal_bound(dec, weak.matrix, model.gamma, norm_kind, unitary=unitary)
-    except AdiablochError as exc:
-        _fail(str(exc))
+    dec = spectral.robust_decompose(strong.matrix)
+    report = eternal_bound(dec, weak.matrix, model.gamma, norm_kind, unitary=unitary)
     _emit(json.dumps(dataclasses.asdict(report), indent=2), out)
 
 
@@ -295,11 +295,8 @@ def evolve(model_path, gamma, order, norm_kind, fmt, out):
             raise click.UsageError(f"--order must be an integer or 'inf': {order}") from exc
         if k < 0:
             raise click.UsageError(f"--order must be >= 0: {order}")
-    try:
-        pipe = bench.compute_effective(model)
-        curve = bench.distance_curves(pipe, [k], norm_kind=norm_kind)[k]
-    except AdiablochError as exc:
-        _fail(str(exc))
+    pipe = bench.compute_effective(model)
+    curve = bench.distance_curves(pipe, [k], norm_kind=norm_kind)[k]
     if fmt == "csv":
         _emit(curve.to_csv(), out)
     else:
@@ -320,10 +317,7 @@ def evolve(model_path, gamma, order, norm_kind, fmt, out):
 def reproduce(case, fmt, out):
     """Re-derive the printed reference data of the built-in examples."""
     cases = bench.CASES if case == "all" else (case,)
-    try:
-        reports = [bench.reproduce(c) for c in cases]
-    except AdiablochError as exc:
-        _fail(str(exc))
+    reports = [bench.reproduce(c) for c in cases]
     if fmt == "csv":
         lines = ["case,name,expected,computed,provenance,tol,pass"]
         for rep in reports:
@@ -364,10 +358,7 @@ def scaling(model_path, gammas, orders, norm_kind, out):
     _check_finite(gamma_list, "--gammas")
     if any(k < 0 for k in order_list):
         raise click.UsageError(f"--orders must be >= 0: {orders}")
-    try:
-        report = bench.scaling_check(model, gamma_list, order_list, norm_kind=norm_kind)
-    except AdiablochError as exc:
-        _fail(str(exc))
+    report = bench.scaling_check(model, gamma_list, order_list, norm_kind=norm_kind)
     payload = dataclasses.asdict(report)
     payload["breakaway"] = {
         str(k): {str(g): t for g, t in d.items()} for k, d in report.breakaway.items()

@@ -96,7 +96,8 @@ class LindbladModel:
     weak_dissipators: tuple = ()
 
     def __post_init__(self):
-        d = self.dim
+        d = _check_dim(self.dim)
+        object.__setattr__(self, "dim", d)
         sh = _check_hamiltonian(self.strong_hamiltonian, d, "strong_hamiltonian")
         wh = self.weak_hamiltonian
         wh = np.zeros((d, d), dtype=np.complex128) if wh is None else wh
@@ -141,7 +142,7 @@ class LindbladModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
-        d = int(data["dim"])
+        d = _check_dim(data["dim"])
         strong = data.get("strong", {})
         weak = data.get("weak", {})
         return cls(
@@ -162,6 +163,12 @@ class LindbladModel:
     @classmethod
     def from_json(cls, text: str) -> "LindbladModel":
         return cls.from_dict(json.loads(text))
+
+
+def _check_dim(d):
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"dim must be a positive integer, got {d!r}")
+    return int(d)
 
 
 def _check_hamiltonian(h, d, name) -> np.ndarray:
@@ -198,7 +205,12 @@ def _num(x: float, mode: str):
 
 
 def _read_num(x) -> float:
-    return float.fromhex(x) if isinstance(x, str) else float(x)
+    """A number of a model file: a JSON number, or a string as float.hex() writes it."""
+    if not isinstance(x, str):
+        return float(x)
+    if not x.lstrip("+-").startswith("0x"):
+        raise ValueError(f"number string {x!r} is not in float.hex() form")
+    return float.fromhex(x)
 
 
 def _matrix_to_json(m, mode: str):
@@ -431,7 +443,7 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
     d = sop.dim
     n = d * d
     g = _unit_frame(d)[0]
-    frame = [unvec(g[:, a], d) for a in range(n)]
+    frame = g.T.reshape(n, d, d).swapaxes(1, 2)  # frame[a] = unvec(g[:, a])
     # L = sum_ab x_ab (F_b^T kron F_a); the reshuffle R[(i,k),(l,j)] =
     # L[(i,j),(k,l)] turns this into R = G x G^T with G = [vec(F_a)] unitary.
     tens = sop.matrix.reshape(d, d, d, d, order="F")
@@ -440,21 +452,19 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
     x = 0.5 * (x + x.conj().T)  # HP makes x Hermitian; symmetrize rounding
 
     koss = x[1:, 1:].copy()
-    a_op = sum(x[i, 0] * frame[i] for i in range(1, n))
+    a_op = np.tensordot(x[1:, 0], frame[1:], axes=1)
     ham = 1j / (2.0 * np.sqrt(d)) * (a_op - a_op.conj().T)
 
     evals, evecs = np.linalg.eigh(koss)
     order = np.argsort(evals)[::-1]
     evals = evals[order]
     evecs = evecs[:, order]
-    jumps = []
     for i in range(n - 1):
         v = evecs[:, i]
         nz = np.flatnonzero(np.abs(v) > 1e-12)
         if nz.size:
-            v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-        evecs[:, i] = v
-        jumps.append(sum(v[j] * frame[j + 1] for j in range(n - 1)))
+            evecs[:, i] = v * (np.abs(v[nz[0]]) / v[nz[0]])
+    jumps = np.tensordot(evecs.T, frame[1:], axes=1)
 
     form = GKLSForm(
         dim=d,

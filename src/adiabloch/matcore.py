@@ -5,14 +5,14 @@ unitarily invariant norms, the principal matrix square root (Schur method),
 linear solves, and the matrix exponential.  All functions are
 pure: inputs are never mutated, outputs are freshly allocated, and every
 public operation rejects non-finite input and guarantees finite entries on
-return.  :func:`expm` and :func:`op_norm` (and :func:`numerical_rank` and
-:func:`supported_norm`) keep the input's kind: real input is taken as
-``float64``, never cast up to complex, and gives a ``float64`` exponential;
-complex input is taken as ``complex128``.  Either way the arithmetic is the
-same.  The square root and the solves compute in ``complex128``.
-:func:`op_norm` and :func:`numerical_rank` also take stacks of shape
-``(..., n, n)`` and act on each matrix of the stack, so many certificate
-residuals, or the points of a time grid, are measured in one call.
+return.  :func:`expm` and :func:`op_norm` (and :func:`supported_norm`)
+keep the input's kind: real input is taken as ``float64``, never cast up
+to complex, and gives a ``float64`` exponential; complex input is taken as
+``complex128``.  Either way the arithmetic is the same.  The square root
+and the solves compute in ``complex128``.  :func:`op_norm` also takes
+stacks of shape ``(..., n, n)`` and acts on each matrix of the stack, so
+many certificate residuals, or the points of a time grid, are measured in
+one call.
 :func:`expm` takes one matrix A and a grid of times, and is its own
 scaling-and-squaring kernel (degree-13 Pade, Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 2009).  Since (tA)^j = t^j A^j and the norms that
@@ -31,8 +31,6 @@ import scipy.linalg as sla
 
 from .errors import BranchCutError, NonFiniteError, SingularMatrixError
 
-# Rank cutoff, relative to the largest singular value.
-TOL_RANK = 1e-9
 # Relative tolerance of principal_sqrt: distance of an eigenvalue from the
 # closed negative real axis.
 _SQRT_AXIS_TOL = 1e-13
@@ -285,16 +283,3 @@ def solve_linear(a, y) -> np.ndarray:
             cond=cond,
         )
     return _ensure_finite(_GETRS(lu, piv, rhs)[0], "solve result")
-
-
-def numerical_rank(a, tol: float | None = None) -> int | np.ndarray:
-    """Rank from singular values above ``tol`` (default TOL_RANK * sigma_max).
-
-    Returns an ``int`` for one matrix and an array of shape ``a.shape[:-2]``
-    for a stack, each matrix ranked against its own sigma_max by default.
-    """
-    m = _as_stack(a)
-    s = np.linalg.svd(m, compute_uv=False)
-    cutoff = TOL_RANK * s.max(axis=-1, initial=0.0)[..., None] if tol is None else tol
-    ranks = np.count_nonzero(s > cutoff, axis=-1)
-    return int(ranks) if m.ndim == 2 else ranks

@@ -400,7 +400,10 @@ def validate(dec: SpectralDecomposition, b) -> dict:
 
     All norms are spectral, and each defect is the largest over the blocks
     (or block pairs, for orthogonality).  ``rank_consistent`` cross-checks
-    the nilpotent index against numerical ranks of the nilpotent powers.
+    the nilpotent index against the numerical ranks, at 1e-7 max(||B||, 1),
+    of the nilpotent powers: the index-th powers must have rank 0, read off
+    the singular values already taken for ``nilpotency_defect``, and the
+    powers one below the index rank at least 1.
     Orthogonality and annihilation are taken from the projection factors
     (see the module docstring): upper bounds of ||P_i P_j||, ||P S|| and
     ||S P||, equal to them for exact projections.  They cost b^2 SVDs of
@@ -447,14 +450,16 @@ def validate(dec: SpectralDecomposition, b) -> dict:
     powers = np.array(
         [np.linalg.matrix_power(blk.nilpotent, max(blk.index, 1)) for blk in dec.blocks]
     )
-    # the power one below the index must not vanish yet
+    nilpotency = worst(powers)
+    # the power one below the index must not vanish yet; a matrix has
+    # numerical rank 0 exactly when its spectral norm is at most rank_tol
     below = [
         np.linalg.matrix_power(blk.nilpotent, blk.index - 1)
         for blk in dec.blocks
         if blk.index > 1
     ]
-    rank_ok = not matcore.numerical_rank(powers, tol=rank_tol).any() and (
-        not below or matcore.numerical_rank(np.array(below), tol=rank_tol).all()
+    rank_ok = nilpotency <= rank_tol and (
+        not below or matcore.op_norm(np.array(below), "spectral").min() > rank_tol
     )
 
     return {
@@ -469,7 +474,7 @@ def validate(dec: SpectralDecomposition, b) -> dict:
             worst(shifted @ s - (eye - p)), worst(s @ shifted - (eye - p))
         ),
         "annihilation_defect": annihilation,
-        "nilpotency_defect": worst(powers),
+        "nilpotency_defect": nilpotency,
         "rank_consistent": bool(rank_ok),
         "rank_total": int(sum(blk.rank for blk in dec.blocks)),
     }

@@ -325,6 +325,17 @@ def test_bad_time_grid_rejected_before_any_work(grid, lambda_pipe, monkeypatch):
         bench.bound_check(model, times=grid)
 
 
+@pytest.mark.parametrize("factor", [-1.0, 0.0, np.nan, np.inf])
+def test_bad_gamma_factor_rejected_before_any_work(factor, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before gamma_factor was checked")
+
+    monkeypatch.setattr(bench, "build_superop", no_work)
+    monkeypatch.setattr(bench.spectral, "decompose", no_work)
+    with pytest.raises(ValueError, match=f"gamma_factor must be positive and finite, got {factor}"):
+        bench.bound_check(lambda_model(10.0), gamma_factor=factor)
+
+
 def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):
     # one Pade solve per chunk and generator, none per time point, and no
     # per-slice scipy exponential

@@ -355,7 +355,7 @@ def _dense_newton(blk, c, gamma, which, tol=1e-12, max_iter=50):
         "omega": (bloch.omega_residual, _dense_omega_jacobian),
         "wave": (wave_residual, _dense_wave_jacobian),
     }[which]
-    x = bloch.initial_guess(blk, c, which)
+    x = bracket(blk, c @ blk.projection) if which == "omega" else blk.projection
     n = len(x)
     for it in range(max_iter):
         r = residual_fn(blk, c, gamma, x)

@@ -5,8 +5,16 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from adiabloch import bloch, spectral
+from adiabloch import bench, bloch, cli, spectral
 from adiabloch.cli import main
+from adiabloch.errors import (
+    ClusterAmbiguityError,
+    ConvergenceError,
+    NonFiniteError,
+    PhysicalityError,
+    SingularMatrixError,
+    SpectralOverlapError,
+)
 from adiabloch.liouville import build_superop
 from adiabloch.models import lambda_model, qubit_nilpotent_model
 
@@ -64,9 +72,9 @@ def test_solve_builds_one_report_per_solved_block(runner, lambda_file, monkeypat
     calls = []
     kantorovich = bloch._kantorovich
 
-    def counting(block, c_norm, gamma, ell, norm_kind):
+    def counting(block, c_norm, gamma, ell):
         calls.append(ell)
-        return kantorovich(block, c_norm, gamma, ell, norm_kind)
+        return kantorovich(block, c_norm, gamma, ell)
 
     monkeypatch.setattr(bloch, "_kantorovich", counting)
     result = runner.invoke(main, ["solve", "--model", lambda_file])
@@ -237,3 +245,69 @@ def test_non_finite_model_entry_exits_2(runner, tmp_path, command, entry):
     assert result.exit_code == 2, result.output
     assert "malformed model file" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "args, owner, name, error",
+    [
+        (["decompose", "--model"], spectral, "robust_decompose",
+         ClusterAmbiguityError("clusters too close", gap=1e-9)),
+        (["solve", "--model"], spectral, "robust_decompose",
+         SpectralOverlapError("clusters overlap", separation=0.0)),
+        (["effective", "--model"], bench, "compute_effective",
+         ConvergenceError("no convergence", residual=1.0, iterations=3)),
+        (["bound", "--model"], cli, "eternal_bound", SingularMatrixError("singular", cond=1e20)),
+        (["evolve", "--model"], bench, "distance_curves", NonFiniteError("overflow")),
+        (["reproduce", "table2"], bench, "reproduce", PhysicalityError("not HP/TP")),
+        (["scaling", "--model"], bench, "scaling_check", NonFiniteError("overflow in scaling")),
+    ],
+    ids=["decompose", "solve-decompose", "effective", "bound", "evolve", "reproduce", "scaling"],
+)
+def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner, name, error):
+    # the command group turns any AdiablochError into one line on stderr
+    def failing(*_args, **_kwargs):
+        raise error
+
+    monkeypatch.setattr(owner, name, failing)
+    if args[-1] == "--model":
+        args = args + [qubit_file]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1, result.output
+    assert result.stderr == f"error: {error}\n"
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        # float.fromhex would read "10" as 16.0 and "0.5" as 0.3125
+        (lambda data: data.update(gamma="10"), "float.hex"),
+        (lambda data: data["strong"]["dissipators"][0].update(rate="0.5"), "float.hex"),
+        (lambda data: data.update(dim=2.5), "dim must be a positive integer"),
+        (lambda data: data.update(dim=0), "dim must be a positive integer"),
+    ],
+    ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0"],
+)
+def test_bad_number_or_dim_exits_2(runner, tmp_path, edit, message):
+    data = qubit_nilpotent_model(10.0).to_dict()
+    edit(data)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    result = runner.invoke(main, ["bound", "--model", str(bad)])
+    assert result.exit_code == 2, result.output
+    assert "malformed model file" in result.output
+    assert message in result.output
+
+
+def test_effective_one_level_model(runner, tmp_path):
+    # d = 1: no traceless frame element, so H = 0, no rates and min_rate 0
+    model = tmp_path / "one.json"
+    model.write_text(json.dumps(
+        {"dim": 1, "gamma": 1.0, "strong": {"H": [[[0.5, 0.0]]]}, "weak": {}}
+    ))
+    result = runner.invoke(main, ["effective", "--model", str(model)])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout)
+    assert data["rates"] == [] and data["min_rate"] == 0.0
+    assert data["hamiltonian"] == [[[0.0, 0.0]]]

@@ -63,7 +63,7 @@ def _dense_loop(blk, c, gamma, which, method="newton", tol=bloch.DEFAULT_TOL, ma
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     q, w, z = blk.factors.q, blk.factors.w, blk.factors.z
     eye = np.eye(len(s))
-    x = bloch.initial_guess(blk, c, which)
+    x = bloch.bracket(blk, c @ blk.projection) if which == "omega" else blk.projection
     for it in range(max_iter):
         if which == "omega":
             r = (s @ x @ x) / gamma - x - (c @ s @ x) / gamma + s @ x @ nil + c @ p

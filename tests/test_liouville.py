@@ -202,6 +202,14 @@ class TestGKLSDecompose:
         with pytest.raises(PhysicalityError):
             gkls_decompose(Superoperator(3, mat))
 
+    def test_one_level_system(self):
+        # d = 1: the frame has no traceless element, so H = 0 and no rates
+        form = gkls_decompose(Superoperator(1, np.zeros((1, 1))))
+        assert np.array_equal(form.hamiltonian, np.zeros((1, 1)))
+        assert form.rates == () and form.jumps == ()
+        assert form.verdicts["ccp"]
+        assert check_ccp(form).defect == 0.0
+
     def test_rates_sorted_descending(self, rng):
         form = gkls_decompose(build_superop(random_model(4, rng), "total"))
         rates = np.array(form.rates)
@@ -223,6 +231,31 @@ class TestModelSerialization:
         restored = LindbladModel.from_json(m.to_json(float_mode="hex"))
         assert restored.gamma == m.gamma
         assert np.array_equal(restored.strong_hamiltonian, m.strong_hamiltonian)
+
+    @pytest.mark.parametrize("text", ["10", "0.5", "1e1", " 0x1p3", "inf", "nan"])
+    def test_number_string_not_in_hex_form_rejected(self, rng, text):
+        # float.fromhex would read "10" as 16.0 and "0.5" as 0.3125
+        data = random_model(2, rng).to_dict()
+        data["gamma"] = text
+        with pytest.raises(ValueError, match="float.hex"):
+            LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize("dim", [0, -1, 2.5, 2.0, "2", True, None])
+    def test_dim_must_be_a_positive_integer(self, dim):
+        with pytest.raises(ValueError, match="dim must be a positive integer"):
+            LindbladModel(dim=dim, gamma=1.0, strong_hamiltonian=np.zeros((2, 2)))
+
+    def test_numpy_integer_dim_is_stored_as_int(self):
+        m = LindbladModel(dim=np.int64(2), gamma=1.0, strong_hamiltonian=np.zeros((2, 2)))
+        assert type(m.dim) is int
+        assert LindbladModel.from_json(m.to_json()).dim == 2
+
+    @pytest.mark.parametrize("dim", [0, 2.5])
+    def test_dim_checked_before_the_matrices_are_read(self, rng, dim):
+        data = random_model(2, rng).to_dict()
+        data["dim"] = dim
+        with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim}"):
+            LindbladModel.from_dict(data)
 
     def test_validation(self):
         with pytest.raises(ValueError):

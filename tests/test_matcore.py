@@ -69,7 +69,7 @@ class TestOpNorm:
 
 
 class TestStacks:
-    """op_norm and numerical_rank on (..., n, n) stacks act slice by slice, and
+    """op_norm on (..., n, n) stacks acts slice by slice, and
     every slice of expm over a time grid equals expm at that time alone."""
 
     @pytest.fixture
@@ -106,19 +106,6 @@ class TestStacks:
             out = matcore.expm(a, times)
             for t, slice_ in zip(times, out):
                 assert np.array_equal(slice_, matcore.expm(a, [t])[0])
-
-    @pytest.mark.parametrize("tol", [None, 1e-1])
-    def test_numerical_rank_matches_per_slice_loop(self, stack, tol):
-        # rank-deficient slices: zero the last k columns of slice k
-        for k, idx in enumerate(np.ndindex(2, 3)):
-            stack[idx][:, 5 - k :] = 0.0
-        ranks = matcore.numerical_rank(stack, tol)
-        assert ranks.shape == (2, 3)
-        loop = [[matcore.numerical_rank(stack[i, j], tol) for j in range(3)] for i in range(2)]
-        assert all(isinstance(v, int) for row in loop for v in row)
-        assert ranks.tolist() == loop
-        if tol is None:
-            assert loop == [[5, 4, 3], [2, 1, 0]]
 
     def test_nan_in_one_slice_rejected(self, stack):
         stack[1, 2, 0, 4] = np.nan
@@ -345,12 +332,6 @@ class TestSolveLinear:
         (a if where == "matrix" else y)[1, 1] = bad
         with pytest.raises(NonFiniteError):
             matcore.solve_linear(a, y)
-
-
-def test_numerical_rank():
-    a = np.diag([1.0, 1e-3, 1e-12])
-    assert matcore.numerical_rank(a) == 2
-    assert matcore.numerical_rank(np.zeros((3, 3))) == 0
 
 
 class TestSupportedNorm:

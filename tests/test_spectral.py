@@ -64,11 +64,11 @@ def validate_per_pair(dec, b):
         )
         power = np.linalg.matrix_power(nil, blk.index) if blk.index > 0 else nil
         nilpotency = max(nilpotency, matcore.op_norm(power, "spectral"))
-        if matcore.numerical_rank(power, tol=1e-7 * norm_b) != 0:
+        if matcore.op_norm(power, "spectral") > 1e-7 * norm_b:
             rank_ok = False
         if blk.index > 1:
             prev = np.linalg.matrix_power(nil, blk.index - 1)
-            if matcore.numerical_rank(prev, tol=1e-7 * norm_b) == 0:
+            if matcore.op_norm(prev, "spectral") <= 1e-7 * norm_b:
                 rank_ok = False
         total_rank += blk.rank
 
