@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville, matcore, spectral
-from .bloch import DEFAULT_TOL, _require_positive, schrieffer_wolff_series, solve_blocks
+from .bloch import DEFAULT_TOL, _require_integer, _require_positive
+from .bloch import schrieffer_wolff_series, solve_blocks
 from .effective import (
     EffectiveGenerators,
     _bounds_at,
@@ -304,6 +305,10 @@ class ScalingReport:
     threshold_factor: float
 
 
+# Breakaway level of scaling_check, in units of the reference plateau.
+_THRESHOLD_FACTOR = 3.0
+
+
 def breakaway_time(curve: DistanceCurve, level: float):
     """First grid time where the envelope exceeds the given level."""
     above = np.flatnonzero(curve.envelope > level)
@@ -318,20 +323,24 @@ def scaling_check(
     orders,
     times: np.ndarray | None = None,
     norm_kind: str = "spectral",
-    threshold_factor: float = 3.0,
 ) -> ScalingReport:
     """Fit the breakaway-time exponents of the truncated approximations.
 
     The nonperturbative envelope at the first (reference) coupling sets the
-    plateau; order k breaks away when its envelope first exceeds
-    ``threshold_factor`` times that plateau.  The level is held fixed over
-    the sweep so that the fitted slopes of log t_k against log gamma
+    plateau; order k breaks away when its envelope first exceeds three
+    times that plateau (``_THRESHOLD_FACTOR``).  The level is held fixed
+    over the sweep so that the fitted slopes of log t_k against log gamma
     estimate the validity exponents (expected k + 1); a level tied to the
     per-coupling plateau, which itself shrinks like 1/gamma, would shift
-    every exponent down by one.
+    every exponent down by one.  The couplings must be positive and finite
+    and the orders non-negative integers; anything else raises
+    ``ValueError`` before any work.
     """
     if len(gammas) == 0:
         raise ValueError("scaling_check needs at least one coupling")
+    _require_positive(**{f"gammas[{i}]": gamma for i, gamma in enumerate(gammas)})
+    for i, k in enumerate(orders):
+        _require_integer(f"orders[{i}]", k, 0)
     times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
@@ -345,7 +354,7 @@ def scaling_check(
         curves = distance_curves(pipe, list(orders) + [None], times, norm_kind)
         plateau[float(gamma)] = float(curves[None].envelope.max())
         if level is None:
-            level = threshold_factor * plateau[float(gamma)]
+            level = _THRESHOLD_FACTOR * plateau[float(gamma)]
         for k in orders:
             t_break[k][float(gamma)] = breakaway_time(curves[k], level)
     slopes = {}
@@ -367,7 +376,7 @@ def scaling_check(
         breakaway=t_break,
         slopes=slopes,
         lower_bound_only=lower_only,
-        threshold_factor=float(threshold_factor),
+        threshold_factor=_THRESHOLD_FACTOR,
     )
 
 
@@ -795,9 +804,15 @@ def _counterexample_constrained_block(r, gamma):
     return mid
 
 
-def counterexample_parameter_grid(points: int = 7, span: float = 3.0):
+# counterexample_parameter_grid takes r1, r2, r4 and r5 at _GRID_POINTS
+# evenly spaced values of [-_GRID_SPAN, _GRID_SPAN].
+_GRID_POINTS = 7
+_GRID_SPAN = 3.0
+
+
+def counterexample_parameter_grid():
     """Constrained (r1..r6) samples: r3, r6 eliminated by the two conditions."""
-    vals = np.linspace(-span, span, points)
+    vals = np.linspace(-_GRID_SPAN, _GRID_SPAN, _GRID_POINTS)
     out = []
     for r1 in vals:
         for r2 in vals:

@@ -148,6 +148,12 @@ def _require_positive(**values) -> None:
             raise ValueError(f"{name} must be positive and finite, got {value}")
 
 
+def _require_integer(name: str, value, least: int) -> None:
+    if not (isinstance(value, (int, np.integer)) and value >= least):
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
+
+
 def _weak_matrix(dec: SpectralDecomposition, c, name: str = "c") -> np.ndarray:
     """C (or the operand ``name``) as a complex matrix, rejected unless it is n x n like B."""
     cm = matcore.as_cmatrix(c)
@@ -166,8 +172,7 @@ def _require_block(dec: SpectralDecomposition, ell) -> None:
 def _series_block(dec: SpectralDecomposition, ell, order) -> EigenspaceData:
     """Block ``ell`` of a series request, once ``ell`` and ``order`` are checked."""
     _require_block(dec, ell)
-    if not (isinstance(order, (int, np.integer)) and order >= 0):
-        raise ValueError(f"order must be a non-negative integer, got {order!r}")
+    _require_integer("order", order, 0)
     return dec.blocks[ell]
 
 
@@ -349,9 +354,10 @@ def solve_equation(
     the returned solution is always the branch selected by the perturbative
     initial guess.
 
-    ``gamma`` and ``tol`` must be positive and finite, ``ell`` a block
-    index and C an n x n matrix; like an unknown ``which`` or ``method``
-    anything else raises ``ValueError`` before any iteration.
+    ``gamma`` and ``tol`` must be positive and finite, ``max_iter`` a
+    positive integer, ``ell`` a block index and C an n x n matrix; like an
+    unknown ``which`` or ``method`` anything else raises ``ValueError``
+    before any iteration.
     """
     if which not in _EQUATIONS and which not in _CONJUGATES:
         raise ValueError(
@@ -361,6 +367,7 @@ def solve_equation(
     if method not in _METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
     _require_positive(gamma=gamma, tol=tol)
+    _require_integer("max_iter", max_iter, 1)
     _require_block(dec, ell)
     cm = _weak_matrix(dec, c)
     blk = dec.blocks[ell]
@@ -874,10 +881,12 @@ def sum_correction_series(
     :class:`PreconditionError` is raised.  When D solves the adiabatic
     Bloch equation, the summed correction has no P ... P component, which
     is reported as ``leakage_free_defect``.  ``gamma`` and ``tol`` must be
-    positive and finite, ``ell`` a block index, and C and ``d_block`` n x n
-    matrices; anything else raises ``ValueError`` before any work.
+    positive and finite, ``n_max`` a positive integer, ``ell`` a block
+    index, and C and ``d_block`` n x n matrices; anything else raises
+    ``ValueError`` before any work.
     """
     _require_positive(gamma=gamma, tol=tol)
+    _require_integer("n_max", n_max, 1)
     _require_block(dec, ell)
     cm = _weak_matrix(dec, c)
     dm = _weak_matrix(dec, d_block, "d_block")

@@ -15,13 +15,12 @@ import math
 import sys
 
 import click
-import numpy as np
 
-from . import bench, liouville, spectral
+from . import bench, spectral
 from .bloch import kantorovich_report, solve_blocks
 from .effective import eternal_bound, verify_similarity
 from .errors import AdiablochError
-from .liouville import LindbladModel, build_superop, gkls_decompose
+from .liouville import LindbladModel, _matrix_to_json, build_superop, gkls_decompose
 
 
 def _load_model(path: str) -> LindbladModel:
@@ -62,8 +61,18 @@ def _emit(text: str, out: str | None) -> None:
             handle.write(text if text.endswith("\n") else text + "\n")
 
 
-def _matrix_json(m) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(m)]
+def _emit_json(payload, out: str | None) -> None:
+    """Emit ``payload`` as strict JSON (RFC 8259); dict keys become strings."""
+    _emit(json.dumps(_finite(payload), indent=2, allow_nan=False), out)
+
+
+def _finite(value):
+    """``value`` with each non-finite float as the string "inf", "-inf" or "nan"."""
+    if isinstance(value, dict):
+        return {key: _finite(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite(item) for item in value]
+    return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def _fail(message: str) -> None:
@@ -134,9 +143,9 @@ def decompose(model_path, cluster_tol, matrices, out):
                 "index": blk.index,
                 **(
                     {
-                        "projection": _matrix_json(blk.projection),
-                        "nilpotent": _matrix_json(blk.nilpotent),
-                        "resolvent": _matrix_json(blk.resolvent),
+                        "projection": _matrix_to_json(blk.projection, "repr"),
+                        "nilpotent": _matrix_to_json(blk.nilpotent, "repr"),
+                        "resolvent": _matrix_to_json(blk.resolvent, "repr"),
                     }
                     if matrices
                     else {}
@@ -145,7 +154,7 @@ def decompose(model_path, cluster_tol, matrices, out):
             for blk in dec.blocks
         ],
     }
-    _emit(json.dumps(payload, indent=2), out)
+    _emit_json(payload, out)
 
 
 @main.command()
@@ -202,10 +211,10 @@ def solve(model_path, gamma, tol, method, matrices, out):
                 "kantorovich": dataclasses.asdict(s.report),
                 **(
                     {
-                        "omega": _matrix_json(s.omega),
-                        "omega_conj": _matrix_json(s.omega_conj),
-                        "wave": _matrix_json(s.wave),
-                        "wave_conj": _matrix_json(s.wave_conj),
+                        "omega": _matrix_to_json(s.omega, "repr"),
+                        "omega_conj": _matrix_to_json(s.omega_conj, "repr"),
+                        "wave": _matrix_to_json(s.wave, "repr"),
+                        "wave_conj": _matrix_to_json(s.wave_conj, "repr"),
                     }
                     if matrices
                     else {}
@@ -214,7 +223,7 @@ def solve(model_path, gamma, tol, method, matrices, out):
             for s in sols
         ],
     }
-    _emit(json.dumps(payload, indent=2), out)
+    _emit_json(payload, out)
 
 
 def _certificate_note(reports) -> str:
@@ -251,12 +260,12 @@ def effective(model_path, gamma, tol, out):
     payload = {
         "gamma": model.gamma,
         "rates": list(form.rates),
-        "hamiltonian": _matrix_json(form.hamiltonian),
+        "hamiltonian": _matrix_to_json(form.hamiltonian, "repr"),
         "verdicts": form.verdicts,
         "min_rate": min(form.rates, default=0.0),
         "similarity_residuals": sim,
     }
-    _emit(json.dumps(payload, indent=2), out)
+    _emit_json(payload, out)
 
 
 @main.command()
@@ -272,7 +281,7 @@ def bound(model_path, gamma, norm_kind, unitary, out):
     weak = build_superop(model, "weak")
     dec = spectral.robust_decompose(strong.matrix)
     report = eternal_bound(dec, weak.matrix, model.gamma, norm_kind, unitary=unitary)
-    _emit(json.dumps(dataclasses.asdict(report), indent=2), out)
+    _emit_json(dataclasses.asdict(report), out)
 
 
 @main.command()
@@ -307,7 +316,7 @@ def evolve(model_path, gamma, order, norm_kind, fmt, out):
             "distances": [float(d) for d in curve.distances],
             "envelope": [float(e) for e in curve.envelope],
         }
-        _emit(json.dumps(payload, indent=2), out)
+        _emit_json(payload, out)
 
 
 @main.command()
@@ -329,7 +338,7 @@ def reproduce(case, fmt, out):
         _emit("\n".join(lines), out)
     else:
         payload = [rep.to_dict() for rep in reports]
-        _emit(json.dumps(payload[0] if len(payload) == 1 else payload, indent=2), out)
+        _emit_json(payload[0] if len(payload) == 1 else payload, out)
     for rep in reports:
         status = "pass" if rep.passed else "FAIL"
         click.echo(f"{rep.case}: {status}", err=True)
@@ -359,14 +368,7 @@ def scaling(model_path, gammas, orders, norm_kind, out):
     if any(k < 0 for k in order_list):
         raise click.UsageError(f"--orders must be >= 0: {orders}")
     report = bench.scaling_check(model, gamma_list, order_list, norm_kind=norm_kind)
-    payload = dataclasses.asdict(report)
-    payload["breakaway"] = {
-        str(k): {str(g): t for g, t in d.items()} for k, d in report.breakaway.items()
-    }
-    payload["plateau"] = {str(g): v for g, v in report.plateau.items()}
-    payload["slopes"] = {str(k): v for k, v in report.slopes.items()}
-    payload["lower_bound_only"] = {str(k): v for k, v in report.lower_bound_only.items()}
-    _emit(json.dumps(payload, indent=2), out)
+    _emit_json(dataclasses.asdict(report), out)
 
 
 if __name__ == "__main__":

@@ -238,23 +238,24 @@ def build_superop(model: LindbladModel, part: str = "total") -> Superoperator:
     ``total`` returns gamma * strong + weak.
     """
     d = model.dim
-
-    def assemble(h, dissipators):
-        mat = hamiltonian_superop(h)
-        for rate, jump in dissipators:
-            mat = mat + rate * dissipator_superop(jump)
-        return mat
-
     if part == "strong":
-        return Superoperator(d, assemble(model.strong_hamiltonian, model.strong_dissipators))
+        return Superoperator(d, _gkls_matrix(model.strong_hamiltonian, model.strong_dissipators))
     if part == "weak":
-        return Superoperator(d, assemble(model.weak_hamiltonian, model.weak_dissipators))
+        return Superoperator(d, _gkls_matrix(model.weak_hamiltonian, model.weak_dissipators))
     if part == "total":
-        mat = model.gamma * assemble(
+        mat = model.gamma * _gkls_matrix(
             model.strong_hamiltonian, model.strong_dissipators
-        ) + assemble(model.weak_hamiltonian, model.weak_dissipators)
+        ) + _gkls_matrix(model.weak_hamiltonian, model.weak_dissipators)
         return Superoperator(d, mat)
     raise ValueError(f"unknown part {part!r}")
+
+
+def _gkls_matrix(h, dissipators) -> np.ndarray:
+    """Matrix of -i[H, .] + sum rate D[jump] over the (rate, jump) pairs."""
+    mat = hamiltonian_superop(h)
+    for rate, jump in dissipators:
+        mat = mat + rate * dissipator_superop(jump)
+    return mat
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -415,10 +416,7 @@ class GKLSForm:
 
     def assemble(self) -> Superoperator:
         """Rebuild the generator matrix from (H, rates, jumps)."""
-        mat = hamiltonian_superop(self.hamiltonian)
-        for rate, jump in zip(self.rates, self.jumps):
-            mat = mat + rate * dissipator_superop(jump)
-        return Superoperator(self.dim, mat)
+        return Superoperator(self.dim, _gkls_matrix(self.hamiltonian, zip(self.rates, self.jumps)))
 
 
 def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:

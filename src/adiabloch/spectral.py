@@ -14,10 +14,12 @@ connected components of the graph joining eigenvalues at most
 ``cluster_tol`` apart.  LAPACK ZTRSEN reorders the Schur form so that each
 cluster is contiguous, then the coupling between clusters is removed by
 LAPACK ZTRSYL on its triangular diagonal blocks (Bartels-Stewart), giving
-a well-conditioned block-diagonalizing similarity.
-The inverse in S_l is evaluated as a finite Neumann series in the
-nilpotent.  :func:`validate` certifies the result; it stacks the P_l, N_l
-and S_l of all blocks and measures each defect with one batched norm call.
+a well-conditioned block-diagonalizing similarity V with block form
+T = V^{-1} B V.  S_l is read off that form: S_l = V E_l V^{-1}, where E_l
+holds (T_kk - b_l)^{-1} on every other block k and 0 on block l, one
+linear solve per block.  :func:`validate` certifies the result; it stacks
+the P_l, N_l and S_l of all blocks and measures each defect with one
+batched norm call.
 
 Each block also carries the factors of its projection from one SVD
 P_l = U diag(sigma) V^H of rank r_l (:class:`ProjectionFactors`): Q_l and
@@ -188,12 +190,6 @@ class SpectralDecomposition:
     def eigenvalues(self) -> np.ndarray:
         return np.array([b.eigenvalue for b in self.blocks])
 
-    def transposed(self) -> SpectralDecomposition:
-        """Decomposition of the transposed matrix, block by block."""
-        return replace(
-            self, blocks=tuple(blk.transposed() for blk in self.blocks)
-        )
-
 
 def _as_matrix(b) -> np.ndarray:
     m = b.matrix if isinstance(b, Superoperator) else matcore.as_cmatrix(b)
@@ -275,13 +271,7 @@ def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
             )
         cluster_tol *= 100.0
 
-    separation = dist[label[:, None] != label[None, :]].min(initial=np.inf)
-    if separation <= _OVERLAP_TOL * max(norm_b, 1.0):
-        raise SpectralOverlapError(
-            f"eigenvalues of different clusters lie {separation:.3e} apart, "
-            f"at most {_OVERLAP_TOL:.0e} * max(||B||, 1)",
-            separation=float(separation),
-        )
+    separation = _separation(dist, label, norm_b)
 
     # deterministic cluster order: decreasing real part, then imaginary part
     order = np.lexsort((reps.imag, -reps.real))
@@ -305,27 +295,49 @@ def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
         if info != 0:
             raise SpectralOverlapError(
                 f"ztrsyl found cluster {k} near the ones after it (info {info})",
-                separation=float(separation),
+                separation=separation,
             )
         x /= scale
-        # similarity by Y = [[I, X], [0, I]] on the trailing subspace
-        t[i0:i1, i1:] = 0.0
-        t[:i0, i1:] += t[:i0, i0:i1] @ x
+        # similarity by Y = [[I, X], [0, I]] on the trailing subspace: it
+        # zeroes this cluster's coupling, which _assemble drops, and leaves
+        # every diagonal block of T as it is
         v[:, i1:] += v[:, i0:i1] @ x
 
     vinv = matcore.solve_linear(v, np.eye(n, dtype=np.complex128))
-    return _assemble(mat, v, vinv, starts, reps[order], cluster_tol, norm_b)
+    return _assemble(mat, v, vinv, t, starts, reps[order], cluster_tol, norm_b)
 
 
-def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomposition:
-    """Certified decomposition from a block-diagonalizing V: block k has
-    eigenvalue ``reps[k]`` and projection V E_k V^{-1}, where E_k selects
-    columns ``starts[k]:starts[k + 1]``; the second block of a conjugate
-    orbit is the image of the first, with no resolvent of its own.
+def _separation(dist, label, norm_b) -> float:
+    """Least distance ``dist`` between eigenvalues of different clusters
+    (``label``); at most 1e-10 * max(||B||, 1) raises SpectralOverlapError."""
+    separation = float(dist[label[:, None] != label[None, :]].min(initial=np.inf))
+    if separation <= _OVERLAP_TOL * max(norm_b, 1.0):
+        raise SpectralOverlapError(
+            f"eigenvalues of different clusters lie {separation:.3e} apart, "
+            f"at most {_OVERLAP_TOL:.0e} * max(||B||, 1)",
+            separation=separation,
+        )
+    return separation
+
+
+def _assemble(mat, v, vinv, form, starts, reps, cluster_tol, norm_b) -> SpectralDecomposition:
+    """Certified decomposition from a block-diagonalizing V with block form
+    ``form`` = V^{-1} B V, whose couplings between blocks are dropped.
+
+    Block k has eigenvalue ``reps[k]`` and projection V E_k V^{-1}, where
+    E_k selects columns ``starts[k]:starts[k + 1]``.  Its reduced resolvent
+    is the full inverse S_l = V E_l V^{-1}, E_l = (F - b_l)^{-1} on the
+    other blocks of the block-diagonal F and 0 on block l: one solve with
+    F - b_l restricted to the other blocks, between the matching columns
+    of V and rows of V^{-1}.  The nilpotent cut and the index do not enter
+    it.  The second block of a conjugate orbit is the image of the first,
+    with no resolvent of its own.
     """
     n = mat.shape[0]
     cut = NILPOTENT_CUT * max(norm_b, 1.0)
     idx_tol = 10.0 * cluster_tol
+    label = np.repeat(np.arange(len(reps)), np.diff(starts))
+    form = np.where(label[:, None] == label[None, :], form, 0.0)
     raw = []
     for k, b_k in enumerate(reps):
         i0, i1 = starts[k], starts[k + 1]
@@ -352,24 +364,16 @@ def _assemble(mat, v, vinv, starts, reps, cluster_tol, norm_b) -> SpectralDecomp
         if ell in images:
             blocks.append(blocks[images[ell]].image())
             continue
-        resolvent = np.zeros((n, n), dtype=np.complex128)
-        for k, (b_k, proj_k, nil_k, idx_k, _rank) in enumerate(raw):
-            if k == ell:
-                continue
-            gap = b_k - b_l
-            term = proj_k / gap
-            power = proj_k
-            for _m in range(1, idx_k):
-                power = (-1.0 / gap) * (nil_k @ power)
-                term += power / gap
-            resolvent += term
+        rest = np.eye(n - rank_l, dtype=np.complex128)
+        other = label != ell
+        inverse = matcore.solve_linear(form[np.ix_(other, other)] - b_l * rest, rest)
         blocks.append(
             EigenspaceData(
                 eigenvalue=b_l,
                 projection=proj_l,
                 nilpotent=nil_l,
                 index=idx_l,
-                resolvent=resolvent,
+                resolvent=v[:, other] @ inverse @ vinv[other],
                 rank=rank_l,
             )
         )
@@ -486,10 +490,14 @@ def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     ``layout`` is a sequence of (eigenvalue, size) pairs, sizes positive
     integers, matching contiguous column groups of ``similarity``;
     projections are built exactly as R E_l R^{-1}, nilpotents as
-    (B - b_l) P_l, so the validation residuals are limited only by the
-    accuracy of the linear solves.  Nothing is clustered; the recorded
-    ``cluster_tol`` is 1e-10, and the nilpotent index counts the powers
-    above 10 * cluster_tol.
+    (B - b_l) P_l and resolvents from the block form R^{-1} B R, its
+    couplings between groups dropped, so the validation residuals are
+    limited only by the accuracy of the linear solves.  Nothing is
+    clustered; the recorded ``cluster_tol`` is 1e-10, and the nilpotent
+    index counts the powers above 10 * cluster_tol.  Layout eigenvalues
+    at most 1e-10 * max(||B||_2, 1) apart raise
+    :class:`SpectralOverlapError`, as clusters that close do in
+    :func:`decompose`, before any solve.
     """
     mat = _as_matrix(b)
     n = mat.shape[0]
@@ -502,6 +510,9 @@ def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     sizes = [size for _e, size in layout]
     if sum(sizes) != n:
         raise ValueError(f"layout sizes sum to {sum(sizes)}, expected {n}")
+    reps = np.array([complex(e) for e, _size in layout])
+    norm_b = matcore.op_norm(mat, "spectral")
+    _separation(np.abs(reps[:, None] - reps[None, :]), np.arange(len(reps)), norm_b)
     try:
         rinv = matcore.solve_linear(r, np.eye(n, dtype=np.complex128))
     except SingularMatrixError as exc:
@@ -509,6 +520,4 @@ def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
             f"user similarity is singular: {exc}", cond=exc.cond
         ) from exc
     starts = np.concatenate(([0], np.cumsum(sizes)))
-    reps = [complex(e) for e, _size in layout]
-    norm_b = matcore.op_norm(mat, "spectral")
-    return _assemble(mat, r, rinv, starts, reps, 1e-10, norm_b)
+    return _assemble(mat, r, rinv, rinv @ mat @ r, starts, reps, 1e-10, norm_b)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -334,6 +335,27 @@ def test_bad_gamma_factor_rejected_before_any_work(factor, monkeypatch):
     monkeypatch.setattr(bench.spectral, "decompose", no_work)
     with pytest.raises(ValueError, match=f"gamma_factor must be positive and finite, got {factor}"):
         bench.bound_check(lambda_model(10.0), gamma_factor=factor)
+
+
+@pytest.mark.parametrize(
+    "gammas, orders, message",
+    [
+        ((10.0, 20.0), (0, None), "orders[1] must be a non-negative integer, got None"),
+        ((10.0,), (-1,), "orders[0] must be a non-negative integer, got -1"),
+        ((10.0,), (1.5,), "orders[0] must be a non-negative integer, got 1.5"),
+        ((10.0, -1.0), (0,), "gammas[1] must be positive and finite, got -1.0"),
+        ((np.inf,), (0,), "gammas[0] must be positive and finite, got inf"),
+        ((0.0,), (0,), "gammas[0] must be positive and finite, got 0.0"),
+    ],
+)
+def test_scaling_arguments_rejected_before_any_work(gammas, orders, message, monkeypatch):
+    # an order None had failed only after every coupling was solved and propagated
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(bench, "build_superop", no_work)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        bench.scaling_check(lambda_model(10.0), gammas, orders)
 
 
 def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):

@@ -140,6 +140,13 @@ class TestSolvers:
         with pytest.raises(ValueError, match=allowed):
             solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, method, tol)
 
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, None])
+    def test_max_iter_must_be_a_positive_integer(self, lambda_pipe, max_iter):
+        # 0 and -1 ended in a raw IndexError of an empty history
+        zero = np.zeros((25, 25))
+        with pytest.raises(ValueError, match=f"max_iter must be a positive integer, got {max_iter!r}"):
+            solve_equation(lambda_pipe.decomposition, zero, 10.0, 0, "omega", max_iter=max_iter)
+
     @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
     def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
         # solve_blocks builds each block's Kantorovich report first
@@ -680,6 +687,13 @@ class TestCorrectionSeries:
         zero = np.zeros((4, 4))
         with pytest.raises(ValueError, match=match):
             sum_correction_series(qubit_dec, zero, np.zeros((d_size, d_size)), gamma, ell)
+
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5, None])
+    def test_n_max_must_be_a_positive_integer(self, lambda_pipe, n_max):
+        # 0 had reported a series that did not converge in 0 terms
+        zero = np.zeros((25, 25))
+        with pytest.raises(ValueError, match=f"n_max must be a positive integer, got {n_max!r}"):
+            sum_correction_series(lambda_pipe.decomposition, zero, zero, 10.0, 0, n_max=n_max)
 
     def test_zero_case(self, lambda_pipe):
         dec = lambda_pipe.decomposition

@@ -92,8 +92,10 @@ def test_solve_builds_one_report_per_solved_block(runner, lambda_file, monkeypat
         assert got.keys() == want.keys()
         for key, value in want.items():
             if isinstance(value, float):
-                assert math.isclose(got[key], value, rel_tol=1e-12) or (
-                    math.isnan(got[key]) and math.isnan(value)
+                # non-finite values are printed as the strings "inf" and "nan"
+                got_value = float(got[key])
+                assert math.isclose(got_value, value, rel_tol=1e-12) or (
+                    math.isnan(got_value) and math.isnan(value)
                 ), key
             else:
                 assert got[key] == value, key
@@ -311,3 +313,34 @@ def test_effective_one_level_model(runner, tmp_path):
     data = json.loads(result.stdout)
     assert data["rates"] == [] and data["min_rate"] == 0.0
     assert data["hamiltonian"] == [[[0.0, 0.0]]]
+
+
+def _items(data):
+    """Every (key, value) pair of nested JSON objects and arrays."""
+    if isinstance(data, dict):
+        for key, value in data.items():
+            yield key, value
+            yield from _items(value)
+    elif isinstance(data, list):
+        for value in data:
+            yield from _items(value)
+
+
+@pytest.mark.parametrize(
+    "args, key, value",
+    [
+        (["solve", "--gamma", "1"], "beta", "inf"),
+        (["solve", "--gamma", "1"], "theta", "nan"),
+        (["bound", "--gamma", "1", "--unitary"], "tight_bound_k", "inf"),
+    ],
+)
+def test_non_finite_numbers_are_strict_json(runner, qubit_file, args, key, value):
+    # below the certified coupling the Kantorovich constants and the bounds
+    # are not finite; RFC 8259 has no Infinity or NaN tokens
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    result = runner.invoke(main, [args[0], "--model", qubit_file, *args[1:]])
+    assert result.exit_code == 0, result.output
+    data = json.loads(result.stdout, parse_constant=reject)
+    assert (key, value) in _items(data)

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -481,7 +482,7 @@ class TestInvariants:
             (qubit, decompose(qubit, cluster_tol=1e-6)),
             (lambda_pipe.strong.matrix, lambda_pipe.decomposition),
         ):
-            dec_t = dec.transposed()
+            dec_t = replace(dec, blocks=tuple(blk.transposed() for blk in dec.blocks))
             res = validate(dec_t, b.T)
             for key, value in dec.residuals.items():
                 if isinstance(value, bool):
@@ -534,3 +535,41 @@ class TestInvariants:
         sim = np.array([[1.0, 1.0], [1.0, 1.0]])
         with pytest.raises(SingularMatrixError):
             decompose_from_user(b, sim, [(0.0, 1), (1.0, 1)])
+
+
+class TestReducedResolvent:
+    def test_user_route_matches_inverse_of_each_jordan_block(self):
+        # S_l = R blockdiag_{k != l}((J_k - b_l)^{-1}) R^{-1}, independent of
+        # the similarity's block form; an index-3 block among them
+        jordan = [
+            0.5 * np.eye(3) + np.diag([1.0, 1.0], 1),
+            np.array([[-1.0]]),
+            np.array([[1j, 0.0], [0.0, 1j]]),
+        ]
+        eigenvalues = [0.5, -1.0, 1j]
+        r = np.random.default_rng(7).normal(size=(6, 6))
+        b = r @ sla.block_diag(*jordan) @ np.linalg.inv(r)
+        dec = decompose_from_user(b, r, [(e, len(j)) for e, j in zip(eigenvalues, jordan)])
+        assert [blk.index for blk in dec.blocks] == [3, 1, 1]
+        for ell, blk in enumerate(dec.blocks):
+            inverses = [
+                np.zeros_like(j) if k == ell else np.linalg.inv(j - eigenvalues[ell] * np.eye(len(j)))
+                for k, j in enumerate(jordan)
+            ]
+            want = r @ sla.block_diag(*inverses) @ np.linalg.inv(r)
+            err = matcore.op_norm(blk.resolvent - want, "spectral")
+            assert err <= 1e-12 * matcore.op_norm(want, "spectral"), (ell, err)
+
+    def test_spread_inside_a_cluster_is_inverted(self):
+        # {0, 1e-9} is one index-1 cluster at 5e-10; a series truncated at the
+        # index drops that spread and left a resolvent defect of 5e-10
+        dec = decompose(np.diag([0.0, 1e-9, 1.0]), 1e-8)
+        assert [(blk.rank, blk.index) for blk in dec.blocks] == [(1, 1), (2, 1)]
+        assert dec.residuals["resolvent_defect"] <= 1e-14
+
+    @pytest.mark.parametrize("gap", [0.0, 1e-11])
+    def test_user_layout_eigenvalues_must_be_distinct(self, gap):
+        b = np.diag([0.0, gap, 1.0])
+        with pytest.raises(SpectralOverlapError) as err:
+            decompose_from_user(b, np.eye(3), [(0.0, 1), (gap, 1), (1.0, 1)])
+        assert err.value.separation == gap
