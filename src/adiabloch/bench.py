@@ -41,8 +41,18 @@ from .spectral import robust_decompose
 
 
 def default_time_grid() -> np.ndarray:
-    """t = 0 plus 400 log-spaced points over [1e-2, 1e6]."""
-    return np.concatenate(([0.0], np.logspace(-2.0, 6.0, 400)))
+    """t = 0 plus 400 log-spaced points 1e-2 2^(j/15), j = 0..399, over
+    [1e-2, 1.017e6].
+
+    Built as base[j mod 15] 2^(j div 15), so every doubling is exact:
+    g[j + 15] == 2 g[j] for j >= 1.  The propagation kernel then takes each
+    point from one octave up on as the square of the point an octave below,
+    bit for bit what a Pade solve at that time alone gives (see
+    ``matcore._GridExpm``); only the first octave or so needs its own solves.
+    """
+    base = 1e-2 * 2.0 ** (np.arange(15) / 15)
+    j = np.arange(400)
+    return np.concatenate(([0.0], base[j % 15] * 2.0 ** (j // 15)))
 
 
 @dataclass(frozen=True)
@@ -177,17 +187,25 @@ def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 # Working-set budget of the propagation kernels, in bytes of one stacked
 # (points, n, n) float64 array of the real frame.  A distance-table chunk
-# holds about four such stacks at once (two propagators, V + U and V - U of
-# matcore.expm), so a fixed point count makes its working set grow like n^2.
-# On the `paper` workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread)
-# complex chunks of 64 points raised peak RSS from 71.7 to 77.2 MB, 256 KiB
-# per stack (26 complex points) by under 1.2 MB, and 16 KiB (one point)
-# doubled curves_s.  The same 256 KiB holds 52 real points: peak RSS 70.94 MB
-# against 71.12 MB with 26 complex ones (medians of ten runs).  At n = 64 one
-# 401-point stack ran 1.5 times as long as 4-point chunks (cache).  Small n
-# gains from long stacks: at n = 4, 64-point chunks took 1.2-1.6 times as
-# long as one call for the whole grid.  _TIME_CHUNK caps the count for tiny
-# generators (n <= 9 take the 401-point default grid in one call).
+# holds at most about four such stacks at once: the true propagators, and
+# V + U, V - U and the solution of a target's Pade solves (matcore._GridExpm
+# allocates a chunk's propagators after its solve, and keeps A's powers only
+# until its first solve).  A chunk whose points all
+# chain onto an octave below solves nothing and holds the two propagators and
+# one generation's squaring operands.  Beyond its chunk, each generator
+# carries the propagators from half the next chunk's first time on, copied
+# out so the chunk is freed: one octave, 15 points of the default grid
+# (75 KB per generator at n = 25, 1.2 MB at n = 100).  So a fixed point count
+# makes the working set grow like n^2.  On the `paper` workload (Lambda,
+# n = 25; 2-vCPU VM, BLAS on one thread) complex chunks of 64 points raised
+# peak RSS from 71.7 to 77.2 MB, and 256 KiB per stack (26 complex points)
+# by under 1.2 MB.  The same 256 KiB holds 52 real points; with the carried
+# octaves peak RSS read 69.96-70.04 MB, against 70.20-70.21 MB with a solve
+# per point (three runs each).  At n = 64 one 401-point stack ran 1.5 times
+# as long as 4-point chunks (cache).  Small n gains from long stacks: at
+# n = 4, 64-point chunks took 1.2-1.6 times as long as one call for the whole
+# grid.  _TIME_CHUNK caps the count for tiny generators (n <= 9 take the
+# 401-point default grid in one call).
 _CHUNK_BYTES = 256 * 1024
 _TIME_CHUNK = 512
 
@@ -231,7 +249,10 @@ def _distance_table(
 
     Every generator is first mapped to the real Hermitian frame
     (:func:`_real_frame`), all of them before any propagation, and the
-    propagators and their norms are taken there, in float64.  With
+    propagators and their norms are taken there, in float64, in chunks of
+    :func:`_chunk_points` times.  Each generator's kernel carries the
+    propagators from half the next chunk's first time on into that chunk,
+    so a point is its parent's square also across a chunk boundary.  With
     ``with_norm``, ``__norm__`` holds the norm of the true propagator
     exp(t total), which depends on ``total`` alone.
     """
@@ -239,14 +260,16 @@ def _distance_table(
     targets = {key: _real_frame(target) for key, target in targets.items()}
     keys = list(targets) + (["__norm__"] if with_norm else [])
     table = {key: np.empty(len(times)) for key in keys}
+    true_grid = matcore._GridExpm(total)
+    grids = {key: matcore._GridExpm(target) for key, target in targets.items()}
     step = _chunk_points(total.shape[0], total.itemsize)
     for start in range(0, len(times), step):
         part = slice(start, start + step)
-        true_prop = matcore.expm(total, times[part])
-        for key, target in targets.items():
-            table[key][part] = matcore.op_norm(
-                true_prop - matcore.expm(target, times[part]), norm_kind
-            )
+        # from half the next chunk's first time on: the parents it can use
+        keep_from = 0.5 * times[start + step] if start + step < len(times) else np.inf
+        true_prop = true_grid(times[part], keep_from)
+        for key, grid in grids.items():
+            table[key][part] = matcore.op_norm(true_prop - grid(times[part], keep_from), norm_kind)
         if with_norm:
             table["__norm__"][part] = matcore.op_norm(true_prop, norm_kind)
     return table

@@ -45,6 +45,7 @@ fails the test, every block is solved.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -144,8 +145,12 @@ def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> fl
 
 def _require_positive(**values) -> None:
     for name, value in values.items():
-        if not (math.isfinite(value) and value > 0):
-            raise ValueError(f"{name} must be positive and finite, got {value}")
+        # a bool is an int to Python, and None or a string has no order with 0
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (real and math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"{name} must be positive and finite, got {value if real else repr(value)}"
+            )
 
 
 def _require_integer(name: str, value, least: int) -> None:

@@ -18,10 +18,11 @@ scaling-and-squaring kernel (degree-13 Pade, Al-Mohy & Higham, SIAM J.
 Matrix Anal. Appl. 31, 2009).  Since (tA)^j = t^j A^j and the norms that
 choose the number of squarings scale with |t|, A's powers are taken once
 per call and each time point adds only 14 scalar coefficients, one solve
-and its squarings.  Given A's powers, every time point gets the arithmetic
-it would get on its own.  :func:`supported_norm` bounds the spectral norm
-of a matrix that vanishes off a known r-dimensional row space from an
-n x r factor.
+and its squarings, or, when half its time is on the grid with one squaring
+fewer, a single squaring of that point.  Given A's powers, every time point
+gets the arithmetic it would get on its own.  :func:`supported_norm` bounds
+the spectral norm of a matrix that vanishes off a known r-dimensional row
+space from an n x r factor.
 """
 
 from __future__ import annotations
@@ -142,8 +143,14 @@ def expm(a, times=None) -> np.ndarray:
     scaled exactly to unit norm and its coefficient built from exponents,
     so no x^j overflows on a small power, and a zero power gets
     coefficient 0.  One batched solve gives the approximant, squared
-    s + ell times.  Overflow raises :class:`NonFiniteError`, without numpy
-    warnings.
+    s + ell times.  A time t whose half is also on the grid, with
+    steps(t) = steps(t/2) + 1, has the same x as t/2: it is taken as the
+    square of e^{(t/2)A}, the same arithmetic its own solve and squarings
+    would do, so every point of any grid (unsorted, negative, repeated or
+    zero times included) equals ``expm(a, [t])[0]`` bit for bit.  On an
+    octave-aligned grid such as ``bench.default_time_grid()`` all but the
+    first octave or so are squarings.  Overflow raises
+    :class:`NonFiniteError`, without numpy warnings.
     """
     m = _as_matrix(a)
     _require_square(m, "expm")
@@ -154,8 +161,7 @@ def expm(a, times=None) -> np.ndarray:
     if m.size == 0 or grid.size == 0:
         out = np.zeros((grid.size,) + m.shape, dtype=m.dtype)
     else:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out = _ensure_finite(_expm_grid(m, grid), "expm result")
+        out = _GridExpm(m)(grid)
     return out[0] if times is None else out
 
 
@@ -181,51 +187,131 @@ def _norm1(x: np.ndarray) -> np.ndarray:
     return np.abs(x).sum(axis=-2).max(axis=-1)
 
 
-def _expm_grid(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """e^{tA} of a finite nonempty float64 or complex128 A at each time of a
-    finite 1-d grid, in A's dtype."""
-    n = a.shape[0]
-    a_norm, e = np.frexp(_norm1(a))
-    powers = np.empty((14, n, n), dtype=a.dtype)
-    powers[0] = np.eye(n)
-    # ldexp on the float64 view (both parts of a complex A), as 2^-e
-    # overflows for a subnormal A
-    powers[1] = a
-    scaled = powers[1].view(np.float64)
-    np.ldexp(scaled, -e, out=scaled)
-    for k, (i, j) in enumerate(_POWER_FACTORS, start=2):
-        np.matmul(powers[i], powers[j], out=powers[k])
-    power_norms = _norm1(powers)
-    d6, d8, d10 = power_norms[[6, 8, 10]] ** (1 / np.array([6, 8, 10]))
-    log2_t = np.log2(np.abs(t)) + e
-    s = np.fmax(np.ceil(log2_t + np.log2(min(max(d6, d8), max(d8, d10)) / _THETA13)), 0.0)
-    v, abs_a = np.ones(n), np.abs(powers[1])
-    for _ in range(27):
-        v = v @ abs_a
-    log2_alpha = 26 * (log2_t - s) + np.log2(v.max()) - np.log2(a_norm) - _LOG2_PADE13_ERR_RECIP
-    steps = (s + np.fmax(np.ceil((log2_alpha + 53) / 26), 0.0)).astype(np.int64)
-    # b_j x^j B^j = (b_j m^j 2^(j q + f_j)) (2^-f_j B^j), x = m 2^q, ||2^-f_j B^j||_1 in [1/2, 1)
-    m, q = np.frexp(np.ldexp(t, e - steps))
-    f = np.frexp(power_norms)[1]
-    coef = np.ldexp(_PADE13 * m[:, None] ** _DEGREES, q[:, None] * _DEGREES + f)
-    coef = np.where(power_norms > 0, coef, 0.0)
-    if not np.isfinite(np.abs(coef).sum()):
-        raise NonFiniteError("expm: the Pade terms overflow")
-    unit = np.ldexp(powers.reshape(14, -1).view(np.float64), -f[:, None])
-    # a (2 x 14) product per time, not one gemm over all times, whose rows
-    # BLAS rounds unlike a lone row: no time may depend on the others
-    sums = ((coef[:, None, :] * _SIGNS) @ unit).view(a.dtype).reshape(len(t), 2, n, n)
-    r = np.linalg.solve(sums[:, 1], sums[:, 0])
-    del sums
-    # square the times in order of steps, so squaring j acts on the suffix with steps > j
-    order = np.argsort(steps, kind="stable")
-    r, steps = r[order], steps[order]
-    for j in range(int(steps[-1])):
-        tail = r[np.searchsorted(steps, j, side="right"):]
-        tail[...] = tail @ tail
-    out = np.empty_like(r)
-    out[order] = r
-    return out
+class _GridExpm:
+    """e^{tA} of one finite nonempty float64 or complex128 A over a time grid,
+    taken in one call or in consecutive chunks, in A's dtype.
+
+    The norms that choose each time's squarings are taken once, at
+    construction.  A's scaled powers serve the first call that needs a Pade
+    solve; a later one forms them again, so a generator that chains keeps no
+    14 n x n stack between calls.  A call gives each time its own solve,
+    unless half that time is on the grid (in this call or carried from the
+    last) with one squaring fewer: then both have the same scaled argument,
+    and the point is its parent's propagator squared, bit for bit.  Each
+    generation of such points is squared as one batched product.  A call
+    keeps the points at times >= ``keep_from`` as parents for the next call:
+    with a sorted grid, half the next chunk's first time keeps every parent
+    it can use.  Overflow raises :class:`NonFiniteError`, without numpy
+    warnings.
+    """
+
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def __init__(self, a: np.ndarray):
+        self._a = a
+        self._norm, self._e = np.frexp(_norm1(a))
+        powers = self._powers()
+        self._power_norms = _norm1(powers)
+        d6, d8, d10 = self._power_norms[[6, 8, 10]] ** (1 / np.array([6, 8, 10]))
+        self._eta = min(max(d6, d8), max(d8, d10))
+        v, abs_a = np.ones(a.shape[0]), np.abs(powers[1])
+        for _ in range(27):
+            v = v @ abs_a
+        self._v = v.max()
+        self._f = np.frexp(self._power_norms)[1]
+        self._first_powers = powers
+        self._carry = (np.empty(0), np.empty(0, dtype=np.int64), self._stack(0))
+
+    def _stack(self, k: int) -> np.ndarray:
+        return np.empty((k,) + self._a.shape, dtype=self._a.dtype)
+
+    def _powers(self) -> np.ndarray:
+        """B^0..B^13 of B = 2^-e A, ||B||_1 in [1/2, 1)."""
+        powers = self._stack(14)
+        powers[0] = np.eye(self._a.shape[0])
+        # ldexp on the float64 view (both parts of a complex A), as 2^-e
+        # overflows for a subnormal A
+        powers[1] = self._a
+        scaled = powers[1].view(np.float64)
+        np.ldexp(scaled, -self._e, out=scaled)
+        for k, (i, j) in enumerate(_POWER_FACTORS, start=2):
+            np.matmul(powers[i], powers[j], out=powers[k])
+        return powers
+
+    def _steps(self, t: np.ndarray) -> np.ndarray:
+        """Squarings s + ell of each time."""
+        log2_t = np.log2(np.abs(t)) + self._e
+        s = np.fmax(np.ceil(log2_t + np.log2(self._eta / _THETA13)), 0.0)
+        log2_alpha = 26 * (log2_t - s) + np.log2(self._v) - np.log2(self._norm) - _LOG2_PADE13_ERR_RECIP
+        return (s + np.fmax(np.ceil((log2_alpha + 53) / 26), 0.0)).astype(np.int64)
+
+    def _pade(self, t: np.ndarray, steps: np.ndarray) -> np.ndarray:
+        """Each time's approximant at x = 2^(e-steps) t, squared ``steps``
+        times, for ``steps`` in ascending order."""
+        if not len(t):
+            return self._stack(0)
+        # b_j x^j B^j = (b_j m^j 2^(j q + f_j)) (2^-f_j B^j), x = m 2^q, ||2^-f_j B^j||_1 in [1/2, 1)
+        m, q = np.frexp(np.ldexp(t, self._e - steps))
+        coef = np.ldexp(_PADE13 * m[:, None] ** _DEGREES, q[:, None] * _DEGREES + self._f)
+        coef = np.where(self._power_norms > 0, coef, 0.0)
+        if not np.isfinite(np.abs(coef).sum()):
+            raise NonFiniteError("expm: the Pade terms overflow")
+        powers = self._powers() if self._first_powers is None else self._first_powers
+        self._first_powers = None
+        # a (2 x 14) product per time, not one gemm over all times, whose rows
+        # BLAS rounds unlike a lone row: no time may depend on the others
+        sums = (coef[:, None, :] * _SIGNS) @ np.ldexp(
+            powers.reshape(14, -1).view(np.float64), -self._f[:, None]
+        )
+        del powers
+        sums = sums.view(self._a.dtype).reshape((len(t), 2) + self._a.shape)
+        r = np.linalg.solve(sums[:, 1], sums[:, 0])
+        del sums
+        # squaring j acts on the suffix with steps > j
+        for j in range(int(steps[-1])):
+            tail = r[np.searchsorted(steps, j, side="right"):]
+            tail[...] = tail @ tail
+        return r
+
+    @np.errstate(over="ignore", invalid="ignore", divide="ignore")
+    def __call__(self, t: np.ndarray, keep_from: float = np.inf) -> np.ndarray:
+        carry_t, carry_steps, carry_out = self._carry
+        steps = self._steps(t)
+        # the parent of a point: one of the carry or of t at exactly half its
+        # time, with one squaring fewer; x = 2^(e-steps) t is then the same
+        pool_t = np.concatenate((carry_t, t))
+        pool_steps = np.concatenate((carry_steps, steps))
+        by_time = np.argsort(pool_t, kind="stable")
+        half = 0.5 * t
+        cand = by_time[np.minimum(np.searchsorted(pool_t[by_time], half), len(pool_t) - 1)]
+        chained = (pool_t[cand] == half) & (2.0 * half == t) & (pool_steps[cand] == steps - 1)
+        parent = cand - len(carry_t)  # negative: a carried parent
+        own = np.flatnonzero(~chained)
+        own = own[np.argsort(steps[own], kind="stable")]
+        pade = self._pade(t[own], steps[own])
+        # allocated after the solve, which holds three stacks of its own
+        out = self._stack(len(t))
+        out[own] = pade
+        del pade
+        done = np.concatenate((np.ones(len(carry_t), dtype=bool), ~chained))
+        todo = np.flatnonzero(chained)
+        while todo.size:
+            ready = done[cand[todo]]
+            gen, todo = todo[ready], todo[~ready]
+            src = parent[gen]
+            carried = src < 0
+            base = self._stack(len(gen))
+            base[carried] = carry_out[src[carried]]
+            base[~carried] = out[src[~carried]]
+            out[gen] = base @ base
+            done[len(carry_t) + gen] = True
+        _ensure_finite(out, "expm result")
+        old, new = carry_t >= keep_from, t >= keep_from
+        self._carry = (
+            np.concatenate((carry_t[old], t[new])),
+            np.concatenate((carry_steps[old], steps[new])),
+            np.concatenate((carry_out[old], out[new])),
+        )
+        return out
 
 
 def principal_sqrt(a) -> np.ndarray:

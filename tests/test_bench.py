@@ -10,7 +10,12 @@ from numpy.testing import assert_allclose
 from adiabloch import bench, liouville, matcore, spectral
 from adiabloch.errors import PhysicalityError
 from adiabloch.liouville import LindbladModel
-from adiabloch.models import lambda_model
+from adiabloch.models import (
+    counterexample_model,
+    lambda_model,
+    qubit_nilpotent_model,
+    random_model,
+)
 
 EPS = np.finfo(float).eps
 
@@ -251,6 +256,19 @@ def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, mon
         bench._distance_table(total, {0: above}, times, "spectral")
 
 
+def test_frames_checked_before_any_kernel_is_built(lambda_pipe, monkeypatch):
+    # the distance table propagates through matcore._GridExpm, not expm
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("a propagation kernel was built before the frames were checked")
+
+    monkeypatch.setattr(matcore, "_GridExpm", no_kernel)
+    target = lambda_pipe.effective_total(0)
+    tol = liouville._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
+    above = _with_frame_defect(target, "trace", 1.1 * tol)
+    with pytest.raises(PhysicalityError, match="tp defect"):
+        bench._distance_table(lambda_pipe.total_matrix, {0: above}, np.array([0.0, 1.0]), "spectral")
+
+
 # ||e^{tG} - e^{tK}||_2 for random d = 8 (seed 11) at its certified coupling,
 # G = gamma B + C and K the nonperturbative generator, both as stored by the
 # pipeline and mapped to the real frame.  mpmath expm at 40 digits gives
@@ -337,6 +355,19 @@ def test_bad_gamma_factor_rejected_before_any_work(factor, monkeypatch):
         bench.bound_check(lambda_model(10.0), gamma_factor=factor)
 
 
+@pytest.mark.parametrize("value, shown", [(None, "None"), ("2", "'2'"), (True, "True")])
+def test_non_number_couplings_rejected_before_any_work(value, shown, monkeypatch):
+    # None or a string had escaped as a raw TypeError, and True passed as 1
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the arguments were checked")
+
+    monkeypatch.setattr(bench, "build_superop", no_work)
+    with pytest.raises(ValueError, match=re.escape(f"gamma_factor must be positive and finite, got {shown}")):
+        bench.bound_check(lambda_model(10.0), gamma_factor=value)
+    with pytest.raises(ValueError, match=re.escape(f"gammas[0] must be positive and finite, got {shown}")):
+        bench.scaling_check(lambda_model(10.0), (value,), (0,))
+
+
 @pytest.mark.parametrize(
     "gammas, orders, message",
     [
@@ -358,9 +389,22 @@ def test_scaling_arguments_rejected_before_any_work(gammas, orders, message, mon
         bench.scaling_check(lambda_model(10.0), gammas, orders)
 
 
+def _unchained_points(g: np.ndarray, times: np.ndarray) -> int:
+    """Points of ``times`` that take their own Pade solve for the real-frame
+    generator ``g``: those whose half is not on the grid with one squaring
+    fewer (the chain rule, as a loop over the grid)."""
+    with np.errstate(divide="ignore"):
+        steps = matcore._GridExpm(g)._steps(times).tolist()
+    at = dict(zip(times.tolist(), steps))
+    return sum(
+        not (2 * (t / 2) == t and at.get(t / 2) == s - 1) for t, s in zip(times.tolist(), steps)
+    )
+
+
 def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):
-    # one Pade solve per chunk and generator, none per time point, and no
-    # per-slice scipy exponential
+    # one batched Pade solve per chunk and generator (the qubit's grid is one
+    # chunk), over the points no squaring chain reaches, none per time
+    # point, and no per-slice scipy exponential
     orders = [0, 1, 2, None]
     scipy_calls = []
     solves = []
@@ -377,11 +421,97 @@ def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):
     monkeypatch.setattr(sla, "expm", counting_expm)
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     bench.distance_curves(qubit_pipe, orders)
-    times = len(bench.default_time_grid())
-    chunks = -(-times // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    times = bench.default_time_grid()
+    chunks = -(-len(times) // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    generators = [qubit_pipe.total_matrix] + [qubit_pipe.effective_total(k) for k in orders]
+    unchained = sum(_unchained_points(bench._real_frame(g), times) for g in generators)
     assert scipy_calls == []
     assert len(solves) == chunks * (len(orders) + 1)
-    assert sum(shape[0] for shape in solves) == times * (len(orders) + 1)
+    assert sum(shape[0] for shape in solves) == unchained < len(times) * (len(orders) + 1) / 4
+
+
+def _propagators(monkeypatch, total, targets, times) -> tuple:
+    """Every (generator, times, propagators) that ``_distance_table`` takes,
+    and the number of time points it gave a Pade solve."""
+    seen, pade_rows = [], []
+    init, call, pade = (
+        matcore._GridExpm.__init__, matcore._GridExpm.__call__, matcore._GridExpm._pade
+    )
+
+    def spy_init(self, a):
+        init(self, a)
+        self.generator = a
+
+    def spy_call(self, t, keep_from=np.inf):
+        out = call(self, t, keep_from)
+        seen.append((self.generator, t, out.copy()))
+        return out
+
+    def spy_pade(self, t, steps):
+        pade_rows.append(len(t))
+        return pade(self, t, steps)
+
+    monkeypatch.setattr(matcore._GridExpm, "__init__", spy_init)
+    monkeypatch.setattr(matcore._GridExpm, "__call__", spy_call)
+    monkeypatch.setattr(matcore._GridExpm, "_pade", spy_pade)
+    bench._distance_table(total, targets, times, "spectral")
+    monkeypatch.undo()
+    return seen, sum(pade_rows)
+
+
+def _assert_chains_are_exact(monkeypatch, pipe, times):
+    """gB + C and gB + K propagated by ``_distance_table`` equal the
+    per-point kernel bit for bit, with a solve only where no chain reaches."""
+    total, target = pipe.total_matrix, pipe.effective_total()
+    seen, pade_rows = _propagators(monkeypatch, total, {None: target}, times)
+    frames = [bench._real_frame(total), bench._real_frame(target)]
+    assert pade_rows == sum(_unchained_points(g, times) for g in frames)
+    assert sum(len(t) for _g, t, _out in seen) == 2 * len(times)
+    for g, t, out in seen:
+        assert any(np.array_equal(g, frame) for frame in frames)
+        for time, prop in zip(t, out):
+            assert np.array_equal(prop, matcore.expm(g, [time])[0])
+
+
+CHAINED_MODELS = {
+    "lambda": lambda: lambda_model(10.0),
+    "qubit": lambda: qubit_nilpotent_model(10.0),
+    "no-go": lambda: counterexample_model(5.0),
+    "random-d3": lambda: random_model(3, np.random.default_rng(5)),
+}
+
+
+@pytest.mark.parametrize("make", CHAINED_MODELS.values(), ids=CHAINED_MODELS.keys())
+def test_chained_propagators_match_per_point_kernel(make, monkeypatch):
+    times = bench.default_time_grid()
+    _assert_chains_are_exact(monkeypatch, bench.compute_effective(make()), times)
+
+
+def test_random_d8_chained_propagators_match_per_point_kernel(random_d8_certified, monkeypatch):
+    # n = 64: chunks of 8 points, shorter than an octave, so the carried
+    # parents span several chunks
+    assert bench._chunk_points(64) < 15
+    _assert_chains_are_exact(monkeypatch, random_d8_certified, bench.default_time_grid())
+
+
+def test_chains_cross_a_chunk_boundary(lambda_pipe, monkeypatch):
+    # two chunks of 52 points at n = 25: the second chains onto the octave
+    # carried from the first, and solves only where the chain rule fails
+    step = bench._chunk_points(25)
+    times = bench.default_time_grid()[: 2 * step]
+    total = bench._real_frame(lambda_pipe.total_matrix)
+    assert step == 52 and _unchained_points(total, times) < step + 15
+    _assert_chains_are_exact(monkeypatch, lambda_pipe, times)
+
+
+def test_default_grid_is_octave_aligned():
+    grid = bench.default_time_grid()
+    assert len(grid) == 401 and grid[0] == 0.0 and grid[1] == 1e-2
+    # every doubling exact, so each point from one octave up is a squaring
+    assert np.array_equal(grid[16:], 2.0 * grid[1:-15])
+    assert grid[-1] >= 1e6
+    ratios = grid[2:] / grid[1:-1]
+    assert np.all(np.abs(ratios - 10 ** (8 / 399)) <= 1e-4)
 
 
 def test_negative_order_rejected_before_any_series(lambda_pipe, monkeypatch):

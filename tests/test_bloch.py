@@ -147,6 +147,13 @@ class TestSolvers:
         with pytest.raises(ValueError, match=f"max_iter must be a positive integer, got {max_iter!r}"):
             solve_equation(lambda_pipe.decomposition, zero, 10.0, 0, "omega", max_iter=max_iter)
 
+    @pytest.mark.parametrize("gamma, shown", [("1", "'1'"), (None, "None"), (True, "True")])
+    def test_coupling_must_be_a_number(self, lambda_pipe, gamma, shown):
+        # a string or None had escaped as a raw TypeError, and True passed as 1
+        zero = np.zeros((25, 25))
+        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}"):
+            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, "omega")
+
     @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
     def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
         # solve_blocks builds each block's Kantorovich report first
@@ -694,6 +701,12 @@ class TestCorrectionSeries:
         zero = np.zeros((25, 25))
         with pytest.raises(ValueError, match=f"n_max must be a positive integer, got {n_max!r}"):
             sum_correction_series(lambda_pipe.decomposition, zero, zero, 10.0, 0, n_max=n_max)
+
+    @pytest.mark.parametrize("tol, shown", [(None, "None"), ("1e-12", "'1e-12'"), (False, "False")])
+    def test_tol_must_be_a_number(self, lambda_pipe, tol, shown):
+        zero = np.zeros((25, 25))
+        with pytest.raises(ValueError, match=f"tol must be positive and finite, got {shown}"):
+            sum_correction_series(lambda_pipe.decomposition, zero, zero, 10.0, 0, tol=tol)
 
     def test_zero_case(self, lambda_pipe):
         dec = lambda_pipe.decomposition

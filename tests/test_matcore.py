@@ -107,6 +107,35 @@ class TestStacks:
             for t, slice_ in zip(times, out):
                 assert np.array_equal(slice_, matcore.expm(a, [t])[0])
 
+    @pytest.mark.parametrize("arrange", ["reversed", "negated", "repeated"])
+    def test_expm_chains_on_an_aligned_grid_in_any_order(self, rng, monkeypatch, arrange):
+        # t[j + 15] == 2 t[j] exactly: a point whose half is on the grid with
+        # one squaring fewer is that point squared, and still equals the
+        # exponential at its time alone, whatever the order of the grid
+        j = np.arange(90)
+        aligned = (0.1 * 2.0 ** (np.arange(15) / 15))[j % 15] * 2.0 ** (j // 15)
+        times = {
+            "reversed": aligned[::-1],
+            "negated": -aligned,
+            "repeated": rng.permutation(np.concatenate((aligned, aligned[::4], [0.0, 0.0]))),
+        }[arrange]
+        rows, pade = [], matcore._GridExpm._pade
+
+        def spy_pade(self, t, steps):
+            rows.append(len(t))
+            return pade(self, t, steps)
+
+        a = 10.0 * (rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5)))
+        for a in (a, a.real):
+            a = a - (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(5)
+            rows.clear()
+            monkeypatch.setattr(matcore._GridExpm, "_pade", spy_pade)
+            out = matcore.expm(a, times)
+            monkeypatch.undo()
+            assert 0 < rows[0] < len(times) / 2
+            for t, slice_ in zip(times, out):
+                assert np.array_equal(slice_, matcore.expm(a, [t])[0])
+
     def test_nan_in_one_slice_rejected(self, stack):
         stack[1, 2, 0, 4] = np.nan
         with pytest.raises(NonFiniteError):
