@@ -20,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liouville, matcore, spectral
-from .bloch import DEFAULT_TOL, _require_integer, _require_positive
-from .bloch import schrieffer_wolff_series, solve_blocks
+from .bloch import DEFAULT_TOL, schrieffer_wolff_series, solve_blocks
 from .effective import (
     EffectiveGenerators,
     _bounds_at,
@@ -87,8 +86,8 @@ class PipelineResult:
         mapped from another (``mapped_from``) takes the image of its sums.
         """
         finite = [order for order in orders if order is not None]
-        if finite and min(finite) < 0:
-            raise ValueError(f"truncation order must be >= 0, got {min(finite)}")
+        for order in finite:
+            matcore._require_integer("truncation order", order, 0)
         out = {order: np.zeros_like(self.weak.matrix) for order in finite}
         sums = []
         for ell, sol in enumerate(self.solutions if finite else ()):
@@ -185,36 +184,6 @@ def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(values, bounds)[::2]
 
 
-# Working-set budget of the propagation kernels, in bytes of one stacked
-# (points, n, n) float64 array of the real frame.  A distance-table chunk
-# holds at most about four such stacks at once: the true propagators, and
-# V + U, V - U and the solution of a target's Pade solves (matcore._GridExpm
-# allocates a chunk's propagators after its solve, and keeps A's powers only
-# until its first solve).  A chunk whose points all
-# chain onto an octave below solves nothing and holds the two propagators and
-# one generation's squaring operands.  Beyond its chunk, each generator
-# carries the propagators from half the next chunk's first time on, copied
-# out so the chunk is freed: one octave, 15 points of the default grid
-# (75 KB per generator at n = 25, 1.2 MB at n = 100).  So a fixed point count
-# makes the working set grow like n^2.  On the `paper` workload (Lambda,
-# n = 25; 2-vCPU VM, BLAS on one thread) complex chunks of 64 points raised
-# peak RSS from 71.7 to 77.2 MB, and 256 KiB per stack (26 complex points)
-# by under 1.2 MB.  The same 256 KiB holds 52 real points; with the carried
-# octaves peak RSS read 69.96-70.04 MB, against 70.20-70.21 MB with a solve
-# per point (three runs each).  At n = 64 one 401-point stack ran 1.5 times
-# as long as 4-point chunks (cache).  Small n gains from long stacks: at
-# n = 4, 64-point chunks took 1.2-1.6 times as long as one call for the whole
-# grid.  _TIME_CHUNK caps the count for tiny generators (n <= 9 take the
-# 401-point default grid in one call).
-_CHUNK_BYTES = 256 * 1024
-_TIME_CHUNK = 512
-
-
-def _chunk_points(n: int, itemsize: int = np.dtype(np.float64).itemsize) -> int:
-    """Time points per expm/SVD call for n x n generators of ``itemsize`` bytes."""
-    return max(1, min(_TIME_CHUNK, _CHUNK_BYTES // (itemsize * n * n)))
-
-
 def _real_frame(g: np.ndarray) -> np.ndarray:
     """A generator as the real matrix U^H G U of the unit Hermitian frame U.
 
@@ -250,11 +219,10 @@ def _distance_table(
     Every generator is first mapped to the real Hermitian frame
     (:func:`_real_frame`), all of them before any propagation, and the
     propagators and their norms are taken there, in float64, in chunks of
-    :func:`_chunk_points` times.  Each generator's kernel carries the
-    propagators from half the next chunk's first time on into that chunk,
-    so a point is its parent's square also across a chunk boundary.  With
-    ``with_norm``, ``__norm__`` holds the norm of the true propagator
-    exp(t total), which depends on ``total`` alone.
+    ``matcore._chunk_points`` times; each generator's kernel keeps the
+    parents a chunk's points chain onto.  With ``with_norm``, ``__norm__``
+    holds the norm of the true propagator exp(t total), which depends on
+    ``total`` alone.
     """
     total = _real_frame(total)
     targets = {key: _real_frame(target) for key, target in targets.items()}
@@ -262,14 +230,12 @@ def _distance_table(
     table = {key: np.empty(len(times)) for key in keys}
     true_grid = matcore._GridExpm(total)
     grids = {key: matcore._GridExpm(target) for key, target in targets.items()}
-    step = _chunk_points(total.shape[0], total.itemsize)
+    step = matcore._chunk_points(total.shape[0])
     for start in range(0, len(times), step):
         part = slice(start, start + step)
-        # from half the next chunk's first time on: the parents it can use
-        keep_from = 0.5 * times[start + step] if start + step < len(times) else np.inf
-        true_prop = true_grid(times[part], keep_from)
+        true_prop = true_grid(times[part])
         for key, grid in grids.items():
-            table[key][part] = matcore.op_norm(true_prop - grid(times[part], keep_from), norm_kind)
+            table[key][part] = matcore.op_norm(true_prop - grid(times[part]), norm_kind)
         if with_norm:
             table["__norm__"][part] = matcore.op_norm(true_prop, norm_kind)
     return table
@@ -361,9 +327,9 @@ def scaling_check(
     """
     if len(gammas) == 0:
         raise ValueError("scaling_check needs at least one coupling")
-    _require_positive(**{f"gammas[{i}]": gamma for i, gamma in enumerate(gammas)})
+    matcore._require_positive(**{f"gammas[{i}]": gamma for i, gamma in enumerate(gammas)})
     for i, k in enumerate(orders):
-        _require_integer(f"orders[{i}]", k, 0)
+        matcore._require_integer(f"orders[{i}]", k, 0)
     times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
@@ -1023,7 +989,7 @@ def bound_check(
     solve.  ``gamma_factor`` must be positive and finite and the grid
     valid; anything else raises ``ValueError`` before any work.
     """
-    _require_positive(gamma_factor=gamma_factor)
+    matcore._require_positive(gamma_factor=gamma_factor)
     times = _time_grid(times)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")

@@ -45,7 +45,6 @@ fails the test, every block is solved.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +53,7 @@ import scipy.linalg as sla
 from . import matcore
 from .errors import BranchEscapeError, ConvergenceError, PreconditionError
 from .liouville import _hp_image, _preserves_hermiticity
+from .matcore import _require_integer, _require_positive
 from .spectral import EigenspaceData, SpectralDecomposition
 
 DEFAULT_TOL = 1e-12
@@ -143,22 +143,6 @@ def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> fl
     return _gamma_min(block, matcore.op_norm(c, norm_kind), norm_kind)
 
 
-def _require_positive(**values) -> None:
-    for name, value in values.items():
-        # a bool is an int to Python, and None or a string has no order with 0
-        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
-        if not (real and math.isfinite(value) and value > 0):
-            raise ValueError(
-                f"{name} must be positive and finite, got {value if real else repr(value)}"
-            )
-
-
-def _require_integer(name: str, value, least: int) -> None:
-    if not (isinstance(value, (int, np.integer)) and value >= least):
-        kind = "positive" if least == 1 else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
-
-
 def _weak_matrix(dec: SpectralDecomposition, c, name: str = "c") -> np.ndarray:
     """C (or the operand ``name``) as a complex matrix, rejected unless it is n x n like B."""
     cm = matcore.as_cmatrix(c)
@@ -170,7 +154,7 @@ def _weak_matrix(dec: SpectralDecomposition, c, name: str = "c") -> np.ndarray:
 
 
 def _require_block(dec: SpectralDecomposition, ell) -> None:
-    if not (isinstance(ell, (int, np.integer)) and 0 <= ell < len(dec.blocks)):
+    if not (matcore._is_integer(ell) and 0 <= ell < len(dec.blocks)):
         raise ValueError(f"ell must be in range({len(dec.blocks)}), got {ell!r}")
 
 
@@ -305,6 +289,12 @@ _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
 _METHODS = ("newton", "fixed_point")
 
 
+def _require_solver(method, gamma, tol) -> None:
+    if method not in _METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
+    _require_positive(gamma=gamma, tol=tol)
+
+
 def _factor_norm(y, wz, w_off) -> float:
     """``matcore.supported_norm(Y W, Z)`` from the n x r factor Y.
 
@@ -369,9 +359,7 @@ def solve_equation(
             f"unknown equation {which!r}; expected one of "
             f"{sorted(_EQUATIONS) + sorted(_CONJUGATES)}"
         )
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
-    _require_positive(gamma=gamma, tol=tol)
+    _require_solver(method, gamma, tol)
     _require_integer("max_iter", max_iter, 1)
     _require_block(dec, ell)
     cm = _weak_matrix(dec, c)
@@ -534,13 +522,16 @@ def solve_block(
 ) -> BlochSolution:
     """Solve both adiabatic Bloch equations on one block and certify.
 
-    ``ell`` must be a block index and C an n x n matrix (``ValueError``).
+    ``method`` must be one of ``"newton"`` and ``"fixed_point"``, ``gamma``
+    and ``tol`` positive and finite, ``ell`` a block index and C an n x n
+    matrix; anything else raises ``ValueError`` before any iteration.
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
     taken from the block's factors (:func:`matcore.supported_norm`), and so
     are the four support checks ||X (1 - P)|| and ||(1 - P) X||: with the
     norm of S in the Kantorovich report, no n x n matrix is factorized.
     """
+    _require_solver(method, gamma, tol)
     report = kantorovich_report(dec, c, gamma, ell)
     return _solve_block(dec, _weak_matrix(dec, c), gamma, ell, method, tol, report)
 
@@ -632,9 +623,10 @@ def solve_blocks(
     When C preserves Hermiticity, the second block of each conjugate orbit
     (``dec.images``) gets the image of the first one's solution, with its
     equation residuals evaluated on its own block (module docstring);
-    otherwise every block is solved.
+    otherwise every block is solved.  ``method``, ``gamma`` and ``tol`` are
+    checked as in :func:`solve_block`, before any block is solved.
     """
-    _require_positive(gamma=gamma)
+    _require_solver(method, gamma, tol)
     cm = _weak_matrix(dec, c)
     c_norm = matcore.op_norm(cm, "spectral")
     images = dec.images if dec.images and _preserves_hermiticity(cm) else {}

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import matcore
-from .bloch import BlochSolution, _gamma_min, _require_positive
+from .bloch import BlochSolution, _gamma_min
 from .errors import ConvergenceError
 from .liouville import Superoperator, _hp_image
 from .spectral import SpectralDecomposition
@@ -282,7 +282,7 @@ def eternal_bound(
     read from the singular values stored with each block.  gamma_l is taken
     once per conjugate orbit: its norms are unchanged by the map.
     """
-    _require_positive(gamma=gamma)
+    matcore._require_positive(gamma=gamma)
     cm = c.matrix if isinstance(c, Superoperator) else matcore.as_cmatrix(c)
     c_norm = matcore.op_norm(cm, norm_kind)
     gamma_blocks = []

@@ -114,8 +114,7 @@ class LindbladModel:
             "weak_dissipators",
             _check_dissipators(self.weak_dissipators, d, "weak"),
         )
-        if not (np.isfinite(self.gamma) and self.gamma > 0):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        matcore._require_positive(gamma=self.gamma)
 
     def to_dict(self, float_mode: str = "repr") -> dict:
         return {
@@ -147,15 +146,15 @@ class LindbladModel:
         weak = data.get("weak", {})
         return cls(
             dim=d,
-            gamma=_read_num(data["gamma"]),
+            gamma=_read_num(data["gamma"], "gamma"),
             strong_hamiltonian=_matrix_from_json(strong.get("H"), d),
             strong_dissipators=tuple(
-                (_read_num(t["rate"]), _matrix_from_json(t["L"], d))
+                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"], d))
                 for t in strong.get("dissipators", [])
             ),
             weak_hamiltonian=_matrix_from_json(weak.get("H"), d),
             weak_dissipators=tuple(
-                (_read_num(t["rate"]), _matrix_from_json(t["L"], d))
+                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"], d))
                 for t in weak.get("dissipators", [])
             ),
         )
@@ -166,8 +165,7 @@ class LindbladModel:
 
 
 def _check_dim(d):
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"dim must be a positive integer, got {d!r}")
+    matcore._require_integer("dim", d, 1)
     return int(d)
 
 
@@ -185,11 +183,8 @@ def _check_hamiltonian(h, d, name) -> np.ndarray:
 def _check_dissipators(dissipators, d, which) -> tuple:
     out = []
     for i, (rate, jump) in enumerate(dissipators):
+        matcore._require_positive(zero_ok=True, **{f"{which} dissipator {i} rate": rate})
         rate = float(rate)
-        if not (math.isfinite(rate) and rate >= 0):
-            raise ValueError(
-                f"{which} dissipator {i} rate must be non-negative and finite, got {rate}"
-            )
         jm = matcore.as_cmatrix(jump)
         if jm.shape != (d, d):
             raise ValueError(
@@ -204,12 +199,15 @@ def _num(x: float, mode: str):
     return x.hex() if mode == "hex" else x
 
 
-def _read_num(x) -> float:
-    """A number of a model file: a JSON number, or a string as float.hex() writes it."""
+def _read_num(x, name: str) -> float:
+    """The number ``name`` of a model file: a JSON number (not true or
+    false), or a string as float.hex() writes it."""
     if not isinstance(x, str):
+        if not matcore._is_number(x):
+            raise ValueError(f"{name} must be a number, got {x!r}")
         return float(x)
     if not x.lstrip("+-").startswith("0x"):
-        raise ValueError(f"number string {x!r} is not in float.hex() form")
+        raise ValueError(f"{name} string {x!r} is not in float.hex() form")
     return float.fromhex(x)
 
 
@@ -224,7 +222,8 @@ def _matrix_from_json(rows, d) -> np.ndarray:
     if rows is None:
         return np.zeros((d, d), dtype=np.complex128)
     out = np.array(
-        [[complex(_read_num(re), _read_num(im)) for re, im in row] for row in rows],
+        [[complex(_read_num(re, "entry"), _read_num(im, "entry")) for re, im in row]
+         for row in rows],
         dtype=np.complex128,
     )
     if out.shape != (d, d):

@@ -20,12 +20,21 @@ choose the number of squarings scale with |t|, A's powers are taken once
 per call and each time point adds only 14 scalar coefficients, one solve
 and its squarings, or, when half its time is on the grid with one squaring
 fewer, a single squaring of that point.  Given A's powers, every time point
-gets the arithmetic it would get on its own.  :func:`supported_norm` bounds
-the spectral norm of a matrix that vanishes off a known r-dimensional row
-space from an n x r factor.
+gets the arithmetic it would get on its own.  The kernel behind it can also
+walk a sorted grid in chunks of :func:`_chunk_points` times, sized by a
+working-set budget: after each call it keeps the points from half that
+call's largest time on, every parent the next chunk can chain onto.  The
+argument checks of the package's entry points (:func:`_require_positive`
+and :func:`_require_integer`) live here too, so every module applies one
+rule for numbers.  :func:`supported_norm` bounds the spectral norm of a
+matrix that vanishes off a known r-dimensional row space from an n x r
+factor.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,6 +74,34 @@ def _ensure_finite(m: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(m).all():
         raise NonFiniteError(f"{what} contains NaN or Inf entries")
     return m
+
+
+def _is_number(value) -> bool:
+    # a bool is an int to Python, and None or a string has no order with 0
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    return _is_number(value) and isinstance(value, (int, np.integer))
+
+
+def _require_positive(zero_ok: bool = False, **values) -> None:
+    """Reject each of ``values``, with a ``ValueError`` naming it, unless it
+    is a positive (with ``zero_ok``, non-negative) finite real number: not a
+    bool, None or a string."""
+    sign = "non-negative" if zero_ok else "positive"
+    for name, value in values.items():
+        real = _is_number(value)
+        if not (real and math.isfinite(value) and (value > 0 or zero_ok and value == 0)):
+            raise ValueError(
+                f"{name} must be {sign} and finite, got {value if real else repr(value)}"
+            )
+
+
+def _require_integer(name: str, value, least: int) -> None:
+    if not (_is_integer(value) and value >= least):
+        kind = "positive" if least == 1 else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def _require_square(m: np.ndarray, op: str) -> None:
@@ -195,14 +232,14 @@ class _GridExpm:
     construction.  A's scaled powers serve the first call that needs a Pade
     solve; a later one forms them again, so a generator that chains keeps no
     14 n x n stack between calls.  A call gives each time its own solve,
-    unless half that time is on the grid (in this call or carried from the
-    last) with one squaring fewer: then both have the same scaled argument,
-    and the point is its parent's propagator squared, bit for bit.  Each
-    generation of such points is squared as one batched product.  A call
-    keeps the points at times >= ``keep_from`` as parents for the next call:
-    with a sorted grid, half the next chunk's first time keeps every parent
-    it can use.  Overflow raises :class:`NonFiniteError`, without numpy
-    warnings.
+    unless half that time is on the grid (in this call or kept from an
+    earlier one) with one squaring fewer: then both have the same scaled
+    argument, and the point is its parent's propagator squared, bit for bit.
+    Each generation of such points is squared as one batched product.  After
+    each call the kernel keeps the points from half that call's largest time
+    on as parents: on a sorted grid walked in chunks, every parent the next
+    chunk can use (an octave and one point of the default grid).  Overflow
+    raises :class:`NonFiniteError`, without numpy warnings.
     """
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -219,7 +256,7 @@ class _GridExpm:
         self._v = v.max()
         self._f = np.frexp(self._power_norms)[1]
         self._first_powers = powers
-        self._carry = (np.empty(0), np.empty(0, dtype=np.int64), self._stack(0))
+        self._kept = (np.empty(0), self._stack(0))
 
     def _stack(self, k: int) -> np.ndarray:
         return np.empty((k,) + self._a.shape, dtype=self._a.dtype)
@@ -237,6 +274,7 @@ class _GridExpm:
             np.matmul(powers[i], powers[j], out=powers[k])
         return powers
 
+    @np.errstate(divide="ignore", invalid="ignore")
     def _steps(self, t: np.ndarray) -> np.ndarray:
         """Squarings s + ell of each time."""
         log2_t = np.log2(np.abs(t)) + self._e
@@ -273,45 +311,68 @@ class _GridExpm:
         return r
 
     @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-    def __call__(self, t: np.ndarray, keep_from: float = np.inf) -> np.ndarray:
-        carry_t, carry_steps, carry_out = self._carry
-        steps = self._steps(t)
-        # the parent of a point: one of the carry or of t at exactly half its
-        # time, with one squaring fewer; x = 2^(e-steps) t is then the same
-        pool_t = np.concatenate((carry_t, t))
-        pool_steps = np.concatenate((carry_steps, steps))
+    def __call__(self, t: np.ndarray) -> np.ndarray:
+        kept_t, kept = self._kept
+        k = len(kept_t)
+        # the kept parents and this call's points in one buffer, so that a
+        # parent is an index into it
+        pool_t = np.concatenate((kept_t, t))
+        steps = self._steps(pool_t)
+        # the parent of a point: the one at exactly half its time, with one
+        # squaring fewer; x = 2^(e-steps) t is then the same
         by_time = np.argsort(pool_t, kind="stable")
-        half = 0.5 * t
-        cand = by_time[np.minimum(np.searchsorted(pool_t[by_time], half), len(pool_t) - 1)]
-        chained = (pool_t[cand] == half) & (2.0 * half == t) & (pool_steps[cand] == steps - 1)
-        parent = cand - len(carry_t)  # negative: a carried parent
-        own = np.flatnonzero(~chained)
+        half = 0.5 * pool_t
+        parent = by_time[np.minimum(np.searchsorted(pool_t[by_time], half), len(pool_t) - 1)]
+        chained = (pool_t[parent] == half) & (2.0 * half == pool_t) & (steps[parent] == steps - 1)
+        chained[:k] = False
+        own = np.flatnonzero(~chained)[k:]
         own = own[np.argsort(steps[own], kind="stable")]
-        pade = self._pade(t[own], steps[own])
+        pade = self._pade(pool_t[own], steps[own])
         # allocated after the solve, which holds three stacks of its own
-        out = self._stack(len(t))
+        out = self._stack(len(pool_t))
+        out[:k] = kept
         out[own] = pade
         del pade
-        done = np.concatenate((np.ones(len(carry_t), dtype=bool), ~chained))
+        done = ~chained
         todo = np.flatnonzero(chained)
         while todo.size:
-            ready = done[cand[todo]]
+            ready = done[parent[todo]]
             gen, todo = todo[ready], todo[~ready]
-            src = parent[gen]
-            carried = src < 0
-            base = self._stack(len(gen))
-            base[carried] = carry_out[src[carried]]
-            base[~carried] = out[src[~carried]]
+            base = out[parent[gen]]
             out[gen] = base @ base
-            done[len(carry_t) + gen] = True
-        _ensure_finite(out, "expm result")
-        old, new = carry_t >= keep_from, t >= keep_from
-        self._carry = (
-            np.concatenate((carry_t[old], t[new])),
-            np.concatenate((carry_steps[old], steps[new])),
-            np.concatenate((carry_out[old], out[new])),
-        )
-        return out
+            done[gen] = True
+        _ensure_finite(out[k:], "expm result")
+        keep = pool_t >= 0.5 * t.max()
+        self._kept = (pool_t[keep], out[keep])
+        return out[k:]
+
+
+# Working-set budget of the kernel, in bytes of one stacked (points, n, n)
+# float64 array: a caller that walks a grid in chunks (bench._distance_table)
+# passes _chunk_points(n) times per call.  A call holds at most about three
+# such stacks at once, V + U, V - U and the solution of its Pade solves, and
+# allocates its propagators after the solve (A's powers are kept only until
+# the first solve); a caller comparing generators holds the true propagators
+# beside a target's.  A call whose points all chain solves nothing and holds
+# its propagators and one generation's squaring operands; the propagators
+# it returns share one buffer with the kept points it started from.  Between
+# calls the kernel keeps the points from half the last call's largest time
+# on: 16 points of the default grid (80 KB per generator at n = 25, 1.3 MB at
+# n = 100).  So a fixed point count makes the working set grow like n^2.  On
+# the `paper` workload (Lambda, n = 25; 2-vCPU VM, BLAS on one thread)
+# complex chunks of 64 points raised peak RSS from 71.7 to 77.2 MB, and
+# 256 KiB per stack (26 complex points) by under 1.2 MB; the same 256 KiB
+# holds 52 real points.
+# At n = 64 one 401-point stack ran 1.5 times as long as 4-point chunks
+# (cache).  Small n gains from long stacks: at n = 4, 64-point chunks took
+# 1.2-1.6 times as long as one call for the whole grid, and n <= 9 takes the
+# 401-point default grid in one call.
+_CHUNK_BYTES = 256 * 1024
+
+
+def _chunk_points(n: int) -> int:
+    """Time points per kernel call for n x n float64 generators."""
+    return max(1, _CHUNK_BYTES // (8 * n * n))
 
 
 def principal_sqrt(a) -> np.ndarray:

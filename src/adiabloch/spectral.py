@@ -47,7 +47,6 @@ pairs; :func:`validate` still checks every block.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -236,8 +235,8 @@ def robust_decompose(matrix, cluster_tol: float | None = None) -> SpectralDecomp
 
 def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
     """:func:`decompose`, escalating ``cluster_tol`` up to ``escalations`` times."""
-    if cluster_tol is not None and not (math.isfinite(cluster_tol) and cluster_tol >= 0):
-        raise ValueError(f"cluster_tol must be non-negative and finite, got {cluster_tol}")
+    if cluster_tol is not None:
+        matcore._require_positive(zero_ok=True, cluster_tol=cluster_tol)
     mat = _as_matrix(b)
     n = mat.shape[0]
     norm_b = matcore.op_norm(mat, "spectral")
@@ -505,8 +504,7 @@ def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     if r.shape != (n, n):
         raise ValueError(f"similarity must be {n}x{n}, got {r.shape}")
     for entry in layout:
-        if not isinstance(entry[1], (int, np.integer)) or entry[1] < 1:
-            raise ValueError(f"layout entry {entry!r}: size must be a positive integer")
+        matcore._require_integer(f"layout entry {entry!r}: size", entry[1], 1)
     sizes = [size for _e, size in layout]
     if sum(sizes) != n:
         raise ValueError(f"layout sizes sum to {sum(sizes)}, expected {n}")

@@ -153,7 +153,7 @@ def test_distance_curves_takes_no_propagator_norm(qubit_pipe, monkeypatch):
     monkeypatch.setattr(matcore, "op_norm", counting_op_norm)
     bench.distance_curves(qubit_pipe, orders)
     times = len(bench.default_time_grid())
-    chunks = -(-times // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    chunks = -(-times // matcore._chunk_points(qubit_pipe.total_matrix.shape[0]))
     assert len(stacked) == chunks * len(orders)
 
 
@@ -185,7 +185,6 @@ def test_scaling_check_decomposes_once(monkeypatch, short_times):
 def test_distance_table_matches_per_time_loop(lambda_pipe):
     # 150 points: two full chunks and a partial one
     times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
-    assert len(times) % bench._TIME_CHUNK != 0
     total = lambda_pipe.total_matrix
     targets = {0: lambda_pipe.effective_total(0), None: lambda_pipe.effective_total()}
     table = bench._distance_table(total, targets, times, "spectral")
@@ -377,6 +376,7 @@ def test_non_number_couplings_rejected_before_any_work(value, shown, monkeypatch
         ((10.0, -1.0), (0,), "gammas[1] must be positive and finite, got -1.0"),
         ((np.inf,), (0,), "gammas[0] must be positive and finite, got inf"),
         ((0.0,), (0,), "gammas[0] must be positive and finite, got 0.0"),
+        ((10.0,), (True,), "orders[0] must be a non-negative integer, got True"),
     ],
 )
 def test_scaling_arguments_rejected_before_any_work(gammas, orders, message, monkeypatch):
@@ -393,8 +393,7 @@ def _unchained_points(g: np.ndarray, times: np.ndarray) -> int:
     """Points of ``times`` that take their own Pade solve for the real-frame
     generator ``g``: those whose half is not on the grid with one squaring
     fewer (the chain rule, as a loop over the grid)."""
-    with np.errstate(divide="ignore"):
-        steps = matcore._GridExpm(g)._steps(times).tolist()
+    steps = matcore._GridExpm(g)._steps(times).tolist()
     at = dict(zip(times.tolist(), steps))
     return sum(
         not (2 * (t / 2) == t and at.get(t / 2) == s - 1) for t, s in zip(times.tolist(), steps)
@@ -422,7 +421,7 @@ def test_distance_curves_propagates_in_batched_chunks(qubit_pipe, monkeypatch):
     monkeypatch.setattr(np.linalg, "solve", counting_solve)
     bench.distance_curves(qubit_pipe, orders)
     times = bench.default_time_grid()
-    chunks = -(-len(times) // bench._chunk_points(qubit_pipe.total_matrix.shape[0]))
+    chunks = -(-len(times) // matcore._chunk_points(qubit_pipe.total_matrix.shape[0]))
     generators = [qubit_pipe.total_matrix] + [qubit_pipe.effective_total(k) for k in orders]
     unchained = sum(_unchained_points(bench._real_frame(g), times) for g in generators)
     assert scipy_calls == []
@@ -442,8 +441,8 @@ def _propagators(monkeypatch, total, targets, times) -> tuple:
         init(self, a)
         self.generator = a
 
-    def spy_call(self, t, keep_from=np.inf):
-        out = call(self, t, keep_from)
+    def spy_call(self, t):
+        out = call(self, t)
         seen.append((self.generator, t, out.copy()))
         return out
 
@@ -490,14 +489,34 @@ def test_chained_propagators_match_per_point_kernel(make, monkeypatch):
 def test_random_d8_chained_propagators_match_per_point_kernel(random_d8_certified, monkeypatch):
     # n = 64: chunks of 8 points, shorter than an octave, so the carried
     # parents span several chunks
-    assert bench._chunk_points(64) < 15
+    assert matcore._chunk_points(64) < 15
     _assert_chains_are_exact(monkeypatch, random_d8_certified, bench.default_time_grid())
+
+
+def test_kernel_keeps_only_the_last_octave(rng):
+    # n = 64 on the default grid, 8 points per call: between calls the kernel
+    # keeps exactly the walked points from half the last call's largest time
+    # on, every parent a later point can chain onto and at most 16 of them
+    a = rng.normal(size=(64, 64)) / 8.0
+    a -= (np.linalg.eigvals(a).real.max() + 1.0) * np.eye(64)
+    kernel = matcore._GridExpm(a)
+    times = bench.default_time_grid()
+    # the budget: the whole default grid in one call up to n = 9
+    assert [matcore._chunk_points(n) for n in (9, 25, 64, 100)] == [404, 52, 8, 3]
+    step = matcore._chunk_points(64)
+    for start in range(0, len(times), step):
+        chunk = times[start : start + step]
+        kernel(chunk)
+        kept_t, kept = kernel._kept
+        assert len(kept_t) == len(kept) <= 16
+        walked = times[: start + step]
+        assert np.array_equal(np.sort(kept_t), walked[walked >= 0.5 * chunk.max()])
 
 
 def test_chains_cross_a_chunk_boundary(lambda_pipe, monkeypatch):
     # two chunks of 52 points at n = 25: the second chains onto the octave
     # carried from the first, and solves only where the chain rule fails
-    step = bench._chunk_points(25)
+    step = matcore._chunk_points(25)
     times = bench.default_time_grid()[: 2 * step]
     total = bench._real_frame(lambda_pipe.total_matrix)
     assert step == 52 and _unchained_points(total, times) < step + 15
@@ -523,6 +542,19 @@ def test_negative_order_rejected_before_any_series(lambda_pipe, monkeypatch):
         lambda_pipe.k_eff(-1)
     with pytest.raises(ValueError, match="order"):
         bench.distance_curves(lambda_pipe, [2, -1, None], np.array([0.0, 1.0]))
+
+
+@pytest.mark.parametrize("tol, shown", [(-1.0, "-1.0"), (0.0, "0.0"), (np.nan, "nan")])
+def test_bad_tol_rejected_before_any_block_is_solved(tol, shown):
+    # these had ended in a stalled ConvergenceError
+    with pytest.raises(ValueError, match=f"tol must be positive and finite, got {shown}"):
+        bench.compute_effective(lambda_model(10.0), tol=tol)
+
+
+def test_truncation_order_must_be_an_integer(lambda_pipe):
+    # True had run as order 1
+    with pytest.raises(ValueError, match="truncation order must be a non-negative integer, got True"):
+        lambda_pipe.k_eff(True)
 
 
 def test_scaling_check_rejects_empty_gammas():

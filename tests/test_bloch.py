@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -140,7 +141,7 @@ class TestSolvers:
         with pytest.raises(ValueError, match=allowed):
             solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, method, tol)
 
-    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, None])
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, None, True])
     def test_max_iter_must_be_a_positive_integer(self, lambda_pipe, max_iter):
         # 0 and -1 ended in a raw IndexError of an empty history
         zero = np.zeros((25, 25))
@@ -153,6 +154,33 @@ class TestSolvers:
         zero = np.zeros((25, 25))
         with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}"):
             solve_equation(lambda_pipe.decomposition, zero, gamma, 0, "omega")
+
+    @pytest.mark.parametrize("call", ["solve_blocks", "solve_block"])
+    @pytest.mark.parametrize(
+        "method, tol, match",
+        [
+            ("bogus", 1e-12, "unknown method 'bogus'"),
+            ("newton", -1.0, "tol must be positive and finite, got -1.0"),
+            ("newton", 0.0, "tol must be positive and finite, got 0.0"),
+            ("newton", math.nan, "tol must be positive and finite, got nan"),
+            ("fixed_point", None, "tol must be positive and finite, got None"),
+        ],
+    )
+    def test_solver_arguments_checked_before_any_block(
+        self, lambda_pipe, monkeypatch, call, method, tol, match
+    ):
+        # "bogus" had run fixed-point iteration and labelled the solutions
+        # "bogus"; a bad tol had ended in a stalled ConvergenceError
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a block was solved before the arguments were checked")
+
+        monkeypatch.setattr(bloch, "_solve", no_solve)
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(ValueError, match=re.escape(match)):
+            if call == "solve_blocks":
+                solve_blocks(dec, c, 10.0, method=method, tol=tol)
+            else:
+                solve_block(dec, c, 10.0, 0, method=method, tol=tol)
 
     @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
     def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
@@ -171,8 +199,8 @@ class TestSolvers:
     )
     @pytest.mark.parametrize(
         "ell, size, match",
-        [(-1, 2, "got -1"), (2, 2, "got 2"), (0, 3, r"got \(3, 3\)")],
-        ids=["ell-negative", "ell-past-end", "c-3x3"],
+        [(-1, 2, "got -1"), (2, 2, "got 2"), (True, 2, "got True"), (0, 3, r"got \(3, 3\)")],
+        ids=["ell-negative", "ell-past-end", "ell-bool", "c-3x3"],
     )
     def test_block_index_and_weak_shape_validated(self, call, ell, size, match):
         # a negative ell must not wrap around to the last block, and a past-end
@@ -653,6 +681,9 @@ _BAD_SERIES_CALLS = {
     "omega-ell-too-large": lambda dec, c: omega_series(dec, c, len(dec.blocks), 1),
     "omega-ell-negative": lambda dec, c: omega_series(dec, c, -1, 1),
     "omega-order-negative": lambda dec, c: omega_series(dec, c, 0, -1),
+    # True had been taken as block 1, tagged ell=True
+    "omega-ell-bool": lambda dec, c: omega_series(dec, c, True, 1),
+    "omega-order-bool": lambda dec, c: omega_series(dec, c, 0, True),
     "generator-ell-too-large": lambda dec, c: generator_series(dec, c, len(dec.blocks), 1),
     "generator-order-negative": lambda dec, c: generator_series(dec, c, 0, -1),
     "generator-closed-order-negative": lambda dec, c: generator_series(
@@ -683,10 +714,11 @@ class TestCorrectionSeries:
             (-1, 10.0, 4, "got -1"),
             (99, 10.0, 4, "got 99"),
             (1.5, 10.0, 4, "got 1.5"),
+            (True, 10.0, 4, "got True"),
             (0, math.nan, 4, "gamma"),
             (0, 10.0, 3, r"d_block must be 4x4"),
         ],
-        ids=["ell-negative", "ell-past-end", "ell-not-integer", "gamma-nan", "d-3x3"],
+        ids=["ell-negative", "ell-past-end", "ell-not-integer", "ell-bool", "gamma-nan", "d-3x3"],
     )
     def test_arguments_validated_up_front(self, qubit_dec, ell, gamma, d_size, match):
         # the parent took ell = -1 as the last block and let the others fail
@@ -695,7 +727,7 @@ class TestCorrectionSeries:
         with pytest.raises(ValueError, match=match):
             sum_correction_series(qubit_dec, zero, np.zeros((d_size, d_size)), gamma, ell)
 
-    @pytest.mark.parametrize("n_max", [0, -1, 2.5, None])
+    @pytest.mark.parametrize("n_max", [0, -1, 2.5, None, True])
     def test_n_max_must_be_a_positive_integer(self, lambda_pipe, n_max):
         # 0 had reported a series that did not converge in 0 terms
         zero = np.zeros((25, 25))

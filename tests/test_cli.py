@@ -288,8 +288,10 @@ def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner,
         (lambda data: data["strong"]["dissipators"][0].update(rate="0.5"), "float.hex"),
         (lambda data: data.update(dim=2.5), "dim must be a positive integer"),
         (lambda data: data.update(dim=0), "dim must be a positive integer"),
+        # a JSON true had run as 1
+        (lambda data: data.update(gamma=True), "gamma must be a number, got True"),
     ],
-    ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0"],
+    ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0", "gamma-true"],
 )
 def test_bad_number_or_dim_exits_2(runner, tmp_path, edit, message):
     data = qubit_nilpotent_model(10.0).to_dict()

@@ -257,6 +257,38 @@ class TestModelSerialization:
         with pytest.raises(ValueError, match=f"dim must be a positive integer, got {dim}"):
             LindbladModel.from_dict(data)
 
+    @pytest.mark.parametrize("gamma, shown", [(True, "True"), ("2", "'2'"), (None, "None")])
+    def test_gamma_must_be_a_number(self, gamma, shown):
+        # True was stored as True, and "2" or None escaped as a raw TypeError
+        with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}"):
+            LindbladModel(dim=2, gamma=gamma, strong_hamiltonian=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("rate, shown", [("1", "'1'"), (True, "True"), (None, "None")])
+    def test_rate_must_be_a_number(self, rate, shown):
+        # "1" and True went through float() as 1.0
+        with pytest.raises(
+            ValueError, match=f"weak dissipator 0 rate must be non-negative and finite, got {shown}"
+        ):
+            LindbladModel(
+                dim=2,
+                gamma=1.0,
+                strong_hamiltonian=np.zeros((2, 2)),
+                weak_dissipators=((rate, np.eye(2)),),
+            )
+
+    @pytest.mark.parametrize("field", ["gamma", "rate", "entry"])
+    def test_json_true_is_not_a_number(self, rng, field):
+        # a JSON true had been read as 1.0
+        data = random_model(2, rng).to_dict()
+        if field == "gamma":
+            data["gamma"] = True
+        elif field == "rate":
+            data["strong"]["dissipators"][0]["rate"] = True
+        else:
+            data["strong"]["H"][0][0][0] = True
+        with pytest.raises(ValueError, match=f"{field} must be a number, got True"):
+            LindbladModel.from_dict(data)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             LindbladModel(dim=2, gamma=1.0, strong_hamiltonian=np.array([[0, 1], [0, 0]]))

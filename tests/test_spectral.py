@@ -387,10 +387,11 @@ class TestProjectionFactors:
 
 
 class TestClusteringAndReordering:
-    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf])
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, np.nan, np.inf, "1", True])
     def test_bad_cluster_tol_rejected(self, tol):
-        # at the parent a negative or NaN tolerance made every eigenvalue its
-        # own cluster and failed later with a misleading SpectralOverlapError
+        # a negative or NaN tolerance had made every eigenvalue its own
+        # cluster and failed later with a misleading SpectralOverlapError;
+        # "1" escaped as a raw TypeError and True ran as 1.0
         b = np.diag([0.0, 0.0, 1.0])
         with pytest.raises(ValueError, match="cluster_tol"):
             decompose(b, tol)
@@ -519,6 +520,7 @@ class TestInvariants:
             [(0.0, 2), (1.0, 0)],
             [(0.0, 1.0), (1.0, 1)],
             [(0.0, 1.5), (1.0, 0.5)],
+            [(0.0, 1), (1.0, True)],
         ],
     )
     def test_layout_sizes_must_be_positive_integers(self, layout):
