@@ -222,12 +222,14 @@ def _distance_table(
     ``matcore._chunk_points`` times; each generator's kernel keeps the
     parents a chunk's points chain onto.  With ``with_norm``, ``__norm__``
     holds the norm of the true propagator exp(t total), which depends on
-    ``total`` alone.
+    ``total`` alone.  With no target and no norm nothing is propagated.
     """
     total = _real_frame(total)
     targets = {key: _real_frame(target) for key, target in targets.items()}
     keys = list(targets) + (["__norm__"] if with_norm else [])
     table = {key: np.empty(len(times)) for key in keys}
+    if not keys:
+        return table
     true_grid = matcore._GridExpm(total)
     grids = {key: matcore._GridExpm(target) for key, target in targets.items()}
     step = matcore._chunk_points(total.shape[0])

@@ -54,7 +54,7 @@ from . import matcore
 from .errors import BranchEscapeError, ConvergenceError, PreconditionError
 from .liouville import _hp_image, _preserves_hermiticity
 from .matcore import _require_integer, _require_positive
-from .spectral import EigenspaceData, SpectralDecomposition
+from .spectral import EigenspaceData, SpectralDecomposition, _as_matrix
 
 DEFAULT_TOL = 1e-12
 # Iterations in a row that may pass without a new smallest residual before
@@ -77,7 +77,7 @@ def bracket(block: EigenspaceData, a, orientation: str = "right") -> np.ndarray:
     """
     if orientation not in ("right", "left"):
         raise ValueError(f"unknown orientation {orientation!r}")
-    mat = matcore.as_cmatrix(a)
+    mat = _as_matrix(a, len(block.projection), "a")
     s, nil = block.resolvent, block.nilpotent
     left, right = (s, nil) if orientation == "right" else (nil, s)
     out = mat.copy()
@@ -140,17 +140,8 @@ def _gamma_min(block: EigenspaceData, c_norm: float, norm_kind: str) -> float:
 
 def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> float:
     """Coupling threshold 4 mu ||S|| ||C|| ||P|| of one eigenspace."""
-    return _gamma_min(block, matcore.op_norm(c, norm_kind), norm_kind)
-
-
-def _weak_matrix(dec: SpectralDecomposition, c, name: str = "c") -> np.ndarray:
-    """C (or the operand ``name``) as a complex matrix, rejected unless it is n x n like B."""
-    cm = matcore.as_cmatrix(c)
-    if cm.shape != (dec.dim, dec.dim):
-        raise ValueError(
-            f"{name} must be {dec.dim}x{dec.dim} like the decomposition, got {cm.shape}"
-        )
-    return cm
+    c_norm = matcore.op_norm(_as_matrix(c, len(block.projection), "c"), norm_kind)
+    return _gamma_min(block, c_norm, norm_kind)
 
 
 def _require_block(dec: SpectralDecomposition, ell) -> None:
@@ -171,12 +162,12 @@ def kantorovich_report(
     """Newton-Kantorovich constants of block ``ell`` at coupling ``gamma``,
     in the spectral norm that measures the Newton ball.
 
-    ``gamma`` must be positive and finite, ``ell`` a block index and C an
-    n x n matrix; anything else raises ``ValueError`` before any work.
+    ``gamma`` must be positive and finite and ``ell`` a block index;
+    anything else raises ``ValueError`` before any work.
     """
     _require_positive(gamma=gamma)
     _require_block(dec, ell)
-    cm = _weak_matrix(dec, c)
+    cm = _as_matrix(c, dec.dim, "c")
     return _kantorovich(dec.blocks[ell], matcore.op_norm(cm, "spectral"), gamma, ell)
 
 
@@ -350,9 +341,8 @@ def solve_equation(
     initial guess.
 
     ``gamma`` and ``tol`` must be positive and finite, ``max_iter`` a
-    positive integer, ``ell`` a block index and C an n x n matrix; like an
-    unknown ``which`` or ``method`` anything else raises ``ValueError``
-    before any iteration.
+    positive integer and ``ell`` a block index; like an unknown ``which``
+    or ``method`` anything else raises ``ValueError`` before any iteration.
     """
     if which not in _EQUATIONS and which not in _CONJUGATES:
         raise ValueError(
@@ -362,7 +352,7 @@ def solve_equation(
     _require_solver(method, gamma, tol)
     _require_integer("max_iter", max_iter, 1)
     _require_block(dec, ell)
-    cm = _weak_matrix(dec, c)
+    cm = _as_matrix(c, dec.dim, "c")
     blk = dec.blocks[ell]
     if report is None:
         report = kantorovich_report(dec, cm, gamma, ell)
@@ -466,7 +456,7 @@ def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
 
 def omega_from_wave(blk: EigenspaceData, wave, c, gamma: float) -> np.ndarray:
     p, nil = blk.projection, blk.nilpotent
-    cm = matcore.as_cmatrix(c)
+    cm = _as_matrix(c, len(p), "c")
     comp = np.eye(p.shape[0], dtype=np.complex128) - p
     return cm @ wave - comp @ wave @ (cm @ wave + gamma * nil)
 
@@ -523,8 +513,8 @@ def solve_block(
     """Solve both adiabatic Bloch equations on one block and certify.
 
     ``method`` must be one of ``"newton"`` and ``"fixed_point"``, ``gamma``
-    and ``tol`` positive and finite, ``ell`` a block index and C an n x n
-    matrix; anything else raises ``ValueError`` before any iteration.
+    and ``tol`` positive and finite and ``ell`` a block index; anything
+    else raises ``ValueError`` before any iteration.
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
     taken from the block's factors (:func:`matcore.supported_norm`), and so
@@ -533,7 +523,7 @@ def solve_block(
     """
     _require_solver(method, gamma, tol)
     report = kantorovich_report(dec, c, gamma, ell)
-    return _solve_block(dec, _weak_matrix(dec, c), gamma, ell, method, tol, report)
+    return _solve_block(dec, _as_matrix(c, dec.dim, "c"), gamma, ell, method, tol, report)
 
 
 def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
@@ -627,7 +617,7 @@ def solve_blocks(
     checked as in :func:`solve_block`, before any block is solved.
     """
     _require_solver(method, gamma, tol)
-    cm = _weak_matrix(dec, c)
+    cm = _as_matrix(c, dec.dim, "c")
     c_norm = matcore.op_norm(cm, "spectral")
     images = dec.images if dec.images and _preserves_hermiticity(cm) else {}
     sols = []
@@ -671,7 +661,7 @@ def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesC
 
     A bad ``ell`` or a negative ``order`` raises ``ValueError``.
     """
-    return _omega_series(_series_block(dec, ell, order), matcore.as_cmatrix(c), ell, order)
+    return _omega_series(_series_block(dec, ell, order), _as_matrix(c, dec.dim, "c"), ell, order)
 
 
 def _omega_series(blk: EigenspaceData, cm: np.ndarray, ell: int, order: int) -> SeriesCoefficients:
@@ -699,9 +689,9 @@ def generator_series(
     raises ``ValueError``.
     """
     blk = _series_block(dec, ell, order)
-    cm = matcore.as_cmatrix(c)
+    cm = _as_matrix(c, dec.dim, "c")
     if method == "recursion":
-        om = omega_series(dec, c, ell, order)
+        om = _omega_series(blk, cm, ell, order)
         coeffs = tuple(blk.projection @ o for o in om.coeffs)
         return SeriesCoefficients(ell, "D_series", coeffs)
     if method == "closed":
@@ -813,7 +803,7 @@ def schrieffer_wolff_series(
     Q k_j W.  A bad ``ell`` or a negative ``order`` raises ``ValueError``.
     """
     blk = _series_block(dec, ell, order)
-    cm = matcore.as_cmatrix(c)
+    cm = _as_matrix(c, dec.dim, "c")
     if method == "closed":
         if order > 3:
             raise ValueError(
@@ -827,7 +817,7 @@ def schrieffer_wolff_series(
 
     work = order + 1  # one extra order: the nilpotent term carries a factor gamma
     q, w = blk.factors.q, blk.factors.w
-    om_q = [o @ q for o in omega_series(dec, c, ell, work).coeffs]
+    om_q = [o @ q for o in _omega_series(blk, cm, ell, work).coeffs]
     # omega_conj's coefficients: the omega recursion on transposed data
     w_omc = [w @ o.T for o in _omega_series(blk.transposed(), cm.T, ell, work).coeffs]
     s2_om_q = [blk.resolvent @ (blk.resolvent @ o) for o in om_q]
@@ -878,15 +868,14 @@ def sum_correction_series(
     :class:`PreconditionError` is raised.  When D solves the adiabatic
     Bloch equation, the summed correction has no P ... P component, which
     is reported as ``leakage_free_defect``.  ``gamma`` and ``tol`` must be
-    positive and finite, ``n_max`` a positive integer, ``ell`` a block
-    index, and C and ``d_block`` n x n matrices; anything else raises
-    ``ValueError`` before any work.
+    positive and finite, ``n_max`` a positive integer and ``ell`` a block
+    index; anything else raises ``ValueError`` before any work.
     """
     _require_positive(gamma=gamma, tol=tol)
     _require_integer("n_max", n_max, 1)
     _require_block(dec, ell)
-    cm = _weak_matrix(dec, c)
-    dm = _weak_matrix(dec, d_block, "d_block")
+    cm = _as_matrix(c, dec.dim, "c")
+    dm = _as_matrix(d_block, dec.dim, "d_block")
     blk = dec.blocks[ell]
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     s_norm = matcore.op_norm(s, "spectral")

@@ -16,7 +16,7 @@ import sys
 
 import click
 
-from . import bench, spectral
+from . import bench, matcore, spectral
 from .bloch import kantorovich_report, solve_blocks
 from .effective import eternal_bound, verify_similarity
 from .errors import AdiablochError
@@ -36,21 +36,35 @@ def _load_model(path: str) -> LindbladModel:
         raise click.UsageError(f"malformed model file {path}: {exc}") from exc
 
 
-def _check_finite(values, option: str, what: str = "couplings", zero_ok: bool = False) -> None:
-    """Reject non-finite, negative and (unless ``zero_ok``) zero values: exit 2."""
-    bad = [v for v in values if not (math.isfinite(v) and (v > 0 or (zero_ok and v == 0)))]
-    if bad:
-        sign = "non-negative" if zero_ok else "positive"
-        raise click.BadParameter(
-            f"{what} must be {sign} and finite, got {bad[0]}", param_hint=option
-        )
+class _Number(click.ParamType):
+    """A float that is positive (with ``zero_ok``, non-negative) and finite,
+    by the library's rule (:func:`matcore._require_positive`); anything else
+    is a usage error naming the option (exit 2)."""
+
+    name = "float"
+
+    def __init__(self, zero_ok: bool = False):
+        self.zero_ok = zero_ok
+
+    def convert(self, value, param, ctx):
+        value = click.FLOAT.convert(value, param, ctx)
+        try:
+            matcore._require_positive(self.zero_ok, **{param.name: value})
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+        return value
+
+
+def _couplings(ctx, param, text: str) -> list:
+    """The comma-separated couplings of ``text``, each by :class:`_Number`."""
+    values = [_Number().convert(g, param, ctx) for g in text.split(",") if g]
+    if not values:
+        raise click.BadParameter("needs at least one coupling", ctx, param)
+    return values
 
 
 def _with_gamma(model: LindbladModel, gamma: float | None) -> LindbladModel:
-    if gamma is None:
-        return model
-    _check_finite([gamma], "--gamma")
-    return dataclasses.replace(model, gamma=float(gamma))
+    return model if gamma is None else dataclasses.replace(model, gamma=gamma)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -84,7 +98,7 @@ model_option = click.option(
     "--model", "model_path", required=True, type=click.Path(), help="Model JSON file."
 )
 gamma_option = click.option(
-    "--gamma", type=float, default=None, help="Override the model coupling."
+    "--gamma", type=_Number(), default=None, help="Override the model coupling."
 )
 out_option = click.option(
     "--out", type=click.Path(), default=None, help="Output file (default: stdout)."
@@ -94,7 +108,7 @@ norm_option = click.option(
     default="spectral", show_default=True,
 )
 tol_option = click.option(
-    "--tol", type=float, default=1e-12, show_default=True, help="Solver residual tolerance."
+    "--tol", type=_Number(), default=1e-12, show_default=True, help="Solver residual tolerance."
 )
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -119,13 +133,12 @@ def main():
 
 @main.command()
 @model_option
-@click.option("--cluster-tol", type=float, default=None, help="Eigenvalue clustering tolerance.")
+@click.option("--cluster-tol", type=_Number(zero_ok=True), default=None,
+              help="Eigenvalue clustering tolerance.")
 @click.option("--matrices", is_flag=True, help="Include projection/resolvent matrices.")
 @out_option
 def decompose(model_path, cluster_tol, matrices, out):
     """Spectral decomposition of the strong generator."""
-    if cluster_tol is not None:
-        _check_finite([cluster_tol], "--cluster-tol", "the cluster tolerance", zero_ok=True)
     model = _load_model(model_path)
     strong = build_superop(model, "strong")
     if cluster_tol is not None:
@@ -167,7 +180,6 @@ def decompose(model_path, cluster_tol, matrices, out):
 @out_option
 def solve(model_path, gamma, tol, method, matrices, out):
     """Solve the adiabatic Bloch equations on every block."""
-    _check_finite([tol], "--tol", "the tolerance")
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
@@ -245,7 +257,6 @@ def _certificate_note(reports) -> str:
 @out_option
 def effective(model_path, gamma, tol, out):
     """GKLS data of the symmetrized effective generator."""
-    _check_finite([tol], "--tol", "the tolerance")
     model = _with_gamma(_load_model(model_path), gamma)
     pipe = bench.compute_effective(model, tol=tol)
     form = gkls_decompose(pipe.generators.schrieffer_wolff, tol=1e-8)
@@ -348,7 +359,7 @@ def reproduce(case, fmt, out):
 
 @main.command()
 @model_option
-@click.option("--gammas", default="10,20,40", show_default=True,
+@click.option("--gammas", default="10,20,40", show_default=True, callback=_couplings,
               help="Comma-separated couplings for the sweep.")
 @click.option("--orders", default="0,1,2", show_default=True,
               help="Comma-separated truncation orders.")
@@ -358,16 +369,12 @@ def scaling(model_path, gammas, orders, norm_kind, out):
     """Breakaway-time scaling of the truncated approximations."""
     model = _load_model(model_path)
     try:
-        gamma_list = [float(g) for g in gammas.split(",") if g]
         order_list = [int(k) for k in orders.split(",") if k]
     except ValueError as exc:
-        raise click.UsageError(f"bad --gammas/--orders: {exc}") from exc
-    if not gamma_list:
-        raise click.UsageError("--gammas needs at least one coupling")
-    _check_finite(gamma_list, "--gammas")
+        raise click.UsageError(f"bad --orders: {exc}") from exc
     if any(k < 0 for k in order_list):
         raise click.UsageError(f"--orders must be >= 0: {orders}")
-    report = bench.scaling_check(model, gamma_list, order_list, norm_kind=norm_kind)
+    report = bench.scaling_check(model, gammas, order_list, norm_kind=norm_kind)
     _emit_json(dataclasses.asdict(report), out)
 
 

@@ -27,7 +27,7 @@ from . import matcore
 from .bloch import BlochSolution, _gamma_min
 from .errors import ConvergenceError
 from .liouville import Superoperator, _hp_image
-from .spectral import SpectralDecomposition
+from .spectral import SpectralDecomposition, _as_matrix
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,8 @@ def verify_similarity(
     The global similarity and the spectral distance are taken once, on the
     n x n generators.
     """
-    bm = b.matrix if isinstance(b, Superoperator) else matcore.as_cmatrix(b)
-    cm = c.matrix if isinstance(c, Superoperator) else matcore.as_cmatrix(c)
+    bm = _as_matrix(b, dec.dim, "b")
+    cm = _as_matrix(c, dec.dim, "c")
     total = gamma * bm + cm
     # in the order of the stack below
     worst = dict.fromkeys(
@@ -197,10 +197,6 @@ def verify_similarity(
             f.z, f.z, f.z, f.q.conj(), rows,
             np.linalg.qr(np.hstack([rows, total.conj().T @ rows]))[0],
         )
-        # one stack: zero columns pad the bases to one width and change nothing
-        padded = np.zeros((len(bases), len(p), max(v.shape[1] for v in bases)), complex)
-        for k, v in enumerate(bases):
-            padded[k, :, : v.shape[1]] = v
         values = matcore.supported_norm(
             np.stack([
                 total @ sol.wave - sol.wave @ d_full,
@@ -210,7 +206,7 @@ def verify_similarity(
                 pt @ pt - pt,
                 total @ pt - pt @ total,
             ]),
-            padded,
+            bases,
         )
         worst = {key: max(worst[key], float(val)) for key, val in zip(worst, values)}
     k_full = gamma * bm + gen.schrieffer_wolff.matrix
@@ -283,8 +279,7 @@ def eternal_bound(
     once per conjugate orbit: its norms are unchanged by the map.
     """
     matcore._require_positive(gamma=gamma)
-    cm = c.matrix if isinstance(c, Superoperator) else matcore.as_cmatrix(c)
-    c_norm = matcore.op_norm(cm, norm_kind)
+    c_norm = matcore.op_norm(_as_matrix(c, dec.dim, "c"), norm_kind)
     gamma_blocks = []
     for ell, blk in enumerate(dec.blocks):
         first = dec.images.get(ell)

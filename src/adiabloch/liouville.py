@@ -65,13 +65,8 @@ class Superoperator:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = matcore.as_cmatrix(self.matrix)
         n = self.dim * self.dim
-        if m.shape != (n, n):
-            raise ValueError(
-                f"superoperator for dim {self.dim} must be {n}x{n}, "
-                f"got {m.shape}"
-            )
+        m = matcore.as_cmatrix(self.matrix, n, f"superoperator for dim {self.dim}")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, rho) -> np.ndarray:
@@ -170,9 +165,7 @@ def _check_dim(d):
 
 
 def _check_hamiltonian(h, d, name) -> np.ndarray:
-    m = matcore.as_cmatrix(h)
-    if m.shape != (d, d):
-        raise ValueError(f"{name} must be {d}x{d}, got {m.shape}")
+    m = matcore.as_cmatrix(h, d, name)
     defect = np.abs(m - m.conj().T).max()
     scale = max(1.0, np.abs(m).max())
     if defect > HERMITICITY_TOL * scale:
@@ -184,13 +177,7 @@ def _check_dissipators(dissipators, d, which) -> tuple:
     out = []
     for i, (rate, jump) in enumerate(dissipators):
         matcore._require_positive(zero_ok=True, **{f"{which} dissipator {i} rate": rate})
-        rate = float(rate)
-        jm = matcore.as_cmatrix(jump)
-        if jm.shape != (d, d):
-            raise ValueError(
-                f"{which} dissipator {i} jump must be {d}x{d}, got {jm.shape}"
-            )
-        out.append((rate, jm))
+        out.append((float(rate), matcore.as_cmatrix(jump, d, f"{which} dissipator {i} jump")))
     return tuple(out)
 
 
@@ -221,14 +208,12 @@ def _matrix_to_json(m, mode: str):
 def _matrix_from_json(rows, d) -> np.ndarray:
     if rows is None:
         return np.zeros((d, d), dtype=np.complex128)
-    out = np.array(
+    # its shape is checked by the model, which names the matrix
+    return np.array(
         [[complex(_read_num(re, "entry"), _read_num(im, "entry")) for re, im in row]
          for row in rows],
         dtype=np.complex128,
     )
-    if out.shape != (d, d):
-        raise ValueError(f"matrix in model file must be {d}x{d}, got {out.shape}")
-    return out
 
 
 def build_superop(model: LindbladModel, part: str = "total") -> Superoperator:

@@ -26,7 +26,8 @@ working-set budget: after each call it keeps the points from half that
 call's largest time on, every parent the next chunk can chain onto.  The
 argument checks of the package's entry points (:func:`_require_positive`
 and :func:`_require_integer`) live here too, so every module applies one
-rule for numbers.  :func:`supported_norm` bounds the spectral norm of a
+rule for numbers, and so does the operand rule, :func:`as_cmatrix` with a
+size n.  :func:`supported_norm` bounds the spectral norm of a
 matrix that vanishes off a known r-dimensional row space from an n x r
 factor.
 """
@@ -47,9 +48,18 @@ _SQRT_AXIS_TOL = 1e-13
 _GETRF, _GECON, _GETRS = sla.get_lapack_funcs(("getrf", "gecon", "getrs"), dtype=np.complex128)
 
 
-def as_cmatrix(a) -> np.ndarray:
-    """Return ``a`` as a 2-d complex128 array, rejecting non-finite input."""
-    return _as_matrix(np.asarray(a, dtype=np.complex128))
+def as_cmatrix(a, n: int | None = None, name: str = "input") -> np.ndarray:
+    """Return ``a`` as a 2-d complex128 array, rejecting non-finite input.
+
+    This is the operand rule of the package: with ``n``, any shape but
+    n x n raises a ``ValueError`` naming ``name``, before any work.  Entry
+    points that also take a :class:`~adiabloch.liouville.Superoperator`
+    reach it through ``spectral._as_matrix``, which unwraps one.
+    """
+    m = np.asarray(a, dtype=np.complex128)
+    if n is not None and m.shape != (n, n):
+        raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
+    return _as_matrix(m)
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -140,12 +150,17 @@ def supported_norm(x, basis) -> float | np.ndarray:
     X = X P, with V spanning range(P^H), it costs an SVD of the n x r matrix
     X V in place of one of X; the left-sided twin, for X = P X, is the same
     bound on X^T with the conjugate of a basis of range(P).  Like
-    :func:`op_norm` it takes a stack of X with a stack of bases, and zero
-    columns in a basis change nothing, so bases of different ranks stack
-    once padded with zeros.
+    :func:`op_norm` it takes a stack of X with a stack of bases: an array,
+    or a sequence of n x r_k bases of different widths, which it pads with
+    zero columns to the widest (zero columns change nothing).
     """
     m = _as_stack(x)
-    v = np.asarray(basis, dtype=np.complex128)
+    if isinstance(basis, np.ndarray):
+        v = basis.astype(np.complex128, copy=False)
+    else:
+        v = np.zeros((len(basis), m.shape[-2], max(b.shape[1] for b in basis)), np.complex128)
+        for k, b in enumerate(basis):
+            v[k, :, : b.shape[1]] = b
     xv = m @ v
     off = np.linalg.norm(m - xv @ np.swapaxes(v, -1, -2).conj(), axis=(-2, -1))
     norms = np.hypot(_tall_norm(xv), off)

@@ -190,13 +190,19 @@ class SpectralDecomposition:
         return np.array([b.eigenvalue for b in self.blocks])
 
 
-def _as_matrix(b) -> np.ndarray:
-    m = b.matrix if isinstance(b, Superoperator) else matcore.as_cmatrix(b)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"decompose requires a square matrix, got {m.shape}")
-    if m.shape[0] == 0:
-        raise ValueError("decompose requires a non-empty matrix, got shape (0, 0)")
-    return np.asarray(m, dtype=np.complex128)
+def _as_matrix(x, n: int | None = None, name: str = "b") -> np.ndarray:
+    """The operand ``name`` as a finite complex matrix, by the one operand
+    rule of the package: ``x`` is a :class:`Superoperator` or an array,
+    finite, and n x n like the decomposition (:func:`matcore.as_cmatrix`
+    raises a ``ValueError`` naming it otherwise).  Every entry point that
+    takes B, C, a block generator D_l or a similarity reads it here.  With
+    ``n`` None ``x`` is the strong part itself, which sets n: any non-empty
+    square matrix.
+    """
+    m = matcore.as_cmatrix(x.matrix if isinstance(x, Superoperator) else x, n, name)
+    if n is None and not 0 < m.shape[0] == m.shape[1]:
+        raise ValueError(f"{name} must be a non-empty square matrix, got {m.shape}")
+    return m
 
 
 def _default_cluster_tol(norm_b: float) -> float:
@@ -414,8 +420,8 @@ def validate(dec: SpectralDecomposition, b) -> dict:
     place of b^2 + 2b SVDs of n x n matrices.  The other defects do not
     vanish on range(1 - P) and keep their O(b) n x n SVDs.
     """
-    mat = _as_matrix(b)
-    n = mat.shape[0]
+    mat = _as_matrix(b, dec.dim)
+    n = dec.dim
     eye = np.eye(n, dtype=np.complex128)
     norm_b = max(matcore.op_norm(mat, "spectral"), 1.0)
     rank_tol = 1e-7 * norm_b
@@ -438,16 +444,12 @@ def validate(dec: SpectralDecomposition, b) -> dict:
         pair = np.hypot(matcore.op_norm(f.w @ p, "spectral"), f.tail * p_norms)
         pair[i] = 0.0
         ortho = max(ortho, float(pair.max()))
-    # S P vanishes on range(1 - P), and so does (P S)^T on range(1 - P^T);
-    # the bases are padded with zero columns to the largest rank
-    z = np.zeros((len(p), n, max(blk.rank for blk in dec.blocks)), dtype=np.complex128)
-    q = z.copy()
-    for k, blk in enumerate(dec.blocks):
-        z[k, :, : blk.rank] = blk.factors.z
-        q[k, :, : blk.rank] = blk.factors.q.conj()
+    # S P vanishes on range(1 - P), and so does (P S)^T on range(1 - P^T)
     annihilation = max(
-        float(matcore.supported_norm(s @ p, z).max()),
-        float(matcore.supported_norm(np.swapaxes(p @ s, -1, -2), q).max()),
+        float(matcore.supported_norm(s @ p, [blk.factors.z for blk in dec.blocks]).max()),
+        float(matcore.supported_norm(
+            np.swapaxes(p @ s, -1, -2), [blk.factors.q.conj() for blk in dec.blocks]
+        ).max()),
     )
     # an index below 1 is certified on the nilpotent itself
     powers = np.array(
@@ -500,9 +502,7 @@ def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     """
     mat = _as_matrix(b)
     n = mat.shape[0]
-    r = matcore.as_cmatrix(similarity)
-    if r.shape != (n, n):
-        raise ValueError(f"similarity must be {n}x{n}, got {r.shape}")
+    r = _as_matrix(similarity, n, "similarity")
     for entry in layout:
         matcore._require_integer(f"layout entry {entry!r}: size", entry[1], 1)
     sizes = [size for _e, size in layout]

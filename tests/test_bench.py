@@ -157,6 +157,20 @@ def test_distance_curves_takes_no_propagator_norm(qubit_pipe, monkeypatch):
     assert len(stacked) == chunks * len(orders)
 
 
+def test_distance_curves_without_orders_propagates_nothing(lambda_pipe, monkeypatch):
+    # the true kernel had walked all 401 points (8 calls on Lambda) for no target
+    calls = []
+    call = matcore._GridExpm.__call__
+
+    def spy_call(self, t):
+        calls.append(len(t))
+        return call(self, t)
+
+    monkeypatch.setattr(matcore._GridExpm, "__call__", spy_call)
+    assert bench.distance_curves(lambda_pipe, []) == {}
+    assert calls == []
+
+
 def _count_decompose(monkeypatch) -> list:
     # decompose and robust_decompose share this routine
     calls = []

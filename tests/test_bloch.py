@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from adiabloch import bloch, liouville, matcore, spectral
+from adiabloch import bloch, effective, liouville, matcore, spectral
 from adiabloch.bloch import (
     bracket,
     generator_series,
@@ -70,6 +70,93 @@ class TestBracket:
         expected_l = a + blk.nilpotent @ a @ blk.resolvent
         assert_allclose(bracket(blk, a, "right"), expected_r, atol=1e-14)
         assert_allclose(bracket(blk, a, "left"), expected_l, atol=1e-14)
+
+
+# Each entry point with a 9 x 9 operand on Lambda (n = 25), and the operand
+# it must name.  Apart from solve_blocks, sum_correction_series and the
+# similarity, these had returned thresholds, bounds or a bracket for another
+# generator, or failed as a raw numpy error.
+_WRONG_SHAPE_CALLS = {
+    "eternal_bound": (lambda pipe, m: effective.eternal_bound(pipe.decomposition, m, 10.0), "c"),
+    "block_gamma_min": (
+        lambda pipe, m: bloch.block_gamma_min(pipe.decomposition.blocks[0], m), "c"
+    ),
+    "bracket-index-1": (lambda pipe, m: bracket(pipe.decomposition.blocks[0], m), "a"),
+    "validate": (lambda pipe, m: spectral.validate(pipe.decomposition, m), "b"),
+    "verify_similarity-b": (
+        lambda pipe, m: effective.verify_similarity(
+            pipe.generators, pipe.decomposition, m, pipe.weak, 10.0, list(pipe.solutions)
+        ),
+        "b",
+    ),
+    "verify_similarity-c": (
+        lambda pipe, m: effective.verify_similarity(
+            pipe.generators, pipe.decomposition, pipe.strong, m, 10.0, list(pipe.solutions)
+        ),
+        "c",
+    ),
+    "omega_series": (lambda pipe, m: omega_series(pipe.decomposition, m, 0, 1), "c"),
+    "generator_series": (lambda pipe, m: generator_series(pipe.decomposition, m, 0, 1), "c"),
+    "schrieffer_wolff_series": (
+        lambda pipe, m: schrieffer_wolff_series(pipe.decomposition, m, 0, 1, method="series"),
+        "c",
+    ),
+    "omega_from_wave": (
+        lambda pipe, m: omega_from_wave(
+            pipe.decomposition.blocks[0], pipe.solutions[0].wave, m, 10.0
+        ),
+        "c",
+    ),
+    "solve_blocks": (lambda pipe, m: solve_blocks(pipe.decomposition, m, 10.0), "c"),
+    "sum_correction_series": (
+        lambda pipe, m: sum_correction_series(
+            pipe.decomposition, m, np.zeros((25, 25)), 10.0, 0
+        ),
+        "c",
+    ),
+    "decompose_from_user": (
+        lambda pipe, m: spectral.decompose_from_user(pipe.strong, m, [(0.0, 25)]),
+        "similarity",
+    ),
+}
+
+# Each bloch entry point on the qubit (an index-2 block), with C passed in.
+_C_CALLS = {
+    "kantorovich_report": lambda pipe, c: kantorovich_report(pipe.decomposition, c, 10.0, 1),
+    "block_gamma_min": lambda pipe, c: bloch.block_gamma_min(pipe.decomposition.blocks[1], c),
+    "bracket": lambda pipe, c: bracket(pipe.decomposition.blocks[1], c, "left"),
+    "solve_equation": lambda pipe, c: solve_equation(pipe.decomposition, c, 10.0, 1, "omega_conj"),
+    "solve_block": lambda pipe, c: solve_block(pipe.decomposition, c, 10.0, 1),
+    "solve_blocks": lambda pipe, c: solve_blocks(pipe.decomposition, c, 10.0),
+    "omega_from_wave": lambda pipe, c: omega_from_wave(
+        pipe.decomposition.blocks[1], pipe.solutions[1].wave, c, 10.0
+    ),
+    "omega_series": lambda pipe, c: omega_series(pipe.decomposition, c, 1, 3),
+    "generator_series": lambda pipe, c: generator_series(pipe.decomposition, c, 1, 3),
+    "generator_series-closed": lambda pipe, c: generator_series(
+        pipe.decomposition, c, 1, 3, method="closed"
+    ),
+    "schrieffer_wolff_series": lambda pipe, c: schrieffer_wolff_series(
+        pipe.decomposition, c, 1, 3
+    ),
+    "schrieffer_wolff_series-series": lambda pipe, c: schrieffer_wolff_series(
+        pipe.decomposition, c, 1, 3, method="series"
+    ),
+    "sum_correction_series": lambda pipe, c: sum_correction_series(
+        pipe.decomposition, c, pipe.generators.blocks[1].d_block, 100.0, 1
+    ),
+}
+
+
+def _leaves(result) -> list:
+    """The arrays, numbers and strings inside a result, in order, as arrays."""
+    if dataclasses.is_dataclass(result):
+        result = [getattr(result, f.name) for f in dataclasses.fields(result)]
+    elif isinstance(result, dict):
+        result = list(result.values())
+    if isinstance(result, (list, tuple)):
+        return [leaf for item in result for leaf in _leaves(item)]
+    return [np.asarray(result)]
 
 
 class TestSolvers:
@@ -208,6 +295,23 @@ class TestSolvers:
         dec = spectral.decompose(np.diag([0.0, -2.0j]))
         with pytest.raises(ValueError, match=match):
             call(dec, np.ones((size, size)), ell)
+
+    @pytest.mark.parametrize(
+        "call, name", list(_WRONG_SHAPE_CALLS.values()), ids=list(_WRONG_SHAPE_CALLS)
+    )
+    def test_operand_shape_validated(self, lambda_pipe, call, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be 25x25, got \(9, 9\)$"):
+            call(lambda_pipe, np.ones((9, 9)))
+
+    @pytest.mark.parametrize("call", list(_C_CALLS.values()), ids=list(_C_CALLS))
+    def test_superoperator_weak_part(self, qubit_pipe, call):
+        # a Superoperator C had failed with a raw TypeError: must be real number
+        got = _leaves(call(qubit_pipe, qubit_pipe.weak))
+        want = _leaves(call(qubit_pipe, qubit_pipe.weak.matrix))
+        assert len(got) == len(want) > 0
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w, equal_nan=g.dtype.kind in "fc")
 
     def test_no_square_svd_per_equation(self, lambda_pipe, monkeypatch):
         # Q and W come from the block, residual and ball norms from n x r
