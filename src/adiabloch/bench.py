@@ -353,12 +353,9 @@ def scaling_check(
     for k in orders:
         pts = [(g, t) for g, t in t_break[k].items() if t is not None]
         lower_only[k] = len(pts) < len(gammas)
-        if len(pts) >= 2:
-            gs = np.log([p[0] for p in pts])
-            ts = np.log([p[1] for p in pts])
-            slopes[k] = float(np.polyfit(gs, ts, 1)[0])
-        else:
-            slopes[k] = None
+        # breakaway times are positive (the distance is 0 at t = 0), so
+        # log_slope fits every point
+        slopes[k] = log_slope(*np.array(pts).T) if len(pts) >= 2 else None
     return ScalingReport(
         gammas=tuple(float(g) for g in gammas),
         orders=tuple(int(k) for k in orders),
@@ -411,24 +408,12 @@ def _item(name, expected, computed, provenance, tol, ok=None) -> ReproItem:
         ok = bool(abs(computed - expected) <= tol)
     return ReproItem(
         name=name,
-        expected=_jsonable(expected),
-        computed=_jsonable(computed),
+        expected=expected,
+        computed=computed,
         provenance=provenance,
         tol=float(tol),
         passed=bool(ok),
     )
-
-
-def _jsonable(x):
-    if isinstance(x, (np.floating, np.integer)):
-        return float(x)
-    if isinstance(x, complex):
-        return [x.real, x.imag]
-    if isinstance(x, np.complexfloating):
-        return [float(x.real), float(x.imag)]
-    if isinstance(x, (list, tuple)):
-        return [_jsonable(v) for v in x]
-    return x
 
 
 def _significant_rates(form: liouville.GKLSForm, count: int) -> np.ndarray:

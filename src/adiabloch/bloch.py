@@ -451,14 +451,18 @@ def _range_step(blk, a, m, g):
 
 
 def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
-    return blk.projection - (blk.resolvent @ omega) / gamma
+    _require_positive(gamma=gamma)
+    om = _as_matrix(omega, len(blk.projection), "omega")
+    return blk.projection - (blk.resolvent @ om) / gamma
 
 
 def omega_from_wave(blk: EigenspaceData, wave, c, gamma: float) -> np.ndarray:
     p, nil = blk.projection, blk.nilpotent
+    _require_positive(gamma=gamma)
+    um = _as_matrix(wave, len(p), "wave")
     cm = _as_matrix(c, len(p), "c")
     comp = np.eye(p.shape[0], dtype=np.complex128) - p
-    return cm @ wave - comp @ wave @ (cm @ wave + gamma * nil)
+    return cm @ um - comp @ um @ (cm @ um + gamma * nil)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ import sys
 import click
 
 from . import bench, matcore, spectral
-from .bloch import kantorovich_report, solve_blocks
+from .bloch import DEFAULT_TOL, kantorovich_report, solve_blocks
 from .effective import eternal_bound, verify_similarity
 from .errors import AdiablochError
 from .liouville import LindbladModel, _matrix_to_json, build_superop, gkls_decompose
@@ -104,11 +104,12 @@ out_option = click.option(
     "--out", type=click.Path(), default=None, help="Output file (default: stdout)."
 )
 norm_option = click.option(
-    "--norm", "norm_kind", type=click.Choice(["spectral", "trace", "frobenius"]),
+    "--norm", "norm_kind", type=click.Choice(matcore._NORM_KINDS),
     default="spectral", show_default=True,
 )
 tol_option = click.option(
-    "--tol", type=_Number(), default=1e-12, show_default=True, help="Solver residual tolerance."
+    "--tol", type=_Number(), default=DEFAULT_TOL, show_default=True,
+    help="Solver residual tolerance.",
 )
 format_option = click.option(
     "--format", "fmt", type=click.Choice(["json", "csv"]), default="json",
@@ -156,9 +157,9 @@ def decompose(model_path, cluster_tol, matrices, out):
                 "index": blk.index,
                 **(
                     {
-                        "projection": _matrix_to_json(blk.projection, "repr"),
-                        "nilpotent": _matrix_to_json(blk.nilpotent, "repr"),
-                        "resolvent": _matrix_to_json(blk.resolvent, "repr"),
+                        "projection": _matrix_to_json(blk.projection),
+                        "nilpotent": _matrix_to_json(blk.nilpotent),
+                        "resolvent": _matrix_to_json(blk.resolvent),
                     }
                     if matrices
                     else {}
@@ -223,10 +224,10 @@ def solve(model_path, gamma, tol, method, matrices, out):
                 "kantorovich": dataclasses.asdict(s.report),
                 **(
                     {
-                        "omega": _matrix_to_json(s.omega, "repr"),
-                        "omega_conj": _matrix_to_json(s.omega_conj, "repr"),
-                        "wave": _matrix_to_json(s.wave, "repr"),
-                        "wave_conj": _matrix_to_json(s.wave_conj, "repr"),
+                        "omega": _matrix_to_json(s.omega),
+                        "omega_conj": _matrix_to_json(s.omega_conj),
+                        "wave": _matrix_to_json(s.wave),
+                        "wave_conj": _matrix_to_json(s.wave_conj),
                     }
                     if matrices
                     else {}
@@ -271,7 +272,7 @@ def effective(model_path, gamma, tol, out):
     payload = {
         "gamma": model.gamma,
         "rates": list(form.rates),
-        "hamiltonian": _matrix_to_json(form.hamiltonian, "repr"),
+        "hamiltonian": _matrix_to_json(form.hamiltonian),
         "verdicts": form.verdicts,
         "min_rate": min(form.rates, default=0.0),
         "similarity_residuals": sim,

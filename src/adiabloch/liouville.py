@@ -74,13 +74,19 @@ class Superoperator:
         return unvec(self.matrix @ vec(rho), self.dim)
 
 
+# The two GKLS parts of a model; part p is the fields p_hamiltonian and
+# p_dissipators, and the JSON entry p.
+_PARTS = ("strong", "weak")
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Physical model split into a strong part and a weak part.
 
     The strong part (Hamiltonian ``strong_hamiltonian`` plus dissipators,
     each a ``(rate, jump)`` pair) enters the total generator multiplied by
-    the coupling ``gamma``; the weak part enters with weight one.
+    the coupling ``gamma``; the weak part enters with weight one.  A
+    Hamiltonian given as None is zero.
     """
 
     dim: int
@@ -93,70 +99,50 @@ class LindbladModel:
     def __post_init__(self):
         d = _check_dim(self.dim)
         object.__setattr__(self, "dim", d)
-        sh = _check_hamiltonian(self.strong_hamiltonian, d, "strong_hamiltonian")
-        wh = self.weak_hamiltonian
-        wh = np.zeros((d, d), dtype=np.complex128) if wh is None else wh
-        wh = _check_hamiltonian(wh, d, "weak_hamiltonian")
-        object.__setattr__(self, "strong_hamiltonian", sh)
-        object.__setattr__(self, "weak_hamiltonian", wh)
-        object.__setattr__(
-            self,
-            "strong_dissipators",
-            _check_dissipators(self.strong_dissipators, d, "strong"),
-        )
-        object.__setattr__(
-            self,
-            "weak_dissipators",
-            _check_dissipators(self.weak_dissipators, d, "weak"),
-        )
+        for part in _PARTS:
+            h, dissipators = _part(self, part)
+            object.__setattr__(
+                self, f"{part}_hamiltonian", _check_hamiltonian(h, d, f"{part}_hamiltonian")
+            )
+            object.__setattr__(
+                self, f"{part}_dissipators", _check_dissipators(dissipators, d, part)
+            )
         matcore._require_positive(gamma=self.gamma)
 
-    def to_dict(self, float_mode: str = "repr") -> dict:
-        return {
-            "dim": self.dim,
-            "gamma": _num(self.gamma, float_mode),
-            "strong": {
-                "H": _matrix_to_json(self.strong_hamiltonian, float_mode),
-                "dissipators": [
-                    {"rate": _num(r, float_mode), "L": _matrix_to_json(l, float_mode)}
-                    for r, l in self.strong_dissipators
-                ],
-            },
-            "weak": {
-                "H": _matrix_to_json(self.weak_hamiltonian, float_mode),
-                "dissipators": [
-                    {"rate": _num(r, float_mode), "L": _matrix_to_json(l, float_mode)}
-                    for r, l in self.weak_dissipators
-                ],
-            },
-        }
+    def to_dict(self) -> dict:
+        data = {"dim": self.dim, "gamma": float(self.gamma)}
+        for part in _PARTS:
+            h, dissipators = _part(self, part)
+            data[part] = {
+                "H": _matrix_to_json(h),
+                "dissipators": [{"rate": r, "L": _matrix_to_json(l)} for r, l in dissipators],
+            }
+        return data
 
-    def to_json(self, float_mode: str = "repr") -> str:
-        return json.dumps(self.to_dict(float_mode=float_mode), indent=2)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
         d = _check_dim(data["dim"])
-        strong = data.get("strong", {})
-        weak = data.get("weak", {})
-        return cls(
-            dim=d,
-            gamma=_read_num(data["gamma"], "gamma"),
-            strong_hamiltonian=_matrix_from_json(strong.get("H"), d),
-            strong_dissipators=tuple(
+        fields = {"dim": d, "gamma": _read_num(data["gamma"], "gamma")}
+        for part in _PARTS:
+            entry = data.get(part, {})
+            fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"), d)
+            fields[f"{part}_dissipators"] = tuple(
                 (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"], d))
-                for t in strong.get("dissipators", [])
-            ),
-            weak_hamiltonian=_matrix_from_json(weak.get("H"), d),
-            weak_dissipators=tuple(
-                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"], d))
-                for t in weak.get("dissipators", [])
-            ),
-        )
+                for t in entry.get("dissipators", [])
+            )
+        return cls(**fields)
 
     @classmethod
     def from_json(cls, text: str) -> "LindbladModel":
         return cls.from_dict(json.loads(text))
+
+
+def _part(model: LindbladModel, part: str) -> tuple:
+    """The (Hamiltonian, dissipators) of ``part``, one of ``_PARTS``."""
+    return getattr(model, f"{part}_hamiltonian"), getattr(model, f"{part}_dissipators")
 
 
 def _check_dim(d):
@@ -165,7 +151,8 @@ def _check_dim(d):
 
 
 def _check_hamiltonian(h, d, name) -> np.ndarray:
-    m = matcore.as_cmatrix(h, d, name)
+    """``h`` (None for zero) as a Hermitian d x d matrix."""
+    m = matcore.as_cmatrix(np.zeros((d, d)) if h is None else h, d, name)
     defect = np.abs(m - m.conj().T).max()
     scale = max(1.0, np.abs(m).max())
     if defect > HERMITICITY_TOL * scale:
@@ -181,11 +168,6 @@ def _check_dissipators(dissipators, d, which) -> tuple:
     return tuple(out)
 
 
-def _num(x: float, mode: str):
-    x = float(x)
-    return x.hex() if mode == "hex" else x
-
-
 def _read_num(x, name: str) -> float:
     """The number ``name`` of a model file: a JSON number (not true or
     false), or a string as float.hex() writes it."""
@@ -198,11 +180,11 @@ def _read_num(x, name: str) -> float:
     return float.fromhex(x)
 
 
-def _matrix_to_json(m, mode: str):
-    return [
-        [[_num(z.real, mode), _num(z.imag, mode)] for z in row]
-        for row in np.asarray(m, dtype=np.complex128)
-    ]
+def _matrix_to_json(m) -> list:
+    """``m`` as rows of [re, im] pairs of Python floats; ``json`` writes each
+    float's repr, which reads back exactly."""
+    m = np.asarray(m, dtype=np.complex128)
+    return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
 def _matrix_from_json(rows, d) -> np.ndarray:
@@ -221,17 +203,12 @@ def build_superop(model: LindbladModel, part: str = "total") -> Superoperator:
 
     ``total`` returns gamma * strong + weak.
     """
-    d = model.dim
-    if part == "strong":
-        return Superoperator(d, _gkls_matrix(model.strong_hamiltonian, model.strong_dissipators))
-    if part == "weak":
-        return Superoperator(d, _gkls_matrix(model.weak_hamiltonian, model.weak_dissipators))
     if part == "total":
-        mat = model.gamma * _gkls_matrix(
-            model.strong_hamiltonian, model.strong_dissipators
-        ) + _gkls_matrix(model.weak_hamiltonian, model.weak_dissipators)
-        return Superoperator(d, mat)
-    raise ValueError(f"unknown part {part!r}")
+        strong, weak = (build_superop(model, p).matrix for p in _PARTS)
+        return Superoperator(model.dim, model.gamma * strong + weak)
+    if part not in _PARTS:
+        raise ValueError(f"unknown part {part!r}")
+    return Superoperator(model.dim, _gkls_matrix(*_part(model, part)))
 
 
 def _gkls_matrix(h, dissipators) -> np.ndarray:

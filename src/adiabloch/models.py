@@ -6,6 +6,8 @@ whose eigenspaces have large rank."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from .liouville import LindbladModel
@@ -94,8 +96,12 @@ def counterexample_model(gamma: float) -> LindbladModel:
     )
 
 
+def _random_complex(dim: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
 def _random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = _random_complex(dim, rng)
     return (a + a.conj().T) / 2.0
 
 
@@ -110,21 +116,12 @@ def random_model(
     With ``dissipative=False`` both parts are purely Hamiltonian, giving a
     unitary (skew-Hermitian superoperator) model.
     """
-    strong_d = ()
-    weak_d = ()
-    if dissipative:
-        strong_d = (
-            (
-                float(rng.uniform(0.5, 1.5)),
-                rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
-            ),
-        )
-        weak_d = (
-            (
-                float(rng.uniform(0.1, 0.5)),
-                rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)),
-            ),
-        )
+    # the draws run strong jump, weak jump, strong H, weak H: seeded models
+    # depend on that order
+    strong_d, weak_d = (
+        ((float(rng.uniform(low, high)), _random_complex(dim, rng)),) if dissipative else ()
+        for low, high in ((0.5, 1.5), (0.1, 0.5))
+    )
     return LindbladModel(
         dim=dim,
         gamma=gamma,
@@ -148,27 +145,17 @@ def degenerate_model(gamma: float, dim: int = 8, fold: int = 4) -> LindbladModel
     if not 1 <= fold <= dim // 2:
         raise ValueError(f"fold must be in 1..dim/2 = {dim // 2}, got {fold}")
     levels = np.concatenate((np.zeros(fold), np.ones(fold), np.arange(2.0, dim - 2 * fold + 2)))
-    weak = random_model(dim, np.random.default_rng(0))
-    return LindbladModel(
-        dim=dim,
+    return dataclasses.replace(
+        random_model(dim, np.random.default_rng(0)),
         gamma=gamma,
         strong_hamiltonian=np.diag(levels).astype(np.complex128),
         strong_dissipators=(),
-        weak_hamiltonian=weak.weak_hamiltonian,
-        weak_dissipators=weak.weak_dissipators,
     )
 
 
 def unitary_part(model: LindbladModel) -> LindbladModel:
     """The model with all dissipators dropped (purely Hamiltonian parts)."""
-    return LindbladModel(
-        dim=model.dim,
-        gamma=model.gamma,
-        strong_hamiltonian=model.strong_hamiltonian,
-        strong_dissipators=(),
-        weak_hamiltonian=model.weak_hamiltonian,
-        weak_dissipators=(),
-    )
+    return dataclasses.replace(model, strong_dissipators=(), weak_dissipators=())
 
 
 def qubit_nilpotent_similarity() -> tuple[np.ndarray, list]:

@@ -107,6 +107,13 @@ _WRONG_SHAPE_CALLS = {
         ),
         "c",
     ),
+    "omega_from_wave-wave": (
+        lambda pipe, m: omega_from_wave(pipe.decomposition.blocks[0], m, pipe.weak, 10.0),
+        "wave",
+    ),
+    "wave_from_omega": (
+        lambda pipe, m: wave_from_omega(pipe.decomposition.blocks[0], m, 10.0), "omega"
+    ),
     "solve_blocks": (lambda pipe, m: solve_blocks(pipe.decomposition, m, 10.0), "c"),
     "sum_correction_series": (
         lambda pipe, m: sum_correction_series(
@@ -274,6 +281,28 @@ class TestSolvers:
         # solve_blocks builds each block's Kantorovich report first
         with pytest.raises(ValueError, match="gamma"):
             solve_blocks(lambda_pipe.decomposition, lambda_pipe.weak.matrix, gamma)
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan, "10"])
+    @pytest.mark.parametrize("call", ["wave_from_omega", "omega_from_wave"])
+    def test_conversion_coupling_checked(self, lambda_pipe, call, gamma):
+        # 0 and nan had given a non-finite matrix, -1 a wrong one, and "10"
+        # a raw TypeError
+        blk, sol = lambda_pipe.decomposition.blocks[0], lambda_pipe.solutions[0]
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            if call == "wave_from_omega":
+                wave_from_omega(blk, sol.omega, gamma)
+            else:
+                omega_from_wave(blk, sol.wave, lambda_pipe.weak, gamma)
+
+    def test_iteration_budget_exhausted(self, lambda_pipe):
+        # block 3 of Lambda takes two Newton steps
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        assert lambda_pipe.solutions[3].iterations["omega"] == 2
+        with pytest.raises(ConvergenceError, match="after 1 iterations") as err:
+            solve_equation(dec, c, 10.0, 3, "omega", max_iter=1)
+        assert err.value.iterations == 1
+        assert len(err.value.history) == 1
+        assert err.value.residual == err.value.history[0] > bloch.DEFAULT_TOL
 
     @pytest.mark.parametrize(
         "call",
@@ -790,6 +819,9 @@ _BAD_SERIES_CALLS = {
     "omega-order-bool": lambda dec, c: omega_series(dec, c, 0, True),
     "generator-ell-too-large": lambda dec, c: generator_series(dec, c, len(dec.blocks), 1),
     "generator-order-negative": lambda dec, c: generator_series(dec, c, 0, -1),
+    "generator-closed-order-too-large": lambda dec, c: generator_series(
+        dec, c, 0, 4, method="closed"
+    ),
     "generator-closed-order-negative": lambda dec, c: generator_series(
         dec, c, 0, -2, method="closed"
     ),
@@ -809,6 +841,12 @@ def test_bad_series_arguments_rejected(qubit_dec, qubit_weak, call):
     # rejected up front, not as a raw IndexError or a short or empty result
     with pytest.raises(ValueError, match="ell|order|orientation"):
         call(qubit_dec, qubit_weak)
+
+
+@pytest.mark.parametrize("series", [generator_series, schrieffer_wolff_series])
+def test_unknown_series_method_rejected(qubit_dec, qubit_weak, series):
+    with pytest.raises(ValueError, match="unknown method 'bogus'"):
+        series(qubit_dec, qubit_weak, 0, 1, method="bogus")
 
 
 class TestCorrectionSeries:

@@ -140,6 +140,16 @@ def test_evolve_csv(runner, qubit_file, tmp_path):
     assert len(lines) == 402  # t = 0 plus the 400-point grid
 
 
+def test_evolve_json(runner, qubit_file):
+    result = runner.invoke(main, ["evolve", "--model", qubit_file, "--order", "0"])
+    assert result.exit_code == 0
+    data = json.loads(result.stdout)
+    assert set(data) == {"order", "norm", "times", "distances", "envelope"}
+    assert data["order"] == 0 and data["norm"] == "spectral"
+    assert len(data["times"]) == len(data["distances"]) == len(data["envelope"]) == 401
+    assert data["times"][0] == 0.0 and data["distances"][0] == 0.0
+
+
 def test_evolve_bad_order_exits_2(runner, qubit_file):
     result = runner.invoke(main, ["evolve", "--model", qubit_file, "--order", "x"])
     assert result.exit_code == 2
@@ -152,6 +162,20 @@ def test_negative_order_exits_2(runner, qubit_file, args):
     result = runner.invoke(main, [args[0], "--model", qubit_file] + args[1:])
     assert result.exit_code == 2
     assert ">= 0" in result.output
+
+
+def test_scaling_json(runner, qubit_file):
+    result = runner.invoke(
+        main, ["scaling", "--model", qubit_file, "--gammas", "10,20", "--orders", "0,1"]
+    )
+    assert result.exit_code == 0
+    data = json.loads(result.stdout)
+    assert set(data) == {f.name for f in dataclasses.fields(bench.ScalingReport)}
+    assert data["gammas"] == [10.0, 20.0] and data["orders"] == [0, 1]
+    assert set(data["plateau"]) == {"10.0", "20.0"}
+    for key in ("breakaway", "slopes", "lower_bound_only"):
+        assert set(data[key]) == {"0", "1"}
+    assert data["threshold_factor"] == 3.0
 
 
 def test_scaling_empty_gammas_exits_2(runner, qubit_file):
@@ -187,6 +211,25 @@ def test_reproduce_writes_report(runner, tmp_path):
     assert data["case"] == "table2"
     assert data["pass"] is True
     assert all(item["pass"] for item in data["items"])
+
+
+def test_reproduce_csv(runner):
+    result = runner.invoke(main, ["reproduce", "table2", "--format", "csv"])
+    assert result.exit_code == 0
+    header, *rows = result.stdout.strip().splitlines()
+    assert header == "case,name,expected,computed,provenance,tol,pass"
+    assert rows and all(row.startswith("table2,") and row.endswith(",True") for row in rows)
+    assert result.stderr == "table2: pass\n"
+
+
+def test_reproduce_failing_suite_exits_1(runner, monkeypatch):
+    failed = bench.ReproItem("x", 1.0, 2.0, "patched", 0.5, False)
+    report = bench.ReproductionReport("table2", (failed,))
+    monkeypatch.setitem(bench._SUITES, "table2", lambda: report)
+    result = runner.invoke(main, ["reproduce", "table2"])
+    assert result.exit_code == 1
+    assert json.loads(result.stdout)["pass"] is False
+    assert result.stderr == "table2: FAIL\n"
 
 
 def test_reproduce_unknown_case_exits_2(runner):

@@ -57,6 +57,11 @@ class TestBuildEffective:
         for mat in (gen.transform, gen.transform_conj, gen.rotation, gen.rotation_inv):
             assert np.abs(mat - eye).max() < 1e-13
 
+    def test_one_solution_per_block(self, lambda_pipe):
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(ValueError, match="need one solution per block: got 7 for 8 blocks"):
+            build_effective(dec, c, 10.0, list(lambda_pipe.solutions)[:-1])
+
     @pytest.mark.parametrize("gamma", [2.0, 10.0, 100.0])
     def test_qubit_closed_form(self, gamma):
         pipe = bench.compute_effective(qubit_nilpotent_model(gamma))
@@ -249,6 +254,10 @@ class TestSimilarity:
         a = [1.0 + 1e-12 + 5j, 1.0 - 1e-12 - 5j]
         b = [1.0 - 0.9e-12 + 5j, 1.0 + 1.1e-12 - 5j]
         assert multiset_spectral_distance(a, b) < 1e-11
+
+    def test_multiset_distance_needs_equal_sizes(self):
+        with pytest.raises(ValueError, match="spectra have different sizes"):
+            multiset_spectral_distance([0.0, 1.0], [0.0])
 
     def test_degenerate_lambda_effective_total_spectrum(self, lambda_degenerate_pipe):
         # the symmetrized effective total must carry the same closed-form

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -227,10 +229,36 @@ class TestModelSerialization:
             assert r1 == r2 and np.array_equal(l1, l2)
 
     def test_hex_mode_exact(self, rng):
+        # a model file may give any number as a float.hex() string
+        def hexed(value):
+            if isinstance(value, float):
+                return value.hex()
+            if isinstance(value, dict):
+                return {key: hexed(item) for key, item in value.items()}
+            return [hexed(item) for item in value] if isinstance(value, list) else value
+
         m = random_model(2, rng, gamma=np.pi)
-        restored = LindbladModel.from_json(m.to_json(float_mode="hex"))
-        assert restored.gamma == m.gamma
-        assert np.array_equal(restored.strong_hamiltonian, m.strong_hamiltonian)
+        text = json.dumps(hexed(m.to_dict()))
+        assert json.loads(text)["strong"]["H"][0][1][0].startswith(("0x", "-0x"))
+        restored = LindbladModel.from_json(text)
+        assert restored.dim == m.dim and restored.gamma == m.gamma
+        for part in ("strong", "weak"):
+            assert np.array_equal(
+                getattr(restored, f"{part}_hamiltonian"), getattr(m, f"{part}_hamiltonian")
+            )
+            pairs = zip(
+                getattr(restored, f"{part}_dissipators"),
+                getattr(m, f"{part}_dissipators"),
+                strict=True,
+            )
+            for (r1, l1), (r2, l2) in pairs:
+                assert r1 == r2 and np.array_equal(l1, l2)
+
+    def test_no_hamiltonian_means_zero(self):
+        # the strong part had raised "strong_hamiltonian must be 2x2, got ()"
+        m = LindbladModel(dim=2, gamma=1.0, strong_hamiltonian=None)
+        for h in (m.strong_hamiltonian, m.weak_hamiltonian):
+            assert h.dtype == np.complex128 and np.array_equal(h, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("text", ["10", "0.5", "1e1", " 0x1p3", "inf", "nan"])
     def test_number_string_not_in_hex_form_rejected(self, rng, text):

@@ -330,6 +330,10 @@ class TestSolveLinear:
             assert x.shape == y.shape
             assert np.array_equal(x, sla.lu_solve(lu_piv, y))
 
+    def test_rhs_height_must_match(self):
+        with pytest.raises(ValueError, match=r"incompatible shapes \(2, 2\) and \(3, 1\)"):
+            matcore.solve_linear(np.eye(2), np.ones((3, 1)))
+
     @pytest.mark.parametrize("rhs_shape", [(0,), (0, 2)])
     def test_empty_system_has_empty_solution(self, capfd, rhs_shape):
         # LAPACK is not called: getrf on a 0 x 0 matrix prints an

@@ -376,6 +376,10 @@ class TestProjectionFactors:
                     assert_allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-12)
                 assert_allclose(got.q @ got.w, fresh.q @ fresh.w, atol=1e-13 * scale)
 
+    def test_unknown_norm_kind_rejected(self, decompositions):
+        with pytest.raises(ValueError, match="unknown norm kind 'bogus'"):
+            decompositions[0].blocks[0].factors.norm("bogus")
+
     def test_hand_built_block_derives_its_factors(self):
         # P = diag(1.001, 0.001) up to order: rank 1 with a 1e-3 tail
         dec, _b = tampered_diagonal()
@@ -527,6 +531,10 @@ class TestInvariants:
         with pytest.raises(ValueError, match="layout entry") as err:
             decompose_from_user(np.diag([0.0, 1.0]), np.eye(2), layout)
         assert any(repr(entry) in str(err.value) for entry in layout)
+
+    def test_layout_sizes_must_sum_to_n(self):
+        with pytest.raises(ValueError, match="layout sizes sum to 3, expected 2"):
+            decompose_from_user(np.diag([0.0, 1.0]), np.eye(2), [(0.0, 1), (1.0, 2)])
 
     def test_empty_matrix_rejected(self):
         with pytest.raises(ValueError, match="non-empty"):
