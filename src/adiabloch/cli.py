@@ -55,6 +55,33 @@ class _Number(click.ParamType):
         return value
 
 
+class _Order(click.ParamType):
+    """A truncation order: a non-negative integer by the library's rule
+    (:func:`matcore._require_integer`), or with ``inf_ok`` "inf", read as
+    None (the nonperturbative generator); anything else is a usage error
+    naming the option (exit 2)."""
+
+    name = "order"
+
+    def __init__(self, inf_ok: bool = False):
+        self.inf_ok = inf_ok
+
+    def convert(self, value, param, ctx):
+        if self.inf_ok and value == "inf":
+            return None
+        value = click.INT.convert(value, param, ctx)
+        try:
+            matcore._require_integer(param.name, value, 0)
+        except ValueError as exc:
+            self.fail(str(exc), param, ctx)
+        return value
+
+
+def _orders(ctx, param, text: str) -> list:
+    """The comma-separated truncation orders of ``text``, each by :class:`_Order`."""
+    return [_Order().convert(k, param, ctx) for k in text.split(",") if k]
+
+
 def _couplings(ctx, param, text: str) -> list:
     """The comma-separated couplings of ``text``, each by :class:`_Number`."""
     values = [_Number().convert(g, param, ctx) for g in text.split(",") if g]
@@ -299,7 +326,7 @@ def bound(model_path, gamma, norm_kind, unitary, out):
 @main.command()
 @model_option
 @gamma_option
-@click.option("--order", default="inf", show_default=True,
+@click.option("--order", type=_Order(inf_ok=True), default="inf", show_default=True,
               help="Truncation order, or 'inf' for the nonperturbative generator.")
 @norm_option
 @format_option
@@ -307,22 +334,13 @@ def bound(model_path, gamma, norm_kind, unitary, out):
 def evolve(model_path, gamma, order, norm_kind, fmt, out):
     """Distance between the true and effective evolutions over the time grid."""
     model = _with_gamma(_load_model(model_path), gamma)
-    if order == "inf":
-        k = None
-    else:
-        try:
-            k = int(order)
-        except ValueError as exc:
-            raise click.UsageError(f"--order must be an integer or 'inf': {order}") from exc
-        if k < 0:
-            raise click.UsageError(f"--order must be >= 0: {order}")
     pipe = bench.compute_effective(model)
-    curve = bench.distance_curves(pipe, [k], norm_kind=norm_kind)[k]
+    curve = bench.distance_curves(pipe, [order], norm_kind=norm_kind)[order]
     if fmt == "csv":
         _emit(curve.to_csv(), out)
     else:
         payload = {
-            "order": "inf" if k is None else k,
+            "order": "inf" if order is None else order,
             "norm": norm_kind,
             "times": [float(t) for t in curve.times],
             "distances": [float(d) for d in curve.distances],
@@ -362,20 +380,14 @@ def reproduce(case, fmt, out):
 @model_option
 @click.option("--gammas", default="10,20,40", show_default=True, callback=_couplings,
               help="Comma-separated couplings for the sweep.")
-@click.option("--orders", default="0,1,2", show_default=True,
+@click.option("--orders", default="0,1,2", show_default=True, callback=_orders,
               help="Comma-separated truncation orders.")
 @norm_option
 @out_option
 def scaling(model_path, gammas, orders, norm_kind, out):
     """Breakaway-time scaling of the truncated approximations."""
     model = _load_model(model_path)
-    try:
-        order_list = [int(k) for k in orders.split(",") if k]
-    except ValueError as exc:
-        raise click.UsageError(f"bad --orders: {exc}") from exc
-    if any(k < 0 for k in order_list):
-        raise click.UsageError(f"--orders must be >= 0: {orders}")
-    report = bench.scaling_check(model, gammas, order_list, norm_kind=norm_kind)
+    report = bench.scaling_check(model, gammas, orders, norm_kind=norm_kind)
     _emit_json(dataclasses.asdict(report), out)
 
 

@@ -128,9 +128,11 @@ class LindbladModel:
         fields = {"dim": d, "gamma": _read_num(data["gamma"], "gamma")}
         for part in _PARTS:
             entry = data.get(part, {})
-            fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"), d)
+            if not isinstance(entry, dict):
+                raise ValueError(f"{part} must be a JSON object, got {type(entry).__name__}")
+            fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"))
             fields[f"{part}_dissipators"] = tuple(
-                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"], d))
+                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"]))
                 for t in entry.get("dissipators", [])
             )
         return cls(**fields)
@@ -187,10 +189,12 @@ def _matrix_to_json(m) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def _matrix_from_json(rows, d) -> np.ndarray:
+def _matrix_from_json(rows) -> np.ndarray | None:
+    """The matrix of ``rows``, None for a JSON null.  The model checks it
+    and names it: a null Hamiltonian is zero, a null jump has the wrong
+    shape."""
     if rows is None:
-        return np.zeros((d, d), dtype=np.complex128)
-    # its shape is checked by the model, which names the matrix
+        return None
     return np.array(
         [[complex(_read_num(re, "entry"), _read_num(im, "entry")) for re, im in row]
          for row in rows],

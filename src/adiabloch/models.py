@@ -10,7 +10,7 @@ import dataclasses
 
 import numpy as np
 
-from .liouville import LindbladModel
+from .liouville import LindbladModel, vec
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -109,17 +109,16 @@ def random_model(
     dim: int,
     rng: np.random.Generator,
     gamma: float = 10.0,
-    dissipative: bool = True,
 ) -> LindbladModel:
     """Random GKLS strong and weak parts for invariant sweeps.
 
-    With ``dissipative=False`` both parts are purely Hamiltonian, giving a
+    Each part has one dissipator; :func:`unitary_part` drops them, giving a
     unitary (skew-Hermitian superoperator) model.
     """
     # the draws run strong jump, weak jump, strong H, weak H: seeded models
     # depend on that order
     strong_d, weak_d = (
-        ((float(rng.uniform(low, high)), _random_complex(dim, rng)),) if dissipative else ()
+        ((float(rng.uniform(low, high)), _random_complex(dim, rng)),)
         for low, high in ((0.5, 1.5), (0.1, 0.5))
     )
     return LindbladModel(
@@ -164,8 +163,6 @@ def qubit_nilpotent_similarity() -> tuple[np.ndarray, list]:
     Columns are the vectorized X, (Y - Z), -Y, identity, ordered as blocks
     (-2; -1, -1; 0); the middle pair carries the index-2 nilpotent.
     """
-    from .liouville import vec
-
     eye = np.eye(2, dtype=np.complex128)
     cols = [
         vec(PAULI_X),
@@ -184,8 +181,6 @@ def counterexample_similarity() -> tuple[np.ndarray, list]:
     The strong generator is diagonal on matrix units; columns collect them
     into the seven blocks 0 (rank 3), -i/3, i/3, -2i/3, 2i/3, -i, i.
     """
-    from .liouville import vec
-
     def unit(a, b):
         e = np.zeros((3, 3), dtype=np.complex128)
         e[a, b] = 1.0

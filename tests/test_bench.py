@@ -129,6 +129,15 @@ def test_semigroup_norm_bound(lambda_pipe, short_times):
     assert 1.0 <= m < 10.0
 
 
+@pytest.mark.parametrize(
+    "times, values",
+    [([0.0, 1.0, 2.0], [1.0, 0.0, 3.0]), ([0.0, 1.0], [2.0, -1.0]), ([], [])],
+    ids=["one-positive", "none-positive", "empty"],
+)
+def test_log_slope_needs_two_positive_points(times, values):
+    assert bench.log_slope(np.array(times), np.array(values)) == 0.0
+
+
 def test_semigroup_norm_bound_matches_bound_check(short_times):
     model = lambda_model(10.0)
     report = bench.bound_check(model, times=short_times)
@@ -201,19 +210,19 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
     times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
     total = lambda_pipe.total_matrix
     targets = {0: lambda_pipe.effective_total(0), None: lambda_pipe.effective_total()}
-    table = bench._distance_table(total, targets, times, "spectral")
+    table = bench._distance_table(total, {**targets, "norm": None}, times, "spectral")
 
     # the same real-frame generators, one time point per kernel call
     total = bench._real_frame(total)
     targets = {key: bench._real_frame(target) for key, target in targets.items()}
-    expected = {key: [] for key in list(targets) + ["__norm__"]}
+    expected = {key: [] for key in list(targets) + ["norm"]}
     for t in times:
         true_prop = matcore.expm(total, [t])[0]
         for key, target in targets.items():
             expected[key].append(
                 matcore.op_norm(true_prop - matcore.expm(target, [t])[0], "spectral")
             )
-        expected["__norm__"].append(matcore.op_norm(true_prop, "spectral"))
+        expected["norm"].append(matcore.op_norm(true_prop, "spectral"))
     assert set(table) == set(expected)
     for key, values in expected.items():
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
@@ -225,7 +234,7 @@ def test_real_frame_distances_match_complex_propagation(lambda_pipe):
     times = bench.default_time_grid()
     total = lambda_pipe.total_matrix
     targets = {k: lambda_pipe.effective_total(k) for k in (0, 2, None)}
-    table = bench._distance_table(total, targets, times, "spectral")
+    table = bench._distance_table(total, {**targets, "norm": None}, times, "spectral")
     true_prop = matcore.expm(total, times)
     assert true_prop.dtype == np.complex128
     for key, target in targets.items():
@@ -235,7 +244,7 @@ def test_real_frame_distances_match_complex_propagation(lambda_pipe):
     # the norm of a propagator near 1 rounds like 1, also at small t
     ref = matcore.op_norm(true_prop, "spectral")
     a_norm = np.linalg.norm(total, 1)
-    assert np.all(np.abs(table["__norm__"] - ref) <= 8 * EPS * np.maximum(1.0, times * a_norm) * ref)
+    assert np.all(np.abs(table["norm"] - ref) <= 8 * EPS * np.maximum(1.0, times * a_norm) * ref)
 
 
 def _with_frame_defect(g: np.ndarray, kind: str, size: float) -> np.ndarray:

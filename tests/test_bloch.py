@@ -703,6 +703,21 @@ class TestKantorovich:
         assert kantorovich_report(dec, c, gamma_min * 1.0001, 0).solvable
         assert not kantorovich_report(dec, c, gamma_min * 0.9999, 0).solvable
 
+    def test_trace_norm_thresholds_on_the_nilpotent_block(self, qubit_dec, qubit_weak):
+        # gamma_l = 4 mu ||S|| ||C|| ||P||, mu = sum_{m < index} (||S|| ||N||)^m,
+        # every norm the trace norm taken densely; the index-2 block takes
+        # ||N|| by op_norm, not by the spectral norm's supported_norm
+        def trace_norm(m):
+            return np.linalg.svd(m, compute_uv=False).sum()
+
+        assert sorted(blk.index for blk in qubit_dec.blocks) == [1, 1, 2]
+        report = effective.eternal_bound(qubit_dec, qubit_weak, 10.0, "trace")
+        for blk, gamma_l in zip(qubit_dec.blocks, report.gamma_blocks, strict=True):
+            s_norm = trace_norm(blk.resolvent)
+            mu = sum((s_norm * trace_norm(blk.nilpotent)) ** m for m in range(blk.index))
+            want = 4.0 * mu * s_norm * trace_norm(qubit_weak) * trace_norm(blk.projection)
+            assert_allclose(gamma_l, want, rtol=1e-12)
+
 
 class TestSeries:
     def test_generator_series_leading_orders(self, lambda_pipe):
@@ -927,3 +942,11 @@ class TestCorrectionSeries:
         d_block = blk.projection @ c @ blk.projection
         with pytest.raises(PreconditionError):
             sum_correction_series(dec, c, d_block, 0.5, 0)
+
+    def test_no_convergence_within_n_max(self, lambda_pipe):
+        # the series of block 0 needs more than two terms to reach 1e-14
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        d_block = dec.blocks[0].projection @ lambda_pipe.solutions[0].omega
+        with pytest.raises(ConvergenceError, match="did not converge in 2 terms on block 0") as err:
+            sum_correction_series(dec, c, d_block, 10.0, 0, n_max=2)
+        assert err.value.iterations == 2 and err.value.residual >= 1e-14

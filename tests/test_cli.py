@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -107,6 +111,40 @@ def test_solve_below_threshold_exits_1(runner, lambda_file):
     assert "Kantorovich" in result.output
 
 
+def test_solve_far_from_the_projections_exits_1(runner, qubit_file, monkeypatch):
+    # an uncertified solution with ||U - P|| >= 1 is off the adiabatic branch
+    solve_blocks = cli.solve_blocks
+
+    def far_off(*args, **kwargs):
+        sols = solve_blocks(*args, **kwargs)
+        residuals = {**sols[0].residuals, "wave_deformation": 1.0}
+        return [dataclasses.replace(sols[0], certified=False, residuals=residuals)] + sols[1:]
+
+    monkeypatch.setattr(cli, "solve_blocks", far_off)
+    result = runner.invoke(main, ["solve", "--model", qubit_file])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(
+        "error: solution on blocks [0] is not a small deformation of the unperturbed projections"
+    )
+
+
+def test_solve_failure_on_certified_blocks_has_no_certificate_note(runner, qubit_file):
+    # every qubit block is certified at gamma = 40, and tol 1e-20 lies below
+    # the rounding floor of the residual, so Newton stalls
+    model = qubit_nilpotent_model(40.0)
+    dec = spectral.robust_decompose(build_superop(model, "strong").matrix)
+    c = build_superop(model, "weak").matrix
+    assert all(
+        bloch.kantorovich_report(dec, c, 40.0, ell).solvable for ell in range(len(dec.blocks))
+    )
+    result = runner.invoke(
+        main, ["solve", "--model", qubit_file, "--gamma", "40", "--tol", "1e-20"]
+    )
+    assert result.exit_code == 1, result.output
+    assert "stalled" in result.stderr
+    assert "certificate" not in result.stderr
+
+
 def test_effective_emits_gkls_data(runner, lambda_file, tmp_path):
     out = tmp_path / "eff.json"
     result = runner.invoke(
@@ -161,7 +199,7 @@ def test_evolve_bad_order_exits_2(runner, qubit_file):
 def test_negative_order_exits_2(runner, qubit_file, args):
     result = runner.invoke(main, [args[0], "--model", qubit_file] + args[1:])
     assert result.exit_code == 2
-    assert ">= 0" in result.output
+    assert "must be a non-negative integer, got -1" in result.output
 
 
 def test_scaling_json(runner, qubit_file):
@@ -333,8 +371,17 @@ def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner,
         (lambda data: data.update(dim=0), "dim must be a positive integer"),
         # a JSON true had run as 1
         (lambda data: data.update(gamma=True), "gamma must be a number, got True"),
+        # a part that is not an object had ended in a raw AttributeError
+        (lambda data: data.update(strong=[]), "strong must be a JSON object, got list"),
+        (lambda data: data.update(weak="x"), "weak must be a JSON object, got str"),
+        # a null jump had loaded as a zero matrix
+        (
+            lambda data: data["strong"]["dissipators"][0].update(L=None),
+            "strong dissipator 0 jump must be 2x2, got ()",
+        ),
     ],
-    ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0", "gamma-true"],
+    ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0", "gamma-true", "strong-list", "weak-str",
+         "L-null"],
 )
 def test_bad_number_or_dim_exits_2(runner, tmp_path, edit, message):
     data = qubit_nilpotent_model(10.0).to_dict()
@@ -389,3 +436,25 @@ def test_non_finite_numbers_are_strict_json(runner, qubit_file, args, key, value
     assert result.exit_code == 0, result.output
     data = json.loads(result.stdout, parse_constant=reject)
     assert (key, value) in _items(data)
+
+
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.mark.parametrize("args", [["--help"], ["reproduce", "table2"]], ids=["help", "table2"])
+def test_python_m_runs_the_cli(args):
+    # python -m adiabloch runs the same command group as the console script
+    path = os.pathsep.join(filter(None, [str(_SRC), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "adiabloch", *args],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    if args == ["--help"]:
+        assert result.stdout.startswith("Usage: adiabloch [OPTIONS] COMMAND")
+    else:
+        assert json.loads(result.stdout)["pass"] is True
+        assert result.stderr == "table2: pass\n"

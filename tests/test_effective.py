@@ -13,6 +13,7 @@ from adiabloch.effective import (
     multiset_spectral_distance,
     verify_similarity,
 )
+from adiabloch.errors import ConvergenceError
 from adiabloch.liouville import build_superop, check_hp, check_tp
 from adiabloch.models import (
     PAULI_X,
@@ -61,6 +62,21 @@ class TestBuildEffective:
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         with pytest.raises(ValueError, match="need one solution per block: got 7 for 8 blocks"):
             build_effective(dec, c, 10.0, list(lambda_pipe.solutions)[:-1])
+
+    def test_non_finite_residual_rejected(self, lambda_pipe):
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        sols = list(lambda_pipe.solutions)
+        sols[3] = replace(sols[3], residuals={**sols[3].residuals, "omega_eq": np.nan})
+        with pytest.raises(ConvergenceError, match="block 3 solution has non-finite residuals"):
+            build_effective(dec, c, 10.0, sols)
+
+    def test_size_not_a_square_rejected(self):
+        # a 3 x 3 generator acts on no vectorized density operator
+        dec = spectral.decompose(np.diag([0.0, -1.0, -2.0]))
+        zero = np.zeros((3, 3))
+        sols = bloch.solve_blocks(dec, zero, 10.0)
+        with pytest.raises(ValueError, match="matrix size 3 is not a squared Hilbert-space"):
+            build_effective(dec, zero, 10.0, sols)
 
     @pytest.mark.parametrize("gamma", [2.0, 10.0, 100.0])
     def test_qubit_closed_form(self, gamma):

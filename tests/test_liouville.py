@@ -44,6 +44,11 @@ class TestBuildSuperop:
         m = LindbladModel(dim=3, gamma=1.0, strong_hamiltonian=np.zeros((3, 3)))
         assert np.abs(build_superop(m, "total").matrix).max() == 0.0
 
+    def test_unknown_part_rejected(self):
+        m = LindbladModel(dim=2, gamma=1.0, strong_hamiltonian=None)
+        with pytest.raises(ValueError, match="unknown part 'bogus'"):
+            build_superop(m, "bogus")
+
     def test_lambda_strong_spectrum(self, lambda_pipe):
         # eigenvalues 0, +-i, -1/2 +- i, -1/2 +- 2i, -1 with multiplicities
         # 10, 3, 3, 1, 1, 3, 3, 1
@@ -259,6 +264,40 @@ class TestModelSerialization:
         m = LindbladModel(dim=2, gamma=1.0, strong_hamiltonian=None)
         for h in (m.strong_hamiltonian, m.weak_hamiltonian):
             assert h.dtype == np.complex128 and np.array_equal(h, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("where", ["null", "missing"])
+    def test_null_or_missing_hamiltonian_in_a_file_is_zero(self, rng, where):
+        data = random_model(2, rng).to_dict()
+        if where == "null":
+            data["weak"]["H"] = None
+        else:
+            del data["weak"]["H"]
+        h = LindbladModel.from_dict(data).weak_hamiltonian
+        assert h.dtype == np.complex128 and np.array_equal(h, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("part", ["strong", "weak"])
+    def test_null_jump_in_a_file_rejected(self, rng, part):
+        # a null "L" had loaded as a zero jump
+        data = random_model(2, rng).to_dict()
+        data[part]["dissipators"][0]["L"] = None
+        with pytest.raises(ValueError, match=rf"{part} dissipator 0 jump must be 2x2, got \(\)"):
+            LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "part, entry, kind",
+        [
+            ("strong", [], "list"),
+            ("weak", "x", "str"),
+            ("weak", None, "NoneType"),
+            ("strong", 1, "int"),
+        ],
+    )
+    def test_part_must_be_an_object(self, rng, part, entry, kind):
+        # .get on a list or string had ended in a raw AttributeError
+        data = random_model(2, rng).to_dict()
+        data[part] = entry
+        with pytest.raises(ValueError, match=f"{part} must be a JSON object, got {kind}"):
+            LindbladModel.from_dict(data)
 
     @pytest.mark.parametrize("text", ["10", "0.5", "1e1", " 0x1p3", "inf", "nan"])
     def test_number_string_not_in_hex_form_rejected(self, rng, text):

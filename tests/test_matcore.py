@@ -97,6 +97,14 @@ class TestStacks:
                 assert np.array_equal(slice_, matcore.expm(a, [t])[0])
             assert np.array_equal(out[-1], matcore.expm(a))
 
+    @pytest.mark.parametrize(
+        "n, times, shape", [(0, None, (0, 0)), (0, [0.0, 1.0], (2, 0, 0)), (3, [], (0, 3, 3))]
+    )
+    def test_expm_of_nothing_is_empty(self, n, times, shape):
+        # a 0 x 0 matrix or an empty grid: the shape of the answer, no kernel
+        out = matcore.expm(np.zeros((n, n)), times)
+        assert out.shape == shape and out.dtype == np.float64
+
     def test_expm_unsorted_squarings_match_per_slice_loop(self, rng):
         # a reversed time grid: the number of squarings falls along the stack
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -292,6 +300,10 @@ class TestPrincipalSqrt:
         a = np.eye(6) + 0.05 * (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
         x = matcore.principal_sqrt(a)
         assert matcore.op_norm(x @ a - a @ x, "spectral") < 1e-11
+
+    def test_empty_matrix(self):
+        out = matcore.principal_sqrt(np.zeros((0, 0)))
+        assert out.shape == (0, 0) and out.dtype == np.complex128
 
     def test_negative_axis_rejected(self):
         with pytest.raises(BranchCutError):
