@@ -742,23 +742,14 @@ def _case_table2() -> ReproductionReport:
 
 
 def _counterexample_constrained_block(r, gamma):
-    """Top-left 3x3 block plus fixed diagonal of the constrained generator."""
+    """Top-left 3x3 block plus fixed diagonal of the constrained generator:
+    the no-go model's total spectrum past its three real eigenvalues."""
     mid = np.zeros((9, 9), dtype=np.complex128)
     r1, r2, r3, r4, r5, r6 = r
     mid[0, :3] = (r1, r2, r3)
     mid[1, :3] = (r4, r5, r6)
     mid[2, :3] = (-r1 - r4, -r2 - r5, -r3 - r6)
-    s = math.sqrt(gamma**2 - 1.0)
-    diag = [
-        (-0.5, gamma / 3.0),
-        (-0.5, -gamma / 3.0),
-        (-0.5, 2.0 * gamma / 3.0),
-        (-0.5, -2.0 * gamma / 3.0),
-        (-1.0, s),
-        (-1.0, -s),
-    ]
-    for i, (re, im) in enumerate(diag):
-        mid[3 + i, 3 + i] = re + 1j * im
+    np.fill_diagonal(mid[3:, 3:], _table2_spectrum(gamma)[3:])
     return mid
 
 

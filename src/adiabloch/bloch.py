@@ -52,7 +52,7 @@ import scipy.linalg as sla
 
 from . import matcore
 from .errors import BranchEscapeError, ConvergenceError, PreconditionError
-from .liouville import _hp_image, _preserves_hermiticity
+from .liouville import _hp_image_of, _preserves_hermiticity
 from .matcore import _require_integer, _require_positive
 from .spectral import EigenspaceData, SpectralDecomposition, _as_matrix
 
@@ -492,13 +492,9 @@ class BlochSolution:
         which the map keeps, so they are copied (:func:`solve_blocks`
         evaluates the equation residuals anew).
         """
-        return replace(
+        return _hp_image_of(
             self,
             ell=ell,
-            omega=_hp_image(self.omega),
-            omega_conj=_hp_image(self.omega_conj),
-            wave=_hp_image(self.wave),
-            wave_conj=_hp_image(self.wave_conj),
             residuals=dict(self.residuals),
             iterations=dict.fromkeys(self.iterations, 0),
             report=replace(self.report, ell=ell),

@@ -116,6 +116,12 @@ def _finite(value):
     return str(value) if isinstance(value, float) and not math.isfinite(value) else value
 
 
+def _matrix_fields(obj, names, include: bool) -> dict:
+    """The matrix fields ``names`` of ``obj`` as JSON rows, or nothing
+    unless ``include``."""
+    return {name: _matrix_to_json(getattr(obj, name)) for name in names} if include else {}
+
+
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -182,15 +188,7 @@ def decompose(model_path, cluster_tol, matrices, out):
                 "eigenvalue": [blk.eigenvalue.real, blk.eigenvalue.imag],
                 "rank": blk.rank,
                 "index": blk.index,
-                **(
-                    {
-                        "projection": _matrix_to_json(blk.projection),
-                        "nilpotent": _matrix_to_json(blk.nilpotent),
-                        "resolvent": _matrix_to_json(blk.resolvent),
-                    }
-                    if matrices
-                    else {}
-                ),
+                **_matrix_fields(blk, ("projection", "nilpotent", "resolvent"), matrices),
             }
             for blk in dec.blocks
         ],
@@ -249,16 +247,7 @@ def solve(model_path, gamma, tol, method, matrices, out):
                 "residuals": s.residuals,
                 "certified": s.certified,
                 "kantorovich": dataclasses.asdict(s.report),
-                **(
-                    {
-                        "omega": _matrix_to_json(s.omega),
-                        "omega_conj": _matrix_to_json(s.omega_conj),
-                        "wave": _matrix_to_json(s.wave),
-                        "wave_conj": _matrix_to_json(s.wave_conj),
-                    }
-                    if matrices
-                    else {}
-                ),
+                **_matrix_fields(s, ("omega", "omega_conj", "wave", "wave_conj"), matrices),
             }
             for s in sols
         ],

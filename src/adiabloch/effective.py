@@ -26,7 +26,7 @@ import numpy as np
 from . import matcore
 from .bloch import BlochSolution, _gamma_min
 from .errors import ConvergenceError
-from .liouville import Superoperator, _hp_image
+from .liouville import Superoperator, _hp_image_of
 from .spectral import SpectralDecomposition, _as_matrix
 
 
@@ -44,9 +44,7 @@ class BlockEffective:
 
     def image(self, ell: int) -> BlockEffective:
         """This block's data carried to block ``ell`` by X -> F conj(X) F."""
-        fields = ("d_block", "d_conj_block", "k_block", "rotation", "rotation_inv",
-                  "projection_perturbed")
-        return replace(self, ell=ell, **{f: _hp_image(getattr(self, f)) for f in fields})
+        return _hp_image_of(self, ell=ell)
 
 
 @dataclass(frozen=True)
@@ -179,11 +177,14 @@ def verify_similarity(
     bm = _as_matrix(b, dec.dim, "b")
     cm = _as_matrix(c, dec.dim, "c")
     total = gamma * bm + cm
-    # in the order of the stack below
-    worst = dict.fromkeys(
-        ("intertwine", "rotation_square", "direct_vs_symmetric_k", "intertwine_conj",
-         "projection_idempotency", "projection_commutation"), 0.0
+    # in the order returned; the per-block relations are the stack below,
+    # and the global two are set once, after it
+    report = dict.fromkeys(
+        ("intertwine", "intertwine_conj", "global_similarity", "rotation_square",
+         "projection_idempotency", "projection_commutation", "direct_vs_symmetric_k",
+         "spectral_distance"), 0.0
     )
+    per_block = [key for key in report if key not in ("global_similarity", "spectral_distance")]
     for blk, sol, eff in zip(dec.blocks, solutions, gen.blocks):
         p, nil, f = blk.projection, blk.nilpotent, blk.factors
         b_block = blk.eigenvalue * p + nil
@@ -194,38 +195,29 @@ def verify_similarity(
         k_direct = eff.rotation_inv @ total @ eff.rotation - gamma * b_block
         rows = np.linalg.qr((f.w @ sol.wave_conj).conj().T)[0]
         bases = (
-            f.z, f.z, f.z, f.q.conj(), rows,
-            np.linalg.qr(np.hstack([rows, total.conj().T @ rows]))[0],
+            f.z, f.q.conj(), f.z, rows,
+            np.linalg.qr(np.hstack([rows, total.conj().T @ rows]))[0], f.z,
         )
         values = matcore.supported_norm(
             np.stack([
                 total @ sol.wave - sol.wave @ d_full,
-                eff.rotation @ eff.rotation - pt @ p,
-                k_direct - eff.k_block,
                 (sol.wave_conj @ total - dc_full @ sol.wave_conj).T,
+                eff.rotation @ eff.rotation - pt @ p,
                 pt @ pt - pt,
                 total @ pt - pt @ total,
+                k_direct - eff.k_block,
             ]),
             bases,
         )
-        worst = {key: max(worst[key], float(val)) for key, val in zip(worst, values)}
+        report.update({key: max(report[key], float(val)) for key, val in zip(per_block, values)})
     k_full = gamma * bm + gen.schrieffer_wolff.matrix
-    global_sim = matcore.op_norm(
-        total @ gen.rotation - gen.rotation @ k_full, "spectral"
+    report["global_similarity"] = float(
+        matcore.op_norm(total @ gen.rotation - gen.rotation @ k_full, "spectral")
     )
-    spec_dist = multiset_spectral_distance(
-        np.linalg.eigvals(total), np.linalg.eigvals(k_full)
+    report["spectral_distance"] = float(
+        multiset_spectral_distance(np.linalg.eigvals(total), np.linalg.eigvals(k_full))
     )
-    return {
-        "intertwine": worst["intertwine"],
-        "intertwine_conj": worst["intertwine_conj"],
-        "global_similarity": float(global_sim),
-        "rotation_square": worst["rotation_square"],
-        "projection_idempotency": worst["projection_idempotency"],
-        "projection_commutation": worst["projection_commutation"],
-        "direct_vs_symmetric_k": worst["direct_vs_symmetric_k"],
-        "spectral_distance": float(spec_dist),
-    }
+    return report
 
 
 def multiset_spectral_distance(e1, e2) -> float:

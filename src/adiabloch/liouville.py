@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -124,16 +124,16 @@ class LindbladModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
+        data = _json_entry(data, "model", dict, ("dim", "gamma"))
         d = _check_dim(data["dim"])
         fields = {"dim": d, "gamma": _read_num(data["gamma"], "gamma")}
         for part in _PARTS:
-            entry = data.get(part, {})
-            if not isinstance(entry, dict):
-                raise ValueError(f"{part} must be a JSON object, got {type(entry).__name__}")
-            fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"))
+            entry = _json_entry(data.get(part, {}), part)
+            fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"), f"{part} H")
+            dissipators = _json_entry(entry.get("dissipators", []), f"{part} dissipators", list)
             fields[f"{part}_dissipators"] = tuple(
-                (_read_num(t["rate"], "rate"), _matrix_from_json(t["L"]))
-                for t in entry.get("dissipators", [])
+                _dissipator_from_json(t, f"{part} dissipator {i}")
+                for i, t in enumerate(dissipators)
             )
         return cls(**fields)
 
@@ -170,6 +170,23 @@ def _check_dissipators(dissipators, d, which) -> tuple:
     return tuple(out)
 
 
+def _json_entry(x, name: str, kind: type = dict, keys: tuple = ()):
+    """``x``, a JSON object (``kind`` dict) holding ``keys`` or a JSON array
+    (``kind`` list); anything else raises a ``ValueError`` naming ``name``."""
+    if isinstance(x, kind) and all(key in x for key in keys):
+        return x
+    what = "object" if kind is dict else "array"
+    with_keys = " with " + " and ".join(f'"{key}"' for key in keys) if keys else ""
+    got = f"keys {list(x)}" if isinstance(x, kind) else type(x).__name__
+    raise ValueError(f"{name} must be a JSON {what}{with_keys}, got {got}")
+
+
+def _dissipator_from_json(entry, name: str) -> tuple:
+    """The (rate, jump) pair of the dissipator ``name`` of a model file."""
+    entry = _json_entry(entry, name, dict, ("rate", "L"))
+    return _read_num(entry["rate"], f"{name} rate"), _matrix_from_json(entry["L"], f"{name} L")
+
+
 def _read_num(x, name: str) -> float:
     """The number ``name`` of a model file: a JSON number (not true or
     false), or a string as float.hex() writes it."""
@@ -189,15 +206,21 @@ def _matrix_to_json(m) -> list:
     return np.stack((m.real, m.imag), axis=-1).tolist()
 
 
-def _matrix_from_json(rows) -> np.ndarray | None:
-    """The matrix of ``rows``, None for a JSON null.  The model checks it
-    and names it: a null Hamiltonian is zero, a null jump has the wrong
-    shape."""
+def _matrix_from_json(rows, name: str) -> np.ndarray | None:
+    """The matrix ``name`` of ``rows``, None for a JSON null.  Anything but
+    equal rows of [re, im] pairs raises a ``ValueError``; the model checks
+    the shape: a null Hamiltonian is zero, a null jump has the wrong shape."""
     if rows is None:
         return None
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and len(row) == len(rows[0])
+        and all(isinstance(z, list) and len(z) == 2 for z in row)
+        for row in rows
+    ):
+        raise ValueError(f"{name} must be equal rows of [re, im] pairs")
+    entry = f"{name} entry"
     return np.array(
-        [[complex(_read_num(re, "entry"), _read_num(im, "entry")) for re, im in row]
-         for row in rows],
+        [[complex(_read_num(re, entry), _read_num(im, entry)) for re, im in row] for row in rows],
         dtype=np.complex128,
     )
 
@@ -320,6 +343,21 @@ def _hp_image(matrix: np.ndarray) -> np.ndarray:
     out = np.empty(matrix.shape, dtype=matrix.dtype)
     np.conjugate(matrix.reshape(d, d, d, d).transpose(1, 0, 3, 2), out=out.reshape(d, d, d, d))
     return out
+
+
+def _map_arrays(obj, fn, **changes):
+    """The dataclass ``obj`` with ``fn`` applied to every array field and its
+    other fields replaced by ``changes``."""
+    arrays = {name: fn(x) for name, x in vars(obj).items() if isinstance(x, np.ndarray)}
+    return replace(obj, **arrays, **changes)
+
+
+def _hp_image_of(obj, **changes):
+    """``obj`` with every array field X replaced by F conj(X) F
+    (:func:`_hp_image`) and its other fields by ``changes``: the one rule
+    that reads the second member of a conjugate orbit off the first, for
+    blocks, Bloch solutions and block generators alike."""
+    return _map_arrays(obj, _hp_image, **changes)
 
 
 def _preserves_hermiticity(matrix: np.ndarray) -> bool:

@@ -36,13 +36,16 @@ Conjugate orbits.  A matrix B of size d^2 that preserves Hermiticity
 satisfies F conj(B) F = B, F the vec-transpose permutation (F vec(rho) =
 vec(rho^T)), to within 64 eps ||B||_1 (:func:`liouville._preserves_hermiticity`).
 Then X -> F conj(X) F maps the spectral data of b onto those of conj(b).
-The blocks form orbits {b, conj(b)}.  The partner of a block is the block
-nearest the conjugate of its eigenvalue.  A pair is accepted when the two
-blocks are each other's partners within ``cluster_tol`` and have the same
-rank and index.  Every other block, each one with real b among them, is its
-own orbit.  The second member of a pair is stored as the exact image of the
-first, with no SVD and no resolvent of its own, and ``images`` records the
-pairs; :func:`validate` still checks every block.
+The blocks form orbits {b, conj(b)}, decided once from the cluster
+eigenvalues and sizes, before any block is assembled.  The partner of a
+block is the block nearest the conjugate of its eigenvalue.  A pair is
+accepted when the two blocks are each other's partners within
+``cluster_tol`` and have the same rank.  Every other block, each one with
+real b among them, is its own orbit.  The second member of a pair is stored
+as the exact image of the first, with no projection, nilpotent, index, SVD
+or resolvent of its own: it carries the first member's index exactly, and
+``images`` records the pairs.  :func:`validate` still checks every block
+against B, mapped ones included.
 """
 
 from __future__ import annotations
@@ -54,7 +57,9 @@ import scipy.linalg as sla
 
 from . import matcore
 from .errors import ClusterAmbiguityError, SingularMatrixError, SpectralOverlapError
-from .liouville import Superoperator, _hp_image, _preserves_hermiticity, _vec_transpose
+from .liouville import (
+    Superoperator, _hp_image_of, _map_arrays, _preserves_hermiticity, _vec_transpose
+)
 
 # Entries of computed nilpotents below this (times max(1, ||B||)) are zeroed:
 # strict enough to keep reconstruction residuals at rounding level, loose
@@ -149,25 +154,13 @@ class EigenspaceData:
         and the eigenvalue is unchanged.  The factors of P^T are read off
         those of P, without a second SVD.
         """
-        projection = self.projection.T
-        return replace(
-            self,
-            projection=projection,
-            nilpotent=self.nilpotent.T,
-            resolvent=self.resolvent.T,
-            factors=self.factors.transposed(projection),
-        )
+        return _map_arrays(self, np.transpose, factors=self.factors.transposed(self.projection.T))
 
     def image(self) -> EigenspaceData:
         """The eigenspace of conj(b) of a Hermiticity-preserving matrix
         (module docstring), mapped exactly, without an SVD."""
-        return replace(
-            self,
-            eigenvalue=self.eigenvalue.conjugate(),
-            projection=_hp_image(self.projection),
-            nilpotent=_hp_image(self.nilpotent),
-            resolvent=_hp_image(self.resolvent),
-            factors=self.factors.image(),
+        return _hp_image_of(
+            self, eigenvalue=self.eigenvalue.conjugate(), factors=self.factors.image()
         )
 
 
@@ -335,18 +328,23 @@ def _assemble(mat, v, vinv, form, starts, reps, cluster_tol, norm_b) -> Spectral
     other blocks of the block-diagonal F and 0 on block l: one solve with
     F - b_l restricted to the other blocks, between the matching columns
     of V and rows of V^{-1}.  The nilpotent cut and the index do not enter
-    it.  The second block of a conjugate orbit is the image of the first,
-    with no resolvent of its own.
+    it.  The second block of a conjugate orbit is the image of the first
+    (:func:`_conjugate_pairs`, decided before any block is formed).
     """
     n = mat.shape[0]
     cut = NILPOTENT_CUT * max(norm_b, 1.0)
     idx_tol = 10.0 * cluster_tol
-    label = np.repeat(np.arange(len(reps)), np.diff(starts))
+    ranks = np.diff(starts)
+    label = np.repeat(np.arange(len(reps)), ranks)
     form = np.where(label[:, None] == label[None, :], form, 0.0)
-    raw = []
+    images = _conjugate_pairs(reps, ranks, cluster_tol) if _preserves_hermiticity(mat) else {}
+    blocks = []
     for k, b_k in enumerate(reps):
-        i0, i1 = starts[k], starts[k + 1]
-        proj = v[:, i0:i1] @ vinv[i0:i1, :]
+        if k in images:
+            blocks.append(blocks[images[k]].image())
+            continue
+        other = label != k
+        proj = v[:, ~other] @ vinv[~other]
         nil = (mat - b_k * np.eye(n)) @ proj
         nil[np.abs(nil) < cut] = 0.0
         # capped at the rank: a power still above idx_tol there shows up as
@@ -355,31 +353,22 @@ def _assemble(mat, v, vinv, form, starts, reps, cluster_tol, norm_b) -> Spectral
         idx = 1
         power = nil.copy()
         while (
-            idx < i1 - i0
+            idx < ranks[k]
             and power.any()
             and matcore.op_norm(power, "spectral") > idx_tol
         ):
             power = power @ nil
             idx += 1
-        raw.append((complex(b_k), proj, nil, idx, int(i1 - i0)))
-
-    images = _conjugate_pairs(raw, cluster_tol) if _preserves_hermiticity(mat) else {}
-    blocks = []
-    for ell, (b_l, proj_l, nil_l, idx_l, rank_l) in enumerate(raw):
-        if ell in images:
-            blocks.append(blocks[images[ell]].image())
-            continue
-        rest = np.eye(n - rank_l, dtype=np.complex128)
-        other = label != ell
-        inverse = matcore.solve_linear(form[np.ix_(other, other)] - b_l * rest, rest)
+        rest = np.eye(n - ranks[k], dtype=np.complex128)
+        inverse = matcore.solve_linear(form[np.ix_(other, other)] - b_k * rest, rest)
         blocks.append(
             EigenspaceData(
-                eigenvalue=b_l,
-                projection=proj_l,
-                nilpotent=nil_l,
-                index=idx_l,
+                eigenvalue=complex(b_k),
+                projection=proj,
+                nilpotent=nil,
+                index=idx,
                 resolvent=v[:, other] @ inverse @ vinv[other],
-                rank=rank_l,
+                rank=int(ranks[k]),
             )
         )
     dec = SpectralDecomposition(
@@ -388,10 +377,10 @@ def _assemble(mat, v, vinv, form, starts, reps, cluster_tol, norm_b) -> Spectral
     return replace(dec, residuals=validate(dec, mat))
 
 
-def _conjugate_pairs(raw, cluster_tol: float) -> dict:
-    """Conjugate orbits {b_i, b_j}, i < j, as {j: i} (rule in the module
-    docstring); entries 3 and 4 of ``raw`` are index and rank."""
-    eigs = np.array([entry[0] for entry in raw])
+def _conjugate_pairs(eigs, ranks, cluster_tol: float) -> dict:
+    """Conjugate orbits {b_i, b_j}, i < j, as {j: i}, from the cluster
+    eigenvalues ``eigs`` and sizes ``ranks`` alone (rule in the module
+    docstring)."""
     dist = np.abs(eigs[:, None] - eigs.conj()[None, :])
     nearest = dist.argmin(axis=1)
     return {
@@ -400,7 +389,7 @@ def _conjugate_pairs(raw, cluster_tol: float) -> dict:
         if i < j
         and nearest[j] == i
         and dist[i, j] <= cluster_tol
-        and raw[i][3:] == raw[j][3:]
+        and ranks[i] == ranks[j]
     }
 
 

@@ -379,13 +379,45 @@ def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner,
             lambda data: data["strong"]["dissipators"][0].update(L=None),
             "strong dissipator 0 jump must be 2x2, got ()",
         ),
+        # entries of the wrong JSON type had exited with raw Python text
+        (
+            lambda data: data["strong"].update(dissipators=[[1.0]]),
+            'strong dissipator 0 must be a JSON object with "rate" and "L", got list',
+        ),
+        (
+            lambda data: data["strong"].update(dissipators={"rate": 1.0}),
+            "strong dissipators must be a JSON array, got dict",
+        ),
+        (
+            lambda data: data["strong"].update(dissipators=[{"rate": 1.0}]),
+            'strong dissipator 0 must be a JSON object with "rate" and "L", got keys',
+        ),
+        (
+            lambda data: data["weak"].update(dissipators=[{"L": [[[1.0, 0.0]]]}]),
+            'weak dissipator 0 must be a JSON object with "rate" and "L", got keys',
+        ),
+        (
+            lambda data: data["strong"].update(H=[[1.0, 2.0]]),
+            "strong H must be equal rows of [re, im] pairs",
+        ),
+        (
+            lambda data: data["strong"].update(H=5),
+            "strong H must be equal rows of [re, im] pairs",
+        ),
+        (
+            lambda data: data["strong"]["H"][0][0].append(0.0),
+            "strong H must be equal rows of [re, im] pairs",
+        ),
+        (lambda data: [data], 'model must be a JSON object with "dim" and "gamma", got list'),
     ],
     ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0", "gamma-true", "strong-list", "weak-str",
-         "L-null"],
+         "L-null", "dissipator-list", "dissipators-object", "L-missing", "rate-missing",
+         "H-row-of-numbers", "H-number", "entry-triple", "top-level-list"],
 )
 def test_bad_number_or_dim_exits_2(runner, tmp_path, edit, message):
     data = qubit_nilpotent_model(10.0).to_dict()
-    edit(data)
+    # an edit returns None, or the whole file when it replaces the object
+    data = edit(data) or data
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
     result = runner.invoke(main, ["bound", "--model", str(bad)])

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -297,6 +298,44 @@ class TestModelSerialization:
         data = random_model(2, rng).to_dict()
         data[part] = entry
         with pytest.raises(ValueError, match=f"{part} must be a JSON object, got {kind}"):
+            LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "where, entry, message",
+        [
+            ("dissipators", [[1.0]],
+             'strong dissipator 0 must be a JSON object with "rate" and "L", got list'),
+            ("dissipators", {"rate": 1.0}, "strong dissipators must be a JSON array, got dict"),
+            ("dissipators", [{"rate": 1.0}],
+             'strong dissipator 0 must be a JSON object with "rate" and "L", '
+             "got keys ['rate']"),
+            ("dissipators", [{"L": None}],
+             'strong dissipator 0 must be a JSON object with "rate" and "L", '
+             "got keys ['L']"),
+            ("H", [[1.0, 2.0]], "strong H must be equal rows of [re, im] pairs"),
+            ("H", 5, "strong H must be equal rows of [re, im] pairs"),
+            ("H", [[[1.0, 0.0, 3.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+             "strong H must be equal rows of [re, im] pairs"),
+            ("H", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 0.0]]],
+             "strong H must be equal rows of [re, im] pairs"),
+            ("L", [[1.0, 2.0]], "strong dissipator 0 L must be equal rows"),
+        ],
+        ids=["dissipator-list", "dissipators-object", "L-missing", "rate-missing",
+             "H-row-of-numbers", "H-number", "entry-triple", "ragged-rows", "L-row-of-numbers"],
+    )
+    def test_malformed_entry_is_named(self, rng, where, entry, message):
+        # each had raised raw Python text that named no field
+        data = random_model(2, rng).to_dict()
+        if where == "L":
+            data["strong"]["dissipators"][0]["L"] = entry
+        else:
+            data["strong"][where] = entry
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize("data", [[], [{"dim": 2, "gamma": 1.0}], {"dim": 2}, 1.0])
+    def test_model_must_be_an_object_with_dim_and_gamma(self, data):
+        with pytest.raises(ValueError, match='model must be a JSON object with "dim" and "gamma"'):
             LindbladModel.from_dict(data)
 
     @pytest.mark.parametrize("text", ["10", "0.5", "1e1", " 0x1p3", "inf", "nan"])

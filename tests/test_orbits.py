@@ -153,15 +153,22 @@ def _worst_similarity(pipe) -> float:
     return max(sim.values())
 
 
-def _without_conjugation(matrix):
-    """F X F: the map with its conjugation left out."""
-    return liouville._hp_image(matrix).conj()
+def _array_fields(obj) -> set:
+    return {
+        f.name for f in dataclasses.fields(obj) if isinstance(getattr(obj, f.name), np.ndarray)
+    }
+
+
+def _without_conjugation(obj, **changes):
+    """The orbit map with its conjugation left out: F X F on every array field."""
+    conj = {name: getattr(obj, name).conj() for name in _array_fields(obj)}
+    return liouville._hp_image_of(dataclasses.replace(obj, **conj), **changes)
 
 
 def test_wrong_block_map_is_flagged_by_validate(monkeypatch):
     b = build_superop(lambda_model(10.0), "strong").matrix
     assert max(v for v in spectral.decompose(b).residuals.values() if isinstance(v, float)) < 1e-13
-    monkeypatch.setattr(spectral, "_hp_image", _without_conjugation)
+    monkeypatch.setattr(spectral, "_hp_image_of", _without_conjugation)
     residuals = spectral.decompose(b).residuals
     assert max(v for v in residuals.values() if isinstance(v, float)) > 1e-3
 
@@ -170,5 +177,52 @@ def test_wrong_block_map_is_flagged_by_validate(monkeypatch):
 def test_wrong_solution_map_is_flagged_by_verify_similarity(monkeypatch, module):
     model = lambda_model(10.0)
     assert _worst_similarity(bench.compute_effective(model)) < 1e-11
-    monkeypatch.setattr(module, "_hp_image", _without_conjugation)
+    monkeypatch.setattr(module, "_hp_image_of", _without_conjugation)
     assert _worst_similarity(bench.compute_effective(model)) > 1e-3
+
+
+@pytest.mark.parametrize(
+    "eigs, ranks, tol, pairs",
+    [
+        # mutual nearest conjugates only: block 0's nearest is block 1, whose is block 2
+        ([1j, -1.0000001j, 1.0000001j + 1e-9], [1, 1, 1], 1e-6, {2: 1}),
+        ([2 + 1j, -1, 2 - 1j, 3j, -3j], [1, 1, 1, 2, 2], 1e-8, {2: 0, 4: 3}),
+        # within the cluster tolerance, and only within it
+        ([1j, -1j + 1e-6], [1, 1], 1e-5, {1: 0}),
+        ([1j, -1j + 1e-6], [1, 1], 1e-7, {}),
+        # ranks must agree
+        ([1j, -1j], [2, 1], 1e-8, {}),
+        # a real eigenvalue is its own partner, so alone
+        ([0.0, -1.0], [3, 3], 1e-8, {}),
+    ],
+    ids=["mutual", "two-orbits", "within-tol", "beyond-tol", "rank-mismatch", "real-alone"],
+)
+def test_conjugate_pairs_from_eigenvalues_and_ranks(eigs, ranks, tol, pairs):
+    assert spectral._conjugate_pairs(np.array(eigs, dtype=complex), np.array(ranks), tol) == pairs
+
+
+def test_each_image_maps_exactly_its_array_fields(lambda_pipe):
+    first, second = next(iter(lambda_pipe.decomposition.images.items()))[::-1]
+    blk = lambda_pipe.decomposition.blocks[first]
+    sol = lambda_pipe.solutions[first]
+    eff = lambda_pipe.generators.blocks[first]
+    cases = [
+        (blk, blk.image(), {"projection", "nilpotent", "resolvent"}),
+        (sol, sol.image(second), {"omega", "omega_conj", "wave", "wave_conj"}),
+        (eff, eff.image(second), {"d_block", "d_conj_block", "k_block", "rotation",
+                                  "rotation_inv", "projection_perturbed"}),
+    ]
+    for obj, image, arrays in cases:
+        assert _array_fields(obj) == arrays
+        for name in arrays:
+            assert np.array_equal(getattr(image, name), liouville._hp_image(getattr(obj, name)))
+    # the other fields: each one set by its own rule or kept
+    assert blk.image().eigenvalue == blk.eigenvalue.conjugate()
+    assert (blk.image().index, blk.image().rank) == (blk.index, blk.rank)
+    assert np.array_equal(blk.image().factors.q, blk.factors.image().q)
+    mapped = sol.image(second)
+    assert (mapped.ell, mapped.mapped_from, mapped.report.ell) == (second, first, second)
+    assert mapped.residuals == sol.residuals and mapped.residuals is not sol.residuals
+    assert set(mapped.iterations.values()) == {0}
+    assert (mapped.method, mapped.certified) == (sol.method, sol.certified)
+    assert eff.image(second).ell == second
