@@ -124,11 +124,12 @@ class LindbladModel:
 
     @classmethod
     def from_dict(cls, data: dict) -> "LindbladModel":
-        data = _json_entry(data, "model", dict, ("dim", "gamma"))
+        # the keys to_dict writes, and no others
+        data = _json_entry(data, "model", dict, ("dim", "gamma"), _PARTS)
         d = _check_dim(data["dim"])
         fields = {"dim": d, "gamma": _read_num(data["gamma"], "gamma")}
         for part in _PARTS:
-            entry = _json_entry(data.get(part, {}), part)
+            entry = _json_entry(data.get(part, {}), part, dict, (), ("H", "dissipators"))
             fields[f"{part}_hamiltonian"] = _matrix_from_json(entry.get("H"), f"{part} H")
             dissipators = _json_entry(entry.get("dissipators", []), f"{part} dissipators", list)
             fields[f"{part}_dissipators"] = tuple(
@@ -170,9 +171,14 @@ def _check_dissipators(dissipators, d, which) -> tuple:
     return tuple(out)
 
 
-def _json_entry(x, name: str, kind: type = dict, keys: tuple = ()):
-    """``x``, a JSON object (``kind`` dict) holding ``keys`` or a JSON array
-    (``kind`` list); anything else raises a ``ValueError`` naming ``name``."""
+def _json_entry(x, name: str, kind: type = dict, keys: tuple = (), optional: tuple = ()):
+    """``x``, a JSON object (``kind`` dict) holding ``keys``, and no keys but
+    those and ``optional``, or a JSON array (``kind`` list); anything else
+    raises a ``ValueError`` naming ``name`` (and a stray key)."""
+    stray = [key for key in x if key not in keys + optional] if isinstance(x, dict) else []
+    if stray and kind is dict:
+        allowed = ", ".join(map(json.dumps, keys + optional))
+        raise ValueError(f'{name} has unknown key "{stray[0]}"; it may hold only {allowed}')
     if isinstance(x, kind) and all(key in x for key in keys):
         return x
     what = "object" if kind is dict else "array"

@@ -30,6 +30,18 @@ rule for numbers, and so does the operand rule, :func:`as_cmatrix` with a
 size n.  :func:`supported_norm` bounds the spectral norm of a
 matrix that vanishes off a known r-dimensional row space from an n x r
 factor.
+:func:`_max_spectral_norm` gives the largest spectral norm of a stack, the
+value ``op_norm(stack).max()`` takes, from as few SVDs as it can: since
+||X||_2 <= ||X||_F, it takes the SVDs in decreasing Frobenius norm and
+stops once its running maximum reaches the next Frobenius norm times the
+margin 1 + c eps, c = 8 n for n x n (or n x m, n >= m) matrices.  The
+margin covers rounding: a computed sigma_1 is the exact one of X + E with
+||E||_2 <= p(n) eps ||X||_2 (p modest, LAPACK's bound), and the computed
+Frobenius norm is within a few eps.  On rank-1 real and complex matrices,
+where sigma_1 = ||X||_F exactly, the computed sigma_1 exceeded the computed
+||X||_F by at most 5 eps for n up to 100, where c eps is 16 eps or more.
+A matrix skipped by the rule therefore cannot hold the maximum, and the
+result is bit for bit the full stack's.
 """
 
 from __future__ import annotations
@@ -139,6 +151,31 @@ def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
         s = np.linalg.svd(m, compute_uv=False)
         norms = s.max(axis=-1, initial=0.0) if kind == "spectral" else s.sum(axis=-1)
     return float(norms) if m.ndim == 2 else norms
+
+
+def _max_spectral_norm(a, floor: float = 0.0, extra=0.0) -> float:
+    """``max(floor, float(np.hypot(op_norm(a), extra).max()))``, from as few
+    SVDs as the Frobenius norms allow.
+
+    ``a`` is a (k, n, m) stack, n >= m or not; with the defaults this is
+    ``float(op_norm(a).max())`` (hypot(x, 0) = x exactly), and 0.0 for an
+    empty or all-zero stack.  The whole stack is checked for non-finite
+    entries first.  Then the matrices are visited in decreasing
+    hypot(||A_k||_F, extra_k), one SVD each through :func:`op_norm`, until
+    the running maximum reaches the next such bound times the margin
+    1 + c eps, c = 8 max(n, m) (module docstring): no skipped matrix can
+    hold the maximum.
+    """
+    m = _as_stack(a)
+    extra = np.zeros(len(m)) + extra
+    margin = 1.0 + 8 * max(m.shape[1:]) * np.finfo(float).eps
+    bounds = np.hypot(np.linalg.norm(m, axis=(-2, -1)), extra) * margin
+    best = floor
+    for k in np.argsort(-bounds, kind="stable"):
+        if best >= bounds[k]:
+            break
+        best = max(best, float(np.hypot(op_norm(m[k]), extra[k])))
+    return best
 
 
 def supported_norm(x, basis) -> float | np.ndarray:

@@ -409,10 +409,21 @@ def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner,
             "strong H must be equal rows of [re, im] pairs",
         ),
         (lambda data: [data], 'model must be a JSON object with "dim" and "gamma", got list'),
+        # a misspelt key had dropped its part and exited 0
+        (lambda data: data.update(Strong=data.pop("strong")), 'model has unknown key "Strong"'),
+        (
+            lambda data: data["strong"].update(dissipator=data["strong"].pop("dissipators")),
+            'strong has unknown key "dissipator"',
+        ),
+        (
+            lambda data: data["strong"]["dissipators"][0].update(jump=None),
+            'strong dissipator 0 has unknown key "jump"',
+        ),
     ],
     ids=["gamma-10", "rate-0.5", "dim-2.5", "dim-0", "gamma-true", "strong-list", "weak-str",
          "L-null", "dissipator-list", "dissipators-object", "L-missing", "rate-missing",
-         "H-row-of-numbers", "H-number", "entry-triple", "top-level-list"],
+         "H-row-of-numbers", "H-number", "entry-triple", "top-level-list", "Strong-key",
+         "dissipator-key", "jump-key"],
 )
 def test_bad_number_or_dim_exits_2(runner, tmp_path, edit, message):
     data = qubit_nilpotent_model(10.0).to_dict()

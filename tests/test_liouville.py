@@ -20,7 +20,13 @@ from adiabloch.liouville import (
     unvec,
     vec,
 )
-from adiabloch.models import PAULI_Z, random_model
+from adiabloch.models import (
+    PAULI_Z,
+    counterexample_model,
+    lambda_model,
+    qubit_nilpotent_model,
+    random_model,
+)
 
 
 def gkls_action(h, dissipators, rho):
@@ -332,6 +338,37 @@ class TestModelSerialization:
             data["strong"][where] = entry
         with pytest.raises(ValueError, match=re.escape(message)):
             LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda data: data.update(Strong=data.pop("strong")),
+             'model has unknown key "Strong"; it may hold only "dim", "gamma", "strong", "weak"'),
+            (lambda data: data["strong"].update(dissipator=data["strong"].pop("dissipators")),
+             'strong has unknown key "dissipator"; it may hold only "H", "dissipators"'),
+            (lambda data: data["weak"]["dissipators"][0].update(Rate=1.0),
+             'weak dissipator 0 has unknown key "Rate"; it may hold only "rate", "L"'),
+        ],
+        ids=["model", "part", "dissipator"],
+    )
+    def test_unknown_key_is_named(self, rng, edit, message):
+        # a misspelt key had dropped its part silently: "Strong" loaded a
+        # zero strong generator, "dissipator" no strong dissipators
+        data = random_model(2, rng).to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LindbladModel.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "model",
+        [lambda_model(10.0), qubit_nilpotent_model(40.0), counterexample_model(5.0)]
+        + [random_model(d, np.random.default_rng(0)) for d in (3, 4, 5)],
+        ids=["lambda", "qubit", "counterexample", "random3", "random4", "random5"],
+    )
+    def test_every_key_to_dict_writes_reads_back(self, model):
+        # the benchmark's model kinds: each file from to_json loads as it was written
+        restored = LindbladModel.from_json(model.to_json())
+        assert restored.to_dict() == model.to_dict()
 
     @pytest.mark.parametrize("data", [[], [{"dim": 2, "gamma": 1.0}], {"dim": 2}, 1.0])
     def test_model_must_be_an_object_with_dim_and_gamma(self, data):

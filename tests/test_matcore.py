@@ -424,3 +424,89 @@ class TestSupportedNorm:
         x[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             matcore.supported_norm(x, oblique[2])
+
+
+def _full_stack_max(stack, floor=0.0, extra=0.0):
+    return max(floor, float(np.hypot(matcore.op_norm(stack, "spectral"), extra).max()))
+
+
+def _rank_one_stack(rng, dtype):
+    """Five 4 x 4 outer products u v^T."""
+    u, v = rng.normal(size=(2, 5, 4, 1))
+    if dtype is complex:
+        u, v = u + 1j * rng.normal(size=u.shape), v + 1j * rng.normal(size=v.shape)
+    return u @ np.swapaxes(v, -1, -2)
+
+
+class TestMaxSpectralNorm:
+    """The pruned maximum is op_norm(stack).max() bit for bit, from fewer SVDs."""
+
+    @staticmethod
+    def stack(name, dtype, rng):
+        phase = np.exp(0.7j) if dtype is complex else 1.0
+        if name == "crossed":
+            # ||0.9 I||_F = 1.56 leads the Frobenius order, ||0.9 I||_2 = 0.9 < 1.2
+            return phase * np.array([0.9 * np.eye(3), np.diag([1.2, 0.0, 0.0])])
+        if name == "ties":
+            a = phase * rng.normal(size=(3, 3))
+            return np.array([a, a.T, -a, a, 0.5 * a])
+        if name == "rank-one":
+            # sigma_1 = ||X||_F: every bound is met to rounding
+            return _rank_one_stack(rng, dtype)
+        return np.zeros((4, 3, 3), dtype=dtype)
+
+    @pytest.fixture
+    def svds(self, monkeypatch):
+        counts = []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            counts.append(int(np.prod(np.shape(a)[:-2])))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        return counts
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    @pytest.mark.parametrize("name", ["crossed", "ties", "rank-one", "zero"])
+    def test_equals_the_full_stack(self, name, dtype, rng):
+        stack = self.stack(name, dtype, rng)
+        assert stack.dtype == (np.complex128 if dtype is complex else np.float64)
+        assert matcore._max_spectral_norm(stack) == _full_stack_max(stack)
+
+    def test_frobenius_order_is_not_spectral_order(self, svds):
+        # the leader in Frobenius norm does not hold the maximum, so both are taken
+        assert matcore._max_spectral_norm(self.stack("crossed", float, None)) == 1.2
+        assert sum(svds) == 2
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_zero_stack_takes_no_svd(self, dtype, svds):
+        assert matcore._max_spectral_norm(self.stack("zero", dtype, None)) == 0.0
+        assert svds == []
+
+    def test_dominant_matrix_prunes_the_rest(self, rng, svds):
+        small = rng.normal(size=(6, 4, 4))
+        small /= np.linalg.norm(small, axis=(-2, -1))[:, None, None]
+        stack = np.concatenate((small, [np.diag([3.0, 0.0, 0.0, 0.0])]))
+        assert matcore._max_spectral_norm(stack) == 3.0
+        assert sum(svds) == 1
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_floor_and_extra_term(self, dtype, rng):
+        # max(floor, max_k hypot(||A_k||_2, extra_k)), as the orthogonality loop takes it
+        stack = _rank_one_stack(rng, dtype)[:, :2]
+        extra = rng.uniform(0.0, 3.0, size=len(stack))
+        full = _full_stack_max(stack, 0.0, extra)
+        for floor in (0.0, 0.5 * full, full, 2.0 * full):
+            want = _full_stack_max(stack, floor, extra)
+            assert matcore._max_spectral_norm(stack, floor, extra) == want
+        assert matcore._max_spectral_norm(stack[:0], 0.25) == 0.25
+
+    def test_nan_in_a_matrix_pruning_would_skip(self):
+        # a NaN bound sorts last, after 0.1 I, where diag(5, 0, 0) stops the
+        # visit: the NaN still raises
+        hidden = 0.1 * np.eye(3)
+        hidden[0, 1] = np.nan
+        stack = np.array([np.diag([5.0, 0.0, 0.0]), 0.1 * np.eye(3), hidden])
+        with pytest.raises(NonFiniteError):
+            matcore._max_spectral_norm(stack)

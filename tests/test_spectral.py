@@ -299,6 +299,48 @@ class TestValidate:
         # commutation, two resolvent defects, the nilpotent power and its rank
         assert sum(square) <= 6 * blocks + 3 < blocks * blocks
 
+    def test_pruned_maxima_take_fewer_than_b_square_svds(self, monkeypatch):
+        # the largest norm of each stack comes from the few matrices whose
+        # Frobenius norm can still reach it: fewer n x n SVDs than blocks
+        b = build_superop(random_model(4, np.random.default_rng(3)), "strong").matrix
+        dec = robust_decompose(b)
+        n, blocks = dec.dim, len(dec.blocks)
+        square, every = [], []
+        svd = np.linalg.svd
+
+        def counting_svd(a, *args, **kwargs):
+            a = np.asarray(a)
+            count = int(np.prod(a.shape[:-2]))
+            every.append(count)
+            if a.shape[-2:] == (n, n):
+                square.append(count)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting_svd)
+        validate(dec, b)
+        assert sum(square) < blocks
+        assert sum(every) < 2 * blocks
+
+    @pytest.mark.parametrize("case", ["lambda", "qubit", "random4", "tampered"])
+    def test_pruned_maxima_equal_the_full_stacks(self, case, lambda_pipe, monkeypatch):
+        if case == "lambda":
+            dec, b = lambda_pipe.decomposition, lambda_pipe.strong.matrix
+        elif case == "qubit":
+            b = build_superop(qubit_nilpotent_model(10.0), "strong").matrix
+            dec = decompose(b, cluster_tol=1e-6)
+        elif case == "random4":
+            b = build_superop(random_model(4, np.random.default_rng(3)), "strong").matrix
+            dec = robust_decompose(b)
+        else:
+            dec, b = tampered_diagonal()
+        got = validate(dec, b)
+
+        def full_stack(a, floor=0.0, extra=0.0):
+            return max(floor, float(np.hypot(matcore.op_norm(a, "spectral"), extra).max()))
+
+        monkeypatch.setattr(matcore, "_max_spectral_norm", full_stack)
+        assert got == validate(dec, b)
+
 
 class TestNilpotentIndex:
     @pytest.fixture(scope="class")
