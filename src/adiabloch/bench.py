@@ -28,7 +28,7 @@ from .effective import (
     eternal_bound,
     multiset_spectral_distance,
 )
-from .errors import PhysicalityError
+from .errors import PhysicalityError, PreconditionError
 from .liouville import LindbladModel, Superoperator, build_superop, gkls_decompose
 from .models import (
     PAULI_X,
@@ -278,9 +278,11 @@ def semigroup_norm_bound(
 
 
 def log_slope(times: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares slope of log(values) against log(times)."""
+    """Least-squares slope of log(values) against log(times), over the
+    points where both are positive: 0.0 when those points have fewer than
+    two distinct times, which fix no line."""
     mask = (times > 0) & (values > 0)
-    if mask.sum() < 2:
+    if np.unique(times[mask]).size < 2:
         return 0.0
     return float(np.polyfit(np.log(times[mask]), np.log(values[mask]), 1)[0])
 
@@ -309,6 +311,22 @@ def breakaway_time(curve: DistanceCurve, level: float):
     return float(curve.times[above[0]])
 
 
+def _require_couplings(gammas) -> None:
+    """Reject an empty sweep, and a coupling that is not positive and finite
+    or repeats an earlier one, with a ``ValueError`` naming it: the results
+    are keyed by coupling, so a repeat would count once."""
+    if len(gammas) == 0:
+        raise ValueError("the sweep needs at least one coupling")
+    matcore._require_positive(**{f"gammas[{i}]": gamma for i, gamma in enumerate(gammas)})
+    first = {}
+    for i, gamma in enumerate(gammas):
+        j = first.setdefault(float(gamma), i)
+        if j != i:
+            raise ValueError(
+                f"gammas[{i}] = {gamma!r} repeats gammas[{j}]; each coupling must be distinct"
+            )
+
+
 def scaling_check(
     model: LindbladModel,
     gammas,
@@ -324,13 +342,11 @@ def scaling_check(
     over the sweep so that the fitted slopes of log t_k against log gamma
     estimate the validity exponents (expected k + 1); a level tied to the
     per-coupling plateau, which itself shrinks like 1/gamma, would shift
-    every exponent down by one.  The couplings must be positive and finite
-    and the orders non-negative integers; anything else raises
-    ``ValueError`` before any work.
+    every exponent down by one.  The couplings must be positive, finite and
+    distinct (:func:`_require_couplings`) and the orders non-negative
+    integers; anything else raises ``ValueError`` before any work.
     """
-    if len(gammas) == 0:
-        raise ValueError("scaling_check needs at least one coupling")
-    matcore._require_positive(**{f"gammas[{i}]": gamma for i, gamma in enumerate(gammas)})
+    _require_couplings(gammas)
     for i, k in enumerate(orders):
         matcore._require_integer(f"orders[{i}]", k, 0)
     times = _time_grid(times)
@@ -941,13 +957,21 @@ def bound_check(
     decomposed once, at the default cluster tolerance and without
     escalation, and that decomposition serves both the thresholds and the
     solve.  ``gamma_factor`` must be positive and finite and the grid
-    valid; anything else raises ``ValueError`` before any work.
+    valid; anything else raises ``ValueError`` before any work.  When every
+    gamma_l is 0 there is no such coupling, and ``PreconditionError`` is
+    raised before the solve.
     """
     matcore._require_positive(gamma_factor=gamma_factor)
     times = _time_grid(times)
     strong, weak = (build_superop(model, part) for part in liouville._PARTS)
     dec = spectral.decompose(strong.matrix)
     report0 = eternal_bound(dec, weak.matrix, 1.0, norm_kind)
+    if max(report0.gamma_blocks) == 0.0:
+        raise PreconditionError(
+            "bound_check sets the coupling to gamma_factor * max_l gamma_l, and every "
+            "threshold gamma_l is 0: the weak part is zero, or B has one eigenvalue "
+            "(its reduced resolvent is 0)"
+        )
     gamma = gamma_factor * max(report0.gamma_blocks)
     pipe = _solve_and_assemble(dataclasses.replace(model, gamma=float(gamma)), strong, weak, dec)
     table = _distance_table(

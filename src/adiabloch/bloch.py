@@ -15,7 +15,14 @@ related by U = P - S omega / g.  The order-reversed (conjugate) equations
 for ``omega_conj`` and ``wave_conj`` are these same equations for the
 transposed generator: B^T has spectral data P^T, N^T, S^T with the same
 eigenvalue, so omega_conj(B, C) = omega(B^T, C^T)^T.  They are solved, and
-expanded, as the primal equations on transposed block data.
+expanded, as the primal equations on transposed block data.  So each block
+has two sides, each certified once on its primal data: (block, C, X, U)
+and, order-reversed, (transposed block, C^T, omega_conj^T, wave_conj^T).
+A side's checks (the supports X (1 - P) and U (1 - P), the equation
+residuals and the deformation U - P) vanish off range(P^H) of that side's
+own block, and ``BlochSolution.residuals`` keys them
+``<equation><side>_<kind>``: ``wave_conj_support`` is the wave support of
+the order-reversed side.
 
 :func:`solve_equation` is the one entry point for all four equations
 (``which`` names the equation); :func:`solve_block` solves the two omega
@@ -277,6 +284,15 @@ _EQUATIONS = {
 }
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
+# the two sides of a block: the primal equations, and the order-reversed ones
+# solved and checked as the primal ones on transposed data
+_SIDES = ("", "_conj")
+# BlochSolution.residuals, keyed <equation><side>_<kind>, in this order
+_RESIDUAL_KEYS = tuple(
+    f"{equation}{side}_{kind}"
+    for equation, kinds in (("omega", "eq support"), ("wave", "eq support"), ("wave", "deformation"))
+    for side in _SIDES for kind in kinds.split()
+)
 _METHODS = ("newton", "fixed_point")
 
 
@@ -526,79 +542,61 @@ def solve_block(
     return _solve_block(dec, _as_matrix(c, dec.dim, "c"), gamma, ell, method, tol, report)
 
 
+def _side_checks(side, blk, cm, gamma, x, u, mapped: bool) -> dict:
+    """The check matrices of one side, keyed ``<equation><side>_<kind>``.
+
+    A side is given on its primal data: (block, C, X, U), or for the
+    order-reversed side ``"_conj"`` (transposed block, C^T, X~^T, U~^T),
+    whose checks are then the primal ones of the transposed generator.
+    Every check vanishes off range(P^H) of its own block, spanned by its Z.
+    A solved side gives the supports X (1 - P) and U (1 - P), the wave
+    residual and the deformation U - P (the adiabatic branch keeps
+    ||U - P|| <= theta); its omega residual is the one its solve reported.
+    A mapped side gives its omega and wave residuals alone.
+    """
+    if mapped:
+        return {
+            f"omega{side}_eq": omega_residual(blk, cm, gamma, x),
+            f"wave{side}_eq": wave_residual(blk, cm, gamma, u),
+        }
+    comp = np.eye(len(x), dtype=np.complex128) - blk.projection
+    return {
+        f"omega{side}_support": x @ comp,
+        f"wave{side}_eq": wave_residual(blk, cm, gamma, u),
+        f"wave{side}_support": u @ comp,
+        f"wave{side}_deformation": u - blk.projection,
+    }
+
+
+def _check_norms(sides, gamma, mapped: bool) -> dict:
+    """Supported norms of the checks of both ``sides`` (:func:`_side_checks`),
+    each on its own block's Z, from one :func:`matcore.supported_norm` call."""
+    checks, bases = {}, []
+    for side, (blk, cm, x, u) in zip(_SIDES, sides):
+        mats = _side_checks(side, blk, cm, gamma, x, u, mapped)
+        checks.update(mats)
+        bases += [blk.factors.z] * len(mats)
+    norms = matcore.supported_norm(np.stack(list(checks.values())), np.stack(bases))
+    return dict(zip(checks, norms.tolist()))
+
+
 def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
     blk = dec.blocks[ell]
-    # the order-reversed quantities are the primal ones on transposed data
-    blk_t = blk.transposed()
-    omega, info_o = _solve(blk, cm, gamma, ell, "omega", method, tol, report)
-    omega_conj_t, info_oc = _solve(blk_t, cm.T, gamma, ell, "omega_conj", method, tol, report)
-    omega_conj = omega_conj_t.T
-    wave = wave_from_omega(blk, omega, gamma)
-    wave_conj = wave_from_omega(blk_t, omega_conj_t, gamma).T
-    comp = np.eye(dec.dim, dtype=np.complex128) - blk.projection
-    # each check vanishes off range(P^H), spanned by Z, or is taken transposed,
-    # vanishing off range(conj(P)), spanned by conj(Q) = Z of the transposed
-    # block: one stack of supported norms, as in spectral.validate
-    norms = matcore.supported_norm(
-        np.stack([
-            omega @ comp,
-            (comp @ omega_conj).T,
-            wave_residual(blk, cm, gamma, wave),
-            wave_residual(blk_t, cm.T, gamma, wave_conj.T),
-            wave @ comp,
-            (comp @ wave_conj).T,
-            # deformation sizes: the adiabatic branch satisfies ||U - P|| <= theta
-            wave - blk.projection,
-            (wave_conj - blk.projection).T,
-        ]),
-        np.stack([blk.factors.z, blk_t.factors.z] * 4),
-    ).tolist()
-    residuals = {
-        "omega_eq": info_o["residual"],
-        "omega_support": norms[0],
-        "omega_conj_eq": info_oc["residual"],
-        "omega_conj_support": norms[1],
-        "wave_eq": norms[2],
-        "wave_support": norms[4],
-        "wave_conj_eq": norms[3],
-        "wave_conj_support": norms[5],
-        "wave_deformation": norms[6],
-        "wave_conj_deformation": norms[7],
-    }
+    # the order-reversed side is the primal one on the transposed block and
+    # C^T; its X and U are transposed back at the end
+    sides, infos = [], {}
+    for side, (b, c) in zip(_SIDES, ((blk, cm), (blk.transposed(), cm.T))):
+        x, infos[f"omega{side}"] = _solve(b, c, gamma, ell, f"omega{side}", method, tol, report)
+        sides.append((b, c, x, wave_from_omega(b, x, gamma)))
+    values = _check_norms(sides, gamma, mapped=False)
+    values.update({f"{which}_eq": info["residual"] for which, info in infos.items()})
+    (_, _, omega, wave), (_, _, omega_conj, wave_conj) = sides
     return BlochSolution(
-        ell=ell,
-        omega=omega,
-        omega_conj=omega_conj,
-        wave=wave,
-        wave_conj=wave_conj,
-        residuals=residuals,
-        iterations={"omega": info_o["iterations"], "omega_conj": info_oc["iterations"]},
-        method=method,
-        report=report,
-        certified=bool(report.solvable),
+        ell=ell, omega=omega, omega_conj=omega_conj.T, wave=wave, wave_conj=wave_conj.T,
+        residuals={key: values[key] for key in _RESIDUAL_KEYS},
+        iterations={which: info["iterations"] for which, info in infos.items()},
+        method=method, report=report, certified=bool(report.solvable),
     )
-
-
-def _mapped_residuals(blk, cm, gamma, sol) -> dict:
-    """The four equation residuals of a mapped solution, evaluated anew.
-
-    C preserves Hermiticity only to rounding, so the image of a solution
-    solves the image equations, not quite the block's own: copied residuals
-    could fall below the block's by rounding.  The other entries are norms
-    of the mapped matrices and block data alone, which the map carries
-    exactly, and stay copied.
-    """
-    blk_t = blk.transposed()
-    norms = matcore.supported_norm(
-        np.stack([
-            omega_residual(blk, cm, gamma, sol.omega),
-            omega_residual(blk_t, cm.T, gamma, sol.omega_conj.T),
-            wave_residual(blk, cm, gamma, sol.wave),
-            wave_residual(blk_t, cm.T, gamma, sol.wave_conj.T),
-        ]),
-        np.stack([blk.factors.z, blk_t.factors.z] * 2),
-    ).tolist()
-    return dict(zip(("omega_eq", "omega_conj_eq", "wave_eq", "wave_conj_eq"), norms))
 
 
 def solve_blocks(
@@ -623,8 +621,17 @@ def solve_blocks(
     sols = []
     for ell, blk in enumerate(dec.blocks):
         if ell in images:
+            # C preserves Hermiticity only to rounding, so the image solves the
+            # image equations, not quite the block's own: copied equation
+            # residuals could fall below the block's by rounding.  The other
+            # entries are norms of the mapped matrices and block data alone,
+            # which the map carries exactly, and stay copied.
             sol = sols[images[ell]].image(ell)
-            residuals = {**sol.residuals, **_mapped_residuals(blk, cm, gamma, sol)}
+            sides = (
+                (blk, cm, sol.omega, sol.wave),
+                (blk.transposed(), cm.T, sol.omega_conj.T, sol.wave_conj.T),
+            )
+            residuals = {**sol.residuals, **_check_norms(sides, gamma, mapped=True)}
             sols.append(replace(sol, residuals=residuals))
         else:
             report = _kantorovich(blk, c_norm, gamma, ell)

@@ -83,10 +83,13 @@ def _orders(ctx, param, text: str) -> list:
 
 
 def _couplings(ctx, param, text: str) -> list:
-    """The comma-separated couplings of ``text``, each by :class:`_Number`."""
-    values = [_Number().convert(g, param, ctx) for g in text.split(",") if g]
-    if not values:
-        raise click.BadParameter("needs at least one coupling", ctx, param)
+    """The comma-separated couplings of ``text``: floats, checked by the
+    library's sweep rule (:func:`bench._require_couplings`)."""
+    values = [click.FLOAT.convert(g, param, ctx) for g in text.split(",") if g]
+    try:
+        bench._require_couplings(values)
+    except ValueError as exc:
+        raise click.BadParameter(str(exc), ctx, param) from exc
     return values
 
 

@@ -88,12 +88,10 @@ def build_effective(
     The root and the solves are r x r, and K_l = Q k W keeps the block
     structure by construction, so no rounding leaks off the block and no
     entrywise cut is needed.  A mapped solution gets its block's data mapped.
+    ``gamma`` must be positive and finite (``ValueError``).
     """
-    if len(solutions) != len(dec.blocks):
-        raise ValueError(
-            f"need one solution per block: got {len(solutions)} for "
-            f"{len(dec.blocks)} blocks"
-        )
+    matcore._require_positive(gamma=gamma)
+    _require_one_per_block(dec, solutions, "solution")
     for sol in solutions:
         if not all(np.isfinite(v) for v in sol.residuals.values()):
             raise ConvergenceError(f"block {sol.ell} solution has non-finite residuals")
@@ -144,6 +142,13 @@ def build_effective(
     )
 
 
+def _require_one_per_block(dec: SpectralDecomposition, items, what: str) -> None:
+    if len(items) != len(dec.blocks):
+        raise ValueError(
+            f"need one {what} per block: got {len(items)} for {len(dec.blocks)} blocks"
+        )
+
+
 def verify_similarity(
     gen: EffectiveGenerators,
     dec: SpectralDecomposition,
@@ -172,8 +177,13 @@ def verify_similarity(
       commutation (g B + C) Ptilde - Ptilde (g B + C).
 
     The global similarity and the spectral distance are taken once, on the
-    n x n generators.
+    n x n generators.  It needs one solution and one block generator per
+    block, and a positive finite ``gamma``; anything else raises
+    ``ValueError`` before any work.
     """
+    matcore._require_positive(gamma=gamma)
+    _require_one_per_block(dec, solutions, "solution")
+    _require_one_per_block(dec, gen.blocks, "block generator")
     bm = _as_matrix(b, dec.dim, "b")
     cm = _as_matrix(c, dec.dim, "c")
     total = gamma * bm + cm
@@ -265,12 +275,13 @@ def eternal_bound(
     (``applicable``); the tight bounds hold in any unitarily invariant
     norm once multiplied by the semigroup bound M >= sup_t ||e^(t(gB+C))||
     measured in that same norm.  The optional unitary-case bound uses the
-    spectral gap of the strong generator.  ``gamma`` must be positive and
-    finite (``ValueError``).  ||C|| is taken once per call and ||P_l|| is
-    read from the singular values stored with each block.  gamma_l is taken
-    once per conjugate orbit: its norms are unchanged by the map.
+    spectral gap of the strong generator.  ``gamma`` and ``semigroup_bound``
+    must be positive and finite (``ValueError``).  ||C|| is taken once per
+    call and ||P_l|| is read from the singular values stored with each
+    block.  gamma_l is taken once per conjugate orbit: its norms are
+    unchanged by the map.
     """
-    matcore._require_positive(gamma=gamma)
+    matcore._require_positive(gamma=gamma, semigroup_bound=semigroup_bound)
     c_norm = matcore.op_norm(_as_matrix(c, dec.dim, "c"), norm_kind)
     gamma_blocks = []
     for ell, blk in enumerate(dec.blocks):

@@ -437,8 +437,9 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
     Hamiltonian is the anti-Hermitian part of the F_i rho F_0 column.  The
     gauge is fixed by tr H = 0 and by jumps that are traceless, mutually
     orthonormal, with the first nonvanishing eigenvector component made
-    real positive.
+    real positive.  ``tol`` must be positive and finite (``ValueError``).
     """
+    matcore._require_positive(tol=tol)
     tp = check_tp(sop, tol)
     hp = check_hp(sop, tol)
     if not (tp.passed and hp.passed):

@@ -131,11 +131,20 @@ def test_semigroup_norm_bound(lambda_pipe, short_times):
 
 @pytest.mark.parametrize(
     "times, values",
-    [([0.0, 1.0, 2.0], [1.0, 0.0, 3.0]), ([0.0, 1.0], [2.0, -1.0]), ([], [])],
-    ids=["one-positive", "none-positive", "empty"],
+    [
+        ([0.0, 1.0, 2.0], [1.0, 0.0, 3.0]),
+        ([0.0, 1.0], [2.0, -1.0]),
+        ([], []),
+        # positive points at one time had made LAPACK print a DLASCL message
+        # and numpy raise: a vertical line has no slope
+        ([1.0, 1.0], [1.0, 2.0]),
+        ([0.0, 2.0, 2.0, 2.0], [5.0, 1.0, 2.0, 3.0]),
+    ],
+    ids=["one-positive", "none-positive", "empty", "one-time", "one-positive-time"],
 )
-def test_log_slope_needs_two_positive_points(times, values):
+def test_log_slope_needs_two_positive_points(times, values, capfd):
     assert bench.log_slope(np.array(times), np.array(values)) == 0.0
+    assert capfd.readouterr() == ("", "")
 
 
 def test_semigroup_norm_bound_matches_bound_check(short_times):
@@ -400,6 +409,9 @@ def test_non_number_couplings_rejected_before_any_work(value, shown, monkeypatch
         ((np.inf,), (0,), "gammas[0] must be positive and finite, got inf"),
         ((0.0,), (0,), "gammas[0] must be positive and finite, got 0.0"),
         ((10.0,), (True,), "orders[0] must be a non-negative integer, got True"),
+        # keyed by coupling, a repeat had collapsed and read as never broken away
+        ((10.0, 10.0), (0, 1, 2), "gammas[1] = 10.0 repeats gammas[0]"),
+        ((10.0, 20.0, 10), (0,), "gammas[2] = 10 repeats gammas[0]"),
     ],
 )
 def test_scaling_arguments_rejected_before_any_work(gammas, orders, message, monkeypatch):

@@ -391,6 +391,45 @@ class TestSolvers:
         assert len(dec.images) == 3
         assert len(sols) == len(dec.blocks) == len(calls) == 8
 
+    def test_residual_keys_in_order(self, lambda_pipe):
+        # <equation><side>_<kind>, solved and mapped blocks alike: the order
+        # of BlochSolution.residuals and of the CLI's solve JSON
+        keys = [
+            "omega_eq", "omega_support", "omega_conj_eq", "omega_conj_support",
+            "wave_eq", "wave_support", "wave_conj_eq", "wave_conj_support",
+            "wave_deformation", "wave_conj_deformation",
+        ]
+        sols = lambda_pipe.solutions
+        assert {sol.mapped_from is None for sol in sols} == {True, False}
+        for sol in sols:
+            assert list(sol.residuals) == keys, sol.ell
+
+    def test_one_certificate_stack_per_block(self, lambda_pipe, monkeypatch):
+        # both sides of a block are checked in one supported_norm call: eight
+        # checks for a solved block, the four equation residuals for a mapped
+        # one; the other calls are the solves' own reported residuals
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        stacks = []
+        supported_norm = matcore.supported_norm
+
+        def recording(x, basis):
+            if np.ndim(x) == 3:
+                stacks.append(len(x))
+            return supported_norm(x, basis)
+
+        monkeypatch.setattr(matcore, "supported_norm", recording)
+        sols = solve_blocks(dec, c, 10.0)
+        assert stacks == [4 if sol.mapped_from is not None else 8 for sol in sols]
+
+    def test_fixed_point_divergence_is_typed(self, lambda_pipe):
+        # far below Lambda's threshold the natural map blows up on block 0
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(ConvergenceError, match="fixed_point iteration diverged on block 0") as info:
+            solve_equation(dec, c, 0.1, 0, "omega", method="fixed_point")
+        err = info.value
+        assert err.residual > 1e6 * (1.0 + err.history[0])
+        assert err.iterations == len(err.history) - 1
+
     def test_iterate_leaving_the_ball_is_typed(self, lambda_pipe):
         # a uniqueness ball of radius 1e-20 is left at the first Newton step
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix

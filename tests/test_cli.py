@@ -222,6 +222,13 @@ def test_scaling_empty_gammas_exits_2(runner, qubit_file):
     assert "--gammas" in result.output
 
 
+def test_scaling_repeated_coupling_exits_2(runner, qubit_file):
+    result = runner.invoke(main, ["scaling", "--model", qubit_file, "--gammas", "10,20,10"])
+    assert result.exit_code == 2, result.output
+    assert "--gammas" in result.output
+    assert "gammas[2] = 10.0 repeats gammas[0]" in result.output
+
+
 @pytest.mark.parametrize(
     "args",
     [

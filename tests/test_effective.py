@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,8 +14,8 @@ from adiabloch.effective import (
     multiset_spectral_distance,
     verify_similarity,
 )
-from adiabloch.errors import ConvergenceError
-from adiabloch.liouville import build_superop, check_hp, check_tp
+from adiabloch.errors import ConvergenceError, PreconditionError
+from adiabloch.liouville import LindbladModel, build_superop, check_hp, check_tp
 from adiabloch.models import (
     PAULI_X,
     counterexample_model,
@@ -265,6 +266,33 @@ class TestSimilarity:
         )
         assert dist < 1e-8
 
+    def test_every_block_is_checked(self, lambda_pipe):
+        # a tampered last block is seen; one solution or block generator short
+        # had left it unchecked (25.0 with eight solutions, 5.2e-14 with seven)
+        pipe = lambda_pipe
+        gen = pipe.generators
+        last = gen.blocks[-1]
+        tampered = replace(
+            gen, blocks=gen.blocks[:-1] + (replace(last, k_block=last.k_block + 1.0),)
+        )
+        args = (pipe.decomposition, pipe.strong.matrix, pipe.weak.matrix, pipe.model.gamma)
+        sols = list(pipe.solutions)
+        assert verify_similarity(tampered, *args, sols)["direct_vs_symmetric_k"] > 1.0
+        with pytest.raises(ValueError, match="need one solution per block: got 7 for 8 blocks"):
+            verify_similarity(tampered, *args, sols[:-1])
+        short = replace(gen, blocks=gen.blocks[:-1])
+        with pytest.raises(ValueError, match="need one block generator per block: got 7 for 8"):
+            verify_similarity(short, *args, sols)
+
+    @pytest.mark.parametrize("gamma", [0.0, -10.0, math.nan, "10"])
+    def test_bad_coupling_rejected(self, lambda_pipe, gamma):
+        pipe = lambda_pipe
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            verify_similarity(
+                pipe.generators, pipe.decomposition, pipe.strong.matrix, pipe.weak.matrix,
+                gamma, list(pipe.solutions),
+            )
+
     def test_multiset_distance_conjugate_pairs(self):
         # near-equal real parts must not confuse the matcher
         a = [1.0 + 1e-12 + 5j, 1.0 - 1e-12 - 5j]
@@ -358,6 +386,65 @@ class TestBoundArguments:
         monkeypatch.setattr(matcore, "op_norm", counting_norm)
         eternal_bound(dec, c, 40.0, unitary=unitary)
         assert calls == ["spectral"]
+
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            pytest.param(
+                lambda pipe: bench.bound_check(
+                    replace(pipe.model, weak_hamiltonian=None, weak_dissipators=())
+                ),
+                PreconditionError, "every threshold gamma_l is 0", id="bound_check-zero-weak",
+            ),
+            pytest.param(
+                lambda pipe: bench.bound_check(
+                    LindbladModel(1, 10.0, np.zeros((1, 1)), weak_hamiltonian=np.ones((1, 1)))
+                ),
+                PreconditionError, "every threshold gamma_l is 0", id="bound_check-d1",
+            ),
+            pytest.param(
+                lambda pipe: build_effective(
+                    pipe.decomposition, pipe.weak.matrix, 0.0, list(pipe.solutions)
+                ),
+                ValueError, "gamma must be positive and finite, got 0.0", id="build_effective-0",
+            ),
+            pytest.param(
+                lambda pipe: build_effective(
+                    pipe.decomposition, pipe.weak.matrix, math.nan, list(pipe.solutions)
+                ),
+                ValueError, "gamma must be positive and finite, got nan", id="build_effective-nan",
+            ),
+            *(
+                pytest.param(
+                    lambda pipe, bound=bound: eternal_bound(
+                        pipe.decomposition, pipe.weak.matrix, 10.0, semigroup_bound=bound
+                    ),
+                    ValueError, f"semigroup_bound must be positive and finite, got {shown}",
+                    id=f"eternal_bound-{shown}",
+                )
+                for bound, shown in ((math.nan, "nan"), (-1.0, "-1.0"), ("2", "'2'"))
+            ),
+            *(
+                pytest.param(
+                    lambda pipe, tol=tol: liouville.gkls_decompose(
+                        build_superop(pipe.model, "total"), tol=tol
+                    ),
+                    ValueError, f"tol must be positive and finite, got {tol}",
+                    id=f"gkls_decompose-{tol}",
+                )
+                for tol in (-1.0, math.nan)
+            ),
+        ],
+    )
+    def test_degenerate_input_is_typed_and_named(self, lambda_pipe, monkeypatch, call, error, message):
+        # each had ended in a raw error, NaN or -inf bounds, numpy warnings, or
+        # an error that blamed the wrong input
+        def no_solve(*args, **kwargs):
+            raise AssertionError("the solve started before the inputs were checked")
+
+        monkeypatch.setattr(bench, "_solve_and_assemble", no_solve)
+        with pytest.raises(error, match=re.escape(message)):
+            call(lambda_pipe)
 
     def test_bound_check_reuses_the_thresholds(self, monkeypatch):
         # the thresholds at gamma = 1 serve the bounds at the chosen gamma:

@@ -260,6 +260,14 @@ class TestExpmGrid:
                 with pytest.raises(NonFiniteError):
                     matcore.expm(a, [0.0, 1.0, 1e-3])
 
+    def test_pade_overflow_raises_without_warnings(self):
+        # a nilpotent A takes no squaring, so at t = 1e300 the powers x^j of
+        # its Pade terms leave the float range: the typed error only
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteError, match="the Pade terms overflow"):
+                matcore.expm([[0.0, 1e200], [0.0, 0.0]], [1e300])
+
     @pytest.mark.parametrize("n", [2, 4, 9, 25])
     def test_grid_matches_scipy(self, n, rng):
         # ||dE||_2 <= 8 eps max(1, |t| ||A||_1) max(1, ||e^{tA}||_2) for

@@ -20,6 +20,7 @@ def _load(name):
 
 code_lines = _load("code_lines")
 output_digest = _load("output_digest")
+untested_lines = _load("untested_lines")
 
 SAMPLE = '''"""Module docstring,
 over two lines."""
@@ -119,3 +120,82 @@ def test_one_perturbed_leaf_gives_one_differing_line():
     changed = [(a, b) for a, b in zip(before, after) if a != b]
     assert len(changed) == 1
     assert changed[0][1].startswith("qubit['k_eff'][1] complex128 (4,4) ")
+
+
+TRACED_SAMPLE = '''"""A sample module: its docstring and comments are never listed."""
+
+
+def sign(x):
+    """Function docstring."""
+    if x > 0:
+        return 1
+    if x < 0:
+        return -1
+    # zero has no sign
+    return 0
+
+
+class Box:
+    """Class docstring."""
+
+    def __init__(self, size):
+        self.size = size
+
+    def grown(self):
+        return Box(
+            self.size
+            + 1,
+        )
+'''
+
+
+def test_untested_lines_lists_what_no_test_ran(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    sample = tmp_path / "pkg" / "sample.py"
+    sample.write_text(TRACED_SAMPLE)
+    (tmp_path / "test_some.py").write_text(
+        "from pkg.sample import Box, sign\n\n\n"
+        "def test_sign():\n    assert sign(2) == 1 and sign(-2) == -1\n\n\n"
+        "def test_box():\n    assert Box(3).size == 3\n"
+    )
+    (tmp_path / "test_zero.py").write_text(
+        "from pkg.sample import sign\n\n\ndef test_zero():\n    assert sign(0) == 1\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+
+    def run(*tests):
+        result = subprocess.run(
+            [sys.executable, str(TOOLS / "untested_lines.py"), "--src", "pkg", "--",
+             "-q", "-p", "no:cacheprovider", *tests],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        listed = [line for line in result.stdout.splitlines() if line.startswith(str(sample))]
+        return result.returncode, listed, result.stdout.splitlines()[-1]
+
+    # every line of the multi-line return is listed; docstrings, comments,
+    # the closing parenthesis and lines run at import are not
+    status, listed, summary = run("test_some.py")
+    assert status == 0
+    assert listed == [
+        f"{sample}:11: return 0",
+        f"{sample}:21: return Box(",
+        f"{sample}:22: self.size",
+        f"{sample}:23: + 1,",
+    ]
+    assert summary == "4 untested lines in 1 files"
+    # a failing test still counts the lines it ran, and the exit status is pytest's
+    status, listed, summary = run("test_some.py", "test_zero.py")
+    assert status == 1
+    assert [line.split(": ")[0] for line in listed] == [f"{sample}:{k}" for k in (21, 22, 23)]
+    assert summary == "3 untested lines in 1 files"
+
+
+def test_executable_lines_skip_docstrings_and_comments(tmp_path):
+    path = tmp_path / "sample.py"
+    path.write_text(TRACED_SAMPLE)
+    lines = untested_lines.executable_lines(path)
+    # module and class docstrings are stored as __doc__, at import; a function
+    # docstring carries no code, nor do comments, blank lines and a lone
+    # closing parenthesis
+    assert {5, 10, 12, 16, 24} & lines == set()
+    assert {1, 4, 6, 7, 8, 9, 11, 14, 15, 17, 18, 20, 21, 22, 23} <= lines
