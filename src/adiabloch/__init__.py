@@ -16,7 +16,6 @@ from .bloch import (
     generator_series,
     kantorovich_report,
     omega_from_wave,
-    omega_series,
     schrieffer_wolff_series,
     solve_block,
     solve_blocks,
@@ -37,20 +36,15 @@ from .liouville import (
     LindbladModel,
     Superoperator,
     build_superop,
-    check_ccp,
     check_hp,
     check_tp,
-    coherence_rep,
     gkls_decompose,
-    hermitian_basis,
-    unvec,
     vec,
 )
 from .spectral import (
     EigenspaceData,
     SpectralDecomposition,
     decompose,
-    decompose_from_user,
     validate,
 )
 
@@ -71,25 +65,19 @@ __all__ = [
     "bracket",
     "build_effective",
     "build_superop",
-    "check_ccp",
     "check_hp",
     "check_tp",
-    "coherence_rep",
     "decompose",
-    "decompose_from_user",
     "eternal_bound",
     "generator_series",
     "gkls_decompose",
-    "hermitian_basis",
     "kantorovich_report",
     "multiset_spectral_distance",
     "omega_from_wave",
-    "omega_series",
     "schrieffer_wolff_series",
     "solve_block",
     "solve_blocks",
     "sum_correction_series",
-    "unvec",
     "validate",
     "vec",
     "wave_from_omega",

@@ -280,8 +280,11 @@ def semigroup_norm_bound(
 def log_slope(times: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(values) against log(times), over the
     points where both are positive: 0.0 when those points have fewer than
-    two distinct times, which fix no line."""
-    mask = (times > 0) & (values > 0)
+    two distinct times, which fix no line.  A NaN or infinite time or value
+    raises :class:`NonFiniteError`."""
+    mask = (matcore._ensure_finite(times, "times") > 0) & (
+        matcore._ensure_finite(values, "values") > 0
+    )
     if np.unique(times[mask]).size < 2:
         return 0.0
     return float(np.polyfit(np.log(times[mask]), np.log(values[mask]), 1)[0])
@@ -304,8 +307,9 @@ _THRESHOLD_FACTOR = 3.0
 
 
 def breakaway_time(curve: DistanceCurve, level: float):
-    """First grid time where the envelope exceeds the given level."""
-    above = np.flatnonzero(curve.envelope > level)
+    """First grid time where the envelope exceeds the given level, or None;
+    a NaN or infinite level raises :class:`NonFiniteError`."""
+    above = np.flatnonzero(curve.envelope > matcore._ensure_finite(level, "level"))
     if above.size == 0:
         return None
     return float(curve.times[above[0]])

@@ -36,7 +36,11 @@ with P = Q W (r = rank P) the iteration carries the n x r factor Y = X Q,
 with X = Y W formed once at the end: residuals, corrections, ball radii and
 residual norms are n x r matrices and their norms, and no step multiplies
 two n x n matrices.  The same data feed the perturbative coefficient
-recursions and the symmetrized (Schrieffer-Wolff) series.
+recursions and the symmetrized (Schrieffer-Wolff) series.  The closed
+forms are written once too: the left-sided bracket sum N^m A S^m is the
+bracket :func:`bracket` on the transposed block, so the symmetrized closed
+form K^(j) is the one-sided D^(j) averaged over the two sides (plus a
+nilpotent term at third order).
 
 A block of conj(b) that the decomposition stores as the F conj(.) F image
 of the block of b (``SpectralDecomposition.images``, see :mod:`spectral`)
@@ -75,24 +79,22 @@ DEFAULT_TOL = 1e-12
 _STALL_STEPS = 4
 
 
-def bracket(block: EigenspaceData, a, orientation: str = "right") -> np.ndarray:
-    """Nilpotent-weighted bracket of an operator on one eigenspace.
+def bracket(block: EigenspaceData, a) -> np.ndarray:
+    """Nilpotent-weighted bracket sum_{m < n} S^m A N^m of an operator on one
+    eigenspace; with no nilpotent (n = 1) this is the identity map.
 
-    ``right``: sum_{m < n} S^m A N^m;  ``left``: sum_{m < n} N^m A S^m.
-    With no nilpotent (n = 1) this is the identity map.  Any other
-    ``orientation`` raises ``ValueError``.
+    The left-sided bracket is this one on the transposed block:
+    sum_{m < n} N^m A S^m = (sum_{m < n} (S^T)^m A^T (N^T)^m)^T, that is
+    ``bracket(block.transposed(), A.T).T``.
     """
-    if orientation not in ("right", "left"):
-        raise ValueError(f"unknown orientation {orientation!r}")
     mat = _as_matrix(a, len(block.projection), "a")
     s, nil = block.resolvent, block.nilpotent
-    left, right = (s, nil) if orientation == "right" else (nil, s)
     out = mat.copy()
     left_fac = np.eye(mat.shape[0], dtype=np.complex128)
     right_fac = np.eye(mat.shape[0], dtype=np.complex128)
     for _m in range(1, block.index):
-        left_fac = left_fac @ left
-        right_fac = right_fac @ right
+        left_fac = left_fac @ s
+        right_fac = right_fac @ nil
         out = out + left_fac @ mat @ right_fac
     return out
 
@@ -656,6 +658,12 @@ class SeriesCoefficients:
         return len(self.coeffs) - 1
 
     def truncated_sum(self, gamma: float, order: int | None = None) -> np.ndarray:
+        """sum_{j <= order} coeffs[j] / gamma^j, every coefficient when ``order``
+        is None.  ``gamma`` must be positive and finite and ``order`` a
+        non-negative integer; anything else raises ``ValueError``."""
+        _require_positive(gamma=gamma)
+        if order is not None:
+            _require_integer("order", order, 0)
         j_max = self.order if order is None else min(order, self.order)
         out = np.zeros_like(self.coeffs[0])
         for j in range(j_max + 1):
@@ -673,11 +681,11 @@ def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesC
 
 def _omega_series(blk: EigenspaceData, cm: np.ndarray, ell: int, order: int) -> SeriesCoefficients:
     s = blk.resolvent
-    coeffs = [bracket(blk, cm @ blk.projection, "right")]
+    coeffs = [bracket(blk, cm @ blk.projection)]
     for j in range(1, order + 1):
         quad = sum(coeffs[j - 1 - i] @ coeffs[i] for i in range(j))
         rhs = -cm @ s @ coeffs[j - 1] + s @ quad
-        coeffs.append(bracket(blk, rhs, "right"))
+        coeffs.append(bracket(blk, rhs))
     return SeriesCoefficients(ell, "Omega_series", tuple(coeffs))
 
 
@@ -692,8 +700,9 @@ def generator_series(
 
     ``recursion`` builds them from the omega recursion for any order;
     ``closed`` evaluates the explicit bracket formulas (order <= 3), which
-    the recursion must reproduce.  A bad ``ell`` or a negative ``order``
-    raises ``ValueError``.
+    the recursion must reproduce.  On the transposed block with C^T either
+    gives the order-reversed coefficients transposed, D~^(j)^T.  A bad
+    ``ell`` or a negative ``order`` raises ``ValueError``.
     """
     blk = _series_block(dec, ell, order)
     cm = _as_matrix(c, dec.dim, "c")
@@ -714,7 +723,7 @@ def _d_closed(blk: EigenspaceData, cm: np.ndarray) -> list[np.ndarray]:
     p, s = blk.projection, blk.resolvent
 
     def rb(a):
-        return bracket(blk, a, "right")
+        return bracket(blk, a)
 
     d0 = p @ cm @ p
     d1 = -p @ cm @ s @ rb(cm) @ p
@@ -730,42 +739,26 @@ def _d_closed(blk: EigenspaceData, cm: np.ndarray) -> list[np.ndarray]:
 
 
 def _sw_closed(blk: EigenspaceData, cm: np.ndarray) -> list[np.ndarray]:
-    """Symmetrized generator coefficients through third order."""
+    """Symmetrized generator coefficients through third order.
+
+    K^(j) = (D^(j) + D~^(j))/2, where D~^(j) = _d_closed(B^T block, C^T)^T
+    is the order-reversed generator's coefficient, and K^(3) adds the
+    nilpotent term in core = L(C) S^2 R(C), with R the bracket and L the
+    left one, L(A) = sum_{m < n} N^m A S^m.  This is the printed K^(j)
+    term by term: each of its left-bracket terms is a D^(j) term evaluated
+    on the transposed block and transposed back, because
+    sum N^m A S^m = (sum (S^T)^m A^T (N^T)^m)^T, and transposing reverses
+    every product.
+    """
     p, s, nil = blk.projection, blk.resolvent, blk.nilpotent
-
-    def rb(a):
-        return bracket(blk, a, "right")
-
-    def lb(a):
-        return bracket(blk, a, "left")
-
-    s2 = s @ s
-    s3 = s2 @ s
-    k0 = p @ cm @ p
-    k1 = -0.5 * (p @ cm @ s @ rb(cm) @ p + p @ lb(cm) @ s @ cm @ p)
-    k2 = 0.5 * (
-        p @ cm @ s @ rb(cm @ s @ rb(cm)) @ p
-        + p @ lb(lb(cm) @ s @ cm) @ s @ cm @ p
-        - p @ cm @ s2 @ rb(rb(cm) @ p @ cm) @ p
-        - p @ lb(cm @ p @ lb(cm)) @ s2 @ cm @ p
-    )
-    core = lb(cm) @ s2 @ rb(cm)
-    k3 = 0.5 * (
-        -p @ cm @ s @ rb(cm @ s @ rb(cm @ s @ rb(cm))) @ p
-        - p @ lb(lb(lb(cm) @ s @ cm) @ s @ cm) @ s @ cm @ p
-        + p @ cm @ s @ rb(cm @ s2 @ rb(rb(cm) @ p @ cm)) @ p
-        + p @ lb(lb(cm @ p @ lb(cm)) @ s2 @ cm) @ s @ cm @ p
-        + p @ cm @ s2 @ rb(rb(cm) @ p @ cm @ s @ rb(cm)) @ p
-        + p @ lb(lb(cm) @ s @ cm @ p @ lb(cm)) @ s2 @ cm @ p
-        + p @ cm @ s2 @ rb(rb(cm @ s @ rb(cm)) @ p @ cm) @ p
-        + p @ lb(cm @ p @ lb(lb(cm) @ s @ cm)) @ s2 @ cm @ p
-        - p @ cm @ s3 @ rb(rb(rb(cm) @ p @ cm) @ p @ cm) @ p
-        - p @ lb(cm @ p @ lb(cm @ p @ lb(cm))) @ s3 @ cm @ p
-    ) + (
+    blk_t, c_t = blk.transposed(), cm.T
+    k = [(d + d_t.T) / 2 for d, d_t in zip(_d_closed(blk, cm), _d_closed(blk_t, c_t))]
+    core = bracket(blk_t, c_t).T @ s @ s @ bracket(blk, cm)
+    k[3] = k[3] + (
         -0.125 * (nil @ core @ p @ core @ p + p @ core @ p @ core @ nil)
         + 0.25 * (p @ core @ nil @ core @ p)
     )
-    return [k0, k1, k2, k3]
+    return k
 
 
 def _series_mul(a: list, b: list, order: int) -> list:
@@ -802,7 +795,9 @@ def schrieffer_wolff_series(
 ) -> SeriesCoefficients:
     """Coefficients of the symmetrized block generator.
 
-    ``closed`` evaluates the explicit formulas (order <= 3).  ``series``
+    ``closed`` evaluates the explicit formulas (order <= 3),
+    (D^(j) + D~^(j))/2 from the closed D^(j) of both sides plus a nilpotent
+    term at order 3 (:func:`_sw_closed`).  ``series``
     expands K = g (Y^(1/2) N Y^(-1/2) - N) + Y^(1/2) D Y^(-1/2), Y = 1 +
     omega_conj S^2 omega / g^2, from the omega series with binomial series
     for the roots, at any order.  Every term lives on range(P), so with

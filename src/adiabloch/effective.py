@@ -231,9 +231,11 @@ def verify_similarity(
 
 
 def multiset_spectral_distance(e1, e2) -> float:
-    """Greedy nearest-neighbor matching distance between eigenvalue multisets."""
-    a = sorted(np.asarray(e1, dtype=np.complex128), key=lambda z: (z.real, z.imag))
-    b = list(np.asarray(e2, dtype=np.complex128))
+    """Greedy nearest-neighbor matching distance between eigenvalue multisets;
+    a NaN or infinite eigenvalue raises :class:`NonFiniteError`."""
+    a, b = (matcore._ensure_finite(np.asarray(e, dtype=np.complex128), "spectrum") for e in (e1, e2))
+    a = sorted(a, key=lambda z: (z.real, z.imag))
+    b = list(b)
     if len(a) != len(b):
         raise ValueError("spectra have different sizes")
     worst = 0.0

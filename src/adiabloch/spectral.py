@@ -212,7 +212,9 @@ def decompose(b, cluster_tol: float | None = None) -> SpectralDecomposition:
     :class:`ClusterAmbiguityError` reports the offending gap.  Eigenvalues
     of different clusters at most 1e-10 * max(||B||_2, 1) apart (only for a
     smaller ``cluster_tol``) raise :class:`SpectralOverlapError` with their
-    distance as ``separation``.  A given ``cluster_tol`` must be finite and
+    distance as ``separation``, as does a reordering (ZTRSEN) or decoupling
+    (ZTRSYL) that LAPACK reports as failed for eigenvalues too close to
+    separate.  A given ``cluster_tol`` must be finite and
     non-negative (0 clusters only exactly equal eigenvalues); anything else
     raises ``ValueError`` up front.
     """
@@ -280,8 +282,14 @@ def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
     for k in range(count - 1, -1, -1):
         selected = position == k
         t, v, _w, _m, _s, _sep, info = sla.lapack.ztrsen(selected, t, v, job="N")
-        if info != 0:
+        if info < 0:
             raise ValueError(f"ztrsen rejected argument {-info}")
+        if info > 0:
+            raise SpectralOverlapError(
+                f"ztrsen could not move cluster {k} forward: eigenvalues too close "
+                f"to reorder (info {info})",
+                separation=separation,
+            )
         position = np.concatenate((position[selected], position[~selected]))
     starts = np.concatenate(([0], np.cumsum(np.bincount(position, minlength=count))))
 

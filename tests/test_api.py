@@ -16,25 +16,19 @@ PUBLIC = [
     "bracket",
     "build_effective",
     "build_superop",
-    "check_ccp",
     "check_hp",
     "check_tp",
-    "coherence_rep",
     "decompose",
-    "decompose_from_user",
     "eternal_bound",
     "generator_series",
     "gkls_decompose",
-    "hermitian_basis",
     "kantorovich_report",
     "multiset_spectral_distance",
     "omega_from_wave",
-    "omega_series",
     "schrieffer_wolff_series",
     "solve_block",
     "solve_blocks",
     "sum_correction_series",
-    "unvec",
     "validate",
     "vec",
     "wave_from_omega",

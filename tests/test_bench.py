@@ -8,7 +8,7 @@ import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
 from adiabloch import bench, liouville, matcore, spectral
-from adiabloch.errors import PhysicalityError
+from adiabloch.errors import NonFiniteError, PhysicalityError
 from adiabloch.liouville import LindbladModel
 from adiabloch.models import (
     counterexample_model,
@@ -145,6 +145,30 @@ def test_semigroup_norm_bound(lambda_pipe, short_times):
 def test_log_slope_needs_two_positive_points(times, values, capfd):
     assert bench.log_slope(np.array(times), np.array(values)) == 0.0
     assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize(
+    "times, values",
+    [
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 3.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.nan, 3.0]),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 3.0]),
+    ],
+    ids=["value-inf", "value-nan", "time-nan"],
+)
+def test_log_slope_rejects_non_finite_points(times, values):
+    # an infinite value had given a NaN slope, and a NaN point was dropped
+    with pytest.raises(NonFiniteError, match="times|values"):
+        bench.log_slope(np.array(times), np.array(values))
+
+
+@pytest.mark.parametrize("level", [np.nan, np.inf])
+def test_breakaway_time_rejects_a_non_finite_level(level):
+    # a NaN level had returned None, which reads as "never broke away"
+    grid = np.array([0.0, 1.0, 2.0])
+    curve = bench.DistanceCurve(grid, grid, 0, "spectral", grid)
+    with pytest.raises(NonFiniteError, match="level"):
+        bench.breakaway_time(curve, level)
 
 
 def test_semigroup_norm_bound_matches_bound_check(short_times):

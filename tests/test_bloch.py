@@ -55,8 +55,9 @@ class TestBracket:
     def test_trivial_without_nilpotent(self, lambda_pipe, rng):
         blk = lambda_pipe.decomposition.blocks[0]
         a = rng.normal(size=(25, 25))
-        assert np.array_equal(bracket(blk, a, "right"), a)
-        assert np.array_equal(bracket(blk, a, "left"), a)
+        assert np.array_equal(bracket(blk, a), a)
+        # the left-sided bracket, by the mirror identity
+        assert np.array_equal(bracket(blk.transposed(), a.T).T, a)
 
     def test_zero(self, qubit_dec):
         blk = max(qubit_dec.blocks, key=lambda b: b.index)
@@ -68,8 +69,10 @@ class TestBracket:
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         expected_r = a + blk.resolvent @ a @ blk.nilpotent
         expected_l = a + blk.nilpotent @ a @ blk.resolvent
-        assert_allclose(bracket(blk, a, "right"), expected_r, atol=1e-14)
-        assert_allclose(bracket(blk, a, "left"), expected_l, atol=1e-14)
+        assert_allclose(bracket(blk, a), expected_r, atol=1e-14)
+        # the left-sided bracket sum N^m A S^m is the bracket on the
+        # transposed block, transposed back
+        assert_allclose(bracket(blk.transposed(), a.T).T, expected_l, atol=1e-14)
 
 
 # Each entry point with a 9 x 9 operand on Lambda (n = 25), and the operand
@@ -131,7 +134,7 @@ _WRONG_SHAPE_CALLS = {
 _C_CALLS = {
     "kantorovich_report": lambda pipe, c: kantorovich_report(pipe.decomposition, c, 10.0, 1),
     "block_gamma_min": lambda pipe, c: bloch.block_gamma_min(pipe.decomposition.blocks[1], c),
-    "bracket": lambda pipe, c: bracket(pipe.decomposition.blocks[1], c, "left"),
+    "bracket": lambda pipe, c: bracket(pipe.decomposition.blocks[1], c),
     "solve_equation": lambda pipe, c: solve_equation(pipe.decomposition, c, 10.0, 1, "omega_conj"),
     "solve_block": lambda pipe, c: solve_block(pipe.decomposition, c, 10.0, 1),
     "solve_blocks": lambda pipe, c: solve_blocks(pipe.decomposition, c, 10.0),
@@ -788,6 +791,36 @@ class TestSeries:
                 for a, b in zip(ser.coeffs, clo.coeffs):
                     assert np.abs(a - b).max() < 1e-11
 
+    @pytest.mark.parametrize(
+        "model, cluster_tol",
+        [
+            (lambda_model(10.0), None),
+            (qubit_nilpotent_model(10.0), 1e-6),
+            (counterexample_model(10.0), None),
+            (degenerate_model(20.0, 4, 2), None),
+        ],
+        ids=["lambda", "qubit", "no-go", "degenerate"],
+    )
+    def test_sw_series_is_the_symmetrized_generator(self, model, cluster_tol):
+        # K^(j) = (D^(j) + D~^(j))/2 through j = 2 on every block, and at
+        # j = 3 on index-1 blocks (an index-2 block adds a nilpotent term):
+        # K from the binomial series, D from the omega recursion on the
+        # decomposition and D~ from it on the transposed blocks with C^T.
+        # At j = 4 blocks of rank > 1 differ at the 0.1 level.
+        dec = spectral.decompose(build_superop(model, "strong").matrix, cluster_tol=cluster_tol)
+        c = build_superop(model, "weak").matrix
+        dec_t = dataclasses.replace(dec, blocks=tuple(blk.transposed() for blk in dec.blocks))
+        pairs = []
+        for ell, blk in enumerate(dec.blocks):
+            k = schrieffer_wolff_series(dec, c, ell, 3, method="series").coeffs
+            d = generator_series(dec, c, ell, 3, method="recursion").coeffs
+            d_t = generator_series(dec_t, c.T, ell, 3, method="recursion").coeffs
+            orders = 4 if blk.index == 1 else 3
+            pairs += [(k[j], (d[j] + d_t[j].T) / 2) for j in range(orders)]
+        scale = max(np.abs(k).max() for k, _ in pairs)
+        assert scale > 0.0
+        assert max(np.abs(k - sym).max() for k, sym in pairs) <= 1e-13 * scale
+
     def test_closed_form_order_limit(self, lambda_pipe):
         with pytest.raises(ValueError):
             schrieffer_wolff_series(
@@ -862,9 +895,6 @@ class TestSeries:
 
 
 _BAD_SERIES_CALLS = {
-    "bracket-orientation-index-1": lambda dec, c: bracket(
-        next(b for b in dec.blocks if b.index == 1), c, "sideways"
-    ),
     "omega-ell-too-large": lambda dec, c: omega_series(dec, c, len(dec.blocks), 1),
     "omega-ell-negative": lambda dec, c: omega_series(dec, c, -1, 1),
     "omega-order-negative": lambda dec, c: omega_series(dec, c, 0, -1),
@@ -893,8 +923,32 @@ _BAD_SERIES_CALLS = {
 @pytest.mark.parametrize("call", list(_BAD_SERIES_CALLS.values()), ids=list(_BAD_SERIES_CALLS))
 def test_bad_series_arguments_rejected(qubit_dec, qubit_weak, call):
     # rejected up front, not as a raw IndexError or a short or empty result
-    with pytest.raises(ValueError, match="ell|order|orientation"):
+    with pytest.raises(ValueError, match="ell|order"):
         call(qubit_dec, qubit_weak)
+
+
+@pytest.mark.parametrize(
+    "gamma, order, match",
+    [
+        (0.0, None, "gamma"),
+        (math.nan, None, "gamma"),
+        (-1.0, 1, "gamma"),
+        (True, 1, "gamma"),
+        (10.0, -1, "order"),
+        (10.0, 1.5, "order"),
+        (10.0, True, "order"),
+    ],
+    ids=["gamma-zero", "gamma-nan", "gamma-negative", "gamma-bool",
+         "order-negative", "order-not-integer", "order-bool"],
+)
+def test_truncated_sum_checks_its_numbers(gamma, order, match):
+    # gamma 0 or NaN had summed to NaN after numpy warnings, -1 and True were
+    # taken; order -1 had summed nothing, 1.5 raised a raw TypeError and True
+    # ran as 1
+    series = bloch.SeriesCoefficients(0, "D_series", (np.eye(2), np.eye(2)))
+    with pytest.raises(ValueError, match=match):
+        series.truncated_sum(gamma, order)
+    assert_allclose(series.truncated_sum(4.0), 1.25 * np.eye(2))
 
 
 @pytest.mark.parametrize("series", [generator_series, schrieffer_wolff_series])

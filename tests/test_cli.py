@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -365,6 +366,26 @@ def test_numerical_failure_exits_1(runner, qubit_file, monkeypatch, args, owner,
     assert result.exit_code == 1, result.output
     assert result.stderr == f"error: {error}\n"
     assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("routine", ["ztrsen", "ztrsyl"])
+def test_lapack_failure_is_an_overlap_error(runner, lambda_file, monkeypatch, routine):
+    # LAPACK reports INFO = 1 (eigenvalues too close to reorder or decouple).
+    # ZTRSEN's had escaped as a raw ValueError naming argument -1, and
+    # `adiabloch decompose` had printed its traceback.
+    real = getattr(spectral.sla.lapack, routine)
+    monkeypatch.setattr(
+        spectral.sla.lapack, routine, lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], 1)
+    )
+    strong = build_superop(lambda_model(10.0), "strong").matrix
+    for decomposer in (spectral.decompose, spectral.robust_decompose):
+        with pytest.raises(SpectralOverlapError, match=routine) as err:
+            decomposer(strong)
+        assert err.value.separation > 0.0
+    result = runner.invoke(main, ["decompose", "--model", lambda_file])
+    assert result.exit_code == 1, result.output
+    assert re.fullmatch(f"error: {routine} [^\n]*\n", result.stderr)
     assert "Traceback" not in result.output
 
 

@@ -14,7 +14,7 @@ from adiabloch.effective import (
     multiset_spectral_distance,
     verify_similarity,
 )
-from adiabloch.errors import ConvergenceError, PreconditionError
+from adiabloch.errors import ConvergenceError, NonFiniteError, PreconditionError
 from adiabloch.liouville import LindbladModel, build_superop, check_hp, check_tp
 from adiabloch.models import (
     PAULI_X,
@@ -469,3 +469,14 @@ class TestBoundArguments:
         )
         for key in ("tight_bound_k", "tight_bound_d", "loose_bound", "applicable"):
             assert result[key] == getattr(fresh, key), key
+
+
+@pytest.mark.parametrize(
+    "e1, e2",
+    [([math.nan], [0.0]), ([0.0, 1.0], [1.0, math.inf]), ([complex(1.0, math.nan)], [1.0])],
+    ids=["nan-first", "inf-second", "nan-imaginary"],
+)
+def test_multiset_spectral_distance_rejects_non_finite(e1, e2):
+    # [nan] against [0.0] had matched at distance 0.0
+    with pytest.raises(NonFiniteError, match="spectrum"):
+        multiset_spectral_distance(e1, e2)

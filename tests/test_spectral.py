@@ -458,6 +458,16 @@ class TestClusteringAndReordering:
                 decomposer(b, 0.0)
             assert err.value.separation == 1e-12
 
+    def test_ztrsen_argument_error_stays_a_value_error(self, monkeypatch):
+        # INFO < 0 names an argument LAPACK rejected: a programming error, not
+        # the numerical failure of INFO = 1 (tests/test_cli.py)
+        real = sla.lapack.ztrsen
+        monkeypatch.setattr(
+            spectral.sla.lapack, "ztrsen", lambda *args, **kwargs: (*real(*args, **kwargs)[:-1], -3)
+        )
+        with pytest.raises(ValueError, match="ztrsen rejected argument 3"):
+            decompose(np.diag([0.0, 1.0]))
+
     def test_zero_cluster_tol_groups_only_equal_eigenvalues(self):
         dec = decompose(np.diag([0.0, 1.0, 0.0, 1e-9]), 0.0)
         assert dec.cluster_tol == 0.0
