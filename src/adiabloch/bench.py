@@ -280,8 +280,14 @@ def semigroup_norm_bound(
 def log_slope(times: np.ndarray, values: np.ndarray) -> float:
     """Least-squares slope of log(values) against log(times), over the
     points where both are positive: 0.0 when those points have fewer than
-    two distinct times, which fix no line.  A NaN or infinite time or value
-    raises :class:`NonFiniteError`."""
+    two distinct times, which fix no line.  ``times`` and ``values`` must be
+    1-d and of one length, as arrays or lists (``ValueError`` naming the
+    bad one); a NaN or
+    infinite time or value raises :class:`NonFiniteError`."""
+    times, values = (np.asarray(v, dtype=np.float64) for v in (times, values))
+    for name, v in (("times", times), ("values", values)):
+        if v.ndim != 1 or len(v) != len(times):
+            raise ValueError(f"{name} must be a 1-d array as long as times, got shape {v.shape}")
     mask = (matcore._ensure_finite(times, "times") > 0) & (
         matcore._ensure_finite(values, "values") > 0
     )
@@ -307,8 +313,11 @@ _THRESHOLD_FACTOR = 3.0
 
 
 def breakaway_time(curve: DistanceCurve, level: float):
-    """First grid time where the envelope exceeds the given level, or None;
-    a NaN or infinite level raises :class:`NonFiniteError`."""
+    """First grid time where the envelope exceeds the given level, or None.
+    ``level`` must be a real number, not a bool (``ValueError``); a NaN or
+    infinite level raises :class:`NonFiniteError`."""
+    if not matcore._is_number(level):
+        raise ValueError(f"level must be a real number, got {level!r}")
     above = np.flatnonzero(curve.envelope > matcore._ensure_finite(level, "level"))
     if above.size == 0:
         return None

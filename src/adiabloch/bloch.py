@@ -35,8 +35,12 @@ size n (a Sylvester sweep).  Every iterate X vanishes on range(1 - P), so
 with P = Q W (r = rank P) the iteration carries the n x r factor Y = X Q,
 with X = Y W formed once at the end: residuals, corrections, ball radii and
 residual norms are n x r matrices and their norms, and no step multiplies
-two n x n matrices.  The same data feed the perturbative coefficient
-recursions and the symmetrized (Schrieffer-Wolff) series.  The closed
+two n x n matrices.  The perturbative series of omega is carried on the
+same factors, Y^(j) = omega^(j) Q (:func:`_omega_series`), each term a
+bracket of an n x r matrix (:func:`_bracket`), and Newton starts at its
+first term Y^(0).  Dense coefficients are formed only where the public
+series functions return them; the symmetrized (Schrieffer-Wolff) series
+takes the factors of both sides as they are.  The closed
 forms are written once too: the left-sided bracket sum N^m A S^m is the
 bracket :func:`bracket` on the transposed block, so the symmetrized closed
 form K^(j) is the one-sided D^(j) averaged over the two sides (plus a
@@ -85,17 +89,23 @@ def bracket(block: EigenspaceData, a) -> np.ndarray:
 
     The left-sided bracket is this one on the transposed block:
     sum_{m < n} N^m A S^m = (sum_{m < n} (S^T)^m A^T (N^T)^m)^T, that is
-    ``bracket(block.transposed(), A.T).T``.
+    ``bracket(block.transposed(), A.T).T``.  It is :func:`_bracket` with
+    nil = N, on a copy of A.
     """
-    mat = _as_matrix(a, len(block.projection), "a")
-    s, nil = block.resolvent, block.nilpotent
-    out = mat.copy()
-    left_fac = np.eye(mat.shape[0], dtype=np.complex128)
-    right_fac = np.eye(mat.shape[0], dtype=np.complex128)
+    return _bracket(block, _as_matrix(a, len(block.projection), "a").copy(), block.nilpotent)
+
+
+def _bracket(block: EigenspaceData, y: np.ndarray, nil: np.ndarray) -> np.ndarray:
+    """sum_{m < n} S^m Y nil^m, each term the last one as S (.) nil.
+
+    With nil = N this is the bracket of Y.  For A = A P (P = Q W) it also
+    gives the n x r factor of the bracket: bracket(A) Q is this sum with
+    Y = A Q and nil = W N Q, since N^m Q = Q (W N Q)^m.
+    """
+    out, term = y, y
     for _m in range(1, block.index):
-        left_fac = left_fac @ s
-        right_fac = right_fac @ nil
-        out = out + left_fac @ mat @ right_fac
+        term = block.resolvent @ term @ nil
+        out = out + term
     return out
 
 
@@ -236,7 +246,8 @@ def _omega_factored(blk, c, gamma):
 
     With n = W N Q, R Q = S Y (W Y)/g - Y - (C S) Y/g + S Y n + C Q; the
     derivative delta -> A delta + S delta F has A = (S Y W - C S)/g - 1 and
-    M = W F Q = (W Y)/g + n.  C S, C Q and n are formed once per solve.
+    M = W F Q = (W Y)/g + n.  C S, C Q and n are formed once per solve.  The
+    start is the first term of the series, Y^(0) = X_0 Q (:func:`_omega_series`).
     """
     s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
     cs, cq, nil = c @ s, c @ q, w @ blk.nilpotent @ q
@@ -249,12 +260,7 @@ def _omega_factored(blk, c, gamma):
     def derivative(y):
         return ((s @ y) @ w - cs) / gamma - eye, (w @ y) / gamma + nil
 
-    # X_0 Q = sum_{m < index} S^m C Q n^m, the bracket of C P times Q
-    start, term = cq, cq
-    for _m in range(1, blk.index):
-        term = s @ term @ nil
-        start = start + term
-    return residual, derivative, start, lambda y: (s @ y) / gamma
+    return residual, derivative, _omega_series(blk, c, 0)[0], lambda y: (s @ y) / gamma
 
 
 def _wave_factored(blk, c, gamma):
@@ -672,21 +678,32 @@ class SeriesCoefficients:
 
 
 def omega_series(dec: SpectralDecomposition, c, ell: int, order: int) -> SeriesCoefficients:
-    """Coefficients of omega from the order-by-order recursion.
+    """Coefficients omega^(j) = Y^(j) W of omega from the order-by-order
+    recursion, carried on the n x r factors Y^(j) (:func:`_omega_series`).
 
     A bad ``ell`` or a negative ``order`` raises ``ValueError``.
     """
-    return _omega_series(_series_block(dec, ell, order), _as_matrix(c, dec.dim, "c"), ell, order)
+    blk = _series_block(dec, ell, order)
+    ys = _omega_series(blk, _as_matrix(c, dec.dim, "c"), order)
+    return SeriesCoefficients(ell, "Omega_series", tuple(y @ blk.factors.w for y in ys))
 
 
-def _omega_series(blk: EigenspaceData, cm: np.ndarray, ell: int, order: int) -> SeriesCoefficients:
-    s = blk.resolvent
-    coeffs = [bracket(blk, cm @ blk.projection)]
+def _omega_series(blk: EigenspaceData, cm: np.ndarray, order: int) -> list[np.ndarray]:
+    """The n x r factors Y^(j) = omega^(j) Q of the omega coefficients, j <= order.
+
+    omega^(0) = bracket(C P) and omega^(j) = bracket(S sum_i omega^(j-1-i)
+    omega^(i) - C S omega^(j-1)) all vanish on range(1 - P), so with P = Q W
+    and n = W N Q, Y^(0) = _bracket(C Q) and Y^(j) = _bracket(S sum_i
+    Y^(j-1-i) (W Y^(i)) - C (S Y^(j-1))), each bracket on the factor with
+    nil = n (:func:`_bracket`): no product of two n x n matrices.
+    """
+    s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
+    nil = w @ blk.nilpotent @ q
+    ys = [_bracket(blk, cm @ q, nil)]
     for j in range(1, order + 1):
-        quad = sum(coeffs[j - 1 - i] @ coeffs[i] for i in range(j))
-        rhs = -cm @ s @ coeffs[j - 1] + s @ quad
-        coeffs.append(bracket(blk, rhs))
-    return SeriesCoefficients(ell, "Omega_series", tuple(coeffs))
+        quad = sum(ys[j - 1 - i] @ (w @ ys[i]) for i in range(j))
+        ys.append(_bracket(blk, s @ quad - cm @ (s @ ys[j - 1]), nil))
+    return ys
 
 
 def generator_series(
@@ -698,7 +715,8 @@ def generator_series(
 ) -> SeriesCoefficients:
     """Block-generator coefficients D^(j) = P omega^(j).
 
-    ``recursion`` builds them from the omega recursion for any order;
+    ``recursion`` builds them from the omega recursion for any order, as
+    Q (W Y^(j)) W from its n x r factors Y^(j) = omega^(j) Q;
     ``closed`` evaluates the explicit bracket formulas (order <= 3), which
     the recursion must reproduce.  On the transposed block with C^T either
     gives the order-reversed coefficients transposed, D~^(j)^T.  A bad
@@ -707,8 +725,8 @@ def generator_series(
     blk = _series_block(dec, ell, order)
     cm = _as_matrix(c, dec.dim, "c")
     if method == "recursion":
-        om = _omega_series(blk, cm, ell, order)
-        coeffs = tuple(blk.projection @ o for o in om.coeffs)
+        q, w = blk.factors.q, blk.factors.w
+        coeffs = tuple(q @ (w @ y) @ w for y in _omega_series(blk, cm, order))
         return SeriesCoefficients(ell, "D_series", coeffs)
     if method == "closed":
         if order > 3:
@@ -802,7 +820,10 @@ def schrieffer_wolff_series(
     omega_conj S^2 omega / g^2, from the omega series with binomial series
     for the roots, at any order.  Every term lives on range(P), so with
     P = Q W it is carried as the r x r matrix W (.) Q, and coefficient j is
-    Q k_j W.  A bad ``ell`` or a negative ``order`` raises ``ValueError``.
+    Q k_j W.  omega^(j) Q is the factor Y^(j) of the omega series, and
+    W omega_conj^(j) is (W W~^T) Y~^(j)^T, with Y~ the series on the
+    transposed block and C^T and W~ that block's W.  A bad ``ell`` or a
+    negative ``order`` raises ``ValueError``.
     """
     blk = _series_block(dec, ell, order)
     cm = _as_matrix(c, dec.dim, "c")
@@ -819,9 +840,12 @@ def schrieffer_wolff_series(
 
     work = order + 1  # one extra order: the nilpotent term carries a factor gamma
     q, w = blk.factors.q, blk.factors.w
-    om_q = [o @ q for o in _omega_series(blk, cm, ell, work).coeffs]
-    # omega_conj's coefficients: the omega recursion on transposed data
-    w_omc = [w @ o.T for o in _omega_series(blk.transposed(), cm.T, ell, work).coeffs]
+    om_q = _omega_series(blk, cm, work)
+    # omega_conj's coefficients: the omega recursion on transposed data, whose
+    # factors Y~ give W omega~^(j)^T = (W W~^T) Y~^T
+    blk_t = blk.transposed()
+    w_wt = w @ blk_t.factors.w.T
+    w_omc = [w_wt @ y.T for y in _omega_series(blk_t, cm.T, work)]
     s2_om_q = [blk.resolvent @ (blk.resolvent @ o) for o in om_q]
     zero = np.zeros((blk.rank, blk.rank), dtype=np.complex128)
     y = [zero] * 2 + [

@@ -231,9 +231,13 @@ def verify_similarity(
 
 
 def multiset_spectral_distance(e1, e2) -> float:
-    """Greedy nearest-neighbor matching distance between eigenvalue multisets;
-    a NaN or infinite eigenvalue raises :class:`NonFiniteError`."""
+    """Greedy nearest-neighbor matching distance between eigenvalue multisets.
+    Each must be 1-d (``ValueError`` naming ``e1`` or ``e2``); a NaN or
+    infinite eigenvalue raises :class:`NonFiniteError`."""
     a, b = (matcore._ensure_finite(np.asarray(e, dtype=np.complex128), "spectrum") for e in (e1, e2))
+    for name, e in (("e1", a), ("e2", b)):
+        if e.ndim != 1:
+            raise ValueError(f"{name} must be a 1-d array of eigenvalues, got shape {e.shape}")
     a = sorted(a, key=lambda z: (z.real, z.imag))
     b = list(b)
     if len(a) != len(b):

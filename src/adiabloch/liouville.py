@@ -70,8 +70,10 @@ class Superoperator:
         object.__setattr__(self, "matrix", m)
 
     def apply(self, rho) -> np.ndarray:
-        """Action on a d x d operator."""
-        return unvec(self.matrix @ vec(rho), self.dim)
+        """Action on a d x d operator, read by the operand rule
+        (:func:`matcore.as_cmatrix`): anything but a finite d x d matrix
+        raises before any work."""
+        return unvec(self.matrix @ vec(matcore.as_cmatrix(rho, self.dim, "rho")), self.dim)
 
 
 # The two GKLS parts of a model; part p is the fields p_hamiltonian and
@@ -395,14 +397,18 @@ class CheckResult:
 
 
 def check_tp(sop: Superoperator, tol: float = 1e-12) -> CheckResult:
-    """Trace preservation: the identity row of the generator must vanish."""
+    """Trace preservation: the identity row of the generator must vanish.
+    ``tol`` must be positive and finite (``ValueError``)."""
+    matcore._require_positive(tol=tol)
     row = vec(np.eye(sop.dim)).conj() @ sop.matrix
     defect = float(np.linalg.norm(row))
     return CheckResult(defect <= tol, defect)
 
 
 def check_hp(sop: Superoperator, tol: float = 1e-12) -> CheckResult:
-    """Hermiticity preservation: reality of the coherence representation."""
+    """Hermiticity preservation: reality of the coherence representation.
+    ``tol`` as in :func:`check_tp`."""
+    matcore._require_positive(tol=tol)
     _, defect = coherence_rep(sop)
     return CheckResult(defect <= tol, defect)
 
@@ -437,9 +443,9 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
     Hamiltonian is the anti-Hermitian part of the F_i rho F_0 column.  The
     gauge is fixed by tr H = 0 and by jumps that are traceless, mutually
     orthonormal, with the first nonvanishing eigenvector component made
-    real positive.  ``tol`` must be positive and finite (``ValueError``).
+    real positive.  ``tol`` must be positive and finite (``ValueError``,
+    from :func:`check_tp`).
     """
-    matcore._require_positive(tol=tol)
     tp = check_tp(sop, tol)
     hp = check_hp(sop, tol)
     if not (tp.passed and hp.passed):
@@ -490,7 +496,8 @@ def gkls_decompose(sop: Superoperator, tol: float = 1e-9) -> GKLSForm:
 
 
 def check_ccp(form: GKLSForm, tol: float = 1e-10) -> CheckResult:
-    """Conditional complete positivity: Kossakowski spectrum >= -tol."""
+    """Conditional complete positivity: Kossakowski spectrum >= -tol.
+    ``tol`` as in :func:`check_tp`."""
+    matcore._require_positive(tol=tol)
     min_rate = float(min(form.rates)) if form.rates else 0.0
-    result = CheckResult(min_rate >= -tol, min_rate)
-    return result
+    return CheckResult(min_rate >= -tol, min_rate)

@@ -162,6 +162,36 @@ def test_log_slope_rejects_non_finite_points(times, values):
         bench.log_slope(np.array(times), np.array(values))
 
 
+@pytest.mark.parametrize(
+    "times, values, name",
+    [
+        (np.array([1.0, 2.0, 3.0]), np.array([1.0, 2.0]), "values"),
+        (np.ones((2, 2)), np.ones((2, 2)), "times"),
+        (np.array([1.0, 2.0]), np.ones((2, 1)), "values"),
+    ],
+    ids=["unequal-lengths", "2-d", "2-d-values"],
+)
+def test_log_slope_needs_1d_arrays_of_one_length(times, values, name):
+    # unequal lengths had given a raw broadcast error and 2-d arrays were
+    # fitted flattened
+    with pytest.raises(ValueError, match=f"{name} must be a 1-d array"):
+        bench.log_slope(times, values)
+
+
+def test_log_slope_takes_lists():
+    # lists had raised a raw TypeError
+    assert bench.log_slope([1.0, 2.0, 4.0], [1.0, 4.0, 16.0]) == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("level", [None, True, "1.0"])
+def test_breakaway_time_needs_a_real_level(level):
+    # None had raised a raw TypeError and True ran as 1
+    grid = np.array([0.0, 1.0, 2.0])
+    curve = bench.DistanceCurve(grid, grid, 0, "spectral", grid)
+    with pytest.raises(ValueError, match=re.escape(f"level must be a real number, got {level!r}")):
+        bench.breakaway_time(curve, level)
+
+
 @pytest.mark.parametrize("level", [np.nan, np.inf])
 def test_breakaway_time_rejects_a_non_finite_level(level):
     # a NaN level had returned None, which reads as "never broke away"

@@ -157,12 +157,32 @@ def _dense_block_effective(pipe):
         )
 
 
+def _dense_omega_series(blk, c, order):
+    """omega^(0..order) by the n x n recursion, omega^(0) = R(C P) and
+    omega^(j) = R(S sum_i omega^(j-1-i) omega^(i) - C S omega^(j-1)), with
+    the bracket R(A) = sum_{m < n} S^m A N^m from explicit powers of S and N."""
+    s, nil = blk.resolvent, blk.nilpotent
+
+    def rb(a):
+        return sum(
+            np.linalg.matrix_power(s, m) @ a @ np.linalg.matrix_power(nil, m)
+            for m in range(blk.index)
+        )
+
+    om = [rb(c @ blk.projection)]
+    for j in range(1, order + 1):
+        quad = sum(om[j - 1 - i] @ om[i] for i in range(j))
+        om.append(rb(s @ quad - c @ s @ om[j - 1]))
+    return om
+
+
 def _dense_sw_series(dec, c, ell, order):
-    """The symmetrized series composed on n x n coefficients, each taken as P k_j P."""
+    """The symmetrized series composed on n x n coefficients, each taken as
+    P k_j P, from the dense omega recursion of both sides."""
     blk = dec.blocks[ell]
     work = order + 1
-    om = bloch.omega_series(dec, c, ell, work).coeffs
-    omc = [o.T for o in bloch._omega_series(blk.transposed(), c.T, ell, work).coeffs]
+    om = _dense_omega_series(blk, c, work)
+    omc = [o.T for o in _dense_omega_series(blk.transposed(), c.T, work)]
     s2 = blk.resolvent @ blk.resolvent
     zero = np.zeros((dec.dim, dec.dim), dtype=complex)
     y = [zero, zero] + [
@@ -479,4 +499,16 @@ class TestBoundArguments:
 def test_multiset_spectral_distance_rejects_non_finite(e1, e2):
     # [nan] against [0.0] had matched at distance 0.0
     with pytest.raises(NonFiniteError, match="spectrum"):
+        multiset_spectral_distance(e1, e2)
+
+
+@pytest.mark.parametrize(
+    "e1, e2, name",
+    [(1.0, [1.0], "e1"), ([1.0, 2.0], [[1.0, 2.0]], "e2"), (np.eye(2), np.eye(2), "e1")],
+    ids=["scalar", "row", "matrices"],
+)
+def test_multiset_spectral_distance_needs_1d_input(e1, e2, name):
+    # a scalar had raised "iteration over a 0-d array", a matrix "truth value
+    # ... ambiguous", and a row was read as one eigenvalue
+    with pytest.raises(ValueError, match=f"{name} must be a 1-d array"):
         multiset_spectral_distance(e1, e2)

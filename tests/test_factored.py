@@ -1,11 +1,12 @@
 """The Bloch layer on n x r factors, and certificates without n x n SVDs.
 
 Newton and fixed-point iteration carry the factor Y = X Q of each iterate
-(see ``bloch.solve_equation``).  These tests compare it with a copy of the
-n x n iteration it replaced, check that every ``verify_similarity`` value
-bounds the n x n norm of its relation and still sees a matrix pushed off its
-support, and count the n x n SVDs left in ``solve_blocks`` and
-``verify_similarity``.
+(see ``bloch.solve_equation``), and the perturbative series the factors
+Y^(j) = omega^(j) Q of its coefficients.  These tests compare them with
+copies of the n x n iteration and recursion they replaced, check that
+every ``verify_similarity`` value bounds the n x n norm of its relation and
+still sees a matrix pushed off its support, and count the n x n SVDs left
+in ``solve_blocks`` and ``verify_similarity``.
 """
 
 from dataclasses import replace
@@ -16,8 +17,9 @@ import scipy.linalg as sla
 
 from adiabloch import bench, bloch, matcore
 from adiabloch.effective import verify_similarity
-from adiabloch.models import degenerate_model
-from test_orbits import BENCHMARK_CASES
+from adiabloch.models import degenerate_model, random_model
+from test_effective import _dense_omega_series, _dense_sw_series
+from test_orbits import BENCHMARK_CASES, _certified
 
 ORACLE_TOL = 1e-13
 RELATIONS = (
@@ -29,6 +31,9 @@ RELATIONS = (
     "direct_vs_symmetric_k",
 )
 ORACLE_CASES = [*BENCHMARK_CASES, "random_d8", "degenerate_d4"]
+SERIES_CASES = [
+    "lambda_g10", "qubit_g10", "counterexample_g5", "degenerate_d4", "random_d6", "random_d8",
+]
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +46,9 @@ def pipes(request):
                 cache[name] = request.getfixturevalue("random_d8_certified")
             elif name == "degenerate_d4":
                 cache[name] = bench.compute_effective(degenerate_model(20.0, dim=4, fold=2))
+            elif name == "random_d6":
+                model = _certified(random_model(6, np.random.default_rng(11)))
+                cache[name] = bench.compute_effective(model)
             else:
                 cache[name] = bench.compute_effective(BENCHMARK_CASES[name]())
         return cache[name]
@@ -116,6 +124,41 @@ def test_factored_fixed_point_matches_the_dense_loop(case, pipes):
             got, info = bloch.solve_equation(dec, c, gamma, ell, which, method="fixed_point")
             assert info["iterations"] == it, (case, ell, which)
             assert _rel(got, want) <= ORACLE_TOL, (case, ell, which)
+
+
+@pytest.mark.parametrize("case", SERIES_CASES)
+def test_factored_series_match_the_dense_recursion(case, pipes):
+    # orders 0-3 of omega, D and K, each to 1e-13 of its largest |entry| on
+    # the model: the first two against the n x n recursion, K against the
+    # symmetrized series composed on it
+    pipe = pipes(case)
+    dec, c = pipe.decomposition, pipe.weak.matrix
+    pairs = {"omega": [], "generator": [], "schrieffer_wolff": []}
+    for sol in pipe.solutions:
+        if sol.mapped_from is not None:
+            continue
+        blk = dec.blocks[sol.ell]
+        assert all(y.shape == (dec.dim, blk.rank) for y in bloch._omega_series(blk, c, 3))
+        om = _dense_omega_series(blk, c, 3)
+        for kind, got, want in (
+            ("omega", bloch.omega_series(dec, c, sol.ell, 3), om),
+            (
+                "generator",
+                bloch.generator_series(dec, c, sol.ell, 3),
+                [blk.projection @ o for o in om],
+            ),
+            (
+                "schrieffer_wolff",
+                bloch.schrieffer_wolff_series(dec, c, sol.ell, 3, method="series"),
+                _dense_sw_series(dec, c, sol.ell, 3),
+            ),
+        ):
+            pairs[kind] += zip(got.coeffs, want, strict=True)
+    for kind, kind_pairs in pairs.items():
+        scale = max(np.abs(want).max() for _, want in kind_pairs)
+        assert scale > 0.0, (case, kind)
+        error = max(np.abs(got - want).max() for got, want in kind_pairs)
+        assert error <= 1e-13 * scale, (case, kind, error / scale)
 
 
 def _similarity(pipe, solutions=None) -> dict:

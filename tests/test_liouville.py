@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from adiabloch import liouville
-from adiabloch.errors import PhysicalityError
+from adiabloch.errors import NonFiniteError, PhysicalityError
 from adiabloch.liouville import (
     LindbladModel,
     Superoperator,
@@ -81,6 +82,19 @@ class TestBuildSuperop:
             rho = random_density(3, rng)
             direct = gkls_action(h, dissipators, rho)
             assert np.abs(sop.apply(rho) - direct).max() < 1e-12
+
+    @pytest.mark.parametrize(
+        "rho, error, message",
+        [(np.eye(3), ValueError, "rho must be 2x2, got (3, 3)"),
+         (np.full((2, 2), math.nan), NonFiniteError, "NaN")],
+        ids=["wrong-shape", "nan"],
+    )
+    def test_apply_reads_rho_by_the_operand_rule(self, rho, error, message):
+        # a 3 x 3 rho had escaped as a raw matmul error, a NaN one had
+        # returned a NaN matrix
+        sop = Superoperator(2, liouville.hamiltonian_superop(PAULI_Z))
+        with pytest.raises(error, match=re.escape(message)):
+            sop.apply(rho)
 
     def test_built_parts_are_hp_tp(self, rng):
         m = random_model(4, rng)
@@ -180,6 +194,20 @@ class TestChecks:
         result = check_ccp(form, 1e-10)
         assert result.passed
         assert abs(result.defect) < 1e-12
+
+    @pytest.mark.parametrize(
+        "tol, shown",
+        [(math.nan, "nan"), (-1.0, "-1.0"), (math.inf, "inf"), ("1e-12", "'1e-12'"), (None, "None")],
+    )
+    @pytest.mark.parametrize("check", ["tp", "hp", "ccp"])
+    def test_tol_must_be_positive_and_finite(self, check, tol, shown):
+        # NaN and -1 had given passed=False, inf passed any generator, and a
+        # string or None escaped as a raw TypeError
+        sop = Superoperator(2, liouville.hamiltonian_superop(PAULI_Z))
+        checked = gkls_decompose(sop) if check == "ccp" else sop
+        message = f"tol must be positive and finite, got {shown}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            getattr(liouville, f"check_{check}")(checked, tol)
 
 
 class TestGKLSDecompose:
