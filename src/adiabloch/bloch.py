@@ -27,11 +27,19 @@ the order-reversed side.
 :func:`solve_equation` is the one entry point for all four equations
 (``which`` names the equation); :func:`solve_block` solves the two omega
 equations of a block against one shared certificate and derives both wave
-operators from them.  Solutions are found either by plain fixed-point
-iteration of the natural map or by Newton iteration, whose convergence is
-certified by computable Newton-Kantorovich constants
-(:func:`kantorovich_report`); a Newton step is rank(P) linear solves of
-size n (a Sylvester sweep).  Every iterate X vanishes on range(1 - P), so
+operators from them.  :func:`solve_blocks` iterates both sides of every
+solved block of one rank and index as one stack (:func:`_solve`): the
+iterates, residuals, their norms, the derivatives and the ball radii are
+stacks, each pair keeps its own stop, stall, divergence and ball rules,
+history and iteration count, and each Newton step is the pair's own column
+solve.  The final residuals, the wave operators and the side checks are
+then taken once per stack.  :func:`solve_block` is that stack for one block
+and :func:`solve_equation` for one pair, and each pair gets the arithmetic
+it gets alone, so its result does not depend on its stack.  Solutions are
+found either by plain fixed-point iteration of the natural map or by Newton
+iteration, whose convergence is certified by computable Newton-Kantorovich
+constants (:func:`kantorovich_report`); a Newton step is rank(P) linear
+solves of size n (a Sylvester sweep).  Every iterate X vanishes on range(1 - P), so
 with P = Q W (r = rank P) the iteration carries the n x r factor Y = X Q,
 with X = Y W formed once at the end: residuals, corrections, ball radii and
 residual norms are n x r matrices and their norms, and no step multiplies
@@ -66,7 +74,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import matcore
-from .errors import BranchEscapeError, ConvergenceError, PreconditionError
+from .errors import AdiablochError, BranchEscapeError, ConvergenceError, PreconditionError
 from .liouville import _hp_image_of, _preserves_hermiticity
 from .matcore import _require_integer, _require_positive
 from .spectral import EigenspaceData, SpectralDecomposition, _as_matrix
@@ -248,10 +256,12 @@ def _omega_factored(blk, c, gamma):
     derivative delta -> A delta + S delta F has A = (S Y W - C S)/g - 1 and
     M = W F Q = (W Y)/g + n.  C S, C Q and n are formed once per solve.  The
     start is the first term of the series, Y^(0) = X_0 Q (:func:`_omega_series`).
+    On a stacked block (:func:`_stacked`) each of these is the stack of the
+    pairs' own, by broadcasting.
     """
     s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
     cs, cq, nil = c @ s, c @ q, w @ blk.nilpotent @ q
-    eye = np.eye(len(s))
+    eye = np.eye(s.shape[-1])
 
     def residual(y):
         sy = s @ y
@@ -271,7 +281,7 @@ def _wave_factored(blk, c, gamma):
     """
     s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
     sc, wc, nil = s @ c, w @ c, w @ blk.nilpotent @ q
-    eye = np.eye(len(s))
+    eye = np.eye(s.shape[-1])
 
     def residual(y):
         sy = s @ y
@@ -302,6 +312,16 @@ _RESIDUAL_KEYS = tuple(
     for side in _SIDES for kind in kinds.split()
 )
 _METHODS = ("newton", "fixed_point")
+# Working-set budget, in bytes, of one (pairs, n, n) complex stack of
+# solve_blocks: a stack holds at most _STACK_BYTES // (32 n^2) blocks, both
+# sides of each, and its iteration and checks hold up to about seventeen
+# such arrays at once.  Over the benchmark's six random models (n <= 25;
+# 2-vCPU VM, BLAS on one thread) 128 KiB to 512 KiB took the same time,
+# 64 KiB a tenth more and 32 KiB a third more, while the largest
+# tracemalloc peak of solve_blocks went 6.4, 2.8 and 2.0 MB at 512, 128 and
+# 64 KiB (1.35 MB block by block), against 3.2 MB for the decomposition.
+# A stack is six blocks at n = 25 and one from n = 46 on.
+_STACK_BYTES = 128 * 1024
 
 
 def _require_solver(method, gamma, tol) -> None:
@@ -310,14 +330,19 @@ def _require_solver(method, gamma, tol) -> None:
     _require_positive(gamma=gamma, tol=tol)
 
 
-def _factor_norm(y, wz, w_off) -> float:
-    """``matcore.supported_norm(Y W, Z)`` from the n x r factor Y.
+def _factor_norm(y, wz, w_off) -> np.ndarray:
+    """``matcore.supported_norm(Y W, Z)`` of each pair of a stack, from its
+    n x r factor Y.
 
     With W Z and W - W Z Z^H given, this is hypot(||Y (W Z)||_2,
     ||Y (W - W Z Z^H)||_F): products of Y with r x r and r x n matrices,
-    and no n x n SVD.
+    and no n x n SVD.  Each value is the one the pair gives alone, bit for
+    bit (:func:`matcore._frobenius`, and ``math.hypot`` per pair).
     """
-    return math.hypot(matcore._tall_norm(y @ wz), np.linalg.norm(y @ w_off))
+    yz = y @ wz
+    tall = (matcore._frobenius(yz) if yz.shape[-1] == 1 else matcore._tall_norm(yz)).ravel()
+    off = matcore._frobenius(y @ w_off).ravel()
+    return np.reshape(list(map(math.hypot, tall.tolist(), off.tolist())), y.shape[:-2])
 
 
 def solve_equation(
@@ -338,7 +363,9 @@ def solve_equation(
     is the primal one for the transposed generator, so it is solved as the
     primal equation on the transposed block data and C^T, and the solution
     is transposed back.  The Kantorovich report and the uniqueness ball use
-    unitarily invariant norms, which transposition leaves unchanged.
+    unitarily invariant norms, which transposition leaves unchanged.  The
+    solve is the stacked iteration of :func:`solve_blocks` on one pair, so a
+    pair gets here the result and iteration count it gets in any stack.
 
     Every iterate X, its residual R and every correction vanish on
     range(1 - P), as P and N do.  With P = Q W (r = rank P, W Q = 1_r; Q, W
@@ -377,84 +404,119 @@ def solve_equation(
     _require_integer("max_iter", max_iter, 1)
     _require_block(dec, ell)
     cm = _as_matrix(c, dec.dim, "c")
-    blk = dec.blocks[ell]
     if report is None:
         report = kantorovich_report(dec, cm, gamma, ell)
-    if which in _CONJUGATES:
-        x, info = _solve(blk.transposed(), cm.T, gamma, ell, which, method, tol, report, max_iter)
-        return x.T, info
-    return _solve(blk, cm, gamma, ell, which, method, tol, report, max_iter)
+    conj = which in _CONJUGATES
+    grid = [(dec.blocks[ell].transposed() if conj else dec.blocks[ell],)]
+    x, ((outcome,),) = _solve(grid, _stacked(grid), np.array([cm.T if conj else cm]), (which,),
+                              gamma, method, tol, [ell], [report], max_iter)
+    if isinstance(outcome, AdiablochError):
+        raise outcome
+    return (x[0, 0].T if conj else x[0, 0]), outcome
 
 
-def _solve(blk, cm, gamma, ell, which, method, tol, report, max_iter=200):
-    """:func:`solve_equation` on checked arguments and the data of the primal
-    equation: for an order-reversed ``which``, ``blk`` is the transposed
-    block, ``cm`` is C^T, and the returned X is not yet transposed back."""
-    residual_fn, factored, map_sign = _EQUATIONS[_CONJUGATES.get(which, which)]
-    residual, derivative, y, deformation = factored(blk, cm, gamma)
+def _stacked(grid) -> EigenspaceData:
+    """An (m, s) grid of blocks of one rank and index as one block whose
+    arrays, and its factors', are stacks with the leading axes (m, s): the
+    block functions of this module act on it pair by pair, by broadcasting,
+    each pair with the arithmetic it gets alone."""
+
+    def stack(rows) -> dict:
+        names = [name for name, x in vars(rows[0][0]).items() if isinstance(x, np.ndarray)]
+        return {name: np.array([[vars(o)[name] for o in row] for row in rows]) for name in names}
+
+    factors = replace(grid[0][0].factors, **stack([[b.factors for b in row] for row in grid]))
+    return replace(grid[0][0], factors=factors, **stack(grid))
+
+
+def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=200):
+    """:func:`solve_equation`'s iteration on an (m, s) grid of pairs at once.
+
+    Row i of ``grid`` holds s sides of block ``ells[i]``, whose report is
+    ``reports[i]``; side j is equation ``names[j]`` on the data of its
+    primal equation (an order-reversed side on the transposed block, with
+    ``cms[j]`` = C^T), and the grid shares one primal equation, rank and
+    index.  ``blk`` is the grid stacked (:func:`_stacked`): the iterates,
+    residuals, their norms, the derivatives and the ball radii are stacks
+    over the grid.  Each pair keeps its own stop, stall, divergence and
+    ball rules, history and iteration count; a pair that stops leaves the
+    steps, and each Newton step is the pair's own column solve
+    (:func:`_range_step`).  Returns X (m, s, n, n), not yet transposed back,
+    and each pair's outcome: its info dict, the error its iteration ended
+    in, or None when a failed pair before it (in block and side order)
+    ended the iteration first.
+    """
+    residual_fn, factored, map_sign = _EQUATIONS[_CONJUGATES.get(names[0], names[0])]
+    residual, derivative, start, deformation = factored(blk, cms, gamma)
     w, z = blk.factors.w, blk.factors.z
     wz = w @ z
-    w_off = w - wz @ z.conj().T
-    xi = report.xi if report.solvable else math.inf
+    w_off = w - wz @ np.swapaxes(z, -1, -2).conj()
+    xi = np.array([[rep.xi if rep.solvable else math.inf] for rep in reports])
+    y, history, outcomes = start.copy(), [], {}
+    active = np.ones(y.shape[:-2], dtype=bool)
+    stopped = np.full(active.shape, -1)  # the iteration a converged pair stopped at
 
-    history = []
+    def fail(i, j, error):
+        # the pair restarts, so that the stack it stays in remains finite
+        outcomes[i, j], active[i, j], y[i, j] = error, False, start[i, j]
+
     for it in range(max_iter):
         g = residual(y)
         res = _factor_norm(g, wz, w_off)
         history.append(res)
-        if res <= tol:
-            x = y @ w
-            final = matcore.supported_norm(residual_fn(blk, cm, gamma, x), z)
-            if final > tol:
-                raise ConvergenceError(
-                    f"{which} {method} iteration stalled on block {ell}: the "
-                    f"factored residual {res:.3e} is below tol {tol:.1e}, but the "
-                    f"returned matrix's is at its rounding floor {final:.3e}",
-                    residual=float(final),
-                    iterations=it,
-                    history=history,
-                )
-            info = {
-                "iterations": it,
-                "residual": final,
-                "history": history,
-                "method": method,
-                "certified": report.solvable,
-            }
-            return x, info
-        if not np.isfinite(res) or res > 1e6 * (1.0 + history[0]):
-            raise ConvergenceError(
-                f"{which} {method} iteration diverged on block {ell} "
-                f"(residual {res:.3e})",
-                residual=float(res),
-                iterations=it,
-                history=history,
-            )
-        if it - int(np.argmin(history)) >= _STALL_STEPS:
-            raise ConvergenceError(
-                f"{which} {method} iteration stalled on block {ell}: no residual "
-                f"below {min(history):.3e} in the last {_STALL_STEPS} iterations "
-                f"(tol {tol:.1e})",
-                residual=float(res),
-                iterations=it,
-                history=history,
-            )
+        hist = np.array(history)
+        done = active & (res <= tol)
+        stopped[done], active[done] = it, False
+        diverged = active & (~np.isfinite(res) | (res > 1e6 * (1.0 + hist[0])))
+        stalled = active & (it - np.argmin(hist, axis=0) >= _STALL_STEPS)
+        for i, j in zip(*np.nonzero(diverged | stalled)):
+            h = hist[:, i, j]
+            fail(i, j, ConvergenceError(
+                f"{names[j]} {method} iteration diverged on block {ells[i]} "
+                f"(residual {res[i, j]:.3e})" if diverged[i, j] else
+                f"{names[j]} {method} iteration stalled on block {ells[i]}: no residual "
+                f"below {h.min():.3e} in the last {_STALL_STEPS} iterations (tol {tol:.1e})",
+                residual=float(res[i, j]), iterations=it, history=h.tolist(),
+            ))
+        # stop once a failed pair precedes every active one: its error is raised
+        pending = np.argwhere(active)
+        if not len(pending) or outcomes and min(outcomes) < tuple(pending[0]):
+            break
         if method == "newton":
-            y = y + _range_step(blk, *derivative(y), g)
+            a, m = derivative(y)
+            for i, j in zip(*np.nonzero(active)):
+                try:
+                    y[i, j] = y[i, j] + _range_step(grid[i][j], a[i, j], m[i, j], g[i, j])
+                except AdiablochError as error:
+                    fail(i, j, error)
         else:
-            y = y + map_sign * g
-        if math.isfinite(xi) and _factor_norm(deformation(y), wz, w_off) >= xi:
-            raise BranchEscapeError(
-                f"{which} iterate on block {ell} left the uniqueness ball "
-                f"(radius {xi:.3e}); target branch lost"
+            y[active] = y[active] + map_sign * g[active]
+        escaped = active & np.isfinite(xi) & (_factor_norm(deformation(y), wz, w_off) >= xi)
+        for i, j in zip(*np.nonzero(escaped)):
+            fail(i, j, BranchEscapeError(
+                f"{names[j]} iterate on block {ells[i]} left the uniqueness ball "
+                f"(radius {xi[i, 0]:.3e}); target branch lost"
+            ))
+    else:
+        for i, j in zip(*np.nonzero(active)):
+            h = hist[:, i, j]
+            outcomes[i, j] = ConvergenceError(
+                f"{names[j]} {method} iteration did not reach tol {tol:.1e} on block "
+                f"{ells[i]} after {max_iter} iterations (residual {h[-1]:.3e})",
+                residual=float(h[-1]), iterations=max_iter, history=h.tolist(),
             )
-    raise ConvergenceError(
-        f"{which} {method} iteration did not reach tol {tol:.1e} on block "
-        f"{ell} after {max_iter} iterations (residual {history[-1]:.3e})",
-        residual=float(history[-1]),
-        iterations=max_iter,
-        history=history,
-    )
+    x = y @ w
+    final = matcore.supported_norm(residual_fn(blk, cms, gamma, x), z)
+    for i, j in zip(*np.nonzero(stopped >= 0)):
+        it, h = int(stopped[i, j]), hist[: stopped[i, j] + 1, i, j].tolist()
+        outcomes[i, j] = ConvergenceError(
+            f"{names[j]} {method} iteration stalled on block {ells[i]}: the "
+            f"factored residual {h[-1]:.3e} is below tol {tol:.1e}, but the "
+            f"returned matrix's is at its rounding floor {final[i, j]:.3e}",
+            residual=float(final[i, j]), iterations=it, history=h,
+        ) if final[i, j] > tol else {"iterations": it, "residual": float(final[i, j]), "history": h,
+                                     "method": method, "certified": reports[i].solvable}
+    return x, [[outcomes.get((i, j)) for j in range(len(names))] for i in range(len(ells))]
 
 
 def _range_step(blk, a, m, g):
@@ -462,7 +524,10 @@ def _range_step(blk, a, m, g):
 
     With M = V T V^H (complex Schur), dY' = dY V solves A dY' + S dY' T =
     -G V, whose column j is the n x n system (A + T_jj S) y'_j = g'_j -
-    S sum_{k<j} y'_k T_kj, swept for j = 1..r.
+    S sum_{k<j} y'_k T_kj, swept for j = 1..r.  It acts on one pair of the
+    stacked iteration (:func:`_solve`): A, M and G are that pair's slices,
+    and ``blk`` its own block, so every column solve is the pair's own
+    LAPACK call with its singularity check (:func:`matcore.solve_linear`).
     """
     s = blk.resolvent
     # a 1 x 1 M is its own Schur form (the frequent rank-1 case, without LAPACK)
@@ -476,8 +541,12 @@ def _range_step(blk, a, m, g):
 
 def wave_from_omega(blk: EigenspaceData, omega, gamma: float) -> np.ndarray:
     _require_positive(gamma=gamma)
-    om = _as_matrix(omega, len(blk.projection), "omega")
-    return blk.projection - (blk.resolvent @ om) / gamma
+    return _wave_from_omega(blk, _as_matrix(omega, len(blk.projection), "omega"), gamma)
+
+
+def _wave_from_omega(blk, omega, gamma):
+    """U = P - S omega / g, of one block or, by broadcasting, of a stack."""
+    return blk.projection - (blk.resolvent @ omega) / gamma
 
 
 def omega_from_wave(blk: EigenspaceData, wave, c, gamma: float) -> np.ndarray:
@@ -544,67 +613,87 @@ def solve_block(
     taken from the block's factors (:func:`matcore.supported_norm`), and so
     are the four support checks ||X (1 - P)|| and ||(1 - P) X||: with the
     norm of S in the Kantorovich report, no n x n matrix is factorized.
+    The two equations are one stack of two pairs (:func:`solve_blocks`).
     """
     _require_solver(method, gamma, tol)
     report = kantorovich_report(dec, c, gamma, ell)
-    return _solve_block(dec, _as_matrix(c, dec.dim, "c"), gamma, ell, method, tol, report)
+    cm = _as_matrix(c, dec.dim, "c")
+    (sol,) = _solve_sides(dec, np.array([cm, cm.T]), gamma, [ell], method, tol, [report])
+    if isinstance(sol, AdiablochError):
+        raise sol
+    return sol
 
 
-def _side_checks(side, blk, cm, gamma, x, u, mapped: bool) -> dict:
-    """The check matrices of one side, keyed ``<equation><side>_<kind>``.
+def _check_norms(blk, cms, gamma, x, u, mapped: bool) -> list:
+    """Supported norms of the checks of both sides of each block of a stack,
+    per block keyed ``<equation><side>_<kind>``, from one
+    :func:`matcore.supported_norm` call.
 
-    A side is given on its primal data: (block, C, X, U), or for the
+    ``blk`` (:func:`_stacked`), ``cms``, X and U hold the two sides of each
+    block, each given on its primal data: (block, C, X, U), and for the
     order-reversed side ``"_conj"`` (transposed block, C^T, X~^T, U~^T),
     whose checks are then the primal ones of the transposed generator.
     Every check vanishes off range(P^H) of its own block, spanned by its Z.
-    A solved side gives the supports X (1 - P) and U (1 - P), the wave
-    residual and the deformation U - P (the adiabatic branch keeps
-    ||U - P|| <= theta); its omega residual is the one its solve reported.
-    A mapped side gives its omega and wave residuals alone.
+    A solved side gives the supports X (1 - P) and U (1 - P), 1 - P formed
+    once for the stack, the wave residual and the deformation U - P (the
+    adiabatic branch keeps ||U - P|| <= theta); its omega residual is the
+    one its solve reported.  A mapped side gives its omega and wave
+    residuals alone.
     """
     if mapped:
-        return {
-            f"omega{side}_eq": omega_residual(blk, cm, gamma, x),
-            f"wave{side}_eq": wave_residual(blk, cm, gamma, u),
+        checks = {"omega{}_eq": omega_residual(blk, cms, gamma, x),
+                  "wave{}_eq": wave_residual(blk, cms, gamma, u)}
+    else:
+        comp = np.eye(x.shape[-1], dtype=np.complex128) - blk.projection
+        checks = {
+            "omega{}_support": x @ comp,
+            "wave{}_eq": wave_residual(blk, cms, gamma, u),
+            "wave{}_support": u @ comp,
+            "wave{}_deformation": u - blk.projection,
         }
-    comp = np.eye(len(x), dtype=np.complex128) - blk.projection
-    return {
-        f"omega{side}_support": x @ comp,
-        f"wave{side}_eq": wave_residual(blk, cm, gamma, u),
-        f"wave{side}_support": u @ comp,
-        f"wave{side}_deformation": u - blk.projection,
-    }
+    norms = matcore.supported_norm(np.array(list(checks.values())), blk.factors.z).tolist()
+    return [
+        {key.format(side): norms[k][i][j] for k, key in enumerate(checks)
+         for j, side in enumerate(_SIDES)}
+        for i in range(len(x))
+    ]
 
 
-def _check_norms(sides, gamma, mapped: bool) -> dict:
-    """Supported norms of the checks of both ``sides`` (:func:`_side_checks`),
-    each on its own block's Z, from one :func:`matcore.supported_norm` call."""
-    checks, bases = {}, []
-    for side, (blk, cm, x, u) in zip(_SIDES, sides):
-        mats = _side_checks(side, blk, cm, gamma, x, u, mapped)
-        checks.update(mats)
-        bases += [blk.factors.z] * len(mats)
-    norms = matcore.supported_norm(np.stack(list(checks.values())), np.stack(bases))
-    return dict(zip(checks, norms.tolist()))
-
-
-def _solve_block(dec, cm, gamma, ell, method, tol, report) -> BlochSolution:
-    blk = dec.blocks[ell]
+def _solve_sides(dec, cms, gamma, ells, method, tol, reports) -> list:
+    """Both omega equations of every block of ``ells`` (one rank and index)
+    as one stack, with ``cms`` = (C, C^T), and their checks: per block its
+    :class:`BlochSolution`, or the error of its first failing side."""
     # the order-reversed side is the primal one on the transposed block and
     # C^T; its X and U are transposed back at the end
-    sides, infos = [], {}
-    for side, (b, c) in zip(_SIDES, ((blk, cm), (blk.transposed(), cm.T))):
-        x, infos[f"omega{side}"] = _solve(b, c, gamma, ell, f"omega{side}", method, tol, report)
-        sides.append((b, c, x, wave_from_omega(b, x, gamma)))
-    values = _check_norms(sides, gamma, mapped=False)
-    values.update({f"{which}_eq": info["residual"] for which, info in infos.items()})
-    (_, _, omega, wave), (_, _, omega_conj, wave_conj) = sides
-    return BlochSolution(
-        ell=ell, omega=omega, omega_conj=omega_conj.T, wave=wave, wave_conj=wave_conj.T,
-        residuals={key: values[key] for key in _RESIDUAL_KEYS},
-        iterations={which: info["iterations"] for which, info in infos.items()},
-        method=method, report=report, certified=bool(report.solvable),
-    )
+    grid = [(blk, blk.transposed()) for blk in (dec.blocks[ell] for ell in ells)]
+    blk = _stacked(grid)
+    x, outcomes = _solve(grid, blk, cms, ("omega", "omega_conj"), gamma, method, tol, ells, reports)
+    errors = [next((o for o in infos if isinstance(o, AdiablochError)), None) for infos in outcomes]
+    if any(errors):
+        return errors
+    u = _wave_from_omega(blk, x, gamma)
+    sols = []
+    for ell, report, infos, values, xs, us in zip(
+        ells, reports, outcomes, _check_norms(blk, cms, gamma, x, u, mapped=False), x, u
+    ):
+        values.update({f"omega{side}_eq": info["residual"] for side, info in zip(_SIDES, infos)})
+        sols.append(BlochSolution(
+            ell=ell, omega=xs[0], omega_conj=xs[1].T, wave=us[0], wave_conj=us[1].T,
+            residuals={key: values[key] for key in _RESIDUAL_KEYS},
+            iterations={f"omega{side}": info["iterations"] for side, info in zip(_SIDES, infos)},
+            method=method, report=report, certified=bool(report.solvable),
+        ))
+    return sols
+
+
+def _stacks(dec: SpectralDecomposition, ells) -> list:
+    """``ells`` in stacks of one rank and index, in order, each of at most
+    ``_STACK_BYTES // (32 n^2)`` blocks."""
+    groups = {}
+    for ell in ells:
+        groups.setdefault((dec.blocks[ell].rank, dec.blocks[ell].index), []).append(ell)
+    size = max(1, _STACK_BYTES // (32 * dec.dim**2))
+    return [group[i : i + size] for group in groups.values() for i in range(0, len(group), size)]
 
 
 def solve_blocks(
@@ -616,35 +705,50 @@ def solve_blocks(
 ) -> list[BlochSolution]:
     """Per-block solves, in block order; ||C|| is taken once.
 
-    When C preserves Hermiticity, the second block of each conjugate orbit
-    (``dec.images``) gets the image of the first one's solution, with its
-    equation residuals evaluated on its own block (module docstring);
-    otherwise every block is solved.  ``method``, ``gamma`` and ``tol`` are
-    checked as in :func:`solve_block`, before any block is solved.
+    Both sides of every solved block of one rank and index are one stack,
+    iterated together (:func:`_solve`) with each pair's rules, history and
+    count its own, and certified together: the dense final residuals, the
+    wave operators and the side checks once for the stack.  A stack holds
+    at most ``_STACK_BYTES // (32 n^2)`` blocks, which bounds its working
+    set.  A pair's result and count do not depend on its stack, and when
+    blocks fail, the error raised is that of the first failing block, on
+    its first failing side.  When C preserves Hermiticity, the second block
+    of each conjugate orbit (``dec.images``) gets the image of the first
+    one's solution, with its equation residuals evaluated on its own block
+    (module docstring), again one stack per rank and index; otherwise every
+    block is solved.  ``method``, ``gamma`` and ``tol`` are checked as in
+    :func:`solve_block`, before any block is solved.
     """
     _require_solver(method, gamma, tol)
     cm = _as_matrix(c, dec.dim, "c")
     c_norm = matcore.op_norm(cm, "spectral")
     images = dec.images if dec.images and _preserves_hermiticity(cm) else {}
-    sols = []
-    for ell, blk in enumerate(dec.blocks):
-        if ell in images:
-            # C preserves Hermiticity only to rounding, so the image solves the
-            # image equations, not quite the block's own: copied equation
-            # residuals could fall below the block's by rounding.  The other
-            # entries are norms of the mapped matrices and block data alone,
-            # which the map carries exactly, and stay copied.
-            sol = sols[images[ell]].image(ell)
-            sides = (
-                (blk, cm, sol.omega, sol.wave),
-                (blk.transposed(), cm.T, sol.omega_conj.T, sol.wave_conj.T),
-            )
-            residuals = {**sol.residuals, **_check_norms(sides, gamma, mapped=True)}
-            sols.append(replace(sol, residuals=residuals))
-        else:
-            report = _kantorovich(blk, c_norm, gamma, ell)
-            sols.append(_solve_block(dec, cm, gamma, ell, method, tol, report))
-    return sols
+    # C and C^T, broadcast over the blocks of each stack
+    cms = np.array([cm, cm.T])
+    solved = [ell for ell in range(len(dec.blocks)) if ell not in images]
+    reports = {ell: _kantorovich(dec.blocks[ell], c_norm, gamma, ell) for ell in solved}
+    sols = {}
+    for ells in _stacks(dec, solved):
+        stack = [reports[ell] for ell in ells]
+        sols.update(zip(ells, _solve_sides(dec, cms, gamma, ells, method, tol, stack)))
+        # raise as soon as no block left to solve comes before a failed one
+        failed = min((ell for ell in sols if isinstance(sols[ell], AdiablochError)), default=None)
+        if failed is not None and all(ell > failed for ell in solved if ell not in sols):
+            raise sols[failed]
+    for ells in _stacks(dec, list(images)):
+        # C preserves Hermiticity only to rounding, so the image solves the
+        # image equations, not quite the block's own: copied equation
+        # residuals could fall below the block's by rounding.  The other
+        # entries are norms of the mapped matrices and block data alone,
+        # which the map carries exactly, and stay copied.
+        mapped = [sols[images[ell]].image(ell) for ell in ells]
+        blk = _stacked([(dec.blocks[ell], dec.blocks[ell].transposed()) for ell in ells])
+        x = np.array([(sol.omega, sol.omega_conj.T) for sol in mapped])
+        u = np.array([(sol.wave, sol.wave_conj.T) for sol in mapped])
+        values = _check_norms(blk, cms, gamma, x, u, mapped=True)
+        for ell, sol, residuals in zip(ells, mapped, values):
+            sols[ell] = replace(sol, residuals={**sol.residuals, **residuals})
+    return [sols[ell] for ell in range(len(dec.blocks))]
 
 
 # ---------------------------------------------------------------------------

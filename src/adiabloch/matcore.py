@@ -64,32 +64,34 @@ def as_cmatrix(a, n: int | None = None, name: str = "input") -> np.ndarray:
     """Return ``a`` as a 2-d complex128 array, rejecting non-finite input.
 
     This is the operand rule of the package: with ``n``, any shape but
-    n x n raises a ``ValueError`` naming ``name``, before any work.  Entry
+    n x n raises a ``ValueError`` naming ``name``, before any work, and so
+    does a NaN or Inf entry, as a :class:`NonFiniteError`.  Entry
     points that also take a :class:`~adiabloch.liouville.Superoperator`
     reach it through ``spectral._as_matrix``, which unwraps one.
     """
     m = np.asarray(a, dtype=np.complex128)
     if n is not None and m.shape != (n, n):
         raise ValueError(f"{name} must be {n}x{n}, got {m.shape}")
-    return _as_matrix(m)
+    return _as_matrix(m, name)
 
 
-def _as_matrix(a) -> np.ndarray:
+def _as_matrix(a, name: str = "input") -> np.ndarray:
     """Return ``a`` as a 2-d float64 (real input) or complex128 array."""
-    m = _as_stack(a)
+    m = _as_stack(a, name)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got array of shape {m.shape}")
     return m
 
 
-def _as_stack(a) -> np.ndarray:
+def _as_stack(a, name: str = "input") -> np.ndarray:
     """Return ``a`` as a matrix or stack of matrices (ndim >= 2): float64 for
-    real input, complex128 otherwise."""
+    real input, complex128 otherwise; a NaN or Inf entry raises
+    :class:`NonFiniteError` naming ``name``."""
     m = np.asarray(a)
     m = m.astype(np.complex128 if np.iscomplexobj(m) else np.float64, copy=False)
     if m.ndim < 2:
         raise ValueError(f"expected a matrix or a stack, got shape {m.shape}")
-    return _ensure_finite(m, "input")
+    return _ensure_finite(m, name)
 
 
 def _ensure_finite(m: np.ndarray, what: str) -> np.ndarray:
@@ -209,6 +211,18 @@ def _tall_norm(a: np.ndarray) -> np.ndarray:
     if a.shape[-1] == 1:
         return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
     return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of a C-ordered matrix, or of each matrix of a stack,
+    bit for bit the 2-d ``np.linalg.norm``: the square root of the dot
+    products of the real and imaginary parts with themselves, each taken as
+    a row times a column (``np.linalg.norm`` with ``axis`` sums in another
+    order, and so does :func:`_tall_norm` on a stack).  So a matrix gets the
+    same norm alone and in any stack."""
+    rows = a.reshape(a.shape[:-2] + (1, -1))
+    parts = (rows.real, rows.imag) if np.iscomplexobj(a) else (rows,)
+    return np.sqrt(sum(x @ np.swapaxes(x, -1, -2) for x in parts)[..., 0, 0])
 
 
 def expm(a, times=None) -> np.ndarray:

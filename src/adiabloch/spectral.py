@@ -443,11 +443,13 @@ def validate(dec: SpectralDecomposition, b) -> dict:
     for rank in sorted({blk.rank for blk in dec.blocks}):
         # P_i P_j = Q_i W_i P_j + T_i P_j with orthogonal ranges and
         # ||T_i|| = tail_i, so ||P_i P_j|| <= hypot(||W_i P_j||, tail_i ||P_j||):
-        # one stack of the (r, n) products W_i P_j, j != i, of every i of rank r
-        group = [(i, blk.factors) for i, blk in enumerate(dec.blocks) if blk.rank == rank]
-        pairs = np.concatenate([np.delete(f.w @ p, i, axis=0) for i, f in group])
-        tails = np.concatenate([np.delete(f.tail * p_norms, i) for i, f in group])
-        ortho = worst(pairs, ortho, tails)
+        # the (r, n) products W_i P_j of every i of rank r and every j, as one
+        # broadcast product, of which the pairs j != i are kept
+        group = [i for i, blk in enumerate(dec.blocks) if blk.rank == rank]
+        w = np.array([dec.blocks[i].factors.w for i in group])[:, None]
+        tails = np.array([dec.blocks[i].factors.tail for i in group])[:, None] * p_norms
+        others = np.array(group)[:, None] != np.arange(len(p))
+        ortho = worst((w @ p)[others], ortho, tails[others])
     # S P vanishes on range(1 - P), and so does (P S)^T on range(1 - P^T)
     annihilation = max(
         float(matcore.supported_norm(s @ p, [blk.factors.z for blk in dec.blocks]).max()),

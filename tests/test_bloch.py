@@ -26,6 +26,7 @@ from adiabloch.bloch import (
 from adiabloch.errors import (
     BranchEscapeError,
     ConvergenceError,
+    NonFiniteError,
     PreconditionError,
     SingularMatrixError,
 )
@@ -345,6 +346,15 @@ class TestSolvers:
             assert g.dtype == w.dtype
             assert np.array_equal(g, w, equal_nan=g.dtype.kind in "fc")
 
+    @pytest.mark.parametrize("name", list(_C_CALLS))
+    def test_non_finite_weak_part_is_named(self, qubit_pipe, name):
+        # the error had named the operand "input"; bracket calls its operand a
+        c = qubit_pipe.weak.matrix.copy()
+        c[1, 2] = math.nan
+        operand = "a" if name == "bracket" else "c"
+        with pytest.raises(NonFiniteError, match=rf"^{operand} contains NaN or Inf entries$"):
+            _C_CALLS[name](qubit_pipe, c)
+
     def test_no_square_svd_per_equation(self, lambda_pipe, monkeypatch):
         # Q and W come from the block, residual and ball norms from n x r
         # factors: with the report given, no n x n matrix is factorized
@@ -407,22 +417,29 @@ class TestSolvers:
         for sol in sols:
             assert list(sol.residuals) == keys, sol.ell
 
-    def test_one_certificate_stack_per_block(self, lambda_pipe, monkeypatch):
-        # both sides of a block are checked in one supported_norm call: eight
-        # checks for a solved block, the four equation residuals for a mapped
-        # one; the other calls are the solves' own reported residuals
+    def test_one_certificate_call_per_stack(self, lambda_pipe, monkeypatch):
+        # both sides of every block of a stack (one rank and index) are
+        # checked in one supported_norm call: four checks on each side of a
+        # solved block, the two equation residuals on each side of a mapped
+        # one; a solved stack's other call is its reported final residuals
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
-        stacks = []
+        calls = []
         supported_norm = matcore.supported_norm
 
         def recording(x, basis):
-            if np.ndim(x) == 3:
-                stacks.append(len(x))
+            calls.append(np.shape(x)[:-2])
             return supported_norm(x, basis)
 
         monkeypatch.setattr(matcore, "supported_norm", recording)
         sols = solve_blocks(dec, c, 10.0)
-        assert stacks == [4 if sol.mapped_from is not None else 8 for sol in sols]
+        assert [blk.rank for blk in dec.blocks] == [3, 10, 3, 3, 1, 1, 3, 1]
+        assert dec.images == {2: 0, 6: 3, 5: 4}
+        # solved stacks [0, 3], [1] and [4, 7]; mapped stacks [2, 6] and [5]
+        assert calls == [
+            (2, 2), (4, 2, 2), (1, 2), (4, 1, 2), (2, 2), (4, 2, 2), (2, 2, 2), (2, 1, 2)
+        ]
+        checks = sum(math.prod(shape) for shape in calls if len(shape) == 3)
+        assert checks == sum(4 if sol.mapped_from is not None else 8 for sol in sols)
 
     def test_fixed_point_divergence_is_typed(self, lambda_pipe):
         # far below Lambda's threshold the natural map blows up on block 0
@@ -581,6 +598,100 @@ def _dense_newton(blk, c, gamma, which, tol=1e-12, max_iter=50):
         step = np.linalg.solve(jacobian_fn(blk, c, gamma, x), -r.reshape(-1, order="F"))
         x = x + step.reshape((n, n), order="F")
     raise AssertionError(f"dense {which} Newton did not converge")
+
+
+def _stack_case(name):
+    """(decomposition, C) of a model whose blocks make stacks of several ranks,
+    indices and sizes, and its coupling: the paper's (Lambda: ranks 1, 3 and
+    10; the qubit: an index-2 block; the no-go model) or random d = 4 at
+    2 max gamma_l."""
+    model = {
+        "lambda": lambda: lambda_model(10.0),
+        "qubit": lambda: qubit_nilpotent_model(10.0),
+        "counterexample": lambda: counterexample_model(5.0),
+        "random_d4": lambda: random_model(4, np.random.default_rng(11)),
+    }[name]()
+    strong, weak = build_superop(model, "strong"), build_superop(model, "weak")
+    dec = spectral.robust_decompose(strong.matrix)
+    gamma = model.gamma
+    if name == "random_d4":
+        gamma = 2.0 * max(effective.eternal_bound(dec, weak.matrix, 1.0).gamma_blocks)
+    return dec, weak.matrix, gamma
+
+
+class TestStackedSolve:
+    """solve_blocks iterates both sides of every solved block of one rank and
+    index as one stack; solve_block is that stack for one block and
+    solve_equation for one pair."""
+
+    @pytest.mark.parametrize("case", ["lambda", "qubit", "counterexample", "random_d4"])
+    def test_a_pair_does_not_depend_on_its_stack(self, case):
+        dec, c, gamma = _stack_case(case)
+        sols = solve_blocks(dec, c, gamma)
+        solved = [sol.ell for sol in sols if sol.mapped_from is None]
+        stacks = bloch._stacks(dec, solved)
+        assert len(stacks) < len(solved)
+        assert {
+            "lambda": {1, 3, 10}, "qubit": {1, 2}, "counterexample": {1, 3}, "random_d4": {1}
+        }[case] == {dec.blocks[ell].rank for ell in solved}
+        assert (case == "qubit") == (max(blk.index for blk in dec.blocks) == 2)
+        for ell in solved:
+            sol, alone = sols[ell], solve_block(dec, c, gamma, ell)
+            for field in ("omega", "omega_conj", "wave", "wave_conj"):
+                assert np.array_equal(getattr(alone, field), getattr(sol, field)), (ell, field)
+            assert alone.residuals == sol.residuals and alone.iterations == sol.iterations
+            for which in ("omega", "omega_conj"):
+                x, info = solve_equation(dec, c, gamma, ell, which)
+                assert np.array_equal(x, getattr(sol, which)), (ell, which)
+                assert info["iterations"] == sol.iterations[which]
+                assert info["residual"] == sol.residuals[f"{which}_eq"]
+
+    # The messages and iteration counts are those the per-block solver gave
+    # before the blocks were stacked.  On Lambda block 1 (rank 10, its own
+    # stack) fails after 4 iterations and block 0 (rank 3) after 5; on random
+    # d = 4 block 14 fails after 6 and block 4, of the same stack, after 7.
+    @pytest.mark.parametrize(
+        "case, method, message, iterations",
+        [
+            ("lambda", "newton", "omega newton iteration stalled on block 0: no residual "
+             "below 1.333e+00 in the last 4 iterations (tol 1.0e-12)", 5),
+            ("random_d4", "newton", "omega newton iteration stalled on block 4: no residual "
+             "below 1.100e+01 in the last 4 iterations (tol 1.0e-12)", 7),
+            ("lambda", "fixed_point",
+             "omega fixed_point iteration diverged on block 0 (residual 5.741e+08)", 3),
+        ],
+    )
+    def test_the_first_failing_block_raises(self, case, method, message, iterations):
+        dec, c, _ = _stack_case(case)
+        gamma = 0.1
+        failing = []
+        for ell in range(len(dec.blocks)):
+            for which in ("omega", "omega_conj"):
+                if ell not in dec.images:
+                    try:
+                        solve_equation(dec, c, gamma, ell, which, method=method)
+                    except ConvergenceError as err:
+                        failing.append((ell, which, err))
+        assert len({ell for ell, _, _ in failing}) >= 2
+        with pytest.raises(ConvergenceError) as info:
+            solve_blocks(dec, c, gamma, method=method)
+        err, first = info.value, failing[0][2]
+        assert str(err) == str(first) == message
+        assert err.iterations == first.iterations == iterations
+        assert err.history == first.history and len(err.history) == iterations + 1
+        assert err.residual == first.residual
+
+    def test_a_failed_column_solve_is_the_pair_error(self, lambda_pipe):
+        # at gamma = 1 a column system of Lambda's rank-10 block is exactly
+        # singular; the rank-3 blocks of another stack converge
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(SingularMatrixError) as alone:
+            solve_equation(dec, c, 1.0, 1, "omega")
+        with pytest.raises(SingularMatrixError) as info:
+            solve_blocks(dec, c, 1.0)
+        assert str(info.value) == str(alone.value)
+        assert info.value.cond == alone.value.cond
+        assert solve_block(dec, c, 1.0, 0).iterations == {"omega": 6, "omega_conj": 6}
 
 
 class TestReducedNewton:

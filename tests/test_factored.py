@@ -231,12 +231,14 @@ def test_wave_pushed_off_its_support_is_reported(case, pipes, monkeypatch):
     assert _similarity(pipe)["intertwine"] < 1e-2 * delta
     assert _similarity(pipe, pushed)["intertwine"] >= delta / 2
 
-    wave_from_omega = bloch.wave_from_omega
+    # the solver forms the wave operators of a whole stack at once; its
+    # blocks' projections broadcast against the identity
+    wave_from_omega = bloch._wave_from_omega
 
     def pushed_wave(blk, omega, g):
         return wave_from_omega(blk, omega, g) + delta * (eye - blk.projection)
 
-    monkeypatch.setattr(bloch, "wave_from_omega", pushed_wave)
+    monkeypatch.setattr(bloch, "_wave_from_omega", pushed_wave)
     for sol in bloch.solve_blocks(dec, c, gamma):
         assert sol.residuals["wave_support"] >= delta / 2, (case, sol.ell)
         assert sol.residuals["wave_conj_support"] >= delta / 2, (case, sol.ell)

@@ -86,7 +86,7 @@ class TestBuildSuperop:
     @pytest.mark.parametrize(
         "rho, error, message",
         [(np.eye(3), ValueError, "rho must be 2x2, got (3, 3)"),
-         (np.full((2, 2), math.nan), NonFiniteError, "NaN")],
+         (np.full((2, 2), math.nan), NonFiniteError, "rho contains NaN or Inf entries")],
         ids=["wrong-shape", "nan"],
     )
     def test_apply_reads_rho_by_the_operand_rule(self, rho, error, message):
