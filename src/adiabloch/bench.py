@@ -221,7 +221,12 @@ def _distance_table(
     ``matcore._chunk_points`` times; each generator's kernel keeps the
     parents a chunk's points chain onto.  A target given as None is the
     zero propagator: its entry is the norm of exp(t total) itself.  With no
-    target nothing is propagated.
+    target nothing is propagated.  Spectral norms are one
+    ``matcore._spectral_norms`` call per chunk and target, from the Gram
+    matrices of the stacked differences (within a few n eps of the SVD's
+    value; past the relaxation time a difference has rank one and its norm
+    is read off the Gram matrix's trace); the trace and Frobenius norms are
+    ``matcore.op_norm``'s.
     """
     total = _real_frame(total)
     frames = {key: g if g is None else _real_frame(g) for key, g in targets.items()}
@@ -230,6 +235,11 @@ def _distance_table(
         return table
     true_grid = matcore._GridExpm(total)
     grids = {key: g if g is None else matcore._GridExpm(g) for key, g in frames.items()}
+    norm = (
+        matcore._spectral_norms
+        if norm_kind == "spectral"
+        else lambda stack: matcore.op_norm(stack, norm_kind)
+    )
     step = matcore._chunk_points(total.shape[0])
     for start in range(0, len(times), step):
         part = slice(start, start + step)
@@ -238,9 +248,7 @@ def _distance_table(
             # the difference is left unnamed, so it is freed before the next
             # kernel call: a name that kept it alive cost 2-4 % of the table
             # at n = 4-25 (2-vCPU VM, one BLAS thread)
-            table[key][part] = matcore.op_norm(
-                true_prop if grid is None else true_prop - grid(times[part]), norm_kind
-            )
+            table[key][part] = norm(true_prop if grid is None else true_prop - grid(times[part]))
     return table
 
 
@@ -250,7 +258,12 @@ def distance_curves(
     times: np.ndarray | None = None,
     norm_kind: str = "spectral",
 ) -> dict:
-    """Curves for several truncation orders, reusing the true propagator."""
+    """Curves for several truncation orders, reusing the true propagator.
+
+    The distances are taken by :func:`_distance_table`: the spectral norm of
+    each time point's difference of real-frame propagators from its Gram
+    matrix, the other kinds by ``matcore.op_norm``.
+    """
     times = _time_grid(times)
     base = pipe.model.gamma * pipe.strong.matrix
     k_effs = pipe._k_effs(orders)
@@ -972,7 +985,9 @@ def bound_check(
     solve.  ``gamma_factor`` must be positive and finite and the grid
     valid; anything else raises ``ValueError`` before any work.  When every
     gamma_l is 0 there is no such coupling, and ``PreconditionError`` is
-    raised before the solve.
+    raised before the solve.  The distances and the semigroup norm M are
+    one :func:`_distance_table` over the grid (spectral norms from Gram
+    matrices); the thresholds and certificates keep ``matcore.op_norm``.
     """
     matcore._require_positive(gamma_factor=gamma_factor)
     times = _time_grid(times)

@@ -337,10 +337,11 @@ def _factor_norm(y, wz, w_off) -> np.ndarray:
     With W Z and W - W Z Z^H given, this is hypot(||Y (W Z)||_2,
     ||Y (W - W Z Z^H)||_F): products of Y with r x r and r x n matrices,
     and no n x n SVD.  Each value is the one the pair gives alone, bit for
-    bit (:func:`matcore._frobenius`, and ``math.hypot`` per pair).
+    bit (:func:`matcore._tall_norm` and :func:`matcore._frobenius`, and
+    ``math.hypot`` per pair).
     """
     yz = y @ wz
-    tall = (matcore._frobenius(yz) if yz.shape[-1] == 1 else matcore._tall_norm(yz)).ravel()
+    tall = matcore._tall_norm(yz).ravel()
     off = matcore._frobenius(y @ w_off).ravel()
     return np.reshape(list(map(math.hypot, tall.tolist(), off.tolist())), y.shape[:-2])
 

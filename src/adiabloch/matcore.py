@@ -42,6 +42,16 @@ where sigma_1 = ||X||_F exactly, the computed sigma_1 exceeded the computed
 ||X||_F by at most 5 eps for n up to 100, where c eps is 16 eps or more.
 A matrix skipped by the rule therefore cannot hold the maximum, and the
 result is bit for bit the full stack's.
+:func:`_spectral_norms` gives the spectral norm of each real matrix of a
+stack, for the distances along a time grid, from its Gram matrix
+G = X X^T, scaled exactly by a power of two: lambda_max(G) lies between
+||G||_F^2 / tr G and tr G, so where (tr G)^2 <= (1 + c eps) ||G||_F^2, with
+the same c = 8 n, tr G is lambda_max to within that margin and no
+eigensolve is taken; that is every rank-one difference, such as two
+trace-preserving semigroups past their relaxation time, at their
+stationary projections.  The other matrices get one symmetric eigensolve
+for the stack.  Its values agree with :func:`op_norm`'s to a few n eps,
+not bit for bit, so every certificate keeps :func:`op_norm`.
 """
 
 from __future__ import annotations
@@ -155,6 +165,11 @@ def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
     return float(norms) if m.ndim == 2 else norms
 
 
+def _margin(n: int) -> float:
+    """The rounding margin 1 + 8 n eps of the module docstring."""
+    return 1.0 + 8 * n * np.finfo(float).eps
+
+
 def _max_spectral_norm(a, floor: float = 0.0, extra=0.0) -> float:
     """``max(floor, float(np.hypot(op_norm(a), extra).max()))``, from as few
     SVDs as the Frobenius norms allow.
@@ -170,14 +185,51 @@ def _max_spectral_norm(a, floor: float = 0.0, extra=0.0) -> float:
     """
     m = _as_stack(a)
     extra = np.zeros(len(m)) + extra
-    margin = 1.0 + 8 * max(m.shape[1:]) * np.finfo(float).eps
-    bounds = np.hypot(np.linalg.norm(m, axis=(-2, -1)), extra) * margin
+    bounds = np.hypot(np.linalg.norm(m, axis=(-2, -1)), extra) * _margin(max(m.shape[1:]))
     best = floor
     for k in np.argsort(-bounds, kind="stable"):
         if best >= bounds[k]:
             break
         best = max(best, float(np.hypot(op_norm(m[k]), extra[k])))
     return best
+
+
+def _spectral_norms(a) -> np.ndarray:
+    """Spectral norm of each real n x n matrix of a stack, from its Gram
+    matrix, within a few n eps of :func:`op_norm`'s.
+
+    Each X is scaled exactly to X' = 2^-e X, e from ``np.frexp`` of
+    max |X_ij|, so that G = X' X'^T neither underflows nor overflows.  As
+    ||G||_F^2 / tr G <= lambda_max(G) <= tr G, wherever
+    (tr G)^2 <= (1 + c eps) ||G||_F^2, c = 8 n (the module docstring's
+    margin), lambda_max is taken as tr G: on a rank-one X it is exactly
+    that, and tr G overestimates it by a factor of at most 1 + c eps.  The
+    other matrices get one ``np.linalg.eigvalsh`` call.  Returns
+    2^e sqrt(lambda_max); an all-zero matrix gives 0.0.  ``a`` is never
+    written to.  Beside its argument it holds the stacked G, X' a quarter
+    of a :func:`_chunk_points` chunk at a time while G is formed, and a
+    copy of the matrices that take the eigensolve when they are not all.
+    """
+    m = _as_stack(a)
+    if np.iscomplexobj(m):
+        raise ValueError("_spectral_norms takes a real stack")
+    _require_square(m, "_spectral_norms")
+    n = m.shape[-1]
+    flat = m.reshape(-1, n, n)
+    e = np.frexp(np.maximum(flat.max(axis=(-2, -1)), -flat.min(axis=(-2, -1))))[1]
+    g = np.empty_like(flat)
+    step = max(1, _chunk_points(n) // 4)
+    for start in range(0, len(flat), step):
+        part = slice(start, start + step)
+        x = np.ldexp(flat[part], -e[part, None, None])
+        np.matmul(x, np.swapaxes(x, -1, -2), out=g[part])
+    lam = np.trace(g, axis1=-2, axis2=-1)
+    rest = lam * lam > _margin(n) * np.einsum("...ij,...ij->...", g, g)
+    if rest.all():
+        lam = np.linalg.eigvalsh(g)[:, -1]
+    elif rest.any():
+        lam[rest] = np.linalg.eigvalsh(g[rest])[:, -1]
+    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e).reshape(m.shape[:-2])
 
 
 def supported_norm(x, basis) -> float | np.ndarray:
@@ -207,9 +259,10 @@ def supported_norm(x, basis) -> float | np.ndarray:
 
 
 def _tall_norm(a: np.ndarray) -> np.ndarray:
-    """Spectral norm of each n x k matrix of a stack: a vector norm at k = 1."""
+    """Spectral norm of each n x k matrix of a stack: a vector norm at k = 1,
+    the same alone and in any stack."""
     if a.shape[-1] == 1:
-        return np.linalg.norm(a) if a.ndim == 2 else np.linalg.norm(a, axis=(-2, -1))
+        return _frobenius(a)
     return np.linalg.svd(a, compute_uv=False).max(axis=-1, initial=0.0)
 
 
@@ -218,8 +271,7 @@ def _frobenius(a: np.ndarray) -> np.ndarray:
     bit for bit the 2-d ``np.linalg.norm``: the square root of the dot
     products of the real and imaginary parts with themselves, each taken as
     a row times a column (``np.linalg.norm`` with ``axis`` sums in another
-    order, and so does :func:`_tall_norm` on a stack).  So a matrix gets the
-    same norm alone and in any stack."""
+    order).  So a matrix gets the same norm alone and in any stack."""
     rows = a.reshape(a.shape[:-2] + (1, -1))
     parts = (rows.real, rows.imag) if np.iscomplexobj(a) else (rows,)
     return np.sqrt(sum(x @ np.swapaxes(x, -1, -2) for x in parts)[..., 0, 0])

@@ -213,20 +213,28 @@ def test_semigroup_norm_bound_matches_bound_check(short_times):
 
 
 def test_distance_curves_takes_no_propagator_norm(qubit_pipe, monkeypatch):
-    # one stacked norm per chunk and order: none of the true propagator
+    # one stacked norm per chunk and order: none of the true propagator,
+    # whether through the Gram-matrix kernel or op_norm
     orders = [0, 1, 2, None]
-    op_norm, stacked = matcore.op_norm, []
+    stacked = {"_spectral_norms": [], "op_norm": []}
 
-    def counting_op_norm(a, *args, **kwargs):
-        if np.ndim(a) == 3:
-            stacked.append(np.shape(a))
-        return op_norm(a, *args, **kwargs)
+    def spy(name):
+        real = getattr(matcore, name)
 
-    monkeypatch.setattr(matcore, "op_norm", counting_op_norm)
+        def counting(a, *args):
+            if np.ndim(a) == 3:
+                stacked[name].append(np.shape(a))
+            return real(a, *args)
+
+        monkeypatch.setattr(matcore, name, counting)
+
+    spy("_spectral_norms")
+    spy("op_norm")
     bench.distance_curves(qubit_pipe, orders)
     times = len(bench.default_time_grid())
     chunks = -(-times // matcore._chunk_points(qubit_pipe.total_matrix.shape[0]))
-    assert len(stacked) == chunks * len(orders)
+    assert len(stacked["_spectral_norms"]) == chunks * len(orders)
+    assert stacked["op_norm"] == []
 
 
 def test_distance_curves_without_orders_propagates_nothing(lambda_pipe, monkeypatch):
@@ -268,27 +276,39 @@ def test_scaling_check_decomposes_once(monkeypatch, short_times):
     assert len(calls) == 1
 
 
-def test_distance_table_matches_per_time_loop(lambda_pipe):
-    # 150 points: two full chunks and a partial one
-    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
-    total = lambda_pipe.total_matrix
-    targets = {0: lambda_pipe.effective_total(0), None: lambda_pipe.effective_total()}
-    table = bench._distance_table(total, {**targets, "norm": None}, times, "spectral")
-
-    # the same real-frame generators, one time point per kernel call
+def _per_time_table(pipe, times, kind):
+    """The distance table of orders 0 and infinity and M, taken on the
+    real-frame generators one time point per kernel call."""
+    total = pipe.total_matrix
+    targets = {0: pipe.effective_total(0), None: pipe.effective_total()}
+    table = bench._distance_table(total, {**targets, "norm": None}, times, kind)
     total = bench._real_frame(total)
     targets = {key: bench._real_frame(target) for key, target in targets.items()}
     expected = {key: [] for key in list(targets) + ["norm"]}
     for t in times:
         true_prop = matcore.expm(total, [t])[0]
         for key, target in targets.items():
-            expected[key].append(
-                matcore.op_norm(true_prop - matcore.expm(target, [t])[0], "spectral")
-            )
-        expected["norm"].append(matcore.op_norm(true_prop, "spectral"))
+            expected[key].append(matcore.op_norm(true_prop - matcore.expm(target, [t])[0], kind))
+        expected["norm"].append(matcore.op_norm(true_prop, kind))
     assert set(table) == set(expected)
+    return table, expected
+
+
+def test_distance_table_matches_per_time_loop(lambda_pipe):
+    # 150 points: two full chunks and a partial one
+    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
+    table, expected = _per_time_table(lambda_pipe, times, "spectral")
     for key, values in expected.items():
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
+
+
+@pytest.mark.parametrize("kind", ["trace", "frobenius"])
+def test_other_norm_kinds_are_op_norm_per_time(lambda_pipe, kind):
+    # only the spectral kind is taken from Gram matrices
+    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 59)))
+    table, expected = _per_time_table(lambda_pipe, times, kind)
+    for key, values in expected.items():
+        assert table[key].tolist() == values
 
 
 def test_real_frame_distances_match_complex_propagation(lambda_pipe):

@@ -5,8 +5,9 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from adiabloch import matcore
+from adiabloch import bench, matcore
 from adiabloch.errors import BranchCutError, NonFiniteError, SingularMatrixError
+from adiabloch.models import counterexample_model
 from conftest import random_unitary
 
 
@@ -427,6 +428,17 @@ class TestSupportedNorm:
         assert_allclose(got[0], matcore.supported_norm(x[0], z), rtol=1e-15)
         assert_allclose(got[1], matcore.supported_norm(x[1], q[:, :1]), rtol=1e-15)
 
+    @pytest.mark.parametrize("rank", [1, 2])
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_stack_is_each_matrix_alone_bit_for_bit(self, oblique, rng, rank, dtype):
+        # a stacked n x 1 column had been summed in another order than a lone one
+        z = oblique[2][:, :rank]
+        x = rng.normal(size=(40, 6, 6))
+        if dtype is complex:
+            x = x + 1j * rng.normal(size=x.shape)
+        got = matcore.supported_norm(x, np.broadcast_to(z, (40,) + z.shape))
+        assert got.tolist() == [matcore.supported_norm(xk, z) for xk in x]
+
     def test_rejects_nan(self, oblique):
         x = np.eye(6, dtype=complex)
         x[0, 0] = np.nan
@@ -518,3 +530,110 @@ class TestMaxSpectralNorm:
         stack = np.array([np.diag([5.0, 0.0, 0.0]), 0.1 * np.eye(3), hidden])
         with pytest.raises(NonFiniteError):
             matcore._max_spectral_norm(stack)
+
+
+class TestSpectralNorms:
+    """The Gram-matrix kernel is op_norm to a few n eps, and takes no
+    eigensolve where tr G certifies lambda_max."""
+
+    @pytest.fixture
+    def eigvalsh(self, monkeypatch):
+        counts = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counting_eigvalsh(a, *args, **kwargs):
+            counts.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+        return counts
+
+    @staticmethod
+    def assert_close_to_op_norm(stack):
+        got, want = matcore._spectral_norms(stack), matcore.op_norm(stack)
+        n = stack.shape[-1]
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert np.all(got >= want * (1.0 - 8 * n * np.finfo(float).eps))
+
+    @pytest.mark.parametrize("n", [1, 4, 9, 25])
+    def test_gaussian_stacks(self, n, rng):
+        self.assert_close_to_op_norm(rng.normal(size=(30, n, n)))
+
+    @pytest.mark.parametrize("n", [2, 9, 25])
+    def test_rank_one_takes_the_trace(self, n, rng, eigvalsh):
+        u, v = rng.normal(size=(2, 20, n, 1))
+        self.assert_close_to_op_norm(u @ np.swapaxes(v, -1, -2))
+        assert eigvalsh == []
+
+    def test_equal_singular_values_take_the_eigensolve(self, rng, eigvalsh):
+        u, v = np.linalg.qr(rng.normal(size=(2, 5, 5)))[0]
+        tied = (u * [2.0, 2.0, 1.0, 0.5, 0.0]) @ v
+        stack = np.array([np.eye(5), tied, np.diag([3.0, 3.0, 0.0, 0.0, 0.0])])
+        self.assert_close_to_op_norm(stack)
+        assert eigvalsh == [3]
+
+    def test_some_matrices_take_the_eigensolve(self, rng, eigvalsh):
+        u, v = rng.normal(size=(2, 4, 6, 1))
+        stack = np.concatenate((u @ np.swapaxes(v, -1, -2), rng.normal(size=(3, 6, 6))))
+        self.assert_close_to_op_norm(stack)
+        assert eigvalsh == [3]
+
+    def test_stack_of_many_slices_is_each_matrix_alone(self, rng):
+        # the Gram is formed a quarter of a chunk at a time: 13 matrices at n = 25
+        u, v = rng.normal(size=(2, 20, 25, 1))
+        stack = np.concatenate((u @ np.swapaxes(v, -1, -2), rng.normal(size=(20, 25, 25))))
+        stack = stack[rng.permutation(len(stack))]
+        assert len(stack) > 2 * matcore._chunk_points(25) // 4
+        alone = [matcore._spectral_norms(x[None])[0] for x in stack]
+        assert matcore._spectral_norms(stack).tolist() == alone
+
+    def test_nearly_rank_one(self, rng):
+        # sigma_2 / sigma_1 = 1e-8: tr G exceeds lambda_max by 1e-16 of it
+        q1, q2 = np.linalg.qr(rng.normal(size=(2, 10, 4, 4)))[0]
+        self.assert_close_to_op_norm((q1 * [1.0, 1e-8, 0.0, 0.0]) @ q2)
+
+    def test_zero_matrices_give_zero(self):
+        assert matcore._spectral_norms(np.zeros((3, 4, 4))).tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("power", [-1000, 1000])
+    def test_power_of_two_scaling_is_exact(self, power, rng):
+        u, v = rng.normal(size=(2, 5, 4, 1))
+        stack = np.concatenate((rng.normal(size=(5, 4, 4)), u @ np.swapaxes(v, -1, -2)))
+        scaled = matcore._spectral_norms(np.ldexp(stack, power))
+        assert scaled.tolist() == np.ldexp(matcore._spectral_norms(stack), power).tolist()
+
+    @pytest.fixture(scope="class")
+    def paper_stacks(self, lambda_pipe, qubit_pipe):
+        """The M and distance stacks of the three paper models on the default grid."""
+        nogo = bench.compute_effective(counterexample_model(5.0))
+        stacks = []
+        for pipe in (lambda_pipe, qubit_pipe, nogo):
+            times = bench.default_time_grid()
+            true = matcore.expm(bench._real_frame(pipe.total_matrix), times)
+            stacks.append(true)
+            for order in (0, None):
+                target = bench._real_frame(pipe.effective_total(order))
+                stacks.append(true - matcore.expm(target, times))
+        return stacks
+
+    def test_paper_model_stacks(self, paper_stacks):
+        for stack in paper_stacks:
+            self.assert_close_to_op_norm(stack)
+
+    def test_argument_is_not_written(self, rng):
+        stack = rng.normal(size=(6, 5, 5)) * 1e-200
+        kept = stack.copy()
+        stack.setflags(write=False)
+        matcore._spectral_norms(stack)
+        assert np.array_equal(stack, kept)
+
+    def test_rejects_nan(self):
+        stack = np.zeros((2, 3, 3))
+        stack[1, 0, 2] = np.nan
+        with pytest.raises(NonFiniteError):
+            matcore._spectral_norms(stack)
+
+    def test_rejects_complex(self):
+        with pytest.raises(ValueError, match="real stack"):
+            matcore._spectral_norms(np.eye(3)[None] * 1j)
