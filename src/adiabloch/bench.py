@@ -225,8 +225,15 @@ def _distance_table(
     ``matcore._spectral_norms`` call per chunk and target, from the Gram
     matrices of the stacked differences (within a few n eps of the SVD's
     value; past the relaxation time a difference has rank one and its norm
-    is read off the Gram matrix's trace); the trace and Frobenius norms are
-    ``matcore.op_norm``'s.
+    is read off the Gram matrix's trace), taken per invariant sector: the
+    connected components (``matcore._components``) of the union of the
+    nonzero patterns of the real-frame total and the target (of the total
+    alone for None), once per table.  The propagators of both generators,
+    and so their difference, vanish between two such sectors, and the
+    kernel checks that on each Gram stack.  On Lambda the sectors are
+    11 + 6 + 6 + 2 for M and the truncation orders and 17 + 6 + 2 for K and
+    D; a single sector is the whole space.  The trace and Frobenius norms
+    are ``matcore.op_norm``'s.
     """
     total = _real_frame(total)
     frames = {key: g if g is None else _real_frame(g) for key, g in targets.items()}
@@ -235,10 +242,16 @@ def _distance_table(
         return table
     true_grid = matcore._GridExpm(total)
     grids = {key: g if g is None else matcore._GridExpm(g) for key, g in frames.items()}
+    pattern = total != 0
+    sectors = {}
+    for key, g in frames.items():
+        labels = matcore._components(pattern if g is None else pattern | (g != 0))
+        # one sector (all labels 0) is passed as None, which skips the checks
+        sectors[key] = labels if labels.any() else None
     norm = (
         matcore._spectral_norms
         if norm_kind == "spectral"
-        else lambda stack: matcore.op_norm(stack, norm_kind)
+        else lambda stack, _sectors: matcore.op_norm(stack, norm_kind)
     )
     step = matcore._chunk_points(total.shape[0])
     for start in range(0, len(times), step):
@@ -248,7 +261,9 @@ def _distance_table(
             # the difference is left unnamed, so it is freed before the next
             # kernel call: a name that kept it alive cost 2-4 % of the table
             # at n = 4-25 (2-vCPU VM, one BLAS thread)
-            table[key][part] = norm(true_prop if grid is None else true_prop - grid(times[part]))
+            table[key][part] = norm(
+                true_prop if grid is None else true_prop - grid(times[part]), sectors[key]
+            )
     return table
 
 

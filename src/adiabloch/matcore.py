@@ -50,8 +50,13 @@ the same c = 8 n, tr G is lambda_max to within that margin and no
 eigensolve is taken; that is every rank-one difference, such as two
 trace-preserving semigroups past their relaxation time, at their
 stationary projections.  The other matrices get one symmetric eigensolve
-for the stack.  Its values agree with :func:`op_norm`'s to a few n eps,
-not bit for bit, so every certificate keeps :func:`op_norm`.
+for the stack.  Given labels of invariant sectors, such as the connected
+components (:func:`_components`) of a generator's nonzero pattern, it
+checks on the stacked G that no entry joins two sectors and then takes
+each sector's block on its own, with c = 8 m for a sector of m indices and
+one eigensolve per sector: lambda_max of a block-diagonal symmetric matrix
+is the largest of its blocks'.  Its values agree with :func:`op_norm`'s to
+a few n eps, not bit for bit, so every certificate keeps :func:`op_norm`.
 """
 
 from __future__ import annotations
@@ -194,27 +199,46 @@ def _max_spectral_norm(a, floor: float = 0.0, extra=0.0) -> float:
     return best
 
 
-def _spectral_norms(a) -> np.ndarray:
+def _components(adjacency: np.ndarray) -> np.ndarray:
+    """Label each index of a boolean n x n adjacency with the least index of
+    its connected component, the edges taken both ways, from the transitive
+    closure of the reflexive adjacency (boolean squaring until it is stable)."""
+    reach = adjacency | adjacency.T
+    np.fill_diagonal(reach, True)
+    while not np.array_equal(reach, closure := reach @ reach):
+        reach = closure
+    return reach.argmax(axis=1)
+
+
+def _spectral_norms(a, sectors=None) -> np.ndarray:
     """Spectral norm of each real n x n matrix of a stack, from its Gram
     matrix, within a few n eps of :func:`op_norm`'s.
 
     Each X is scaled exactly to X' = 2^-e X, e from ``np.frexp`` of
-    max |X_ij|, so that G = X' X'^T neither underflows nor overflows.  As
-    ||G||_F^2 / tr G <= lambda_max(G) <= tr G, wherever
-    (tr G)^2 <= (1 + c eps) ||G||_F^2, c = 8 n (the module docstring's
-    margin), lambda_max is taken as tr G: on a rank-one X it is exactly
-    that, and tr G overestimates it by a factor of at most 1 + c eps.  The
-    other matrices get one ``np.linalg.eigvalsh`` call.  Returns
+    max |X_ij|, so that G = X' X'^T neither underflows nor overflows.
+    ``sectors`` labels the n indices (None: all one sector).  Where no G of
+    the stack has an entry between two sectors, every G is block diagonal
+    up to a permutation, and lambda_max(G) is the largest lambda_max of its
+    sector blocks, each taken on its own; an entry that couples two sectors
+    makes the whole stack one sector.  As ||G||_F^2 / tr G <= lambda_max(G)
+    <= tr G, wherever (tr G)^2 <= (1 + c eps) ||G||_F^2, c = 8 m for a
+    sector of m indices (the module docstring's margin), lambda_max is
+    taken as tr G: on a rank-one X it is exactly that, and tr G
+    overestimates it by a factor of at most 1 + c eps.  The other matrices
+    get one ``np.linalg.eigvalsh`` call per sector.  Returns
     2^e sqrt(lambda_max); an all-zero matrix gives 0.0.  ``a`` is never
     written to.  Beside its argument it holds the stacked G, X' a quarter
-    of a :func:`_chunk_points` chunk at a time while G is formed, and a
-    copy of the matrices that take the eigensolve when they are not all.
+    of a :func:`_chunk_points` chunk at a time while G is formed, copies of
+    the sectors' blocks when there are several (together less than G), and
+    a copy of the blocks that take the eigensolve when they are not all.
     """
     m = _as_stack(a)
     if np.iscomplexobj(m):
         raise ValueError("_spectral_norms takes a real stack")
     _require_square(m, "_spectral_norms")
     n = m.shape[-1]
+    if sectors is not None and np.shape(sectors) != (n,):
+        raise ValueError(f"sectors must label the {n} indices, got shape {np.shape(sectors)}")
     flat = m.reshape(-1, n, n)
     e = np.frexp(np.maximum(flat.max(axis=(-2, -1)), -flat.min(axis=(-2, -1))))[1]
     g = np.empty_like(flat)
@@ -223,13 +247,23 @@ def _spectral_norms(a) -> np.ndarray:
         part = slice(start, start + step)
         x = np.ldexp(flat[part], -e[part, None, None])
         np.matmul(x, np.swapaxes(x, -1, -2), out=g[part])
-    lam = np.trace(g, axis1=-2, axis2=-1)
-    rest = lam * lam > _margin(n) * np.einsum("...ij,...ij->...", g, g)
-    if rest.all():
-        lam = np.linalg.eigvalsh(g)[:, -1]
-    elif rest.any():
-        lam[rest] = np.linalg.eigvalsh(g[rest])[:, -1]
-    return np.ldexp(np.sqrt(np.maximum(lam, 0.0)), e).reshape(m.shape[:-2])
+    parts = [None]
+    if sectors is not None:
+        labels = np.asarray(sectors)
+        found = np.unique(labels)
+        if len(found) > 1 and not (g.any(axis=0) & (labels[:, None] != labels)).any():
+            parts = [np.flatnonzero(labels == sector) for sector in found]
+    lam = 0.0
+    for idx in parts:
+        block = g if idx is None else g[:, idx[:, None], idx]
+        top = np.trace(block, axis1=-2, axis2=-1)
+        rest = top * top > _margin(block.shape[-1]) * np.einsum("...ij,...ij->...", block, block)
+        if rest.all():
+            top = np.linalg.eigvalsh(block)[:, -1]
+        elif rest.any():
+            top[rest] = np.linalg.eigvalsh(block[rest])[:, -1]
+        lam = np.maximum(top, lam)
+    return np.ldexp(np.sqrt(lam), e).reshape(m.shape[:-2])
 
 
 def supported_norm(x, basis) -> float | np.ndarray:

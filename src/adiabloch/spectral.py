@@ -249,13 +249,8 @@ def _decompose(b, cluster_tol, escalations: int) -> SpectralDecomposition:
     dist = np.abs(eigs[:, None] - eigs[None, :])
     for attempt in range(escalations + 1):
         # single linkage: the clusters are the connected components of the graph
-        # joining eigenvalues at most cluster_tol apart, read off the transitive
-        # closure of its reflexive adjacency (boolean squaring until it is stable)
-        reach = dist <= cluster_tol
-        np.fill_diagonal(reach, True)
-        while not np.array_equal(reach, closure := reach @ reach):
-            reach = closure
-        firsts, label = np.unique(reach.argmax(axis=1), return_inverse=True)
+        # joining eigenvalues at most cluster_tol apart
+        firsts, label = np.unique(matcore._components(dist <= cluster_tol), return_inverse=True)
         count = len(firsts)
         reps = np.array([eigs[label == k].mean() for k in range(count)])
         gaps = np.abs(reps[:, None] - reps[None, :])[np.triu_indices(count, 1)]

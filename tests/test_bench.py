@@ -302,6 +302,62 @@ def test_distance_table_matches_per_time_loop(lambda_pipe):
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
 
 
+def _sector_spies(monkeypatch) -> tuple:
+    """Record the sector sizes of each ``_spectral_norms`` call (None for one
+    sector) and the size of each eigensolve."""
+    partitions, eigensolves = [], []
+    spectral_norms, eigvalsh = matcore._spectral_norms, np.linalg.eigvalsh
+
+    def recording_norms(a, sectors=None):
+        partitions.append(
+            None if sectors is None else sorted(np.unique(sectors, return_counts=True)[1].tolist())
+        )
+        return spectral_norms(a, sectors)
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        eigensolves.append(a.shape[-1])
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(matcore, "_spectral_norms", recording_norms)
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    return partitions, eigensolves
+
+
+def test_lambda_distances_are_taken_per_invariant_sector(lambda_pipe, monkeypatch):
+    # orders 0-2 and M keep the total's 11 + 6 + 6 + 2; K and D join two of them
+    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 99)))
+    partitions, eigensolves = _sector_spies(monkeypatch)
+    targets = {
+        **{order: lambda_pipe.effective_total(order) for order in (0, 1, 2)},
+        "M": None,
+        "K": lambda_pipe.effective_total(None),
+        "D": lambda_pipe.model.gamma * lambda_pipe.strong.matrix
+        + lambda_pipe.generators.adiabatic.matrix,
+    }
+    bench._distance_table(lambda_pipe.total_matrix, targets, times, "spectral")
+    chunks = -(-len(times) // matcore._chunk_points(25))
+    assert chunks > 1
+    # each chunk takes the targets in order
+    assert partitions == ([[2, 6, 6, 11]] * 4 + [[2, 6, 17]] * 2) * chunks
+    assert eigensolves and 25 not in eigensolves
+    assert set(eigensolves) <= {2, 6, 11, 17}
+
+
+def test_bound_check_takes_no_full_size_eigensolve(monkeypatch, short_times):
+    partitions, eigensolves = _sector_spies(monkeypatch)
+    bench.bound_check(lambda_model(10.0), times=short_times)
+    # one chunk: K, D and M
+    assert partitions == [[2, 6, 17], [2, 6, 17], [2, 6, 6, 11]]
+    assert eigensolves and 25 not in eigensolves
+
+
+def test_one_sector_is_passed_as_none(qubit_pipe, monkeypatch, short_times):
+    partitions, eigensolves = _sector_spies(monkeypatch)
+    bench.distance_curves(qubit_pipe, [0, None], short_times)
+    assert partitions == [None, None]
+    assert set(eigensolves) <= {4}
+
+
 @pytest.mark.parametrize("kind", ["trace", "frobenius"])
 def test_other_norm_kinds_are_op_norm_per_time(lambda_pipe, kind):
     # only the spectral kind is taken from Gram matrices

@@ -681,6 +681,20 @@ class TestStackedSolve:
         assert err.history == first.history and len(err.history) == iterations + 1
         assert err.residual == first.residual
 
+    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
+    def test_a_failing_solve_block_raises_the_stacks_error(self, method):
+        # Lambda block 0 fails at gamma = 0.1, and it is the block that
+        # solve_blocks reports
+        dec, c, _ = _stack_case("lambda")
+        with pytest.raises(ConvergenceError) as stacked:
+            solve_blocks(dec, c, 0.1, method=method)
+        with pytest.raises(ConvergenceError) as alone:
+            solve_block(dec, c, 0.1, 0, method=method)
+        assert type(alone.value) is type(stacked.value)
+        assert str(alone.value) == str(stacked.value)
+        assert "on block 0" in str(alone.value)
+        assert alone.value.iterations == stacked.value.iterations
+
     def test_a_failed_column_solve_is_the_pair_error(self, lambda_pipe):
         # at gamma = 1 a column system of Lambda's rank-10 block is exactly
         # singular; the rank-3 blocks of another stack converge

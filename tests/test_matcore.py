@@ -637,3 +637,107 @@ class TestSpectralNorms:
     def test_rejects_complex(self):
         with pytest.raises(ValueError, match="real stack"):
             matcore._spectral_norms(np.eye(3)[None] * 1j)
+
+    @staticmethod
+    def sector_stack(rng, sizes, count=24):
+        """A stack of matrices block diagonal over randomly permuted sectors
+        of the given sizes, with their labels: Gaussian blocks, rank-one
+        blocks and zero blocks, so that each sector takes both routes."""
+        n = sum(sizes)
+        stack = np.zeros((count, n, n))
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        start = 0
+        for m in sizes:
+            block = slice(start, start + m)
+            u, v = rng.normal(size=(2, count, m, 1))
+            kind = rng.integers(3, size=count)
+            stack[:, block, block] = np.where(
+                (kind == 0)[:, None, None],
+                rng.normal(size=(count, m, m)),
+                np.where((kind == 1)[:, None, None], u @ np.swapaxes(v, -1, -2), 0.0),
+            ) * rng.uniform(0.1, 10.0, size=(count, 1, 1))
+            start += m
+        perm = rng.permutation(n)
+        return stack[:, perm][:, :, perm], labels[perm]
+
+    @pytest.fixture
+    def eigvalsh_sizes(self, monkeypatch):
+        sizes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording_eigvalsh(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+        return sizes
+
+    @pytest.mark.parametrize("sizes", [(11, 6, 6, 2), (3, 2, 2, 2)])
+    def test_permuted_sectors_are_op_norm(self, sizes, rng, eigvalsh_sizes):
+        stack, labels = self.sector_stack(rng, sizes)
+        got, want = matcore._spectral_norms(stack, labels), matcore.op_norm(stack)
+        n = stack.shape[-1]
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert np.all(got >= want * (1.0 - 8 * n * np.finfo(float).eps))
+        # one eigensolve per sector at most, each of that sector's size
+        assert eigvalsh_sizes and set(eigvalsh_sizes) <= set(sizes)
+        assert len(eigvalsh_sizes) <= len(sizes)
+
+    def test_one_sector_is_no_sectors_bit_for_bit(self, rng):
+        stack, _ = self.sector_stack(rng, (11, 6, 6, 2))
+        alone = matcore._spectral_norms(stack)
+        assert matcore._spectral_norms(stack, np.full(25, 5)).tolist() == alone.tolist()
+
+    def test_a_matrix_alone_is_itself_in_any_stack(self, rng):
+        stack, labels = self.sector_stack(rng, (3, 2, 2, 2), count=40)
+        alone = [matcore._spectral_norms(x, labels) for x in stack]
+        assert matcore._spectral_norms(stack, labels).tolist() == alone
+        shuffled = rng.permutation(len(stack))
+        assert matcore._spectral_norms(stack[shuffled], labels).tolist() == [
+            alone[k] for k in shuffled
+        ]
+
+    def test_a_coupled_gram_falls_back_to_one_sector(self, rng, eigvalsh_sizes):
+        stack, labels = self.sector_stack(rng, (11, 6, 6, 2))
+        i, j = np.flatnonzero(labels == 0)[0], np.flatnonzero(labels == 1)[0]
+        # an entry across sectors couples G = X X^T where column j has
+        # another nonzero entry
+        k = np.flatnonzero(stack[:, :, j].any(axis=1))[0]
+        stack[k, i, j] = 1.0
+        gram = stack[k] @ stack[k].T
+        assert gram[i, labels == 1].any()
+        got = matcore._spectral_norms(stack, labels)
+        want = matcore.op_norm(stack)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert got.tolist() == matcore._spectral_norms(stack).tolist()
+        assert eigvalsh_sizes == [25] * len(eigvalsh_sizes) != []
+
+    def test_a_gram_left_block_diagonal_keeps_the_sectors(self, rng, eigvalsh_sizes):
+        # the sectors are checked on G, not on X: an entry across sectors
+        # in a column with no other nonzero entry leaves G block diagonal
+        stack, labels = self.sector_stack(rng, (3, 2, 2, 2))
+        i, j = np.flatnonzero(labels == 0)[0], np.flatnonzero(labels == 1)[0]
+        stack[:, :, j] = 0.0
+        stack[:, i, j] = 2.0
+        got, want = matcore._spectral_norms(stack, labels), matcore.op_norm(stack)
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+        assert set(eigvalsh_sizes) <= {2, 3}
+
+    @pytest.mark.parametrize("labels", [np.zeros(24, int), np.zeros(26, int), np.zeros((5, 5), int)])
+    def test_labels_must_cover_the_indices(self, labels):
+        with pytest.raises(ValueError, match="sectors must label the 25 indices"):
+            matcore._spectral_norms(np.zeros((2, 25, 25)), labels)
+
+
+class TestComponents:
+    def test_least_index_of_each_component(self):
+        adjacency = np.zeros((6, 6), bool)
+        # 0 - 3 - 5 a path, 1 alone, 2 - 4 with the edge one way only
+        adjacency[0, 3] = adjacency[5, 3] = adjacency[4, 2] = True
+        assert matcore._components(adjacency).tolist() == [0, 1, 2, 0, 2, 0]
+
+    def test_argument_is_not_written(self):
+        adjacency = np.eye(3, k=1, dtype=bool)
+        kept = adjacency.copy()
+        assert matcore._components(adjacency).tolist() == [0, 0, 0]
+        assert np.array_equal(adjacency, kept)

@@ -19,6 +19,7 @@ def _load(name):
 
 
 code_lines = _load("code_lines")
+leaf_deviation = _load("leaf_deviation")
 output_digest = _load("output_digest")
 untested_lines = _load("untested_lines")
 
@@ -120,6 +121,55 @@ def test_one_perturbed_leaf_gives_one_differing_line():
     changed = [(a, b) for a, b in zip(before, after) if a != b]
     assert len(changed) == 1
     assert changed[0][1].startswith("qubit['k_eff'][1] complex128 (4,4) ")
+
+
+def test_saved_leaves_measure_what_moved(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(TOOLS.parent / "src"), "OPENBLAS_NUM_THREADS": "1"}
+    saved = tmp_path / "a.npz"
+    digest = subprocess.run(
+        [sys.executable, str(TOOLS / "output_digest.py"), "tiny", "--save", str(saved)],
+        capture_output=True, text=True, check=True, env=env, cwd=tmp_path,
+    ).stdout.splitlines()
+    with np.load(saved) as a:
+        leaves = {key: a[key] for key in a.files}
+    # one saved leaf per digest line, in its order, and the raising bound
+    # as its message
+    assert list(leaves) == [line.split()[0] for line in digest]
+    assert leaves["qubit_g10.bound"].item().startswith(b"eigenvalue clusters separated by ")
+    moved = dict(leaves)
+    key = "qubit_g10.curves[0].distances"
+    moved[key] = leaves[key] * (1.0 + 3e-15)
+    moved["qubit_g10.bound"] = np.asarray(b"another message")
+    del moved["qubit_g10.effective['k_eff'][0]"]
+    np.savez(tmp_path / "b.npz", **moved)
+
+    def run(a, b):
+        result = subprocess.run(
+            [sys.executable, str(TOOLS / "leaf_deviation.py"), str(a), str(b)],
+            capture_output=True, text=True, env=env,
+        )
+        return result.returncode, result.stdout.splitlines()
+
+    assert run(saved, saved) == (0, ["0 differing leaves"])
+    status, lines = run(saved, tmp_path / "b.npz")
+    assert status == 1
+    assert lines[0] == "qubit_g10.effective['k_eff'][0] only in A"
+    path, elementwise, largest = lines[1].split()
+    assert path == key and 2e-15 < float(elementwise) < 4e-15 and float(largest) < 4e-15
+    assert lines[2:] == ["qubit_g10.bound differs", "3 differing leaves"]
+
+
+def test_deviation_is_relative_entry_by_entry():
+    a = np.array([1.0, -2.0, 0.0, 4.0])
+    b = np.array([1.0, -2.0 * (1 + 1e-12), 0.0, 4.0 + 1e-12])
+    elementwise, largest = leaf_deviation.deviation(a, b)
+    assert np.isclose(elementwise, 1e-12 / (2 + 2e-12), rtol=1e-3)
+    assert np.isclose(largest, 2e-12 / 4.0, rtol=1e-3)
+    # a zero that becomes nonzero moves by all of itself
+    assert leaf_deviation.deviation(np.zeros(2), np.array([0.0, 1e-300]))[0] == 1.0
+    assert leaf_deviation.deviation(np.zeros((2, 2)), np.zeros(4)) is None
+    assert leaf_deviation.deviation(np.asarray(b"a"), np.asarray(b"b")) is None
+    assert leaf_deviation.compare({"x": a}, {"x": a.copy(), "y": a}) == ["y only in B"]
 
 
 TRACED_SAMPLE = '''"""A sample module: its docstring and comments are never listed."""

@@ -6,6 +6,10 @@ bit with a plain ``diff``.
     PYTHONPATH=other/src python tools/output_digest.py paper --seed 1 > b.txt
     diff a.txt b.txt
 
+With ``--save FILE.npz`` it also writes every leaf to ``FILE.npz``, keyed
+by its path, so that the leaves that differ can be measured with
+``tools/leaf_deviation.py a.npz b.npz``.
+
 A line reads ``path dtype shape sha256``, the hash taken over the leaf's
 bytes in C order.  Each case of the workload (``perfbench/workloads.py``,
 imported as it is) gives the leaves of:
@@ -18,7 +22,7 @@ imported as it is) gives the leaves of:
 * ``bound``: ``bench.bound_check``.
 
 An operation that raises gives one line with the error's type and the hash
-of its message.  Run BLAS on one thread (``OPENBLAS_NUM_THREADS=1``) on
+of its message (``--save`` keeps the message, as bytes).  Run BLAS on one thread (``OPENBLAS_NUM_THREADS=1``) on
 both sides: threaded reductions need not repeat their rounding.
 """
 
@@ -56,8 +60,9 @@ def _load(name: str):
 
 
 def leaves(obj, path: str = ""):
-    """(path, dtype, shape, bytes) of every leaf of nested dataclasses,
-    dicts, sequences, arrays and scalars, in a fixed order."""
+    """(path, dtype, shape, data) of every leaf of nested dataclasses,
+    dicts, sequences, arrays and scalars, in a fixed order: ``data`` is the
+    leaf as an array, or the bytes of the repr of None and of a string."""
     if isinstance(obj, (dict, list, tuple)) and not obj:
         yield path, type(obj).__name__, "(0,)", b""
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
@@ -73,15 +78,20 @@ def leaves(obj, path: str = ""):
         yield path, type(obj).__name__, "()", repr(obj).encode()
     else:
         arr = np.asarray(obj)
-        yield path, str(arr.dtype), str(arr.shape).replace(" ", ""), arr.tobytes()
+        yield path, str(arr.dtype), str(arr.shape).replace(" ", ""), arr
 
 
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def _line(path, dtype, shape, data) -> str:
+    data = data.tobytes() if isinstance(data, np.ndarray) else data
+    return f"{path} {dtype} {shape} {_sha(data)}"
+
+
 def digest_lines(obj, path: str) -> list:
-    return [f"{p} {dtype} {shape} {_sha(data)}" for p, dtype, shape, data in leaves(obj, path)]
+    return [_line(*leaf) for leaf in leaves(obj, path)]
 
 
 def _effective(case):
@@ -99,9 +109,9 @@ def _effective(case):
     return pipe, {"pipe": pipe, "verify_similarity": sim, "k_eff": k_eff}
 
 
-def case_lines(case, times) -> list:
-    """The digest lines of one workload case, each operation once."""
-    lines, pipe = [], None
+def case_leaves(case, times) -> list:
+    """The leaves of one workload case, each operation once."""
+    found, pipe = [], None
     for op in dict.fromkeys(case.ops):
         path = f"{case.name}.{op}"
         try:
@@ -113,10 +123,10 @@ def case_lines(case, times) -> list:
             else:
                 out = bench.bound_check(case.model, times=times)
         except AdiablochError as exc:
-            lines.append(f"{path} raises {type(exc).__name__} {_sha(str(exc).encode())}")
+            found.append((path, "raises", type(exc).__name__, str(exc).encode()))
             continue
-        lines += digest_lines(out, path)
-    return lines
+        found += leaves(out, path)
+    return found
 
 
 def main(argv=None) -> int:
@@ -124,11 +134,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description="Digest the outputs of a benchmark workload.")
     parser.add_argument("workload", choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--save", metavar="FILE.npz", help="also write every leaf to FILE.npz")
     args = parser.parse_args(argv)
     work = workloads.WORKLOADS[args.workload](args.seed)
-    for case in work.cases:
-        for line in case_lines(case, work.times):
-            print(line)
+    found = [leaf for case in work.cases for leaf in case_leaves(case, work.times)]
+    for leaf in found:
+        print(_line(*leaf))
+    if args.save:
+        np.savez(args.save, **{path: np.asarray(data) for path, _, _, data in found})
     return 0
 
 
