@@ -228,9 +228,10 @@ def _distance_table(
     is read off the Gram matrix's trace), taken per invariant sector: the
     connected components (``matcore._components``) of the union of the
     nonzero patterns of the real-frame total and the target (of the total
-    alone for None), once per table.  The propagators of both generators,
-    and so their difference, vanish between two such sectors, and the
-    kernel checks that on each Gram stack.  On Lambda the sectors are
+    alone for None), once per table; when the total is one sector, so is
+    every union, and no target is labelled.  The propagators of both
+    generators, and so their difference, vanish between two such sectors,
+    and the kernel checks that on each Gram stack.  On Lambda the sectors are
     11 + 6 + 6 + 2 for M and the truncation orders and 17 + 6 + 2 for K and
     D; a single sector is the whole space.  The trace and Frobenius norms
     are ``matcore.op_norm``'s.
@@ -243,9 +244,10 @@ def _distance_table(
     true_grid = matcore._GridExpm(total)
     grids = {key: g if g is None else matcore._GridExpm(g) for key, g in frames.items()}
     pattern = total != 0
+    whole = matcore._components(pattern)
     sectors = {}
     for key, g in frames.items():
-        labels = matcore._components(pattern if g is None else pattern | (g != 0))
+        labels = whole if g is None or not whole.any() else matcore._components(pattern | (g != 0))
         # one sector (all labels 0) is passed as None, which skips the checks
         sectors[key] = labels if labels.any() else None
     norm = (

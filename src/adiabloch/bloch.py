@@ -35,14 +35,14 @@ history and iteration count, and each Newton step is the pair's own column
 solve.  The final residuals, the wave operators and the side checks are
 then taken once per stack.  :func:`solve_block` is that stack for one block
 and :func:`solve_equation` for one pair, and each pair gets the arithmetic
-it gets alone, so its result does not depend on its stack.  Solutions are
-found either by plain fixed-point iteration of the natural map or by Newton
-iteration, whose convergence is certified by computable Newton-Kantorovich
-constants (:func:`kantorovich_report`); a Newton step is rank(P) linear
-solves of size n (a Sylvester sweep).  Every iterate X vanishes on range(1 - P), so
-with P = Q W (r = rank P) the iteration carries the n x r factor Y = X Q,
-with X = Y W formed once at the end: residuals, corrections, ball radii and
-residual norms are n x r matrices and their norms, and no step multiplies
+it gets alone, so its result does not depend on its stack.  Every equation
+is solved by Newton iteration, whose convergence is certified by computable
+Newton-Kantorovich constants (:func:`kantorovich_report`); a Newton step is
+rank(P) linear solves of size n (a Sylvester sweep).  Every iterate X
+vanishes on range(1 - P), so with P = Q W (r = rank P) the iteration
+carries the n x r factor Y = X Q, with X = Y W formed once at the end:
+residuals, corrections, ball radii and residual norms are n x r matrices
+and their norms, and no step multiplies
 two n x n matrices.  The perturbative series of omega is carried on the
 same factors, Y^(j) = omega^(j) Q (:func:`_omega_series`), each term a
 bracket of an n x r matrix (:func:`_bracket`), and Newton starts at its
@@ -293,12 +293,11 @@ def _wave_factored(blk, c, gamma):
     return residual, derivative, q, lambda y: y - q
 
 
-# dense residual R (for the reported residual of the returned X), the
-# factored system on Y = X Q, and the sign s that makes X + s R the natural
-# fixed-point map (omega: R = map - X; wave: R = X - map)
+# dense residual R (for the reported residual of the returned X) and the
+# factored system on Y = X Q
 _EQUATIONS = {
-    "omega": (omega_residual, _omega_factored, 1.0),
-    "wave": (wave_residual, _wave_factored, -1.0),
+    "omega": (omega_residual, _omega_factored),
+    "wave": (wave_residual, _wave_factored),
 }
 # order-reversed equation -> the primal equation it becomes on transposed data
 _CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
@@ -311,7 +310,6 @@ _RESIDUAL_KEYS = tuple(
     for equation, kinds in (("omega", "eq support"), ("wave", "eq support"), ("wave", "deformation"))
     for side in _SIDES for kind in kinds.split()
 )
-_METHODS = ("newton", "fixed_point")
 # Working-set budget, in bytes, of one (pairs, n, n) complex stack of
 # solve_blocks: a stack holds at most _STACK_BYTES // (32 n^2) blocks, both
 # sides of each, and its iteration and checks hold up to about seventeen
@@ -322,12 +320,6 @@ _METHODS = ("newton", "fixed_point")
 # 64 KiB (1.35 MB block by block), against 3.2 MB for the decomposition.
 # A stack is six blocks at n = 25 and one from n = 46 on.
 _STACK_BYTES = 128 * 1024
-
-
-def _require_solver(method, gamma, tol) -> None:
-    if method not in _METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {list(_METHODS)}")
-    _require_positive(gamma=gamma, tol=tol)
 
 
 def _factor_norm(y, wz, w_off) -> np.ndarray:
@@ -352,12 +344,12 @@ def solve_equation(
     gamma: float,
     ell: int,
     which: str,
-    method: str = "newton",
     tol: float = DEFAULT_TOL,
     max_iter: int = 200,
     report: KantorovichReport | None = None,
 ):
-    """Solve one of the block equations; returns (solution, info dict).
+    """Solve one of the block equations by Newton iteration; returns
+    (solution, info dict).
 
     ``which`` is ``omega``, ``wave`` or one of their order-reversed
     conjugates ``omega_conj``, ``wave_conj``.  An order-reversed equation
@@ -373,35 +365,32 @@ def solve_equation(
     and the basis Z of range(P^H) are the factors stored on the block,
     ``blk.factors``) the iteration carries the n x r factor Y = X Q, with
     X = Y W, and the residual G = R Q; each term of G is an n x n by n x r
-    product.  Newton steps solve the exact derivative system delta -> A delta
+    product.  Each step solves the exact derivative system delta -> A delta
     + S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for
     wave, as A dY + S dY M = -G with M = W F Q and delta = dY W.  In the
     Schur basis of M = V T V^H this Sylvester equation is r n x n column
-    solves with A + T_jj S (Bartels-Stewart), in place of the (n r) x (n r)
-    Kronecker system and the n^2 x n^2 Jacobian.  Fixed-point iteration
-    takes unrelaxed steps of the natural map, Y + G or Y - G.  The residual
-    norm and the ball radius ||U - P|| are :func:`matcore.supported_norm`
-    values of G W and of an n x r factor times W, taken from the factors
-    alone: upper bounds of the spectral norms, equal to them on such
-    matrices.  X = Y W is formed once, at the end, and the reported
-    ``residual`` is the supported norm of the dense residual of that
-    returned matrix; when that one is above ``tol`` (a ``tol`` below its
-    rounding floor) a stalled :class:`ConvergenceError` is raised instead.
-    The iteration aborts with :class:`BranchEscapeError`
-    if an iterate leaves the certified uniqueness ball (when one exists), so
-    the returned solution is always the branch selected by the perturbative
-    initial guess.
+    solves with A + T_jj S (Bartels-Stewart).  The residual norm and the
+    ball radius ||U - P|| are :func:`matcore.supported_norm` values of G W
+    and of an n x r factor times W, taken from the factors alone: upper
+    bounds of the spectral norms, equal to them on such matrices.  X = Y W
+    is formed once, at the end, and the reported ``residual`` is the
+    supported norm of the dense residual of that returned matrix; when that
+    one is above ``tol`` (a ``tol`` below its rounding floor) a stalled
+    :class:`ConvergenceError` is raised instead.  The iteration aborts with
+    :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
+    ball (when one exists), so the returned solution is always the branch
+    selected by the perturbative initial guess.
 
     ``gamma`` and ``tol`` must be positive and finite, ``max_iter`` a
     positive integer and ``ell`` a block index; like an unknown ``which``
-    or ``method`` anything else raises ``ValueError`` before any iteration.
+    anything else raises ``ValueError`` before any iteration.
     """
     if which not in _EQUATIONS and which not in _CONJUGATES:
         raise ValueError(
             f"unknown equation {which!r}; expected one of "
             f"{sorted(_EQUATIONS) + sorted(_CONJUGATES)}"
         )
-    _require_solver(method, gamma, tol)
+    _require_positive(gamma=gamma, tol=tol)
     _require_integer("max_iter", max_iter, 1)
     _require_block(dec, ell)
     cm = _as_matrix(c, dec.dim, "c")
@@ -410,7 +399,7 @@ def solve_equation(
     conj = which in _CONJUGATES
     grid = [(dec.blocks[ell].transposed() if conj else dec.blocks[ell],)]
     x, ((outcome,),) = _solve(grid, _stacked(grid), np.array([cm.T if conj else cm]), (which,),
-                              gamma, method, tol, [ell], [report], max_iter)
+                              gamma, tol, [ell], [report], max_iter)
     if isinstance(outcome, AdiablochError):
         raise outcome
     return (x[0, 0].T if conj else x[0, 0]), outcome
@@ -430,7 +419,7 @@ def _stacked(grid) -> EigenspaceData:
     return replace(grid[0][0], factors=factors, **stack(grid))
 
 
-def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=200):
+def _solve(grid, blk, cms, names, gamma, tol, ells, reports, max_iter=200):
     """:func:`solve_equation`'s iteration on an (m, s) grid of pairs at once.
 
     Row i of ``grid`` holds s sides of block ``ells[i]``, whose report is
@@ -447,7 +436,7 @@ def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=20
     in, or None when a failed pair before it (in block and side order)
     ended the iteration first.
     """
-    residual_fn, factored, map_sign = _EQUATIONS[_CONJUGATES.get(names[0], names[0])]
+    residual_fn, factored = _EQUATIONS[_CONJUGATES.get(names[0], names[0])]
     residual, derivative, start, deformation = factored(blk, cms, gamma)
     w, z = blk.factors.w, blk.factors.z
     wz = w @ z
@@ -473,9 +462,9 @@ def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=20
         for i, j in zip(*np.nonzero(diverged | stalled)):
             h = hist[:, i, j]
             fail(i, j, ConvergenceError(
-                f"{names[j]} {method} iteration diverged on block {ells[i]} "
+                f"{names[j]} newton iteration diverged on block {ells[i]} "
                 f"(residual {res[i, j]:.3e})" if diverged[i, j] else
-                f"{names[j]} {method} iteration stalled on block {ells[i]}: no residual "
+                f"{names[j]} newton iteration stalled on block {ells[i]}: no residual "
                 f"below {h.min():.3e} in the last {_STALL_STEPS} iterations (tol {tol:.1e})",
                 residual=float(res[i, j]), iterations=it, history=h.tolist(),
             ))
@@ -483,15 +472,12 @@ def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=20
         pending = np.argwhere(active)
         if not len(pending) or outcomes and min(outcomes) < tuple(pending[0]):
             break
-        if method == "newton":
-            a, m = derivative(y)
-            for i, j in zip(*np.nonzero(active)):
-                try:
-                    y[i, j] = y[i, j] + _range_step(grid[i][j], a[i, j], m[i, j], g[i, j])
-                except AdiablochError as error:
-                    fail(i, j, error)
-        else:
-            y[active] = y[active] + map_sign * g[active]
+        a, m = derivative(y)
+        for i, j in zip(*np.nonzero(active)):
+            try:
+                y[i, j] = y[i, j] + _range_step(grid[i][j], a[i, j], m[i, j], g[i, j])
+            except AdiablochError as error:
+                fail(i, j, error)
         escaped = active & np.isfinite(xi) & (_factor_norm(deformation(y), wz, w_off) >= xi)
         for i, j in zip(*np.nonzero(escaped)):
             fail(i, j, BranchEscapeError(
@@ -502,7 +488,7 @@ def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=20
         for i, j in zip(*np.nonzero(active)):
             h = hist[:, i, j]
             outcomes[i, j] = ConvergenceError(
-                f"{names[j]} {method} iteration did not reach tol {tol:.1e} on block "
+                f"{names[j]} newton iteration did not reach tol {tol:.1e} on block "
                 f"{ells[i]} after {max_iter} iterations (residual {h[-1]:.3e})",
                 residual=float(h[-1]), iterations=max_iter, history=h.tolist(),
             )
@@ -511,12 +497,12 @@ def _solve(grid, blk, cms, names, gamma, method, tol, ells, reports, max_iter=20
     for i, j in zip(*np.nonzero(stopped >= 0)):
         it, h = int(stopped[i, j]), hist[: stopped[i, j] + 1, i, j].tolist()
         outcomes[i, j] = ConvergenceError(
-            f"{names[j]} {method} iteration stalled on block {ells[i]}: the "
+            f"{names[j]} newton iteration stalled on block {ells[i]}: the "
             f"factored residual {h[-1]:.3e} is below tol {tol:.1e}, but the "
             f"returned matrix's is at its rounding floor {final[i, j]:.3e}",
             residual=float(final[i, j]), iterations=it, history=h,
         ) if final[i, j] > tol else {"iterations": it, "residual": float(final[i, j]), "history": h,
-                                     "method": method, "certified": reports[i].solvable}
+                                     "certified": reports[i].solvable}
     return x, [[outcomes.get((i, j)) for j in range(len(names))] for i in range(len(ells))]
 
 
@@ -574,7 +560,6 @@ class BlochSolution:
     wave_conj: np.ndarray
     residuals: dict
     iterations: dict
-    method: str
     report: KantorovichReport
     certified: bool
     mapped_from: int | None = None
@@ -601,14 +586,13 @@ def solve_block(
     c,
     gamma: float,
     ell: int,
-    method: str = "newton",
     tol: float = DEFAULT_TOL,
 ) -> BlochSolution:
-    """Solve both adiabatic Bloch equations on one block and certify.
+    """Solve both adiabatic Bloch equations on one block by Newton
+    iteration and certify.
 
-    ``method`` must be one of ``"newton"`` and ``"fixed_point"``, ``gamma``
-    and ``tol`` positive and finite and ``ell`` a block index; anything
-    else raises ``ValueError`` before any iteration.
+    ``gamma`` and ``tol`` must be positive and finite and ``ell`` a block
+    index; anything else raises ``ValueError`` before any iteration.
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
     taken from the block's factors (:func:`matcore.supported_norm`), and so
@@ -616,10 +600,10 @@ def solve_block(
     norm of S in the Kantorovich report, no n x n matrix is factorized.
     The two equations are one stack of two pairs (:func:`solve_blocks`).
     """
-    _require_solver(method, gamma, tol)
+    _require_positive(gamma=gamma, tol=tol)
     report = kantorovich_report(dec, c, gamma, ell)
     cm = _as_matrix(c, dec.dim, "c")
-    (sol,) = _solve_sides(dec, np.array([cm, cm.T]), gamma, [ell], method, tol, [report])
+    (sol,) = _solve_sides(dec, np.array([cm, cm.T]), gamma, [ell], tol, [report])
     if isinstance(sol, AdiablochError):
         raise sol
     return sol
@@ -660,7 +644,7 @@ def _check_norms(blk, cms, gamma, x, u, mapped: bool) -> list:
     ]
 
 
-def _solve_sides(dec, cms, gamma, ells, method, tol, reports) -> list:
+def _solve_sides(dec, cms, gamma, ells, tol, reports) -> list:
     """Both omega equations of every block of ``ells`` (one rank and index)
     as one stack, with ``cms`` = (C, C^T), and their checks: per block its
     :class:`BlochSolution`, or the error of its first failing side."""
@@ -668,7 +652,7 @@ def _solve_sides(dec, cms, gamma, ells, method, tol, reports) -> list:
     # C^T; its X and U are transposed back at the end
     grid = [(blk, blk.transposed()) for blk in (dec.blocks[ell] for ell in ells)]
     blk = _stacked(grid)
-    x, outcomes = _solve(grid, blk, cms, ("omega", "omega_conj"), gamma, method, tol, ells, reports)
+    x, outcomes = _solve(grid, blk, cms, ("omega", "omega_conj"), gamma, tol, ells, reports)
     errors = [next((o for o in infos if isinstance(o, AdiablochError)), None) for infos in outcomes]
     if any(errors):
         return errors
@@ -682,7 +666,7 @@ def _solve_sides(dec, cms, gamma, ells, method, tol, reports) -> list:
             ell=ell, omega=xs[0], omega_conj=xs[1].T, wave=us[0], wave_conj=us[1].T,
             residuals={key: values[key] for key in _RESIDUAL_KEYS},
             iterations={f"omega{side}": info["iterations"] for side, info in zip(_SIDES, infos)},
-            method=method, report=report, certified=bool(report.solvable),
+            report=report, certified=bool(report.solvable),
         ))
     return sols
 
@@ -701,10 +685,9 @@ def solve_blocks(
     dec: SpectralDecomposition,
     c,
     gamma: float,
-    method: str = "newton",
     tol: float = DEFAULT_TOL,
 ) -> list[BlochSolution]:
-    """Per-block solves, in block order; ||C|| is taken once.
+    """Per-block Newton solves, in block order; ||C|| is taken once.
 
     Both sides of every solved block of one rank and index are one stack,
     iterated together (:func:`_solve`) with each pair's rules, history and
@@ -717,10 +700,10 @@ def solve_blocks(
     of each conjugate orbit (``dec.images``) gets the image of the first
     one's solution, with its equation residuals evaluated on its own block
     (module docstring), again one stack per rank and index; otherwise every
-    block is solved.  ``method``, ``gamma`` and ``tol`` are checked as in
+    block is solved.  ``gamma`` and ``tol`` are checked as in
     :func:`solve_block`, before any block is solved.
     """
-    _require_solver(method, gamma, tol)
+    _require_positive(gamma=gamma, tol=tol)
     cm = _as_matrix(c, dec.dim, "c")
     c_norm = matcore.op_norm(cm, "spectral")
     images = dec.images if dec.images and _preserves_hermiticity(cm) else {}
@@ -731,7 +714,7 @@ def solve_blocks(
     sols = {}
     for ells in _stacks(dec, solved):
         stack = [reports[ell] for ell in ells]
-        sols.update(zip(ells, _solve_sides(dec, cms, gamma, ells, method, tol, stack)))
+        sols.update(zip(ells, _solve_sides(dec, cms, gamma, ells, tol, stack)))
         # raise as soon as no block left to solve comes before a failed one
         failed = min((ell for ell in sols if isinstance(sols[ell], AdiablochError)), default=None)
         if failed is not None and all(ell > failed for ell in solved if ell not in sols):

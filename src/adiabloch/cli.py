@@ -16,8 +16,8 @@ import sys
 
 import click
 
-from . import bench, matcore, spectral
-from .bloch import DEFAULT_TOL, kantorovich_report, solve_blocks
+from . import bench, bloch, matcore, spectral
+from .bloch import DEFAULT_TOL, solve_blocks
 from .effective import eternal_bound, verify_similarity
 from .errors import AdiablochError
 from .liouville import LindbladModel, _matrix_to_json, build_superop, gkls_decompose
@@ -203,23 +203,23 @@ def decompose(model_path, cluster_tol, matrices, out):
 @model_option
 @gamma_option
 @tol_option
-@click.option("--method", type=click.Choice(["newton", "fixed_point"]), default="newton",
-              show_default=True)
 @click.option("--matrices", is_flag=True, help="Include solution matrices.")
 @out_option
-def solve(model_path, gamma, tol, method, matrices, out):
+def solve(model_path, gamma, tol, matrices, out):
     """Solve the adiabatic Bloch equations on every block."""
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     dec = spectral.robust_decompose(strong.matrix)
     try:
-        sols = solve_blocks(dec, weak.matrix, model.gamma, method=method, tol=tol)
+        sols = solve_blocks(dec, weak.matrix, model.gamma, tol=tol)
     except AdiablochError as exc:
-        # the solutions carry their reports; only a failed solve builds them
+        # the solutions carry their reports; only a failed solve builds them,
+        # from one norm of C
+        c_norm = matcore.op_norm(weak.matrix, "spectral")
         reports = [
-            kantorovich_report(dec, weak.matrix, model.gamma, ell)
-            for ell in range(len(dec.blocks))
+            bloch._kantorovich(block, c_norm, model.gamma, ell)
+            for ell, block in enumerate(dec.blocks)
         ]
         _fail(f"{exc}{_certificate_note(reports)}")
     # an uncertified run must at least land on the adiabatic branch, i.e.
@@ -245,7 +245,6 @@ def solve(model_path, gamma, tol, method, matrices, out):
                     dec.blocks[s.ell].eigenvalue.real,
                     dec.blocks[s.ell].eigenvalue.imag,
                 ],
-                "method": s.method,
                 "iterations": s.iterations,
                 "residuals": s.residuals,
                 "certified": s.certified,

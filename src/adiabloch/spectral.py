@@ -418,8 +418,7 @@ def validate(dec: SpectralDecomposition, b) -> dict:
     tail_i ||P_j||), which bounds the reported hypot(||W_i P_j||_2,
     tail_i ||P_j||) from above.  On random d = 4 (b = n = 16) ``validate``
     takes 9 n x n SVDs, three of them for ||B||, the identity and the
-    reconstruction defects, and one of a 1 x n row, where the full stacks
-    took 83 and 256.
+    reconstruction defects, and one of a 1 x n row.
     """
     mat = _as_matrix(b, dec.dim)
     n = dec.dim

@@ -358,6 +358,41 @@ def test_one_sector_is_passed_as_none(qubit_pipe, monkeypatch, short_times):
     assert set(eigensolves) <= {4}
 
 
+def test_a_one_sector_total_is_labelled_alone(qubit_pipe, lambda_pipe, monkeypatch):
+    # a union with one sector is one sector, so a table whose total is one
+    # sector labels nothing else; Lambda's targets keep their own labels
+    calls, labels = [], []
+    components, spectral_norms = matcore._components, matcore._spectral_norms
+
+    def counting(adjacency):
+        calls.append(adjacency.shape)
+        return components(adjacency)
+
+    def recording(a, sectors=None):
+        labels.append(sectors)
+        return spectral_norms(a, sectors)
+
+    monkeypatch.setattr(matcore, "_components", counting)
+    monkeypatch.setattr(matcore, "_spectral_norms", recording)
+    times = np.array([0.0, 1.0, 10.0])
+    for pipe in (qubit_pipe, lambda_pipe):
+        calls.clear(), labels.clear()
+        targets = {
+            **{order: pipe.effective_total(order) for order in (0, 1, 2)},
+            "M": None,
+            "K": pipe.effective_total(None),
+        }
+        bench._distance_table(pipe.total_matrix, targets, times, "spectral")
+        pattern = bench._real_frame(pipe.total_matrix) != 0
+        if pipe is qubit_pipe:
+            assert calls == [(4, 4)] and labels == [None] * len(targets)
+            continue
+        assert len(calls) == len(targets)
+        for got, g in zip(labels, targets.values()):
+            want = components(pattern if g is None else pattern | (bench._real_frame(g) != 0))
+            assert want.any() and np.array_equal(got, want)
+
+
 @pytest.mark.parametrize("kind", ["trace", "frobenius"])
 def test_other_norm_kinds_are_op_norm_per_time(lambda_pipe, kind):
     # only the spectral kind is taken from Gram matrices

@@ -213,31 +213,24 @@ class TestSolvers:
             )
 
     @pytest.mark.parametrize(
-        "which, method, gamma, tol, allowed",
+        "which, gamma, tol, allowed",
         [
-            pytest.param("omega_bar", "newton", 10.0, 1e-12, "omega_conj",
-                         id="omega_bar-newton-omega_conj"),
-            pytest.param("omega", "secant", 10.0, 1e-12, "fixed_point",
-                         id="omega-secant-fixed_point"),
-            pytest.param("wave_conj", "secant", 10.0, 1e-12, "fixed_point",
-                         id="wave_conj-secant-fixed_point"),
-            pytest.param("omega", "newton", 0.0, 1e-12, "gamma", id="gamma-zero"),
-            pytest.param("omega", "newton", -5.0, 1e-12, "gamma", id="gamma-negative"),
-            pytest.param("wave", "newton", math.nan, 1e-12, "gamma", id="gamma-nan"),
-            pytest.param("omega", "newton", math.inf, 1e-12, "gamma", id="gamma-inf"),
-            pytest.param("omega", "newton", 10.0, math.nan, "tol", id="tol-nan"),
-            pytest.param("omega_conj", "newton", 10.0, 0.0, "tol", id="tol-zero"),
-            pytest.param("wave", "fixed_point", 10.0, -1.0, "tol", id="tol-negative"),
+            pytest.param("omega_bar", 10.0, 1e-12, "omega_conj", id="omega_bar-newton-omega_conj"),
+            pytest.param("omega", 0.0, 1e-12, "gamma", id="gamma-zero"),
+            pytest.param("omega", -5.0, 1e-12, "gamma", id="gamma-negative"),
+            pytest.param("wave", math.nan, 1e-12, "gamma", id="gamma-nan"),
+            pytest.param("omega", math.inf, 1e-12, "gamma", id="gamma-inf"),
+            pytest.param("omega", 10.0, math.nan, "tol", id="tol-nan"),
+            pytest.param("omega_conj", 10.0, 0.0, "tol", id="tol-zero"),
+            pytest.param("wave", 10.0, -1.0, "tol", id="tol-negative"),
         ],
     )
-    def test_arguments_validated_before_iterating(
-        self, lambda_pipe, which, method, gamma, tol, allowed
-    ):
+    def test_arguments_validated_before_iterating(self, lambda_pipe, which, gamma, tol, allowed):
         # with C = 0 the initial guess already meets tol, so nothing but the
         # up-front check can reject the arguments
         zero = np.zeros((25, 25))
         with pytest.raises(ValueError, match=allowed):
-            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, method, tol)
+            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, tol)
 
     @pytest.mark.parametrize("max_iter", [0, -1, 2.5, None, True])
     def test_max_iter_must_be_a_positive_integer(self, lambda_pipe, max_iter):
@@ -255,20 +248,18 @@ class TestSolvers:
 
     @pytest.mark.parametrize("call", ["solve_blocks", "solve_block"])
     @pytest.mark.parametrize(
-        "method, tol, match",
+        "tol, match",
         [
-            ("bogus", 1e-12, "unknown method 'bogus'"),
-            ("newton", -1.0, "tol must be positive and finite, got -1.0"),
-            ("newton", 0.0, "tol must be positive and finite, got 0.0"),
-            ("newton", math.nan, "tol must be positive and finite, got nan"),
-            ("fixed_point", None, "tol must be positive and finite, got None"),
+            (-1.0, "tol must be positive and finite, got -1.0"),
+            (0.0, "tol must be positive and finite, got 0.0"),
+            (math.nan, "tol must be positive and finite, got nan"),
+            (None, "tol must be positive and finite, got None"),
         ],
     )
     def test_solver_arguments_checked_before_any_block(
-        self, lambda_pipe, monkeypatch, call, method, tol, match
+        self, lambda_pipe, monkeypatch, call, tol, match
     ):
-        # "bogus" had run fixed-point iteration and labelled the solutions
-        # "bogus"; a bad tol had ended in a stalled ConvergenceError
+        # a bad tol had ended in a stalled ConvergenceError
         def no_solve(*args, **kwargs):
             raise AssertionError("a block was solved before the arguments were checked")
 
@@ -276,9 +267,9 @@ class TestSolvers:
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         with pytest.raises(ValueError, match=re.escape(match)):
             if call == "solve_blocks":
-                solve_blocks(dec, c, 10.0, method=method, tol=tol)
+                solve_blocks(dec, c, 10.0, tol=tol)
             else:
-                solve_block(dec, c, 10.0, 0, method=method, tol=tol)
+                solve_block(dec, c, 10.0, 0, tol=tol)
 
     @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
     def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
@@ -441,14 +432,18 @@ class TestSolvers:
         checks = sum(math.prod(shape) for shape in calls if len(shape) == 3)
         assert checks == sum(4 if sol.mapped_from is not None else 8 for sol in sols)
 
-    def test_fixed_point_divergence_is_typed(self, lambda_pipe):
-        # far below Lambda's threshold the natural map blows up on block 0
+    def test_divergence_is_typed(self, lambda_pipe, monkeypatch):
+        # a Newton step scaled by 1e8 takes the residual past 1e6 times
+        # (1 + its first value) at the next iteration; block 0 at gamma = 0.1
+        # has no uniqueness ball to leave first
+        range_step = bloch._range_step
+        monkeypatch.setattr(bloch, "_range_step", lambda *args: 1e8 * range_step(*args))
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
-        with pytest.raises(ConvergenceError, match="fixed_point iteration diverged on block 0") as info:
-            solve_equation(dec, c, 0.1, 0, "omega", method="fixed_point")
+        with pytest.raises(ConvergenceError, match="omega newton iteration diverged on block 0") as info:
+            solve_equation(dec, c, 0.1, 0, "omega")
         err = info.value
         assert err.residual > 1e6 * (1.0 + err.history[0])
-        assert err.iterations == len(err.history) - 1
+        assert err.iterations == len(err.history) - 1 == 1
 
     def test_iterate_leaving_the_ball_is_typed(self, lambda_pipe):
         # a uniqueness ball of radius 1e-20 is left at the first Newton step
@@ -526,14 +521,6 @@ class TestSolvers:
         assert err.iterations < 20
         assert len(err.history) == err.iterations + 1
         assert min(err.history) < 1e-15
-
-    def test_fixed_point_agrees_with_newton(self, lambda_pipe_certified):
-        dec = lambda_pipe_certified.decomposition
-        c = lambda_pipe_certified.weak.matrix
-        gamma = lambda_pipe_certified.model.gamma
-        fixed = solve_blocks(dec, c, gamma, method="fixed_point")
-        for a, b in zip(lambda_pipe_certified.solutions, fixed):
-            assert matcore.op_norm(a.omega - b.omega, "spectral") < 1e-9
 
     def test_unitary_conjugation_identities(self):
         model = unitary_part(lambda_model(10.0))
@@ -651,17 +638,15 @@ class TestStackedSolve:
     # stack) fails after 4 iterations and block 0 (rank 3) after 5; on random
     # d = 4 block 14 fails after 6 and block 4, of the same stack, after 7.
     @pytest.mark.parametrize(
-        "case, method, message, iterations",
+        "case, message, iterations",
         [
-            ("lambda", "newton", "omega newton iteration stalled on block 0: no residual "
+            ("lambda", "omega newton iteration stalled on block 0: no residual "
              "below 1.333e+00 in the last 4 iterations (tol 1.0e-12)", 5),
-            ("random_d4", "newton", "omega newton iteration stalled on block 4: no residual "
+            ("random_d4", "omega newton iteration stalled on block 4: no residual "
              "below 1.100e+01 in the last 4 iterations (tol 1.0e-12)", 7),
-            ("lambda", "fixed_point",
-             "omega fixed_point iteration diverged on block 0 (residual 5.741e+08)", 3),
         ],
     )
-    def test_the_first_failing_block_raises(self, case, method, message, iterations):
+    def test_the_first_failing_block_raises(self, case, message, iterations):
         dec, c, _ = _stack_case(case)
         gamma = 0.1
         failing = []
@@ -669,27 +654,26 @@ class TestStackedSolve:
             for which in ("omega", "omega_conj"):
                 if ell not in dec.images:
                     try:
-                        solve_equation(dec, c, gamma, ell, which, method=method)
+                        solve_equation(dec, c, gamma, ell, which)
                     except ConvergenceError as err:
                         failing.append((ell, which, err))
         assert len({ell for ell, _, _ in failing}) >= 2
         with pytest.raises(ConvergenceError) as info:
-            solve_blocks(dec, c, gamma, method=method)
+            solve_blocks(dec, c, gamma)
         err, first = info.value, failing[0][2]
         assert str(err) == str(first) == message
         assert err.iterations == first.iterations == iterations
         assert err.history == first.history and len(err.history) == iterations + 1
         assert err.residual == first.residual
 
-    @pytest.mark.parametrize("method", ["newton", "fixed_point"])
-    def test_a_failing_solve_block_raises_the_stacks_error(self, method):
+    def test_a_failing_solve_block_raises_the_stacks_error(self):
         # Lambda block 0 fails at gamma = 0.1, and it is the block that
         # solve_blocks reports
         dec, c, _ = _stack_case("lambda")
         with pytest.raises(ConvergenceError) as stacked:
-            solve_blocks(dec, c, 0.1, method=method)
+            solve_blocks(dec, c, 0.1)
         with pytest.raises(ConvergenceError) as alone:
-            solve_block(dec, c, 0.1, 0, method=method)
+            solve_block(dec, c, 0.1, 0)
         assert type(alone.value) is type(stacked.value)
         assert str(alone.value) == str(stacked.value)
         assert "on block 0" in str(alone.value)

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -110,6 +111,40 @@ def test_solve_below_threshold_exits_1(runner, lambda_file):
     result = runner.invoke(main, ["solve", "--model", lambda_file, "--gamma", "0.1"])
     assert result.exit_code == 1
     assert "Kantorovich" in result.output
+
+
+def test_solve_failure_note_takes_one_norm_of_c(runner, lambda_file, monkeypatch):
+    # the note is built from one ||C|| of the command and the solver's own;
+    # it had taken one per block through kantorovich_report
+    model = lambda_model(0.1)
+    dec = spectral.robust_decompose(build_superop(model, "strong").matrix)
+    c = build_superop(model, "weak").matrix
+    with pytest.raises(ConvergenceError) as info:
+        bloch.solve_blocks(dec, c, 0.1)
+    reports = [bloch.kantorovich_report(dec, c, 0.1, ell) for ell in range(len(dec.blocks))]
+    assert len(reports) == 8 and not any(r.solvable for r in reports)
+    calls = []
+    op_norm = cli.matcore.op_norm
+
+    def counting(a, kind="spectral"):
+        calls.append(np.shape(a) == c.shape and np.array_equal(a, c))
+        return op_norm(a, kind)
+
+    monkeypatch.setattr(cli.matcore, "op_norm", counting)
+    result = runner.invoke(main, ["solve", "--model", lambda_file, "--gamma", "0.1"])
+    assert result.exit_code == 1
+    assert result.stderr == f"error: {info.value}{cli._certificate_note(reports)}\n"
+    assert sum(calls) <= 2
+
+
+def test_solve_has_no_method_option(runner, lambda_file):
+    # Newton is the only solver: the option is gone, and so is the JSON key
+    result = runner.invoke(main, ["solve", "--model", lambda_file, "--method", "newton"])
+    assert result.exit_code == 2
+    assert "No such option '--method'" in result.output
+    result = runner.invoke(main, ["solve", "--model", lambda_file])
+    assert result.exit_code == 0
+    assert all("method" not in block for block in json.loads(result.output)["blocks"])
 
 
 def test_solve_far_from_the_projections_exits_1(runner, qubit_file, monkeypatch):

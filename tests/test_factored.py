@@ -1,6 +1,6 @@
 """The Bloch layer on n x r factors, and certificates without n x n SVDs.
 
-Newton and fixed-point iteration carry the factor Y = X Q of each iterate
+Newton iteration carries the factor Y = X Q of each iterate
 (see ``bloch.solve_equation``), and the perturbative series the factors
 Y^(j) = omega^(j) Q of its coefficients.  These tests compare them with
 copies of the n x n iteration and recursion they replaced, check that
@@ -60,13 +60,12 @@ def _rel(got, want) -> float:
     return float(np.linalg.norm(got - want, 2) / max(1.0, np.linalg.norm(want, 2)))
 
 
-def _dense_loop(blk, c, gamma, which, method="newton", tol=bloch.DEFAULT_TOL, max_iter=200):
+def _dense_loop(blk, c, gamma, which, tol=bloch.DEFAULT_TOL, max_iter=200):
     """The n x n iteration the factored one replaced: (X, iterations).
 
     Iterate, residual and step are n x n matrices.  The Newton step is the
-    same Sylvester column sweep, on R Q, mapped back by (.) W; fixed-point
-    steps add the residual (omega) or subtract it (wave).  The stop rule is
-    the supported residual norm on Z.
+    same Sylvester column sweep, on R Q, mapped back by (.) W.  The stop
+    rule is the supported residual norm on Z.
     """
     s, nil, p = blk.resolvent, blk.nilpotent, blk.projection
     q, w, z = blk.factors.q, blk.factors.w, blk.factors.z
@@ -81,16 +80,13 @@ def _dense_loop(blk, c, gamma, which, method="newton", tol=bloch.DEFAULT_TOL, ma
             a, f = eye + (s @ c - s @ x @ c) / gamma, -(nil + c @ x / gamma)
         if matcore.supported_norm(r, z) <= tol:
             return x, it
-        if method == "fixed_point":
-            x = x + r if which == "omega" else x - r
-            continue
         t, v = sla.schur(w @ f @ q, output="complex")
         g = -(r @ q @ v)
         y = np.empty_like(g)
         for j in range(len(t)):
             y[:, j] = np.linalg.solve(a + t[j, j] * s, g[:, j] - s @ (y[:, :j] @ t[:j, j]))
         x = x + y @ (v.conj().T @ w)
-    raise AssertionError(f"dense {which} {method} iteration did not converge")
+    raise AssertionError(f"dense {which} newton iteration did not converge")
 
 
 @pytest.mark.parametrize("case", ORACLE_CASES)
@@ -112,18 +108,6 @@ def test_factored_newton_matches_the_dense_loop(case, pipes):
         u, info = bloch.solve_equation(dec, c, gamma, sol.ell, "wave", report=sol.report)
         assert info["iterations"] == it_w, (case, sol.ell)
         assert _rel(u, wave) <= ORACLE_TOL, (case, sol.ell)
-
-
-@pytest.mark.parametrize("case", [name for name in BENCHMARK_CASES if name.startswith("random")])
-def test_factored_fixed_point_matches_the_dense_loop(case, pipes):
-    pipe = pipes(case)
-    dec, c, gamma = pipe.decomposition, pipe.weak.matrix, pipe.model.gamma
-    for ell, blk in enumerate(dec.blocks):
-        for which in ("omega", "wave"):
-            want, it = _dense_loop(blk, c, gamma, which, method="fixed_point")
-            got, info = bloch.solve_equation(dec, c, gamma, ell, which, method="fixed_point")
-            assert info["iterations"] == it, (case, ell, which)
-            assert _rel(got, want) <= ORACLE_TOL, (case, ell, which)
 
 
 @pytest.mark.parametrize("case", SERIES_CASES)

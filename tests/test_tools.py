@@ -1,6 +1,7 @@
 """The repository's own tools."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -21,6 +22,7 @@ def _load(name):
 code_lines = _load("code_lines")
 leaf_deviation = _load("leaf_deviation")
 output_digest = _load("output_digest")
+paired_runs = _load("paired_runs")
 untested_lines = _load("untested_lines")
 
 SAMPLE = '''"""Module docstring,
@@ -249,3 +251,69 @@ def test_executable_lines_skip_docstrings_and_comments(tmp_path):
     # closing parenthesis
     assert {5, 10, 12, 16, 24} & lines == set()
     assert {1, 4, 6, 7, 8, 9, 11, 14, 15, 17, 18, 20, 21, 22, 23} <= lines
+
+
+def _run(correct=True, attempted=10, failed=1, **metrics):
+    return {"correct": correct, "attempted": attempted, "failed": failed, **metrics}
+
+
+def test_paired_summary_of_synthetic_records():
+    parent = [1.0, 2.0, 3.0, 4.0, 5.0]
+    change = [0.5, 2.5, 2.0, 3.0, 4.5]
+    records = [
+        {"seed": k + 1, "first": "parent" if k % 2 == 0 else "change",
+         "parent": _run(curves_s=p, peak_rss_mb=70.0),
+         "change": _run(correct=k != 3, failed=k % 2, curves_s=c, peak_rss_mb=70.0)}
+        for k, (p, c) in enumerate(zip(parent, change))
+    ]
+    summary = paired_runs.summarise(records)
+    curves = summary["metrics"]["curves_s"]
+    assert curves["parent_q1_median_q3"] == [2.0, 3.0, 4.0]
+    assert curves["change_median"] == 2.5
+    # lower in pairs 1, 3, 4 and 5; an equal reading is not lower
+    assert (curves["change_lower"], curves["pairs"]) == (4, 5)
+    assert summary["metrics"]["peak_rss_mb"]["change_lower"] == 0
+    assert list(summary["metrics"]) == ["curves_s", "peak_rss_mb"]
+    assert summary["sides"] == {
+        "parent": {"failed": 5, "attempted": 50, "correct_all": True},
+        "change": {"failed": 2, "attempted": 50, "correct_all": False},
+    }
+    text = paired_runs.format_summary(summary).splitlines()
+    assert text[1].split() == ["curves_s", "3", "2.5", "0.8333", "2-4", "4/5"]
+    assert text[-2] == "parent: failed 5/50 (0.1000), correct in every run: True"
+    assert text[-1] == "change: failed 2/50 (0.0400), correct in every run: False"
+
+
+def test_pairs_alternate_which_side_runs_first(monkeypatch):
+    calls = []
+
+    def fake_run(root, workload, seed):
+        calls.append((root, seed))
+        return _run(curves_s=float(seed))
+
+    monkeypatch.setattr(paired_runs, "run_once", fake_run)
+    roots = {"parent": Path("a"), "change": Path("b")}
+    records = paired_runs.run_pairs(roots, "paper", 3, log=lambda line: None)
+    assert calls == [(Path("a"), 1), (Path("b"), 1), (Path("b"), 2), (Path("a"), 2),
+                     (Path("a"), 3), (Path("b"), 3)]
+    assert [r["first"] for r in records] == ["parent", "change", "parent"]
+    assert [r["seed"] for r in records] == [1, 2, 3]
+
+
+def test_a_run_is_read_off_its_last_json_line(tmp_path):
+    # a stand-in benchmark that prints a report and then its JSON result
+    bench = tmp_path / "perfbench"
+    bench.mkdir()
+    (bench / "run.py").write_text(
+        "import json, pathlib, sys\n"
+        "pathlib.Path('argv.json').write_text(json.dumps(sys.argv[1:]))\n"
+        "print('report line')\n"
+        "print(json.dumps({'correct': True, 'attempted': 9, 'failed': 1,\n"
+        "                  'metrics': {'bound_s': {'value': 0.5, 'unit': 's'}}}))\n"
+    )
+    run = paired_runs.run_once(tmp_path, "paper", 3)
+    assert run == {"correct": True, "attempted": 9, "failed": 1, "bound_s": 0.5}
+    # run in the checkout, with the benchmark's own options
+    assert json.loads((tmp_path / "argv.json").read_text()) == [
+        "--workload", "paper", "--seed", "3", "--seconds", "25", "--trace", "0"
+    ]
