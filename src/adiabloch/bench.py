@@ -142,14 +142,13 @@ class DistanceCurve:
     times: np.ndarray
     distances: np.ndarray
     order: int | None          # None tags the nonperturbative generator
-    norm_kind: str
     envelope: np.ndarray       # trailing-decade running maximum
 
     def to_csv(self) -> str:
         tag = "inf" if self.order is None else str(self.order)
-        lines = ["t,distance,order,norm"]
+        lines = ["t,distance,order"]
         for t, dist in zip(self.times, self.distances):
-            lines.append(f"{t:.17g},{dist:.17g},{tag},{self.norm_kind}")
+            lines.append(f"{t:.17g},{dist:.17g},{tag}")
         return "\n".join(lines) + "\n"
 
 
@@ -187,13 +186,12 @@ def _trailing_decade_max(times: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _real_frame(g: np.ndarray) -> np.ndarray:
     """A generator as the real matrix U^H G U of the unit Hermitian frame U.
 
-    U is unitary, so the spectral, trace and Frobenius norms of e^{tG} and
-    of differences of such propagators are those of the real ones.  The
-    imaginary part (Hermiticity defect) and row 0 (trace defect) are
-    checked against ``liouville._defect_tol(G)`` and raise
-    :class:`PhysicalityError` above it; below it the real part is kept and
-    row 0 set to exactly zero, so the zero eigenvalue of a trace-preserving
-    generator stays at zero.
+    U is unitary, so the spectral norms of e^{tG} and of differences of
+    such propagators are those of the real ones.  The imaginary part
+    (Hermiticity defect) and row 0 (trace defect) are checked against
+    ``liouville._defect_tol(G)`` and raise :class:`PhysicalityError` above
+    it; below it the real part is kept and row 0 set to exactly zero, so
+    the zero eigenvalue of a trace-preserving generator stays at zero.
     """
     _, re, im = liouville._unit_frame_rep(g, math.isqrt(g.shape[0]))
     tol = liouville._defect_tol(g)
@@ -207,12 +205,7 @@ def _real_frame(g: np.ndarray) -> np.ndarray:
     return re
 
 
-def _distance_table(
-    total: np.ndarray,
-    targets: dict,
-    times: np.ndarray,
-    norm_kind: str,
-) -> dict:
+def _distance_table(total: np.ndarray, targets: dict, times: np.ndarray) -> dict:
     """Distances to several targets, sharing the true propagator per time.
 
     Every generator is first mapped to the real Hermitian frame
@@ -221,7 +214,7 @@ def _distance_table(
     ``matcore._chunk_points`` times; each generator's kernel keeps the
     parents a chunk's points chain onto.  A target given as None is the
     zero propagator: its entry is the norm of exp(t total) itself.  With no
-    target nothing is propagated.  Spectral norms are one
+    target nothing is propagated.  The norms are spectral: one
     ``matcore._spectral_norms`` call per chunk and target, from the Gram
     matrices of the stacked differences (within a few n eps of the SVD's
     value; past the relaxation time a difference has rank one and its norm
@@ -233,8 +226,7 @@ def _distance_table(
     generators, and so their difference, vanish between two such sectors,
     and the kernel checks that on each Gram stack.  On Lambda the sectors are
     11 + 6 + 6 + 2 for M and the truncation orders and 17 + 6 + 2 for K and
-    D; a single sector is the whole space.  The trace and Frobenius norms
-    are ``matcore.op_norm``'s.
+    D; a single sector is the whole space.
     """
     total = _real_frame(total)
     frames = {key: g if g is None else _real_frame(g) for key, g in targets.items()}
@@ -250,11 +242,6 @@ def _distance_table(
         labels = whole if g is None or not whole.any() else matcore._components(pattern | (g != 0))
         # one sector (all labels 0) is passed as None, which skips the checks
         sectors[key] = labels if labels.any() else None
-    norm = (
-        matcore._spectral_norms
-        if norm_kind == "spectral"
-        else lambda stack, _sectors: matcore.op_norm(stack, norm_kind)
-    )
     step = matcore._chunk_points(total.shape[0])
     for start in range(0, len(times), step):
         part = slice(start, start + step)
@@ -263,7 +250,7 @@ def _distance_table(
             # the difference is left unnamed, so it is freed before the next
             # kernel call: a name that kept it alive cost 2-4 % of the table
             # at n = 4-25 (2-vCPU VM, one BLAS thread)
-            table[key][part] = norm(
+            table[key][part] = matcore._spectral_norms(
                 true_prop if grid is None else true_prop - grid(times[part]), sectors[key]
             )
     return table
@@ -273,37 +260,33 @@ def distance_curves(
     pipe: PipelineResult,
     orders,
     times: np.ndarray | None = None,
-    norm_kind: str = "spectral",
 ) -> dict:
     """Curves for several truncation orders, reusing the true propagator.
 
     The distances are taken by :func:`_distance_table`: the spectral norm of
     each time point's difference of real-frame propagators from its Gram
-    matrix, the other kinds by ``matcore.op_norm``.
+    matrix.
     """
     times = _time_grid(times)
     base = pipe.model.gamma * pipe.strong.matrix
     k_effs = pipe._k_effs(orders)
     targets = {order: base + k_effs[order] for order in orders}
-    table = _distance_table(pipe.total_matrix, targets, times, norm_kind)
+    table = _distance_table(pipe.total_matrix, targets, times)
     return {
         order: DistanceCurve(
             times=times,
             distances=table[order],
             order=order,
-            norm_kind=norm_kind,
             envelope=_trailing_decade_max(times, table[order]),
         )
         for order in orders
     }
 
 
-def semigroup_norm_bound(
-    pipe: PipelineResult, times: np.ndarray | None = None, norm_kind: str = "spectral"
-) -> float:
-    """Sampled sup of ||exp(t (g B + C))|| over the grid."""
+def semigroup_norm_bound(pipe: PipelineResult, times: np.ndarray | None = None) -> float:
+    """Sampled sup of ||exp(t (g B + C))||_2 over the grid."""
     times = _time_grid(times)
-    table = _distance_table(pipe.total_matrix, {"M": None}, times, norm_kind)
+    table = _distance_table(pipe.total_matrix, {"M": None}, times)
     return float(table["M"].max())
 
 
@@ -375,7 +358,6 @@ def scaling_check(
     gammas,
     orders,
     times: np.ndarray | None = None,
-    norm_kind: str = "spectral",
 ) -> ScalingReport:
     """Fit the breakaway-time exponents of the truncated approximations.
 
@@ -401,7 +383,7 @@ def scaling_check(
     for gamma in gammas:
         coupled = dataclasses.replace(model, gamma=float(gamma))
         pipe = _solve_and_assemble(coupled, strong, weak, dec)
-        curves = distance_curves(pipe, list(orders) + [None], times, norm_kind)
+        curves = distance_curves(pipe, list(orders) + [None], times)
         plateau[float(gamma)] = float(curves[None].envelope.max())
         if level is None:
             level = _THRESHOLD_FACTOR * plateau[float(gamma)]
@@ -990,7 +972,6 @@ def bound_check(
     model: LindbladModel,
     gamma_factor: float = 2.0,
     times: np.ndarray | None = None,
-    norm_kind: str = "spectral",
 ) -> dict:
     """Measured distances against the explicit uniform-in-time bounds.
 
@@ -1010,7 +991,7 @@ def bound_check(
     times = _time_grid(times)
     strong, weak = (build_superop(model, part) for part in liouville._PARTS)
     dec = spectral.decompose(strong.matrix)
-    report0 = eternal_bound(dec, weak.matrix, 1.0, norm_kind)
+    report0 = eternal_bound(dec, weak.matrix, 1.0)
     if max(report0.gamma_blocks) == 0.0:
         raise PreconditionError(
             "bound_check sets the coupling to gamma_factor * max_l gamma_l, and every "
@@ -1028,11 +1009,10 @@ def bound_check(
             "M": None,
         },
         times,
-        norm_kind,
     )
     m_bound = float(table["M"].max())
     # the thresholds do not depend on the coupling: reuse those taken at 1
-    report = _bounds_at(dec, report0.gamma_blocks, gamma, norm_kind, m_bound)
+    report = _bounds_at(dec, report0.gamma_blocks, gamma, m_bound)
     return {
         "gamma": float(gamma),
         "semigroup_bound": m_bound,

@@ -137,38 +137,37 @@ class KantorovichReport:
     gamma_min: float
     solvable: bool
     quadratic: bool
-    norm_kind: str = "spectral"
 
 
-def _threshold_constants(block: EigenspaceData, c_norm: float, norm_kind: str) -> tuple:
-    """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one eigenspace.
+def _threshold_constants(block: EigenspaceData, c_norm: float) -> tuple:
+    """mu = sum_{m < n} (||S|| ||N||)^m and ||S|| ||C|| ||P|| of one
+    eigenspace, in the spectral norm.
 
     ||C|| is passed in, so a caller looping over blocks takes it once, and
     ||P|| comes from the singular values stored with the block.  At index 1
     mu = 1 whatever ||N|| is, so ||N|| is taken only above it; N = N P, so
     its spectral norm is the supported norm on Z.
     """
-    s_norm = matcore.op_norm(block.resolvent, norm_kind)
+    s_norm = matcore.op_norm(block.resolvent, "spectral")
     if block.index <= 1:
         sn = 0.0
-    elif norm_kind == "spectral":
-        sn = s_norm * matcore.supported_norm(block.nilpotent, block.factors.z)
     else:
-        sn = s_norm * matcore.op_norm(block.nilpotent, norm_kind)
+        sn = s_norm * matcore.supported_norm(block.nilpotent, block.factors.z)
     mu = float(block.index) if abs(1.0 - sn) < 1e-12 else (1.0 - sn**block.index) / (1.0 - sn)
-    scp = s_norm * c_norm * block.factors.norm(norm_kind)
+    scp = s_norm * c_norm * block.factors.norm()
     return mu, scp
 
 
-def _gamma_min(block: EigenspaceData, c_norm: float, norm_kind: str) -> float:
-    mu, scp = _threshold_constants(block, c_norm, norm_kind)
+def _gamma_min(block: EigenspaceData, c_norm: float) -> float:
+    mu, scp = _threshold_constants(block, c_norm)
     return 4.0 * mu * scp
 
 
-def block_gamma_min(block: EigenspaceData, c, norm_kind: str = "spectral") -> float:
-    """Coupling threshold 4 mu ||S|| ||C|| ||P|| of one eigenspace."""
-    c_norm = matcore.op_norm(_as_matrix(c, len(block.projection), "c"), norm_kind)
-    return _gamma_min(block, c_norm, norm_kind)
+def block_gamma_min(block: EigenspaceData, c) -> float:
+    """Coupling threshold 4 mu ||S|| ||C|| ||P|| of one eigenspace, in the
+    spectral norm."""
+    c_norm = matcore.op_norm(_as_matrix(c, len(block.projection), "c"), "spectral")
+    return _gamma_min(block, c_norm)
 
 
 def _require_block(dec: SpectralDecomposition, ell) -> None:
@@ -201,7 +200,7 @@ def kantorovich_report(
 def _kantorovich(
     block: EigenspaceData, c_norm: float, gamma: float, ell: int
 ) -> KantorovichReport:
-    mu, scp = _threshold_constants(block, c_norm, "spectral")
+    mu, scp = _threshold_constants(block, c_norm)
     gamma_min = 4.0 * mu * scp
     lipschitz = 2.0 * scp / gamma
 

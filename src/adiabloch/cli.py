@@ -139,10 +139,6 @@ gamma_option = click.option(
 out_option = click.option(
     "--out", type=click.Path(), default=None, help="Output file (default: stdout)."
 )
-norm_option = click.option(
-    "--norm", "norm_kind", type=click.Choice(matcore._NORM_KINDS),
-    default="spectral", show_default=True,
-)
 tol_option = click.option(
     "--tol", type=_Number(), default=DEFAULT_TOL, show_default=True,
     help="Solver residual tolerance.",
@@ -301,16 +297,15 @@ def effective(model_path, gamma, tol, out):
 @main.command()
 @model_option
 @gamma_option
-@norm_option
 @click.option("--unitary", is_flag=True, help="Also evaluate the unitary-case bound.")
 @out_option
-def bound(model_path, gamma, norm_kind, unitary, out):
+def bound(model_path, gamma, unitary, out):
     """Per-block coupling thresholds and uniform-in-time error bounds."""
     model = _with_gamma(_load_model(model_path), gamma)
     strong = build_superop(model, "strong")
     weak = build_superop(model, "weak")
     dec = spectral.robust_decompose(strong.matrix)
-    report = eternal_bound(dec, weak.matrix, model.gamma, norm_kind, unitary=unitary)
+    report = eternal_bound(dec, weak.matrix, model.gamma, unitary=unitary)
     _emit_json(dataclasses.asdict(report), out)
 
 
@@ -319,20 +314,18 @@ def bound(model_path, gamma, norm_kind, unitary, out):
 @gamma_option
 @click.option("--order", type=_Order(inf_ok=True), default="inf", show_default=True,
               help="Truncation order, or 'inf' for the nonperturbative generator.")
-@norm_option
 @format_option
 @out_option
-def evolve(model_path, gamma, order, norm_kind, fmt, out):
+def evolve(model_path, gamma, order, fmt, out):
     """Distance between the true and effective evolutions over the time grid."""
     model = _with_gamma(_load_model(model_path), gamma)
     pipe = bench.compute_effective(model)
-    curve = bench.distance_curves(pipe, [order], norm_kind=norm_kind)[order]
+    curve = bench.distance_curves(pipe, [order])[order]
     if fmt == "csv":
         _emit(curve.to_csv(), out)
     else:
         payload = {
             "order": "inf" if order is None else order,
-            "norm": norm_kind,
             "times": [float(t) for t in curve.times],
             "distances": [float(d) for d in curve.distances],
             "envelope": [float(e) for e in curve.envelope],
@@ -373,12 +366,11 @@ def reproduce(case, fmt, out):
               help="Comma-separated couplings for the sweep.")
 @click.option("--orders", default="0,1,2", show_default=True, callback=_orders,
               help="Comma-separated truncation orders.")
-@norm_option
 @out_option
-def scaling(model_path, gammas, orders, norm_kind, out):
+def scaling(model_path, gammas, orders, out):
     """Breakaway-time scaling of the truncated approximations."""
     model = _load_model(model_path)
-    report = bench.scaling_check(model, gammas, orders, norm_kind=norm_kind)
+    report = bench.scaling_check(model, gammas, orders)
     _emit_json(dataclasses.asdict(report), out)
 
 

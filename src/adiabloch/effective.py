@@ -261,7 +261,6 @@ class BoundReport:
     tight_bound_d: float
     tight_bound_k: float
     applicable: bool
-    norm_kind: str
     semigroup_bound: float
     unitary_bound: float | None = None
 
@@ -270,33 +269,38 @@ def eternal_bound(
     dec: SpectralDecomposition,
     c,
     gamma: float,
-    norm_kind: str = "spectral",
+    *,
     unitary: bool = False,
     semigroup_bound: float = 1.0,
 ) -> BoundReport:
     """Evaluate the per-block thresholds and the explicit eternal bounds.
 
-    The loose bound (1/g) sum_l gamma_l ||P_l|| is stated for the norm
-    induced by the operator trace norm and requires g >= 2 max gamma_l
-    (``applicable``); the tight bounds hold in any unitarily invariant
-    norm once multiplied by the semigroup bound M >= sup_t ||e^(t(gB+C))||
-    measured in that same norm.  The optional unitary-case bound uses the
-    spectral gap of the strong generator.  ``gamma`` and ``semigroup_bound``
-    must be positive and finite (``ValueError``).  ||C|| is taken once per
-    call and ||P_l|| is read from the singular values stored with each
-    block.  gamma_l is taken once per conjugate orbit: its norms are
-    unchanged by the map.
+    Every figure is in the spectral norm, the one in which the
+    Newton-Kantorovich ball and the similarity are certified: the
+    thresholds gamma_l = 4 mu_l ||S_l|| ||C|| ||P_l|| and the block norms
+    ||P_l|| are spectral norms.  The loose bound (1/g) sum_l gamma_l ||P_l||
+    requires g >= 2 max gamma_l (``applicable``) and carries no factor M.
+    The paper states it in the norm induced by the trace norm, in which a
+    CPTP semigroup is a contraction; in the spectral norm the semigroup
+    norm can exceed 1 (M = 1.52 on Lambda at the coupling of
+    ``bench.bound_check``).  The tight bounds are multiplied by the
+    semigroup bound M >= sup_t ||e^(t(gB+C))||_2 (``semigroup_bound``).
+    The optional unitary-case bound uses ||C||_2 and the spectral gap of
+    the strong generator.  ``gamma`` and ``semigroup_bound`` must be
+    positive and finite (``ValueError``); ``unitary`` and
+    ``semigroup_bound`` are keyword-only.  ||C|| is taken once per call and
+    ||P_l|| is read from the singular values stored with each block.
+    gamma_l is taken once per conjugate orbit: its norms are unchanged by
+    the map.
     """
     matcore._require_positive(gamma=gamma, semigroup_bound=semigroup_bound)
-    c_norm = matcore.op_norm(_as_matrix(c, dec.dim, "c"), norm_kind)
+    c_norm = matcore.op_norm(_as_matrix(c, dec.dim, "c"), "spectral")
     gamma_blocks = []
     for ell, blk in enumerate(dec.blocks):
         first = dec.images.get(ell)
-        gamma_blocks.append(
-            _gamma_min(blk, c_norm, norm_kind) if first is None else gamma_blocks[first]
-        )
+        gamma_blocks.append(_gamma_min(blk, c_norm) if first is None else gamma_blocks[first])
     gamma_blocks = tuple(gamma_blocks)
-    report = _bounds_at(dec, gamma_blocks, gamma, norm_kind, semigroup_bound)
+    report = _bounds_at(dec, gamma_blocks, gamma, semigroup_bound)
     if not unitary:
         return report
     eigs = dec.eigenvalues
@@ -318,7 +322,6 @@ def _bounds_at(
     dec: SpectralDecomposition,
     gamma_blocks: tuple,
     gamma: float,
-    norm_kind: str,
     semigroup_bound: float,
 ) -> BoundReport:
     """The eternal bounds at a positive ``gamma`` from thresholds already taken.
@@ -328,7 +331,7 @@ def _bounds_at(
     bounds at another coupling without a norm of S_l, N_l or C.  No
     unitary-case bound is formed.
     """
-    p_norms = [blk.factors.norm(norm_kind) for blk in dec.blocks]
+    p_norms = [blk.factors.norm() for blk in dec.blocks]
     loose = sum(gl * pn for gl, pn in zip(gamma_blocks, p_norms)) / gamma
     applicable = gamma >= 2.0 * max(gamma_blocks) if gamma_blocks else True
 
@@ -352,6 +355,5 @@ def _bounds_at(
         tight_bound_d=float(tight_d),
         tight_bound_k=float(tight_k),
         applicable=bool(applicable),
-        norm_kind=norm_kind,
         semigroup_bound=float(semigroup_bound),
     )

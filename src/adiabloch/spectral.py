@@ -76,8 +76,8 @@ class ProjectionFactors:
     ``q`` = U[:, :r] is an orthonormal basis of range(P), ``z`` = V[:, :r]
     one of range(P^H), and ``w`` = Q^H P, so P = Q W + T with
     ||T|| = ``tail`` = sigma_{r+1} (0 when r = n), at rounding level for a
-    computed projection of rank r.  ``singular_values`` gives ||P|| in any
-    unitarily invariant norm without another SVD.
+    computed projection of rank r.  ``singular_values`` gives ||P||_2
+    (:meth:`norm`) without another SVD.
     """
 
     q: np.ndarray
@@ -96,16 +96,9 @@ class ProjectionFactors:
         rank = self.q.shape[1]
         return float(self.singular_values[rank]) if rank < len(self.singular_values) else 0.0
 
-    def norm(self, kind: str = "spectral") -> float:
-        """||P|| in the norm ``kind`` of :func:`matcore.op_norm`."""
-        sigma = self.singular_values
-        if kind == "spectral":
-            return float(sigma[0])
-        if kind == "trace":
-            return float(sigma.sum())
-        if kind == "frobenius":
-            return float(np.linalg.norm(sigma))
-        raise ValueError(f"unknown norm kind {kind!r}")
+    def norm(self) -> float:
+        """||P||_2, the largest singular value."""
+        return float(self.singular_values[0])
 
     def transposed(self, projection_t: np.ndarray) -> ProjectionFactors:
         """Factors of P^T = conj(V) diag(sigma) conj(U)^H: Q and Z swap and

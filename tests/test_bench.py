@@ -72,9 +72,9 @@ class TestDistanceCurve:
     def test_csv_schema(self, lambda_pipe, short_times):
         curve = bench.distance_curves(lambda_pipe, [2], short_times)[2]
         lines = curve.to_csv().strip().splitlines()
-        assert lines[0] == "t,distance,order,norm"
+        assert lines[0] == "t,distance,order"
         first = lines[1].split(",")
-        assert first[2] == "2" and first[3] == "spectral"
+        assert len(first) == 3 and first[2] == "2"
         assert len(lines) == 1 + len(short_times)
 
 
@@ -187,7 +187,7 @@ def test_log_slope_takes_lists():
 def test_breakaway_time_needs_a_real_level(level):
     # None had raised a raw TypeError and True ran as 1
     grid = np.array([0.0, 1.0, 2.0])
-    curve = bench.DistanceCurve(grid, grid, 0, "spectral", grid)
+    curve = bench.DistanceCurve(grid, grid, 0, grid)
     with pytest.raises(ValueError, match=re.escape(f"level must be a real number, got {level!r}")):
         bench.breakaway_time(curve, level)
 
@@ -196,7 +196,7 @@ def test_breakaway_time_needs_a_real_level(level):
 def test_breakaway_time_rejects_a_non_finite_level(level):
     # a NaN level had returned None, which reads as "never broke away"
     grid = np.array([0.0, 1.0, 2.0])
-    curve = bench.DistanceCurve(grid, grid, 0, "spectral", grid)
+    curve = bench.DistanceCurve(grid, grid, 0, grid)
     with pytest.raises(NonFiniteError, match="level"):
         bench.breakaway_time(curve, level)
 
@@ -276,20 +276,20 @@ def test_scaling_check_decomposes_once(monkeypatch, short_times):
     assert len(calls) == 1
 
 
-def _per_time_table(pipe, times, kind):
+def _per_time_table(pipe, times):
     """The distance table of orders 0 and infinity and M, taken on the
     real-frame generators one time point per kernel call."""
     total = pipe.total_matrix
     targets = {0: pipe.effective_total(0), None: pipe.effective_total()}
-    table = bench._distance_table(total, {**targets, "norm": None}, times, kind)
+    table = bench._distance_table(total, {**targets, "norm": None}, times)
     total = bench._real_frame(total)
     targets = {key: bench._real_frame(target) for key, target in targets.items()}
     expected = {key: [] for key in list(targets) + ["norm"]}
     for t in times:
         true_prop = matcore.expm(total, [t])[0]
         for key, target in targets.items():
-            expected[key].append(matcore.op_norm(true_prop - matcore.expm(target, [t])[0], kind))
-        expected["norm"].append(matcore.op_norm(true_prop, kind))
+            expected[key].append(matcore.op_norm(true_prop - matcore.expm(target, [t])[0]))
+        expected["norm"].append(matcore.op_norm(true_prop))
     assert set(table) == set(expected)
     return table, expected
 
@@ -297,7 +297,7 @@ def _per_time_table(pipe, times, kind):
 def test_distance_table_matches_per_time_loop(lambda_pipe):
     # 150 points: two full chunks and a partial one
     times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 149)))
-    table, expected = _per_time_table(lambda_pipe, times, "spectral")
+    table, expected = _per_time_table(lambda_pipe, times)
     for key, values in expected.items():
         assert_allclose(table[key], values, rtol=1e-13, atol=1e-13)
 
@@ -334,7 +334,7 @@ def test_lambda_distances_are_taken_per_invariant_sector(lambda_pipe, monkeypatc
         "D": lambda_pipe.model.gamma * lambda_pipe.strong.matrix
         + lambda_pipe.generators.adiabatic.matrix,
     }
-    bench._distance_table(lambda_pipe.total_matrix, targets, times, "spectral")
+    bench._distance_table(lambda_pipe.total_matrix, targets, times)
     chunks = -(-len(times) // matcore._chunk_points(25))
     assert chunks > 1
     # each chunk takes the targets in order
@@ -382,7 +382,7 @@ def test_a_one_sector_total_is_labelled_alone(qubit_pipe, lambda_pipe, monkeypat
             "M": None,
             "K": pipe.effective_total(None),
         }
-        bench._distance_table(pipe.total_matrix, targets, times, "spectral")
+        bench._distance_table(pipe.total_matrix, targets, times)
         pattern = bench._real_frame(pipe.total_matrix) != 0
         if pipe is qubit_pipe:
             assert calls == [(4, 4)] and labels == [None] * len(targets)
@@ -393,22 +393,13 @@ def test_a_one_sector_total_is_labelled_alone(qubit_pipe, lambda_pipe, monkeypat
             assert want.any() and np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind", ["trace", "frobenius"])
-def test_other_norm_kinds_are_op_norm_per_time(lambda_pipe, kind):
-    # only the spectral kind is taken from Gram matrices
-    times = np.concatenate(([0.0], np.logspace(-2.0, 6.0, 59)))
-    table, expected = _per_time_table(lambda_pipe, times, kind)
-    for key, values in expected.items():
-        assert table[key].tolist() == values
-
-
 def test_real_frame_distances_match_complex_propagation(lambda_pipe):
     # the complex kernel on the raw superoperators, within its accuracy class
     # 8 eps t ||A||_1; a grid call gives each time its single-point arithmetic
     times = bench.default_time_grid()
     total = lambda_pipe.total_matrix
     targets = {k: lambda_pipe.effective_total(k) for k in (0, 2, None)}
-    table = bench._distance_table(total, {**targets, "norm": None}, times, "spectral")
+    table = bench._distance_table(total, {**targets, "norm": None}, times)
     true_prop = matcore.expm(total, times)
     assert true_prop.dtype == np.complex128
     for key, target in targets.items():
@@ -437,10 +428,8 @@ def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, mon
     times = np.array([0.0, 1.0, 1e3])
     total, target = lambda_pipe.total_matrix, lambda_pipe.effective_total(0)
     tol = liouville._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
-    expected = bench._distance_table(total, {0: target}, times, "spectral")
-    below = bench._distance_table(
-        total, {0: _with_frame_defect(target, kind, 0.9 * tol)}, times, "spectral"
-    )
+    expected = bench._distance_table(total, {0: target}, times)
+    below = bench._distance_table(total, {0: _with_frame_defect(target, kind, 0.9 * tol)}, times)
     assert_allclose(below[0], expected[0], rtol=1e-10, atol=1e-14)
 
     def no_propagation(*args, **kwargs):
@@ -449,7 +438,7 @@ def test_non_physical_generator_rejected_before_any_propagation(lambda_pipe, mon
     monkeypatch.setattr(matcore, "expm", no_propagation)
     above = _with_frame_defect(target, kind, 1.1 * tol)
     with pytest.raises(PhysicalityError, match="hp defect"):
-        bench._distance_table(total, {0: above}, times, "spectral")
+        bench._distance_table(total, {0: above}, times)
 
 
 def test_frames_checked_before_any_kernel_is_built(lambda_pipe, monkeypatch):
@@ -462,7 +451,7 @@ def test_frames_checked_before_any_kernel_is_built(lambda_pipe, monkeypatch):
     tol = liouville._FRAME_DEFECT_TOL * EPS * np.linalg.norm(target, 1)
     above = _with_frame_defect(target, "trace", 1.1 * tol)
     with pytest.raises(PhysicalityError, match="tp defect"):
-        bench._distance_table(lambda_pipe.total_matrix, {0: above}, np.array([0.0, 1.0]), "spectral")
+        bench._distance_table(lambda_pipe.total_matrix, {0: above}, np.array([0.0, 1.0]))
 
 
 # ||e^{tG} - e^{tK}||_2 for random d = 8 (seed 11) at its certified coupling,
@@ -653,7 +642,7 @@ def _propagators(monkeypatch, total, targets, times) -> tuple:
     monkeypatch.setattr(matcore._GridExpm, "__init__", spy_init)
     monkeypatch.setattr(matcore._GridExpm, "__call__", spy_call)
     monkeypatch.setattr(matcore._GridExpm, "_pade", spy_pade)
-    bench._distance_table(total, targets, times, "spectral")
+    bench._distance_table(total, targets, times)
     monkeypatch.undo()
     return seen, sum(pade_rows)
 

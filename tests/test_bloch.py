@@ -8,7 +8,7 @@ import pytest
 import scipy.linalg as sla
 from numpy.testing import assert_allclose
 
-from adiabloch import bloch, effective, liouville, matcore, spectral
+from adiabloch import bloch, effective, matcore, spectral
 from adiabloch.bloch import (
     bracket,
     generator_series,
@@ -854,20 +854,24 @@ class TestKantorovich:
         assert kantorovich_report(dec, c, gamma_min * 1.0001, 0).solvable
         assert not kantorovich_report(dec, c, gamma_min * 0.9999, 0).solvable
 
-    def test_trace_norm_thresholds_on_the_nilpotent_block(self, qubit_dec, qubit_weak):
+    def test_spectral_norm_thresholds_on_the_nilpotent_block(self, qubit_dec, qubit_weak):
         # gamma_l = 4 mu ||S|| ||C|| ||P||, mu = sum_{m < index} (||S|| ||N||)^m,
-        # every norm the trace norm taken densely; the index-2 block takes
-        # ||N|| by op_norm, not by the spectral norm's supported_norm
-        def trace_norm(m):
-            return np.linalg.svd(m, compute_uv=False).sum()
+        # every norm the spectral norm taken by a dense SVD; the index-2 block
+        # takes ||N|| by supported_norm on range(P^H), the only threshold of
+        # the suite with mu > 1
+        def spectral_norm(m):
+            return np.linalg.svd(m, compute_uv=False).max()
 
         assert sorted(blk.index for blk in qubit_dec.blocks) == [1, 1, 2]
-        report = effective.eternal_bound(qubit_dec, qubit_weak, 10.0, "trace")
+        report = effective.eternal_bound(qubit_dec, qubit_weak, 10.0)
+        mus = []
         for blk, gamma_l in zip(qubit_dec.blocks, report.gamma_blocks, strict=True):
-            s_norm = trace_norm(blk.resolvent)
-            mu = sum((s_norm * trace_norm(blk.nilpotent)) ** m for m in range(blk.index))
-            want = 4.0 * mu * s_norm * trace_norm(qubit_weak) * trace_norm(blk.projection)
+            s_norm = spectral_norm(blk.resolvent)
+            mu = sum((s_norm * spectral_norm(blk.nilpotent)) ** m for m in range(blk.index))
+            want = 4.0 * mu * s_norm * spectral_norm(qubit_weak) * spectral_norm(blk.projection)
             assert_allclose(gamma_l, want, rtol=1e-12)
+            mus.append(mu)
+        assert max(mus) > 1.0
 
 
 class TestSeries:

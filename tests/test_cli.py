@@ -210,7 +210,7 @@ def test_evolve_csv(runner, qubit_file, tmp_path):
     )
     assert result.exit_code == 0
     lines = out.read_text().strip().splitlines()
-    assert lines[0] == "t,distance,order,norm"
+    assert lines[0] == "t,distance,order"
     assert len(lines) == 402  # t = 0 plus the 400-point grid
 
 
@@ -218,10 +218,40 @@ def test_evolve_json(runner, qubit_file):
     result = runner.invoke(main, ["evolve", "--model", qubit_file, "--order", "0"])
     assert result.exit_code == 0
     data = json.loads(result.stdout)
-    assert set(data) == {"order", "norm", "times", "distances", "envelope"}
-    assert data["order"] == 0 and data["norm"] == "spectral"
+    assert set(data) == {"order", "times", "distances", "envelope"}
+    assert data["order"] == 0
     assert len(data["times"]) == len(data["distances"]) == len(data["envelope"]) == 401
     assert data["times"][0] == 0.0 and data["distances"][0] == 0.0
+
+
+@pytest.mark.parametrize("command", ["bound", "evolve", "scaling"])
+def test_no_command_has_a_norm_option(runner, qubit_file, command):
+    # every bound and curve is in the spectral norm the certificates use
+    result = runner.invoke(main, [command, "--model", qubit_file, "--norm", "spectral"])
+    assert result.exit_code == 2
+    assert "No such option '--norm'" in result.output
+
+
+def test_outputs_name_no_norm(runner, qubit_file):
+    result = runner.invoke(main, ["evolve", "--model", qubit_file, "--format", "csv"])
+    assert result.exit_code == 0
+    assert result.stdout.splitlines()[0] == "t,distance,order"
+    result = runner.invoke(main, ["evolve", "--model", qubit_file])
+    assert result.exit_code == 0
+    assert "norm" not in json.loads(result.stdout)
+    result = runner.invoke(main, ["bound", "--model", qubit_file, "--gamma", "40"])
+    assert result.exit_code == 0
+    assert set(json.loads(result.stdout)) == {
+        "gamma", "gamma_blocks", "loose_bound", "tight_bound_d", "tight_bound_k",
+        "applicable", "semigroup_bound", "unitary_bound",
+    }
+    result = runner.invoke(main, ["solve", "--model", qubit_file, "--gamma", "40"])
+    assert result.exit_code == 0
+    for block in json.loads(result.stdout)["blocks"]:
+        assert set(block["kantorovich"]) == {
+            "ell", "mu", "beta", "nu", "lipschitz", "h", "theta", "xi",
+            "gamma_min", "solvable", "quadratic",
+        }
 
 
 def test_evolve_bad_order_exits_2(runner, qubit_file):

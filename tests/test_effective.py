@@ -392,6 +392,16 @@ class TestBoundArguments:
         with pytest.raises(ValueError, match="gamma"):
             eternal_bound(dec, np.ones((2, 2)), gamma)
 
+    def test_options_are_keyword_only(self, lambda_pipe):
+        # a positional fourth argument, such as a norm name, would land in
+        # ``unitary`` and silently add the unitary-case bound
+        dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
+        with pytest.raises(TypeError):
+            eternal_bound(dec, c, 10.0, "trace")
+        with pytest.raises(TypeError):
+            eternal_bound(dec, c, 10.0, False, 2.0)
+        assert eternal_bound(dec, c, 10.0, unitary=False, semigroup_bound=2.0).unitary_bound is None
+
     @pytest.mark.parametrize("unitary", [False, True])
     def test_weak_norm_taken_once(self, lambda_pipe, monkeypatch, unitary):
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix

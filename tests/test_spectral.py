@@ -402,8 +402,7 @@ class TestProjectionFactors:
                 assert_allclose(f.q @ f.w, p, atol=1e-13 * scale)
                 assert_allclose(f.w @ f.q, np.eye(blk.rank), atol=1e-13 * scale)
                 assert_allclose(f.w, f.w @ f.z @ f.z.conj().T, atol=1e-13 * scale)
-                for kind in ("spectral", "trace", "frobenius"):
-                    assert_allclose(f.norm(kind), matcore.op_norm(p, kind), rtol=1e-13)
+                assert_allclose(f.norm(), matcore.op_norm(p), rtol=1e-13)
 
     def test_transposed_factors_match_a_fresh_svd(self, decompositions):
         # column phases (and rotations within repeated singular values) are
@@ -417,10 +416,6 @@ class TestProjectionFactors:
                 for a, b in ((got.q, fresh.q), (got.z, fresh.z)):
                     assert_allclose(a @ a.conj().T, b @ b.conj().T, atol=1e-12)
                 assert_allclose(got.q @ got.w, fresh.q @ fresh.w, atol=1e-13 * scale)
-
-    def test_unknown_norm_kind_rejected(self, decompositions):
-        with pytest.raises(ValueError, match="unknown norm kind 'bogus'"):
-            decompositions[0].blocks[0].factors.norm("bogus")
 
     def test_hand_built_block_derives_its_factors(self):
         # P = diag(1.001, 0.001) up to order: rank 1 with a 1e-3 tail
