@@ -24,26 +24,25 @@ own block, and ``BlochSolution.residuals`` keys them
 ``<equation><side>_<kind>``: ``wave_conj_support`` is the wave support of
 the order-reversed side.
 
-:func:`solve_equation` is the one entry point for all four equations
-(``which`` names the equation); :func:`solve_block` solves the two omega
-equations of a block against one shared certificate and derives both wave
-operators from them.  :func:`solve_blocks` iterates both sides of every
-solved block of one rank and index as one stack (:func:`_solve`): the
-iterates, residuals, their norms, the derivatives and the ball radii are
-stacks, each pair keeps its own stop, stall, divergence and ball rules,
-history and iteration count, and each Newton step is the pair's own column
-solve.  The final residuals, the wave operators and the side checks are
-then taken once per stack.  :func:`solve_block` is that stack for one block
-and :func:`solve_equation` for one pair, and each pair gets the arithmetic
-it gets alone, so its result does not depend on its stack.  Every equation
-is solved by Newton iteration, whose convergence is certified by computable
-Newton-Kantorovich constants (:func:`kantorovich_report`); a Newton step is
-rank(P) linear solves of size n (a Sylvester sweep).  Every iterate X
-vanishes on range(1 - P), so with P = Q W (r = rank P) the iteration
-carries the n x r factor Y = X Q, with X = Y W formed once at the end:
-residuals, corrections, ball radii and residual norms are n x r matrices
-and their norms, and no step multiplies
-two n x n matrices.  The perturbative series of omega is carried on the
+Only the omega equation is iterated: each side's wave operator is read off
+its omega as U = P - S omega / g (Bloch's one-sided route), and the wave
+residual certifies it.  :func:`solve_block` solves the two omega equations
+of a block against one shared certificate.  :func:`solve_blocks` iterates
+both sides of every solved block of one rank and index as one stack
+(:func:`_solve`): the iterates, residuals, their norms, the derivatives
+and the ball radii are stacks, each pair keeps its own stop, stall,
+divergence and ball rules, history and iteration count, and each Newton
+step is the pair's own column solve.  The final residuals, the wave
+operators and the side checks are then taken once per stack.
+:func:`solve_block` is that stack for one block, and each pair gets the
+arithmetic it gets alone, so its result does not depend on its stack.
+Newton convergence is certified by computable Newton-Kantorovich
+constants (:func:`kantorovich_report`); a Newton step is rank(P) linear
+solves of size n (a Sylvester sweep).  Every iterate X vanishes on
+range(1 - P), so with P = Q W (r = rank P) the iteration carries the n x r
+factor Y = X Q, with X = Y W formed once at the end: residuals,
+corrections, ball radii and residual norms are n x r matrices and their
+norms, and no step multiplies two n x n matrices.  The perturbative series of omega is carried on the
 same factors, Y^(j) = omega^(j) Q (:func:`_omega_series`), each term a
 bracket of an n x r matrix (:func:`_bracket`), and Newton starts at its
 first term Y^(0).  Dense coefficients are formed only where the public
@@ -272,37 +271,11 @@ def _omega_factored(blk, c, gamma):
     return residual, derivative, _omega_series(blk, c, 0)[0], lambda y: (s @ y) / gamma
 
 
-def _wave_factored(blk, c, gamma):
-    """The wave equation on Y = U Q, as :func:`_omega_factored`.
-
-    R Q = Y - S Y n + ((S C) Y - S Y (W C Y))/g - Q, A = 1 + (S C - S Y (W C))/g
-    and M = -(n + (W C) Y/g); the iteration starts at U_0 Q = Q.
-    """
-    s, q, w = blk.resolvent, blk.factors.q, blk.factors.w
-    sc, wc, nil = s @ c, w @ c, w @ blk.nilpotent @ q
-    eye = np.eye(s.shape[-1])
-
-    def residual(y):
-        sy = s @ y
-        return y - sy @ nil + (sc @ y - sy @ (wc @ y)) / gamma - q
-
-    def derivative(y):
-        return eye + (sc - (s @ y) @ wc) / gamma, -(nil + (wc @ y) / gamma)
-
-    return residual, derivative, q, lambda y: y - q
-
-
-# dense residual R (for the reported residual of the returned X) and the
-# factored system on Y = X Q
-_EQUATIONS = {
-    "omega": (omega_residual, _omega_factored),
-    "wave": (wave_residual, _wave_factored),
-}
-# order-reversed equation -> the primal equation it becomes on transposed data
-_CONJUGATES = {"omega_conj": "omega", "wave_conj": "wave"}
 # the two sides of a block: the primal equations, and the order-reversed ones
 # solved and checked as the primal ones on transposed data
 _SIDES = ("", "_conj")
+# Newton iterations a pair may take before it fails
+_MAX_ITER = 200
 # BlochSolution.residuals, keyed <equation><side>_<kind>, in this order
 _RESIDUAL_KEYS = tuple(
     f"{equation}{side}_{kind}"
@@ -337,73 +310,6 @@ def _factor_norm(y, wz, w_off) -> np.ndarray:
     return np.reshape(list(map(math.hypot, tall.tolist(), off.tolist())), y.shape[:-2])
 
 
-def solve_equation(
-    dec: SpectralDecomposition,
-    c,
-    gamma: float,
-    ell: int,
-    which: str,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = 200,
-    report: KantorovichReport | None = None,
-):
-    """Solve one of the block equations by Newton iteration; returns
-    (solution, info dict).
-
-    ``which`` is ``omega``, ``wave`` or one of their order-reversed
-    conjugates ``omega_conj``, ``wave_conj``.  An order-reversed equation
-    is the primal one for the transposed generator, so it is solved as the
-    primal equation on the transposed block data and C^T, and the solution
-    is transposed back.  The Kantorovich report and the uniqueness ball use
-    unitarily invariant norms, which transposition leaves unchanged.  The
-    solve is the stacked iteration of :func:`solve_blocks` on one pair, so a
-    pair gets here the result and iteration count it gets in any stack.
-
-    Every iterate X, its residual R and every correction vanish on
-    range(1 - P), as P and N do.  With P = Q W (r = rank P, W Q = 1_r; Q, W
-    and the basis Z of range(P^H) are the factors stored on the block,
-    ``blk.factors``) the iteration carries the n x r factor Y = X Q, with
-    X = Y W, and the residual G = R Q; each term of G is an n x n by n x r
-    product.  Each step solves the exact derivative system delta -> A delta
-    + S delta F = -R, with F = X/g + N for omega and F = -(N + C X/g) for
-    wave, as A dY + S dY M = -G with M = W F Q and delta = dY W.  In the
-    Schur basis of M = V T V^H this Sylvester equation is r n x n column
-    solves with A + T_jj S (Bartels-Stewart).  The residual norm and the
-    ball radius ||U - P|| are :func:`matcore.supported_norm` values of G W
-    and of an n x r factor times W, taken from the factors alone: upper
-    bounds of the spectral norms, equal to them on such matrices.  X = Y W
-    is formed once, at the end, and the reported ``residual`` is the
-    supported norm of the dense residual of that returned matrix; when that
-    one is above ``tol`` (a ``tol`` below its rounding floor) a stalled
-    :class:`ConvergenceError` is raised instead.  The iteration aborts with
-    :class:`BranchEscapeError` if an iterate leaves the certified uniqueness
-    ball (when one exists), so the returned solution is always the branch
-    selected by the perturbative initial guess.
-
-    ``gamma`` and ``tol`` must be positive and finite, ``max_iter`` a
-    positive integer and ``ell`` a block index; like an unknown ``which``
-    anything else raises ``ValueError`` before any iteration.
-    """
-    if which not in _EQUATIONS and which not in _CONJUGATES:
-        raise ValueError(
-            f"unknown equation {which!r}; expected one of "
-            f"{sorted(_EQUATIONS) + sorted(_CONJUGATES)}"
-        )
-    _require_positive(gamma=gamma, tol=tol)
-    _require_integer("max_iter", max_iter, 1)
-    _require_block(dec, ell)
-    cm = _as_matrix(c, dec.dim, "c")
-    if report is None:
-        report = kantorovich_report(dec, cm, gamma, ell)
-    conj = which in _CONJUGATES
-    grid = [(dec.blocks[ell].transposed() if conj else dec.blocks[ell],)]
-    x, ((outcome,),) = _solve(grid, _stacked(grid), np.array([cm.T if conj else cm]), (which,),
-                              gamma, tol, [ell], [report], max_iter)
-    if isinstance(outcome, AdiablochError):
-        raise outcome
-    return (x[0, 0].T if conj else x[0, 0]), outcome
-
-
 def _stacked(grid) -> EigenspaceData:
     """An (m, s) grid of blocks of one rank and index as one block whose
     arrays, and its factors', are stacks with the leading axes (m, s): the
@@ -418,25 +324,46 @@ def _stacked(grid) -> EigenspaceData:
     return replace(grid[0][0], factors=factors, **stack(grid))
 
 
-def _solve(grid, blk, cms, names, gamma, tol, ells, reports, max_iter=200):
-    """:func:`solve_equation`'s iteration on an (m, s) grid of pairs at once.
+def _solve(grid, blk, cms, gamma, tol, ells, reports):
+    """Newton iteration on the omega equations of an (m, 2) grid of pairs
+    at once: row i holds both sides of block ``ells[i]``, whose report is
+    ``reports[i]``, and ``cms`` is (C, C^T).
 
-    Row i of ``grid`` holds s sides of block ``ells[i]``, whose report is
-    ``reports[i]``; side j is equation ``names[j]`` on the data of its
-    primal equation (an order-reversed side on the transposed block, with
-    ``cms[j]`` = C^T), and the grid shares one primal equation, rank and
-    index.  ``blk`` is the grid stacked (:func:`_stacked`): the iterates,
-    residuals, their norms, the derivatives and the ball radii are stacks
-    over the grid.  Each pair keeps its own stop, stall, divergence and
-    ball rules, history and iteration count; a pair that stops leaves the
-    steps, and each Newton step is the pair's own column solve
-    (:func:`_range_step`).  Returns X (m, s, n, n), not yet transposed back,
-    and each pair's outcome: its info dict, the error its iteration ended
-    in, or None when a failed pair before it (in block and side order)
-    ended the iteration first.
+    The order-reversed side is the primal equation on the transposed block
+    and C^T; the Kantorovich report and the uniqueness ball use unitarily
+    invariant norms, which transposition leaves unchanged.  ``blk`` is the
+    grid stacked (:func:`_stacked`): the iterates, residuals, their norms,
+    the derivatives and the ball radii are stacks.  Each pair keeps its own
+    stop, stall, divergence and ball rules, history and iteration count; a
+    pair that stops leaves the steps, and the iteration ends once a failed
+    pair precedes every active one in block and side order.  Returns X
+    (m, 2, n, n), not yet transposed back, and per block each side's
+    outcome: its (iterations, residual), the error its iteration ended in,
+    or None when a failed pair before it ended the iteration first.
+
+    Every iterate X, its residual R and every correction vanish on
+    range(1 - P), as P and N do.  With P = Q W (r = rank P, W Q = 1_r; Q, W
+    and the basis Z of range(P^H) are the factors stored on the block,
+    ``blk.factors``) the iteration carries the n x r factor Y = X Q, with
+    X = Y W, and the residual G = R Q; each term of G is an n x n by n x r
+    product.  Each step solves the exact derivative system delta -> A delta
+    + S delta F = -R, F = X/g + N, as A dY + S dY M = -G with M = W F Q and
+    delta = dY W, the pair's own column solve (:func:`_range_step`).  The
+    residual norm and the ball radius ||U - P|| are
+    :func:`matcore.supported_norm` values of G W and of an n x r factor
+    times W, taken from the factors alone: upper bounds of the spectral
+    norms, equal to them on such matrices.  X = Y W is formed once, at the
+    end, and the reported residual is the supported norm of the dense
+    residual of that returned matrix; when that one is above ``tol`` (a
+    ``tol`` below its rounding floor) the pair's outcome is a stalled
+    :class:`ConvergenceError` instead.  An iterate that leaves the certified
+    uniqueness ball (when one exists) ends its pair in
+    :class:`BranchEscapeError`, so a returned solution is always the branch
+    selected by the perturbative initial guess, and ``_MAX_ITER`` iterations
+    without convergence in :class:`ConvergenceError`.
     """
-    residual_fn, factored = _EQUATIONS[_CONJUGATES.get(names[0], names[0])]
-    residual, derivative, start, deformation = factored(blk, cms, gamma)
+    residual, derivative, start, deformation = _omega_factored(blk, cms, gamma)
+    names = [f"omega{side}" for side in _SIDES]
     w, z = blk.factors.w, blk.factors.z
     wz = w @ z
     w_off = w - wz @ np.swapaxes(z, -1, -2).conj()
@@ -449,7 +376,7 @@ def _solve(grid, blk, cms, names, gamma, tol, ells, reports, max_iter=200):
         # the pair restarts, so that the stack it stays in remains finite
         outcomes[i, j], active[i, j], y[i, j] = error, False, start[i, j]
 
-    for it in range(max_iter):
+    for it in range(_MAX_ITER):
         g = residual(y)
         res = _factor_norm(g, wz, w_off)
         history.append(res)
@@ -488,11 +415,11 @@ def _solve(grid, blk, cms, names, gamma, tol, ells, reports, max_iter=200):
             h = hist[:, i, j]
             outcomes[i, j] = ConvergenceError(
                 f"{names[j]} newton iteration did not reach tol {tol:.1e} on block "
-                f"{ells[i]} after {max_iter} iterations (residual {h[-1]:.3e})",
-                residual=float(h[-1]), iterations=max_iter, history=h.tolist(),
+                f"{ells[i]} after {_MAX_ITER} iterations (residual {h[-1]:.3e})",
+                residual=float(h[-1]), iterations=_MAX_ITER, history=h.tolist(),
             )
     x = y @ w
-    final = matcore.supported_norm(residual_fn(blk, cms, gamma, x), z)
+    final = matcore.supported_norm(omega_residual(blk, cms, gamma, x), z)
     for i, j in zip(*np.nonzero(stopped >= 0)):
         it, h = int(stopped[i, j]), hist[: stopped[i, j] + 1, i, j].tolist()
         outcomes[i, j] = ConvergenceError(
@@ -500,8 +427,7 @@ def _solve(grid, blk, cms, names, gamma, tol, ells, reports, max_iter=200):
             f"factored residual {h[-1]:.3e} is below tol {tol:.1e}, but the "
             f"returned matrix's is at its rounding floor {final[i, j]:.3e}",
             residual=float(final[i, j]), iterations=it, history=h,
-        ) if final[i, j] > tol else {"iterations": it, "residual": float(final[i, j]), "history": h,
-                                     "certified": reports[i].solvable}
+        ) if final[i, j] > tol else (it, float(final[i, j]))
     return x, [[outcomes.get((i, j)) for j in range(len(names))] for i in range(len(ells))]
 
 
@@ -587,17 +513,19 @@ def solve_block(
     ell: int,
     tol: float = DEFAULT_TOL,
 ) -> BlochSolution:
-    """Solve both adiabatic Bloch equations on one block by Newton
-    iteration and certify.
+    """Solve the omega equation of both sides of one block by Newton
+    iteration, read both wave operators off them, and certify.
 
     ``gamma`` and ``tol`` must be positive and finite and ``ell`` a block
-    index; anything else raises ``ValueError`` before any iteration.
+    index; anything else raises ``ValueError`` before any iteration.  A
+    failing side raises its error, the primal side's first.
     The equation residuals and the deformations ||U - P|| vanish on
     range(1 - P) (on range(1 - P^T) for the order-reversed ones) and are
     taken from the block's factors (:func:`matcore.supported_norm`), and so
     are the four support checks ||X (1 - P)|| and ||(1 - P) X||: with the
-    norm of S in the Kantorovich report, no n x n matrix is factorized.
-    The two equations are one stack of two pairs (:func:`solve_blocks`).
+    norms of C and S in the Kantorovich report, no other n x n matrix is
+    factorized.  The two sides are one stack of two pairs (:func:`_solve`),
+    so the block gets the result and counts it gets in :func:`solve_blocks`.
     """
     _require_positive(gamma=gamma, tol=tol)
     report = kantorovich_report(dec, c, gamma, ell)
@@ -646,25 +574,27 @@ def _check_norms(blk, cms, gamma, x, u, mapped: bool) -> list:
 def _solve_sides(dec, cms, gamma, ells, tol, reports) -> list:
     """Both omega equations of every block of ``ells`` (one rank and index)
     as one stack, with ``cms`` = (C, C^T), and their checks: per block its
-    :class:`BlochSolution`, or the error of its first failing side."""
+    :class:`BlochSolution`, or the error of its first failing side.  The
+    iteration's own stacks are freed before the checks are taken."""
     # the order-reversed side is the primal one on the transposed block and
     # C^T; its X and U are transposed back at the end
     grid = [(blk, blk.transposed()) for blk in (dec.blocks[ell] for ell in ells)]
     blk = _stacked(grid)
-    x, outcomes = _solve(grid, blk, cms, ("omega", "omega_conj"), gamma, tol, ells, reports)
-    errors = [next((o for o in infos if isinstance(o, AdiablochError)), None) for infos in outcomes]
+    x, rows = _solve(grid, blk, cms, gamma, tol, ells, reports)
+    errors = [next((o for o in row if isinstance(o, AdiablochError)), None) for row in rows]
     if any(errors):
         return errors
     u = _wave_from_omega(blk, x, gamma)
+    names = [f"omega{side}" for side in _SIDES]
     sols = []
-    for ell, report, infos, values, xs, us in zip(
-        ells, reports, outcomes, _check_norms(blk, cms, gamma, x, u, mapped=False), x, u
+    for ell, report, row, values, xs, us in zip(
+        ells, reports, rows, _check_norms(blk, cms, gamma, x, u, mapped=False), x, u
     ):
-        values.update({f"omega{side}_eq": info["residual"] for side, info in zip(_SIDES, infos)})
+        values.update({f"{name}_eq": res for name, (_, res) in zip(names, row)})
         sols.append(BlochSolution(
             ell=ell, omega=xs[0], omega_conj=xs[1].T, wave=us[0], wave_conj=us[1].T,
             residuals={key: values[key] for key in _RESIDUAL_KEYS},
-            iterations={f"omega{side}": info["iterations"] for side, info in zip(_SIDES, infos)},
+            iterations={name: it for name, (it, _) in zip(names, row)},
             report=report, certified=bool(report.solvable),
         ))
     return sols
@@ -688,12 +618,13 @@ def solve_blocks(
 ) -> list[BlochSolution]:
     """Per-block Newton solves, in block order; ||C|| is taken once.
 
-    Both sides of every solved block of one rank and index are one stack,
-    iterated together (:func:`_solve`) with each pair's rules, history and
-    count its own, and certified together: the dense final residuals, the
-    wave operators and the side checks once for the stack.  A stack holds
-    at most ``_STACK_BYTES // (32 n^2)`` blocks, which bounds its working
-    set.  A pair's result and count do not depend on its stack, and when
+    The omega equations of both sides of every solved block of one rank and
+    index are one stack, iterated together (:func:`_solve`) with each
+    pair's rules, history and count its own, and certified together: the
+    dense final residuals, the wave operators read off omega and the side
+    checks once for the stack.  A stack holds at most
+    ``_STACK_BYTES // (32 n^2)`` blocks, which bounds its working set.  A
+    pair's result and count do not depend on its stack, and when
     blocks fail, the error raised is that of the first failing block, on
     its first failing side.  When C preserves Hermiticity, the second block
     of each conjugate orbit (``dec.images``) gets the image of the first

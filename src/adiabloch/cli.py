@@ -218,17 +218,18 @@ def solve(model_path, gamma, tol, matrices, out):
             for ell, block in enumerate(dec.blocks)
         ]
         _fail(f"{exc}{_certificate_note(reports)}")
-    # an uncertified run must at least land on the adiabatic branch, i.e.
-    # a small deformation of the unperturbed projections
+    # an uncertified run must at least land on the adiabatic branch on both
+    # sides, i.e. a small deformation of the unperturbed projections
     implausible = [
         s.ell
         for s in sols
-        if not s.certified and s.residuals["wave_deformation"] >= 1.0
+        if not s.certified
+        and max(s.residuals["wave_deformation"], s.residuals["wave_conj_deformation"]) >= 1.0
     ]
     if implausible:
         _fail(
             f"solution on blocks {implausible} is not a small deformation of "
-            f"the unperturbed projections (||U - P|| >= 1); the adiabatic "
+            f"the unperturbed projections (||U - P|| or ||U~ - P|| >= 1); the adiabatic "
             f"branch is not reachable at gamma = {model.gamma:.6g}."
             f"{_certificate_note([s.report for s in sols])}"
         )

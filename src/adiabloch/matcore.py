@@ -1,7 +1,7 @@
 """Dense matrix kernel used by every other module.
 
 Thin, contract-enforcing fronts over LAPACK-backed numpy/scipy routines:
-unitarily invariant norms, the principal matrix square root (Schur method),
+the spectral norm, the package's one norm, the principal matrix square root (Schur method),
 linear solves, and the matrix exponential.  All functions are
 pure: inputs are never mutated, outputs are freshly allocated, and every
 public operation rejects non-finite input and guarantees finite entries on
@@ -148,25 +148,19 @@ def _require_square(m: np.ndarray, op: str) -> None:
         raise ValueError(f"{op} requires square matrices, got shape {m.shape}")
 
 
-_NORM_KINDS = ("spectral", "trace", "frobenius")
-
-
 def op_norm(a, kind: str = "spectral") -> float | np.ndarray:
-    """Unitarily invariant norm of a matrix, or of each matrix in a stack.
+    """Spectral norm (largest singular value) of a matrix, or of each matrix
+    in a stack.
 
-    ``spectral``: largest singular value; ``trace``: sum of singular values;
-    ``frobenius``: root-sum-square of moduli.  Returns a ``float`` for one
-    matrix and an array of shape ``a.shape[:-2]`` for a stack.  A real
+    ``kind`` names the norm and must be ``"spectral"``, the package's one
+    norm; any other value raises ``ValueError``.  Returns a ``float`` for
+    one matrix and an array of shape ``a.shape[:-2]`` for a stack.  A real
     stack is decomposed as it is, not cast up to complex.
     """
-    if kind not in _NORM_KINDS:
-        raise ValueError(f"unknown norm kind {kind!r}; expected one of {_NORM_KINDS}")
+    if kind != "spectral":
+        raise ValueError(f"unknown norm kind {kind!r}; expected 'spectral'")
     m = _as_stack(a)
-    if kind == "frobenius":
-        norms = np.linalg.norm(m, axis=(-2, -1))
-    else:
-        s = np.linalg.svd(m, compute_uv=False)
-        norms = s.max(axis=-1, initial=0.0) if kind == "spectral" else s.sum(axis=-1)
+    norms = np.linalg.svd(m, compute_uv=False).max(axis=-1, initial=0.0)
     return float(norms) if m.ndim == 2 else norms
 
 

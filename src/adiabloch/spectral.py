@@ -50,13 +50,16 @@ against B, mapped ones included.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.linalg as sla
 
 from . import matcore
-from .errors import ClusterAmbiguityError, SingularMatrixError, SpectralOverlapError
+from .errors import (
+    ClusterAmbiguityError, NonFiniteError, SingularMatrixError, SpectralOverlapError
+)
 from .liouville import (
     Superoperator, _hp_image_of, _map_arrays, _preserves_hermiticity, _vec_transpose
 )
@@ -481,23 +484,32 @@ def validate(dec: SpectralDecomposition, b) -> dict:
 def decompose_from_user(b, similarity, layout) -> SpectralDecomposition:
     """Decomposition from a user-supplied similarity and eigenvalue layout.
 
-    ``layout`` is a sequence of (eigenvalue, size) pairs, sizes positive
-    integers, matching contiguous column groups of ``similarity``;
-    projections are built exactly as R E_l R^{-1}, nilpotents as
-    (B - b_l) P_l and resolvents from the block form R^{-1} B R, its
-    couplings between groups dropped, so the validation residuals are
-    limited only by the accuracy of the linear solves.  Nothing is
-    clustered; the recorded ``cluster_tol`` is 1e-10, and the nilpotent
-    index counts the powers above 10 * cluster_tol.  Layout eigenvalues
-    at most 1e-10 * max(||B||_2, 1) apart raise
-    :class:`SpectralOverlapError`, as clusters that close do in
+    ``layout`` is a sequence of (eigenvalue, size) pairs, eigenvalues finite
+    numbers and sizes positive integers, matching contiguous column groups
+    of ``similarity``; each entry is checked before any work, a bad one
+    raising ``ValueError`` and a NaN or Inf eigenvalue
+    :class:`NonFiniteError`, both naming the entry.  Projections are built
+    exactly as R E_l R^{-1}, nilpotents as (B - b_l) P_l and resolvents
+    from the block form R^{-1} B R, its couplings between groups dropped,
+    so the validation residuals are limited only by the accuracy of the
+    linear solves.  Nothing is clustered; the recorded ``cluster_tol`` is
+    1e-10, and the nilpotent index counts the powers above 10 *
+    cluster_tol.  Layout eigenvalues at most 1e-10 * max(||B||_2, 1) apart
+    raise :class:`SpectralOverlapError`, as clusters that close do in
     :func:`decompose`, before any solve.
     """
     mat = _as_matrix(b)
     n = mat.shape[0]
     r = _as_matrix(similarity, n, "similarity")
     for entry in layout:
-        matcore._require_integer(f"layout entry {entry!r}: size", entry[1], 1)
+        if not (isinstance(entry, (tuple, list)) and len(entry) == 2):
+            raise ValueError(f"layout entry {entry!r} is not an (eigenvalue, size) pair")
+        value, size = entry
+        if isinstance(value, bool) or not isinstance(value, numbers.Number):
+            raise ValueError(f"layout entry {entry!r}: eigenvalue must be a number, got {value!r}")
+        if not np.isfinite(complex(value)):
+            raise NonFiniteError(f"layout entry {entry!r}: eigenvalue is not finite")
+        matcore._require_integer(f"layout entry {entry!r}: size", size, 1)
     sizes = [size for _e, size in layout]
     if sum(sizes) != n:
         raise ValueError(f"layout sizes sum to {sum(sizes)}, expected {n}")

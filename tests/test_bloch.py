@@ -18,7 +18,6 @@ from adiabloch.bloch import (
     schrieffer_wolff_series,
     solve_block,
     solve_blocks,
-    solve_equation,
     sum_correction_series,
     wave_from_omega,
     wave_residual,
@@ -136,7 +135,6 @@ _C_CALLS = {
     "kantorovich_report": lambda pipe, c: kantorovich_report(pipe.decomposition, c, 10.0, 1),
     "block_gamma_min": lambda pipe, c: bloch.block_gamma_min(pipe.decomposition.blocks[1], c),
     "bracket": lambda pipe, c: bracket(pipe.decomposition.blocks[1], c),
-    "solve_equation": lambda pipe, c: solve_equation(pipe.decomposition, c, 10.0, 1, "omega_conj"),
     "solve_block": lambda pipe, c: solve_block(pipe.decomposition, c, 10.0, 1),
     "solve_blocks": lambda pipe, c: solve_blocks(pipe.decomposition, c, 10.0),
     "omega_from_wave": lambda pipe, c: omega_from_wave(
@@ -195,69 +193,29 @@ class TestSolvers:
             res = wave_residual(blk, lambda_pipe.weak.matrix, 10.0, sol.wave)
             assert matcore.op_norm(res, "spectral") < 1e-12
 
-    def test_direct_wave_solver_agrees(self, lambda_pipe):
-        dec = lambda_pipe.decomposition
-        c = lambda_pipe.weak.matrix
-        for ell in (0, 1, 7):
-            u_direct, _ = solve_equation(dec, c, 10.0, ell, "wave")
-            assert (
-                matcore.op_norm(u_direct - lambda_pipe.solutions[ell].wave, "spectral")
-                < 1e-10
-            )
-            ut_direct, _ = solve_equation(dec, c, 10.0, ell, "wave_conj")
-            assert (
-                matcore.op_norm(
-                    ut_direct - lambda_pipe.solutions[ell].wave_conj, "spectral"
-                )
-                < 1e-10
-            )
-
-    @pytest.mark.parametrize(
-        "which, gamma, tol, allowed",
-        [
-            pytest.param("omega_bar", 10.0, 1e-12, "omega_conj", id="omega_bar-newton-omega_conj"),
-            pytest.param("omega", 0.0, 1e-12, "gamma", id="gamma-zero"),
-            pytest.param("omega", -5.0, 1e-12, "gamma", id="gamma-negative"),
-            pytest.param("wave", math.nan, 1e-12, "gamma", id="gamma-nan"),
-            pytest.param("omega", math.inf, 1e-12, "gamma", id="gamma-inf"),
-            pytest.param("omega", 10.0, math.nan, "tol", id="tol-nan"),
-            pytest.param("omega_conj", 10.0, 0.0, "tol", id="tol-zero"),
-            pytest.param("wave", 10.0, -1.0, "tol", id="tol-negative"),
-        ],
-    )
-    def test_arguments_validated_before_iterating(self, lambda_pipe, which, gamma, tol, allowed):
-        # with C = 0 the initial guess already meets tol, so nothing but the
-        # up-front check can reject the arguments
-        zero = np.zeros((25, 25))
-        with pytest.raises(ValueError, match=allowed):
-            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, which, tol)
-
-    @pytest.mark.parametrize("max_iter", [0, -1, 2.5, None, True])
-    def test_max_iter_must_be_a_positive_integer(self, lambda_pipe, max_iter):
-        # 0 and -1 ended in a raw IndexError of an empty history
-        zero = np.zeros((25, 25))
-        with pytest.raises(ValueError, match=f"max_iter must be a positive integer, got {max_iter!r}"):
-            solve_equation(lambda_pipe.decomposition, zero, 10.0, 0, "omega", max_iter=max_iter)
-
     @pytest.mark.parametrize("gamma, shown", [("1", "'1'"), (None, "None"), (True, "True")])
     def test_coupling_must_be_a_number(self, lambda_pipe, gamma, shown):
         # a string or None had escaped as a raw TypeError, and True passed as 1
         zero = np.zeros((25, 25))
         with pytest.raises(ValueError, match=f"gamma must be positive and finite, got {shown}"):
-            solve_equation(lambda_pipe.decomposition, zero, gamma, 0, "omega")
+            solve_block(lambda_pipe.decomposition, zero, gamma, 0)
 
     @pytest.mark.parametrize("call", ["solve_blocks", "solve_block"])
     @pytest.mark.parametrize(
-        "tol, match",
+        "gamma, tol, match",
+        # each case is named by its bad value and the message
         [
-            (-1.0, "tol must be positive and finite, got -1.0"),
-            (0.0, "tol must be positive and finite, got 0.0"),
-            (math.nan, "tol must be positive and finite, got nan"),
-            (None, "tol must be positive and finite, got None"),
+            pytest.param(10.0, tol, f"tol must be positive and finite, got {tol}",
+                         id=f"{tol}-tol must be positive and finite, got {tol}")
+            for tol in (-1.0, 0.0, math.nan, None)
+        ] + [
+            pytest.param(gamma, 1e-12, f"gamma must be positive and finite, got {gamma}",
+                         id=f"{gamma}-gamma must be positive and finite, got {gamma}")
+            for gamma in (0.0, -5.0, math.nan, math.inf)
         ],
     )
     def test_solver_arguments_checked_before_any_block(
-        self, lambda_pipe, monkeypatch, call, tol, match
+        self, lambda_pipe, monkeypatch, call, gamma, tol, match
     ):
         # a bad tol had ended in a stalled ConvergenceError
         def no_solve(*args, **kwargs):
@@ -267,9 +225,9 @@ class TestSolvers:
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         with pytest.raises(ValueError, match=re.escape(match)):
             if call == "solve_blocks":
-                solve_blocks(dec, c, 10.0, tol=tol)
+                solve_blocks(dec, c, gamma, tol=tol)
             else:
-                solve_block(dec, c, 10.0, 0, tol=tol)
+                solve_block(dec, c, gamma, 0, tol=tol)
 
     @pytest.mark.parametrize("gamma", [0.0, -5.0, math.nan])
     def test_bad_coupling_rejected_before_the_certificate(self, lambda_pipe, gamma):
@@ -289,12 +247,13 @@ class TestSolvers:
             else:
                 omega_from_wave(blk, sol.wave, lambda_pipe.weak, gamma)
 
-    def test_iteration_budget_exhausted(self, lambda_pipe):
+    def test_iteration_budget_exhausted(self, lambda_pipe, monkeypatch):
         # block 3 of Lambda takes two Newton steps
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         assert lambda_pipe.solutions[3].iterations["omega"] == 2
-        with pytest.raises(ConvergenceError, match="after 1 iterations") as err:
-            solve_equation(dec, c, 10.0, 3, "omega", max_iter=1)
+        monkeypatch.setattr(bloch, "_MAX_ITER", 1)
+        with pytest.raises(ConvergenceError, match="^omega newton .* after 1 iterations") as err:
+            solve_block(dec, c, 10.0, 3)
         assert err.value.iterations == 1
         assert len(err.value.history) == 1
         assert err.value.residual == err.value.history[0] > bloch.DEFAULT_TOL
@@ -302,11 +261,10 @@ class TestSolvers:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda dec, c, ell: solve_equation(dec, c, 10.0, ell, "omega"),
             lambda dec, c, ell: solve_block(dec, c, 10.0, ell),
             lambda dec, c, ell: kantorovich_report(dec, c, 10.0, ell),
         ],
-        ids=["solve_equation", "solve_block", "kantorovich_report"],
+        ids=["solve_block", "kantorovich_report"],
     )
     @pytest.mark.parametrize(
         "ell, size, match",
@@ -348,9 +306,8 @@ class TestSolvers:
 
     def test_no_square_svd_per_equation(self, lambda_pipe, monkeypatch):
         # Q and W come from the block, residual and ball norms from n x r
-        # factors: with the report given, no n x n matrix is factorized
+        # factors: the only n x n SVDs are the report's ||C|| and ||S_0||
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
-        report = kantorovich_report(dec, c, 10.0, 0)
         shapes = []
         svd = np.linalg.svd
 
@@ -359,10 +316,9 @@ class TestSolvers:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        for which in ("omega", "omega_conj", "wave", "wave_conj"):
-            solve_equation(dec, c, 10.0, 0, which, report=report)
-        assert shapes
-        assert (dec.dim, dec.dim) not in shapes
+        solve_block(dec, c, 10.0, 0)
+        assert len(shapes) > 2
+        assert shapes.count((dec.dim, dec.dim)) == 2
 
     def test_weak_norm_taken_once_per_solve(self, lambda_pipe, monkeypatch):
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
@@ -439,19 +395,20 @@ class TestSolvers:
         range_step = bloch._range_step
         monkeypatch.setattr(bloch, "_range_step", lambda *args: 1e8 * range_step(*args))
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
-        with pytest.raises(ConvergenceError, match="omega newton iteration diverged on block 0") as info:
-            solve_equation(dec, c, 0.1, 0, "omega")
+        with pytest.raises(ConvergenceError, match="^omega newton iteration diverged on block 0") as info:
+            solve_block(dec, c, 0.1, 0)
         err = info.value
         assert err.residual > 1e6 * (1.0 + err.history[0])
         assert err.iterations == len(err.history) - 1 == 1
 
-    def test_iterate_leaving_the_ball_is_typed(self, lambda_pipe):
+    def test_iterate_leaving_the_ball_is_typed(self, lambda_pipe, monkeypatch):
         # a uniqueness ball of radius 1e-20 is left at the first Newton step
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         rep = kantorovich_report(dec, c, 10.0, 0)
         tiny = dataclasses.replace(rep, xi=1e-20, solvable=True)
-        with pytest.raises(BranchEscapeError, match="uniqueness ball"):
-            solve_equation(dec, c, 10.0, 0, "omega", report=tiny)
+        monkeypatch.setattr(bloch, "kantorovich_report", lambda *args: tiny)
+        with pytest.raises(BranchEscapeError, match="^omega iterate on block 0 left the uniqueness ball"):
+            solve_block(dec, c, 10.0, 0)
 
     def test_factored_residuals_bound_the_dense_norms(self, lambda_pipe, qubit_pipe):
         # every residual taken from n x r factors is >= its n x n spectral
@@ -516,7 +473,7 @@ class TestSolvers:
         # then only repeats it; without the stall rule it ran all 200
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         with pytest.raises(ConvergenceError, match="stalled") as info:
-            solve_equation(dec, c, 10.0, 1, "omega", tol=1e-20)
+            solve_block(dec, c, 10.0, 1, tol=1e-20)
         err = info.value
         assert err.iterations < 20
         assert len(err.history) == err.iterations + 1
@@ -607,9 +564,9 @@ def _stack_case(name):
 
 
 class TestStackedSolve:
-    """solve_blocks iterates both sides of every solved block of one rank and
-    index as one stack; solve_block is that stack for one block and
-    solve_equation for one pair."""
+    """solve_blocks iterates the omega equations of both sides of every
+    solved block of one rank and index as one stack; solve_block is that
+    stack for one block."""
 
     @pytest.mark.parametrize("case", ["lambda", "qubit", "counterexample", "random_d4"])
     def test_a_pair_does_not_depend_on_its_stack(self, case):
@@ -627,11 +584,6 @@ class TestStackedSolve:
             for field in ("omega", "omega_conj", "wave", "wave_conj"):
                 assert np.array_equal(getattr(alone, field), getattr(sol, field)), (ell, field)
             assert alone.residuals == sol.residuals and alone.iterations == sol.iterations
-            for which in ("omega", "omega_conj"):
-                x, info = solve_equation(dec, c, gamma, ell, which)
-                assert np.array_equal(x, getattr(sol, which)), (ell, which)
-                assert info["iterations"] == sol.iterations[which]
-                assert info["residual"] == sol.residuals[f"{which}_eq"]
 
     # The messages and iteration counts are those the per-block solver gave
     # before the blocks were stacked.  On Lambda block 1 (rank 10, its own
@@ -651,16 +603,15 @@ class TestStackedSolve:
         gamma = 0.1
         failing = []
         for ell in range(len(dec.blocks)):
-            for which in ("omega", "omega_conj"):
-                if ell not in dec.images:
-                    try:
-                        solve_equation(dec, c, gamma, ell, which)
-                    except ConvergenceError as err:
-                        failing.append((ell, which, err))
-        assert len({ell for ell, _, _ in failing}) >= 2
+            if ell not in dec.images:
+                try:
+                    solve_block(dec, c, gamma, ell)
+                except ConvergenceError as err:
+                    failing.append(err)
+        assert len(failing) >= 2
         with pytest.raises(ConvergenceError) as info:
             solve_blocks(dec, c, gamma)
-        err, first = info.value, failing[0][2]
+        err, first = info.value, failing[0]
         assert str(err) == str(first) == message
         assert err.iterations == first.iterations == iterations
         assert err.history == first.history and len(err.history) == iterations + 1
@@ -684,7 +635,7 @@ class TestStackedSolve:
         # singular; the rank-3 blocks of another stack converge
         dec, c = lambda_pipe.decomposition, lambda_pipe.weak.matrix
         with pytest.raises(SingularMatrixError) as alone:
-            solve_equation(dec, c, 1.0, 1, "omega")
+            solve_block(dec, c, 1.0, 1)
         with pytest.raises(SingularMatrixError) as info:
             solve_blocks(dec, c, 1.0)
         assert str(info.value) == str(alone.value)
@@ -732,17 +683,22 @@ class TestReducedNewton:
 
         monkeypatch.setattr(bloch, "_range_step", recording_step)
         for ell, blk in enumerate(dec.blocks):
-            for which in ("omega", "omega_conj", "wave"):
-                x, info = solve_equation(dec, c, gamma, ell, which)
-                if which == "omega_conj":
-                    x_dense, it_dense = _dense_newton(blk.transposed(), c.T, gamma, "omega")
+            sol = solve_block(dec, c, gamma, ell)
+            # omega and its count on each side; U, read off omega, against
+            # the wave equation solved on its own, with no count to compare
+            for field, (blk_side, c_side) in (
+                ("omega", (blk, c)), ("omega_conj", (blk.transposed(), c.T)),
+                ("wave", (blk, c)), ("wave_conj", (blk.transposed(), c.T)),
+            ):
+                equation = field.removesuffix("_conj")
+                x_dense, it_dense = _dense_newton(blk_side, c_side, gamma, equation)
+                if field.endswith("_conj"):
                     x_dense = x_dense.T
-                else:
-                    x_dense, it_dense = _dense_newton(blk, c, gamma, which)
-                assert info["iterations"] == it_dense, (case, ell, which)
+                if equation == "omega":
+                    assert sol.iterations[field] == it_dense, (case, ell, field)
                 scale = max(1.0, matcore.op_norm(x_dense, "spectral"))
-                dev = matcore.op_norm(x - x_dense, "spectral")
-                assert dev <= 1e-12 * scale, (case, ell, which, dev)
+                dev = matcore.op_norm(getattr(sol, field) - x_dense, "spectral")
+                assert dev <= 1e-12 * scale, (case, ell, field, dev)
         assert steps
         for p, delta in steps:
             leak = matcore.op_norm(delta - delta @ p, "spectral")
@@ -836,8 +792,12 @@ class TestKantorovich:
         dec = lambda_pipe_certified.decomposition
         c = lambda_pipe_certified.weak.matrix
         gamma = lambda_pipe_certified.model.gamma
-        _, info = solve_equation(dec, c, gamma, 0, "wave", tol=1e-14, max_iter=50)
-        hist = [r for r in info["history"] if r > 1e-13]
+        # below its rounding floor the omega iteration stalls, with the
+        # history of every step
+        with pytest.raises(ConvergenceError, match="stalled") as info:
+            solve_block(dec, c, gamma, 0, tol=1e-20)
+        hist = [r for r in info.value.history if r > 1e-13]
+        assert len(hist) >= 2
         # each Newton step roughly squares the residual
         for r0, r1 in zip(hist, hist[1:]):
             assert r1 < 10.0 * r0**2 / hist[0]

@@ -22,7 +22,7 @@ from adiabloch.errors import (
     SpectralOverlapError,
 )
 from adiabloch.liouville import build_superop
-from adiabloch.models import lambda_model, qubit_nilpotent_model
+from adiabloch.models import lambda_model, qubit_nilpotent_model, random_model
 
 
 @pytest.fixture(scope="module")
@@ -161,6 +161,18 @@ def test_solve_far_from_the_projections_exits_1(runner, qubit_file, monkeypatch)
     assert result.exit_code == 1, result.output
     assert result.stderr.startswith(
         "error: solution on blocks [0] is not a small deformation of the unperturbed projections"
+    )
+
+
+def test_solve_order_reversed_branch_escape_exits_1(runner, tmp_path):
+    # uncertified block 1 (gamma_l = 31) of this model at gamma = 1.5 keeps
+    # ||U - P|| = 0.21 but has ||U~ - P|| = 1.23: it had exited 0
+    path = tmp_path / "random_d2.json"
+    path.write_text(random_model(2, np.random.default_rng(4)).to_json())
+    result = runner.invoke(main, ["solve", "--model", str(path), "--gamma", "1.5"])
+    assert result.exit_code == 1, result.output
+    assert result.stderr.startswith(
+        "error: solution on blocks [1] is not a small deformation of the unperturbed projections"
     )
 
 

@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 
@@ -8,7 +9,12 @@ from numpy.testing import assert_allclose
 from scipy.sparse.csgraph import connected_components
 
 from adiabloch import matcore, spectral
-from adiabloch.errors import ClusterAmbiguityError, SingularMatrixError, SpectralOverlapError
+from adiabloch.errors import (
+    ClusterAmbiguityError,
+    NonFiniteError,
+    SingularMatrixError,
+    SpectralOverlapError,
+)
 from adiabloch.models import (
     counterexample_model,
     counterexample_similarity,
@@ -572,12 +578,25 @@ class TestInvariants:
             [(0.0, 1.0), (1.0, 1)],
             [(0.0, 1.5), (1.0, 0.5)],
             [(0.0, 1), (1.0, True)],
+            # these had escaped as a raw IndexError, TypeError and unpacking
+            # ValueError, and as a NonFiniteError naming "input"
+            [(0.0,), (1.0, 1)],
+            [(None, 1), (1.0, 1)],
+            [(0.0, 1, 5), (1.0, 1)],
+            [(0.0, 1), (math.nan, 1)],
+            [(0.0, 1), (complex(1.0, math.inf), 1)],
         ],
     )
     def test_layout_sizes_must_be_positive_integers(self, layout):
-        with pytest.raises(ValueError, match="layout entry") as err:
+        # every entry is checked before any work: a NaN or Inf eigenvalue is
+        # a NonFiniteError, any other bad entry a ValueError, both naming it
+        with pytest.raises((ValueError, NonFiniteError), match="^layout entry") as err:
             decompose_from_user(np.diag([0.0, 1.0]), np.eye(2), layout)
         assert any(repr(entry) in str(err.value) for entry in layout)
+        nonfinite = any(
+            isinstance(e, (float, complex)) and not np.isfinite(e) for e, *_ in layout
+        )
+        assert isinstance(err.value, NonFiniteError) == nonfinite
 
     def test_layout_sizes_must_sum_to_n(self):
         with pytest.raises(ValueError, match="layout sizes sum to 3, expected 2"):
